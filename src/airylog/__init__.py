@@ -32,7 +32,7 @@ from .kernel import (
 )
 from .airy import AiryState, JPair, airy, airy_asym, jpair, scorer_gi
 from .roots import RootTable, refine_root, root_seed, roots_upto
-from .zeta import ZetaTable, zeta_closed, zeta_eta_poly, zeta_incomplete
+from .zeta import zeta_closed, zeta_eta_poly, zeta_incomplete
 from .oracle import (
     OracleResult,
     integrate_halfline,
@@ -74,7 +74,6 @@ from .stieltjes1 import (
     bigI_recurrence,
     bigI_relations,
     bigI_smalla,
-    bigI_tail_asym,
     integral1_accelerated,
     integral1_series,
 )

@@ -116,15 +116,10 @@ def cmd_transform(args) -> int:
         return 2
     a = args.a
     rows = []
-    # analytic routes always run in double-double internally (see the
-    # README); 'double' only floors the reported err_est at the binary64
-    # representability of the emitted value
-    floor = 1e-16 if args.precision == "double" else 0.0
 
     def add(method, value, err):
-        v = float(value)
         rows.append({"id": f"{args.kind}.{idx}.a{a:g}", "method": method,
-                     "value": v, "err_est": max(err, floor * abs(v)),
+                     "value": float(value), "err_est": err,
                      "paper_value": None, "deviation": None,
                      "provenance": "transform"})
 
@@ -274,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None, metavar="PATH")
-        sp.add_argument("--precision", choices=("double", "dd"), default="dd")
-        sp.add_argument("--tol", type=float, default=1e-12)
 
     sp = sub.add_parser("roots", help="zeros of Ai' (magnitudes)")
     sp.add_argument("--N", type=int, default=10)
@@ -294,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--method", default="all")
+    sp.add_argument("--tol", type=float, default=1e-12,
+                    help="oracle quadrature tolerance, in [1e-14, 1e-6]")
     common(sp)
     sp.set_defaults(func=cmd_transform)
 

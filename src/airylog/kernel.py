@@ -1,8 +1,9 @@
-"""Scalar numerics kernel: gamma, Pochhammer, compensated summation and
-the generalized hypergeometric series engine.
+"""Scalar numerics kernel: gamma, Pochhammer, compensated summation, the
+truncated moment series, exact rational polynomials and the generalized
+hypergeometric series engine.
 
 Every closed form in the package funnels through :func:`hyp_pfq`.  The
-series is summed by forward term-ratio recursion
+series is summed in double-double by forward term-ratio recursion
 
     t_{k+1} = t_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1),
 
@@ -11,13 +12,16 @@ integer multiply / integer divide on the double-double accumulator.  The
 alternating series in scope have non-monotone term magnitudes, so
 termination requires three consecutive terms below tolerance.
 
-The environment variable ``AIRYLOG_MAX_TERMS`` overrides the term cap.
+Each of these exists once: every compensated binary64 sum goes
+through :func:`compensated_sum`, every large-a moment series
+(sum_m (-1)^m c_m a^(-p-m), truncated at its smallest term) through
+:func:`alternating_series`, and every exact rational polynomial
+(coefficient tuples, low power first) through the ``poly_*`` helpers.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -57,16 +61,6 @@ _BERNOULLI = [
     Fraction(-236364091, 2730),
     Fraction(8553103, 6),
 ]
-
-
-def _max_terms() -> int:
-    raw = os.environ.get("AIRYLOG_MAX_TERMS")
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_MAX_TERMS
 
 
 def _lngamma_dd(z):
@@ -171,6 +165,88 @@ def compensated_sum(terms: Sequence) -> XReal:
     return XReal(s, comp)
 
 
+def alternating_series(coeffs: Sequence[float], a: float,
+                       p: int) -> tuple[XReal, float]:
+    """sum_m (-1)^m c_m a^(-p-m), stopped before the first term larger
+    than the one before it (or at the end of ``coeffs``).
+
+    Returns ``(value, err)``: the compensated sum of the kept terms, and
+    the larger of the smallest kept term (the truncation estimate of an
+    asymptotic series) and 2^-52 times the sum of the kept magnitudes
+    (the rounding of coefficients and powers held in binary64).
+    """
+    apow = a ** float(-p)
+    best = math.inf
+    kept = []
+    for m, c in enumerate(coeffs):
+        term = c * apow * (-1.0 if m % 2 else 1.0)
+        if abs(term) > best:
+            break
+        best = abs(term)
+        kept.append(term)
+        apow /= a
+    rounding = 2.0 ** -52 * sum(abs(t) for t in kept)
+    return compensated_sum(kept), max(best, rounding)
+
+
+# -- exact polynomials (coefficient tuples, low power first) ----------------
+
+def poly_add(p, q) -> tuple:
+    """p + q, with trailing zero coefficients dropped (at least one kept)."""
+    n = max(len(p), len(q))
+    out = [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+           for i in range(n)]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def poly_scale(p, s) -> tuple:
+    """s * p."""
+    return tuple(c * s for c in p)
+
+
+def poly_mul(p, q) -> tuple:
+    """p * q; zero coefficients are skipped."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                if y:
+                    out[i + j] += x * y
+    return tuple(out)
+
+
+def poly_deriv(p) -> tuple:
+    """dp/dz."""
+    return tuple(p[i] * i for i in range(1, len(p))) or (0,)
+
+
+def poly_shift(p) -> tuple:
+    """z * p."""
+    return (0,) + tuple(p)
+
+
+def poly_eval_dd(p, x_pair):
+    """Horner evaluation of an int/Fraction coefficient tuple at a dd
+    point.  Coefficients are rounded to dd once each: integers (up to
+    2^53) exactly, other rationals by one dd division where numerator and
+    denominator fit in binary64."""
+    acc = (0.0, 0.0)
+    for c in reversed(p):
+        acc = dd_mul(acc, x_pair)
+        if not c:
+            continue
+        num, den = c.numerator, c.denominator
+        if abs(num) > 2**53 or den > 2**53:
+            acc = dd_add(acc, XReal.from_fraction(Fraction(c)).pair)
+        elif den == 1:
+            acc = dd_add(acc, (float(num), 0.0))
+        else:
+            acc = dd_add(acc, dd_div_f((float(num), 0.0), float(den)))
+    return acc
+
+
 @dataclass(frozen=True)
 class HypSeries:
     """A pFq specification: numerator/denominator parameters and argument.
@@ -195,20 +271,20 @@ class HypSeries:
 def hyp_pfq(
     series: HypSeries,
     tol: float = 1e-16,
-    dd: bool = True,
     max_terms: int | None = None,
 ) -> XReal:
-    """Sum the generalized hypergeometric series by term recursion.
+    """Sum the generalized hypergeometric series by term recursion in
+    double-double.
 
     Terminates once |t_k| < tol*|S| holds for three consecutive terms;
     the returned value then carries error <= 10*tol relative (plus the
-    intrinsic cancellation floor of the working precision).  Raises
-    :class:`ConvergenceError` with the partial sum when the cap (default
-    10000 terms, override via AIRYLOG_MAX_TERMS) is hit.
+    intrinsic cancellation floor of double-double).  Raises
+    :class:`ConvergenceError` with the partial sum when the cap
+    (``max_terms``, default 10000 terms) is hit.
     """
     a = [Fraction(x) for x in series.a_params]
     b = [Fraction(x) for x in series.b_params]
-    cap = max_terms if max_terms is not None else _max_terms()
+    cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
 
     if isinstance(series.z, XReal):
         zp = series.z.pair
@@ -217,44 +293,8 @@ def hyp_pfq(
     if zp[0] == 0.0 and zp[1] == 0.0:
         return XReal(1.0)
 
-    if dd:
-        term = (1.0, 0.0)
-        total = (1.0, 0.0)
-        small = 0
-        for k in range(cap):
-            num = 1
-            den = k + 1
-            for ai in a:
-                num *= ai.numerator + k * ai.denominator
-                den *= ai.denominator
-            for bj in b:
-                num *= bj.denominator
-                den *= bj.numerator + k * bj.denominator
-            term = dd_mul(term, zp)
-            term = dd_mul_f(term, float(num)) if abs(num) <= 2**53 else dd_mul(
-                term, XReal.from_fraction(Fraction(num)).pair
-            )
-            term = dd_div_f(term, float(den)) if abs(den) <= 2**53 else dd_div(
-                term, XReal.from_fraction(Fraction(den)).pair
-            )
-            total = dd_add(total, term)
-            if abs(term[0]) < tol * abs(total[0]) + 1e-300:
-                small += 1
-                if small >= 3:
-                    return XReal.from_pair(total)
-            else:
-                small = 0
-        raise ConvergenceError(
-            f"pFq did not converge in {cap} terms",
-            partial=XReal.from_pair(total),
-            terms=cap,
-        )
-
-    # binary64 path with Neumaier compensation
-    z = zp[0] + zp[1]
-    term = 1.0
-    s = 1.0
-    comp = 0.0
+    term = (1.0, 0.0)
+    total = (1.0, 0.0)
     small = 0
     for k in range(cap):
         num = 1
@@ -265,32 +305,34 @@ def hyp_pfq(
         for bj in b:
             num *= bj.denominator
             den *= bj.numerator + k * bj.denominator
-        term *= z * num / den
-        total = s + term
-        if abs(s) >= abs(term):
-            comp += (s - total) + term
-        else:
-            comp += (term - total) + s
-        s = total
-        if abs(term) < tol * abs(s) + 1e-300:
+        term = dd_mul(term, zp)
+        term = dd_mul_f(term, float(num)) if abs(num) <= 2**53 else dd_mul(
+            term, XReal.from_fraction(Fraction(num)).pair
+        )
+        term = dd_div_f(term, float(den)) if abs(den) <= 2**53 else dd_div(
+            term, XReal.from_fraction(Fraction(den)).pair
+        )
+        total = dd_add(total, term)
+        if abs(term[0]) < tol * abs(total[0]) + 1e-300:
             small += 1
             if small >= 3:
-                return XReal(s, comp)
+                return XReal.from_pair(total)
         else:
             small = 0
     raise ConvergenceError(
-        f"pFq did not converge in {cap} terms", partial=XReal(s, comp), terms=cap
+        f"pFq did not converge in {cap} terms",
+        partial=XReal.from_pair(total),
+        terms=cap,
     )
 
 
-def hyp(a_params, b_params, z, tol: float = 1e-16, dd: bool = True,
+def hyp(a_params, b_params, z, tol: float = 1e-16,
         max_terms: int | None = None) -> XReal:
     """Convenience wrapper: hyp((1,3),(2,3,...),z) with Fraction coercion."""
     return hyp_pfq(
         HypSeries(tuple(Fraction(x) for x in a_params),
                   tuple(Fraction(x) for x in b_params), z),
         tol=tol,
-        dd=dd,
         max_terms=max_terms,
     )
 

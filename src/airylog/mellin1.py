@@ -41,7 +41,17 @@ from .ddreal import (
     SQRT3,
 )
 from .errors import DomainError
-from .kernel import AI0, AIP0, gamma, hyp
+from .kernel import (
+    AI0,
+    AIP0,
+    gamma,
+    hyp,
+    poly_add,
+    poly_deriv,
+    poly_eval_dd,
+    poly_scale,
+    poly_shift,
+)
 from .results import TransformResult
 
 _F13 = Fraction(1, 3)
@@ -62,21 +72,6 @@ class PQPoly:
     Q: tuple
 
 
-def _poly_deriv(c):
-    return tuple(c[i] * i for i in range(1, len(c))) or (0,)
-
-def _poly_shift(c):
-    return (0,) + tuple(c)
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    out = [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-           for i in range(n)]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def pq_ladder(k_max: int):
     """P_0..P_kmax, Q_0..Q_kmax from the first-order recurrences."""
@@ -85,22 +80,10 @@ def pq_ladder(k_max: int):
     out = [PQPoly(0, (1,), (0,))]
     for k in range(k_max):
         prev = out[-1]
-        P = _poly_add(_poly_deriv(prev.P), _poly_shift(prev.Q))
-        Q = _poly_add(_poly_deriv(prev.Q), prev.P)
+        P = poly_add(poly_deriv(prev.P), poly_shift(prev.Q))
+        Q = poly_add(poly_deriv(prev.Q), prev.P)
         out.append(PQPoly(k + 1, P, Q))
     return tuple(out)
-
-
-def poly_eval_dd(c, x_pair):
-    """Horner evaluation of an integer/Fraction coefficient list."""
-    acc = (0.0, 0.0)
-    for coeff in reversed(c):
-        acc = dd_mul(acc, x_pair)
-        f = float(coeff)
-        if f:
-            acc = dd_add(acc, (f, 0.0)) if isinstance(coeff, int) and abs(coeff) <= 2**53 \
-                else dd_add(acc, XReal.from_fraction(Fraction(coeff)).pair)
-    return acc
 
 
 def amatrix(k_max: int):
@@ -113,9 +96,8 @@ def amatrix(k_max: int):
     lad = pq_ladder(k_max + 1)
     rows = []
     for k in range(k_max + 1):
-        two_p = tuple(2 * c for c in lad[k].P)
-        inner = _poly_add(two_p, tuple(-c for c in lad[k + 1].Q))
-        row = _poly_add(_poly_shift(inner), tuple(3 * c for c in lad[k].Q))
+        inner = poly_add(poly_scale(lad[k].P, 2), poly_scale(lad[k + 1].Q, -1))
+        row = poly_add(poly_shift(inner), poly_scale(lad[k].Q, 3))
         rows.append(row)
     return rows
 
@@ -518,15 +500,3 @@ def mellin_prime(n: int, a: float, tol: float = 1e-18) -> TransformResult:
     val = XReal.from_pair(base.eval_reduction(red))
     return TransformResult(val, "recurrence", 1e-14 * max(1.0, abs(float(val))))
 
-
-def ai_moment(m: int) -> XReal:
-    """I_m(0) = int_0^inf x^m Ai dx, from the exact three-term chain
-    I_{m+3}(0) = (m+1)(m+2) I_m(0) with seeds 1/3, -Ai'(0), Ai(0)."""
-    if m < 0:
-        raise DomainError("ai_moment needs m >= 0")
-    k, mu = divmod(m, 3)
-    seed = (XReal(1.0 / 3.0), -AIP0, AI0)[mu]
-    acc = seed
-    for l in range(k):
-        acc = acc * ((3 * l + mu + 1) * (3 * l + mu + 2))
-    return acc

@@ -46,7 +46,16 @@ from .ddreal import (
     SQRT_PI,
 )
 from .errors import DomainError
-from .kernel import AI0, AIP0
+from .kernel import (
+    AI0,
+    AIP0,
+    pochhammer,
+    poly_add,
+    poly_deriv,
+    poly_eval_dd,
+    poly_scale,
+    poly_shift,
+)
 from .mellin1 import genfunc_lambda, genfunc_xi, xi_lambda_derivs
 from .results import TransformResult
 
@@ -74,16 +83,6 @@ class PqrPoly:
     r: tuple
 
 
-def _frpoly_scale(c, s):
-    return tuple(x * s for x in c)
-
-
-def _frpoly_set(c, power, value):
-    c = list(c) + [Fraction(0)] * max(0, power + 1 - len(c))
-    c[power] += value
-    return tuple(c)
-
-
 @lru_cache(maxsize=None)
 def pqr_ladder(n_max: int):
     """Rows n = 0..n_max of the p/q/r ladder:
@@ -105,9 +104,9 @@ def pqr_ladder(n_max: int):
         prev = rows[n - 3]
         m = Fraction(n * (n - 1) * (n - 2), 2 * (2 * n - 1))
         inv = Fraction(1, 2 * (2 * n - 1))
-        p = _frpoly_set(_frpoly_scale(prev.p, m), n, -(n - 1) * inv)
-        q = _frpoly_set(_frpoly_scale(prev.q, m), n - 1, -n * inv)
-        r = _frpoly_set(_frpoly_scale(prev.r, m), n - 2, n * (n - 1) * inv)
+        p = poly_add(poly_scale(prev.p, m), (0,) * n + (-(n - 1) * inv,))
+        q = poly_add(poly_scale(prev.q, m), (0,) * (n - 1) + (-n * inv,))
+        r = poly_add(poly_scale(prev.r, m), (0,) * (n - 2) + (n * (n - 1) * inv,))
         rows[n] = PqrPoly(n, p, q, r)
     return tuple(rows[n] for n in range(n_max + 1))
 
@@ -122,23 +121,6 @@ class PQRPoly2:
     R: tuple
 
 
-def _ipoly_deriv(c):
-    return tuple(c[i] * i for i in range(1, len(c))) or (0,)
-
-
-def _ipoly_add(p, q):
-    n = max(len(p), len(q))
-    out = [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-           for i in range(n)]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _ipoly_shift(c):
-    return (0,) + tuple(c)
-
-
 @lru_cache(maxsize=None)
 def pqr2_ladder(j_max: int):
     """P_{j+1} = P_j' + x R_j;  Q_{j+1} = Q_j' + R_j;
@@ -148,11 +130,10 @@ def pqr2_ladder(j_max: int):
     out = [PQRPoly2(0, (1,), (0,), (0,))]
     for j in range(j_max):
         P, Q, R = out[-1].P, out[-1].Q, out[-1].R
-        Pn = _ipoly_add(_ipoly_deriv(P), _ipoly_shift(R))
-        Qn = _ipoly_add(_ipoly_deriv(Q), R)
-        Rn = _ipoly_add(_ipoly_deriv(R),
-                        _ipoly_add(tuple(2 * c for c in P),
-                                   _ipoly_shift(tuple(2 * c for c in Q))))
+        Pn = poly_add(poly_deriv(P), poly_shift(R))
+        Qn = poly_add(poly_deriv(Q), R)
+        Rn = poly_add(poly_deriv(R),
+                      poly_add(poly_scale(P, 2), poly_shift(poly_scale(Q, 2))))
         out.append(PQRPoly2(j + 1, Pn, Qn, Rn))
     return tuple(out)
 
@@ -350,9 +331,9 @@ class Ai2Base:
 
     def calI_pos(self, n: int):
         row = pqr_ladder(max(8, n))[n]
-        return self._combo(_eval_frpoly(row.p, self.ap),
-                           _eval_frpoly(row.q, self.ap),
-                           _eval_frpoly(row.r, self.ap))
+        return self._combo(poly_eval_dd(row.p, self.ap),
+                           poly_eval_dd(row.q, self.ap),
+                           poly_eval_dd(row.r, self.ap))
 
     def calI(self, n: int):
         return self.calI_pos(n) if n >= 0 else self.calI_neg(-n)
@@ -378,19 +359,6 @@ class Ai2Base:
         )
 
 
-def _eval_frpoly(c, x_pair):
-    acc = (0.0, 0.0)
-    for coeff in reversed(c):
-        acc = dd_mul(acc, x_pair)
-        if coeff:
-            if abs(coeff.numerator) <= 2**53 and coeff.denominator <= 2**53:
-                acc = dd_add(acc, dd_div_f((float(coeff.numerator), 0.0),
-                                           float(coeff.denominator)))
-            else:
-                acc = dd_add(acc, XReal.from_fraction(coeff).pair)
-    return acc
-
-
 # -- public operations ---------------------------------------------------------
 
 def _bform_calI_pos(n: int, base: Ai2Base) -> XReal:
@@ -398,36 +366,12 @@ def _bform_calI_pos(n: int, base: Ai2Base) -> XReal:
     three-term recurrence (Gamma-ratio coefficient sums)."""
     k, mu = divmod(n, 3)
     s0, s1, s2 = _bsums(k, mu, base)
-    if mu == 0:
-        pref = math.factorial(3 * k) / (12.0 ** (k + 1) * _gamma_ratio_56(k))
-    elif mu == 1:
-        pref = math.factorial(3 * k + 1) / (12.0 ** (k + 1) * _gamma_ratio_76(k))
-    else:
-        pref = math.factorial(3 * k + 2) / (12.0 ** (k + 1) * _gamma_ratio_32(k))
+    # G(k + mu/3 + 5/6) / G(mu/3 + 5/6)
+    ratio = float(pochhammer(Fraction(2 * mu + 5, 6), k))
+    pref = math.factorial(3 * k + mu) / (12.0 ** (k + 1) * ratio)
     combo = dd_add(dd_add(dd_mul(base.ai2, s0), dd_mul(base.aip2, s1)),
                    dd_mul(base.aiaip, s2))
     return XReal.from_pair(dd_mul_f(combo, pref))
-
-
-def _gamma_ratio_56(k):  # G(k+5/6)/G(5/6)
-    out = 1.0
-    for l in range(k):
-        out *= l + 5.0 / 6.0
-    return out
-
-
-def _gamma_ratio_76(k):  # G(k+7/6)/G(7/6) scaled into the mu=1 prefactor
-    out = 1.0
-    for l in range(k):
-        out *= l + 7.0 / 6.0
-    return out
-
-
-def _gamma_ratio_32(k):
-    out = 1.0
-    for l in range(k):
-        out *= l + 1.5
-    return out
 
 
 def _bsums(k: int, mu: int, base: Ai2Base):

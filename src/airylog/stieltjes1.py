@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 from .airy import airy, jpair
 from .ddreal import (
@@ -44,7 +45,7 @@ from .ddreal import (
     SQRT_PI,
 )
 from .errors import AccuracyWarning, DomainError, StabilityError
-from .kernel import AI0, AIP0, compensated_sum, hyp
+from .kernel import AI0, AIP0, alternating_series, compensated_sum, hyp
 from .mellin1 import BaseValues, reduce_In, reduce_Iprime, xi_lambda_derivs
 from .results import TransformResult, TruncationConfig
 from .roots import RootTable
@@ -64,74 +65,36 @@ CLOSED_MAX = 13.0
 
 # -- moments of Ai (exact chain) ---------------------------------------------
 
-def _ai_moments(count: int):
-    """I_m(0) = int x^m Ai dx for m = 0..count-1, as floats."""
+@lru_cache(maxsize=None)
+def _ai_moments(count: int) -> tuple:
+    """I_m(0) = int x^m Ai dx for m = 0..count-1, as floats, from the exact
+    chain I_{m+3}(0) = (m+1)(m+2) I_m(0) with seeds 1/3, -Ai'(0), Ai(0)."""
     out = [1.0 / 3.0, -float(AIP0), float(AI0)]
     while len(out) < count:
         m = len(out) - 3
         out.append((m + 1) * (m + 2) * out[m])
-    return out[:count]
+    return tuple(out[:count])
+
+
+@lru_cache(maxsize=None)
+def _bigI_asym_coeffs(k: int, count: int) -> tuple:
+    """C(k+m-1, m) I_m(0): the coefficients of a^(-k-m) in bigI_k."""
+    out = []
+    binom = 1.0
+    for m, mom in enumerate(_ai_moments(count)):
+        out.append(binom * mom)
+        binom *= (k + m) / (m + 1.0)
+    return tuple(out)
 
 
 def bigI_asym(k: int, a: float, max_terms: int = 60) -> TransformResult:
     """bigI_k(a) by the alternating moment series in 1/a, truncated at its
-    smallest term (whose size is the error estimate).  Intended for
-    a >= 13, where it reaches ~1e-13 relative."""
+    smallest term (see :func:`alternating_series` for the error estimate).
+    Intended for a >= 13, where it reaches ~1e-13 relative."""
     if a <= 0.0:
         raise DomainError("bigI_asym needs a > 0")
-    mom = _ai_moments(max_terms)
-    binom = 1.0
-    apow = a ** float(-k)
-    best = float("inf")
-    total = 0.0
-    comp = 0.0
-    err = float("inf")
-    for m in range(max_terms):
-        term = binom * mom[m] * apow * (-1.0 if m % 2 else 1.0)
-        if abs(term) > best:
-            err = best
-            break
-        best = abs(term)
-        t = total + term
-        comp += (total - t) + term if abs(total) >= abs(term) else (term - t) + total
-        total = t
-        binom *= (k + m) / (m + 1.0)
-        apow /= a
-    else:
-        err = best
-    return TransformResult(XReal(total, comp), "asymptotic", err)
-
-
-def _eq8_term_asym(a: float, max_terms: int = 60) -> float:
-    """1/(3a) - bigI_1(a) for large a, summed without the cancelling
-    leading term."""
-    mom = _ai_moments(max_terms)
-    apow = a ** -2.0
-    total = 0.0
-    best = float("inf")
-    for m in range(1, max_terms):
-        term = mom[m] * apow * (-1.0 if m % 2 else 1.0)
-        if abs(term) > best:
-            break
-        best = abs(term)
-        total += term
-        apow /= a
-    return -total
-
-
-def bigI_tail_asym(a: float) -> XReal:
-    """Leading estimate of the neglected x >= a remainder of bigI_3:
-
-        exp(-(2/3) a^{3/2}) / (16 sqrt(pi) a^{15/4}).
-
-    The printed form of this estimate lacks the 1/16 Laplace factor and
-    carries an extra 1/a; this form matches the oracle split integral
-    within a factor ~2 on [4, 13].
-    """
-    if a < 3.0:
-        raise DomainError("tail estimate valid for a >= 3")
-    zeta = (2.0 / 3.0) * a ** 1.5
-    return XReal(math.exp(-zeta) / (16.0 * math.sqrt(math.pi) * a ** 3.75))
+    val, err = alternating_series(_bigI_asym_coeffs(k, max_terms), a, k)
+    return TransformResult(val, "asymptotic", err)
 
 
 # -- recurrence route ---------------------------------------------------------
@@ -349,7 +312,8 @@ class StieltjesContext:
 
     def eq8_term(self, a: float) -> XReal:
         if a > CLOSED_MAX:
-            return XReal(_eq8_term_asym(a))
+            # 1/(3a) - bigI_1(a) without the cancelling leading term
+            return alternating_series(_ai_moments(60)[1:], a, 2)[0]
         return XReal(1.0 / (3.0 * a)) - self.bigI1(a).value
 
 

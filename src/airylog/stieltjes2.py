@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .airy import airy
 from .ddreal import (
@@ -44,7 +45,7 @@ from .ddreal import (
     SQRT_PI,
 )
 from .errors import DomainError
-from .kernel import compensated_sum, hyp
+from .kernel import alternating_series, compensated_sum, hyp
 from .mellin2 import A2, AAP, AP2
 from .results import TransformResult, TruncationConfig
 from .roots import RootTable
@@ -282,62 +283,21 @@ def _ai2_moments(count: int):
     return out[:count]
 
 
-def _aip2_moments(count: int):
-    """int_0^inf x^m Ai'^2 dx; chain ratio (m+1)(m+3)(m+5)/(2(2m+9))."""
-    out = [-2.0 * float(AAP) / 3.0, 0.3 * float(A2), 4.0 * float(AP2) / 7.0]
-    while len(out) < count:
-        m = len(out) - 3
-        out.append(out[m] * (m + 1) * (m + 3) * (m + 5) / (2.0 * (2 * m + 9)))
-    return out[:count]
+@lru_cache(maxsize=None)
+def _bigJ_asym_coeffs(count: int) -> tuple:
+    """j(j+1)/2 mu_j - 2 mu_{j+3}: the coefficients of a^(-2-j) in the
+    summand."""
+    mu = _ai2_moments(count + 3)
+    return tuple(j * (j + 1) * mu[j] / 2.0 - 2.0 * mu[j + 3]
+                 for j in range(count))
 
 
 def bigJ_asym(a: float, max_terms: int = 40):
     """Summand by the moment series
     sum_j (-1)^j [j(j+1)/2 mu_j - 2 mu_{j+3}] a^{-2-j}; ~1e-12 relative
-    already at a ~ 8 and machine-level beyond 12."""
-    mu = _ai2_moments(max_terms + 3)
-    total = 0.0
-    comp = 0.0
-    best = float("inf")
-    apow = a ** -2.0
-    err = float("inf")
-    for j in range(max_terms):
-        c = j * (j + 1) * mu[j] / 2.0 - 2.0 * mu[j + 3]
-        term = c * apow * (-1.0 if j % 2 else 1.0)
-        if abs(term) > best:
-            err = best
-            break
-        best = abs(term)
-        t = total + term
-        comp += (total - t) + term if abs(total) >= abs(term) else (term - t) + total
-        total = t
-        apow /= a
-    else:
-        err = best
-    return XReal(total, comp), err
-
-
-def Jn_asym_moment(n: int, a: float, primed: bool = False,
-                   max_terms: int = 40):
-    """J_n(a) (or the Ai'^2 analogue) by the full moment series in 1/a."""
-    mom = _aip2_moments(max_terms) if primed else _ai2_moments(max_terms)
-    binom = 1.0
-    apow = a ** float(-n)
-    total = 0.0
-    best = float("inf")
-    err = float("inf")
-    for m in range(max_terms):
-        term = binom * mom[m] * apow * (-1.0 if m % 2 else 1.0)
-        if abs(term) > best:
-            err = best
-            break
-        best = abs(term)
-        total += term
-        binom *= (n + m) / (m + 1.0)
-        apow /= a
-    else:
-        err = best
-    return XReal(total), err
+    already at a ~ 8 and machine-level beyond 12.  Returns (value, err)
+    as :func:`alternating_series` does."""
+    return alternating_series(_bigJ_asym_coeffs(max_terms), a, 2)
 
 
 def J_asym(a: float, n: int, primed: bool = False) -> XReal:

@@ -204,6 +204,17 @@ def discrepancy_ledger() -> list:
             "ladder output is canonical",
         ),
         Discrepancy(
+            "I3-tail-estimate",
+            "neglected x >= a remainder of bigI_3",
+            "leading estimate printed without the 1/16 Laplace factor and "
+            "with an extra factor 1/a",
+            "the Laplace estimate exp(-(2/3)a^{3/2}) / (16 sqrt(pi) "
+            "a^{15/4}) overstates the quadrature of the split integral by "
+            "27% at a = 4 and 5% at a = 13",
+            "no remainder estimate is used: every route evaluates bigI_3 "
+            "over the whole half-line",
+        ),
+        Discrepancy(
             "accelerated-first-integral-accuracy",
             "headline accuracy claim",
             "N=10, n=3 accelerated value -0.8140073597 claimed accurate to "

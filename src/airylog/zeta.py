@@ -14,33 +14,14 @@ sign, which the series division here adjudicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ddreal import XReal, dd_add, dd_powi
 from .errors import DomainError
-from .kernel import ETA
+from .kernel import ETA, poly_add, poly_mul, poly_scale
 from .roots import RootTable
 
 K_MAX = 20
-
-
-def _eta_poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
-def _eta_poly_sub(p, q):
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else Fraction(0)) - (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    ]
 
 
 def _log_derivative_coeffs(order: int):
@@ -51,24 +32,23 @@ def _log_derivative_coeffs(order: int):
     for k in range(kmax):
         F.append(F[-1] / ((3 * k + 2) * (3 * k + 3)))
         G.append(G[-1] / ((3 * k + 3) * (3 * k + 4)))
-    zero = [Fraction(0)]
-    num = [list(zero) for _ in range(order + 1)]   # z * (eta f + g)
-    den = [list(zero) for _ in range(order + 1)]   # eta f' + g'
+    num = [(Fraction(0),)] * (order + 1)   # z * (eta f + g)
+    den = [(Fraction(0),)] * (order + 1)   # eta f' + g'
     for k in range(kmax):
         if 3 * k + 1 <= order:
-            num[3 * k + 1] = [Fraction(0), F[k]]          # eta * F_k z^{3k+1}
+            num[3 * k + 1] = (Fraction(0), F[k])          # eta * F_k z^{3k+1}
         if 3 * k + 2 <= order:
-            num[3 * k + 2] = _eta_poly_sub(num[3 * k + 2], [-G[k]])
+            num[3 * k + 2] = poly_add(num[3 * k + 2], (G[k],))
         if 3 * k - 1 >= 0 and 3 * k - 1 <= order:
-            den[3 * k - 1] = _eta_poly_sub(den[3 * k - 1], [Fraction(0), -3 * k * F[k]])
+            den[3 * k - 1] = poly_add(den[3 * k - 1], (0, 3 * k * F[k]))
         if 3 * k <= order:
-            den[3 * k] = _eta_poly_sub(den[3 * k], [-(3 * k + 1) * G[k]])
+            den[3 * k] = poly_add(den[3 * k], ((3 * k + 1) * G[k],))
     # long division q = num / den with den[0] = [1]
     q = []
     for m in range(order + 1):
-        acc = list(num[m])
+        acc = num[m]
         for j in range(m):
-            acc = _eta_poly_sub(acc, _eta_poly_mul(q[j], den[m - j]))
+            acc = poly_add(acc, poly_scale(poly_mul(q[j], den[m - j]), -1))
         q.append(acc)
     return q
 
@@ -87,10 +67,7 @@ def zeta_eta_poly(k: int):
         q = _log_derivative_coeffs(K_MAX)
         for m, poly in enumerate(q):
             sign = 1 if m % 2 == 0 else -1
-            out = [sign * c for c in poly]
-            while len(out) > 1 and out[-1] == 0:
-                out.pop()
-            _COEFF_CACHE[m] = out
+            _COEFF_CACHE[m] = [sign * c for c in poly]
     return _COEFF_CACHE[k - 1]
 
 
@@ -118,19 +95,3 @@ def zeta_incomplete(k: int, N: int, roots: RootTable) -> XReal:
     for n in range(N, 0, -1):  # smallest terms first
         acc = dd_add(acc, dd_powi(roots[n].pair, -k))
     return XReal.from_pair(acc)
-
-
-@dataclass(frozen=True)
-class ZetaTable:
-    """Memoized closed-form values Z_2..Z_kmax plus eta."""
-
-    k_max: int
-    values: dict
-    eta: XReal = ETA
-
-    @classmethod
-    def build(cls, k_max: int = 10) -> "ZetaTable":
-        return cls(k_max, {k: zeta_closed(k) for k in range(2, k_max + 1)})
-
-    def __getitem__(self, k: int) -> XReal:
-        return self.values[k]

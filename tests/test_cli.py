@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,14 +73,24 @@ def test_domain_error_maps_to_config_exit(capsys):
     assert code == 2
 
 
+def test_dead_flags_are_rejected(capsys):
+    # --tol only sets the oracle tolerance of transform; --precision is gone
+    assert run(["roots", "--tol", "1e-9"], capsys)[0] == 2
+    assert run(["integral1", "--precision", "double"], capsys)[0] == 2
+
+
 @pytest.mark.slow
 def test_validate_deterministic(tmp_path):
-    p1 = tmp_path / "v1.csv"
-    p2 = tmp_path / "v2.csv"
-    c1 = main(["validate", "--out", str(p1)])
-    c2 = main(["validate", "--out", str(p2)])
+    # byte-identical to the frozen output of the benchmark, on every run
+    frozen = (Path(__file__).resolve().parents[1] / "bench" / "expected"
+              / "validate.json").read_bytes()
+    p1 = tmp_path / "v1.json"
+    p2 = tmp_path / "v2.json"
+    c1 = main(["validate", "--format", "json", "--out", str(p1)])
+    c2 = main(["validate", "--format", "json", "--out", str(p2)])
     assert c1 == c2 == 1  # one logged discrepancy keeps the exit nonzero
-    assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_bytes() == frozen
+    assert p2.read_bytes() == frozen
 
 
 def test_report_contains_ledger(capsys):

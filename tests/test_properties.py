@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from airylog.airy import airy, jpair
-from airylog.kernel import compensated_sum, hyp, pochhammer
+from airylog.kernel import compensated_sum, pochhammer
 from airylog.mellin1 import mellin_closed
 from airylog.zeta import zeta_closed, zeta_incomplete
 from airylog.roots import roots_upto
@@ -73,13 +73,3 @@ def test_mellin_recurrence_residual(n, a):
            - a ** (n - 1) * float(st_.aip)
            + (n - 1) * a ** (n - 2) * float(st_.ai))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-
-@given(st.floats(min_value=-40.0, max_value=-1.0, allow_nan=False))
-@settings(max_examples=20, deadline=None)
-def test_hyp_alternating_consistency(z):
-    v_dd = float(hyp((Fraction(1, 3),), (Fraction(2, 3), Fraction(4, 3)),
-                     z, tol=1e-20, dd=True))
-    v_64 = float(hyp((Fraction(1, 3),), (Fraction(2, 3), Fraction(4, 3)),
-                     z, tol=1e-13, dd=False))
-    assert abs(v_dd - v_64) <= 1e-11 * max(abs(v_dd), 1e-12)

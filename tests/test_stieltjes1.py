@@ -18,7 +18,6 @@ from airylog.stieltjes1 import (
     bigI_recurrence,
     bigI_relations,
     bigI_smalla,
-    bigI_tail_asym,
     integral1_accelerated,
     integral1_series,
 )
@@ -168,24 +167,6 @@ def test_eq8_summand_decay_slope(ctx, roots):
         ys.append(math.log(abs(float(ctx.eq8_term(r)))))
     slope = np.polyfit(xs, ys, 1)[0]
     assert abs(slope + 2.0) <= 0.1
-
-
-def test_tail_estimate(ctx):
-    # the neglected x >= a remainder: against an oracle split at a
-    from scipy.integrate import quad
-    from scipy.special import airy as scipy_airy
-
-    for a in (6.0, 8.0):
-        direct, _ = quad(lambda x: scipy_airy(x)[0] / (x + a) ** 3, a, a + 30,
-                         epsabs=1e-20)
-        est = float(bigI_tail_asym(a))
-        assert 0.3 < est / direct < 3.0
-    v = float(bigI_tail_asym(12.3847883718))
-    i3 = oracle_stieltjes("Ai", 3, 12.3847883718).value
-    assert v <= 1e-14 * abs(i3) * 10  # comfortably negligible
-    assert float(bigI_tail_asym(4.0)) > 0
-    vals = [float(bigI_tail_asym(a)) for a in (4.0, 7.0, 10.0, 13.0)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_series_pipelines(ctx, roots):

@@ -7,7 +7,7 @@ import pytest
 from airylog.errors import DomainError
 from airylog.kernel import ETA
 from airylog.roots import root_seed, roots_upto
-from airylog.zeta import ZetaTable, zeta_closed, zeta_eta_poly, zeta_incomplete
+from airylog.zeta import zeta_closed, zeta_eta_poly, zeta_incomplete
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +68,6 @@ def test_tail_estimate_k4(roots):
     gap = float(zeta_closed(4)) - float(zeta_incomplete(4, 10, roots))
     bound = sum(root_seed(n) ** -4 for n in range(11, 5000))
     assert 0 < gap <= bound * 1.001
-
-
-def test_zeta_table():
-    tab = ZetaTable.build(8)
-    assert abs(float(tab[3]) - 1.0) < 1e-13
-    assert tab.k_max == 8
 
 
 def test_domain_errors(roots):
