@@ -129,12 +129,11 @@ def cmd_transform(args) -> int:
         if methods in ("all", "oracle"):
             add("oracle", orc.value, orc.abs_err_est)
         if weight == "Ai":
-            roots = roots_upto(1)
-            ctx = StieltjesContext(roots)
             if methods in ("all", "small_a") and a <= 4.0 and 1 <= idx <= 6:
                 r = bigI_smalla(idx, a)
                 add(r.method, r.value, r.err_est)
             if methods in ("all", "closed_form") and idx == 1 and a <= 13.0:
+                ctx = StieltjesContext(roots_upto(1))
                 r = bigI1_closed(a, ctx.a0, ctx.I1_a0, ctx.I2_a0)
                 add(r.method, r.value, r.err_est)
             if methods in ("all", "asymptotic") and a > 8.0:

@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .airy import airy
 from .ddreal import (
     XReal,
     dd_add,
-    dd_div,
     dd_div_f,
     dd_ln,
     dd_mul,
@@ -43,9 +42,8 @@ from .ddreal import (
     LN3,
     PI,
     SQRT3,
-    SQRT_PI,
 )
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .kernel import (
     AI0,
     AIP0,
@@ -196,8 +194,11 @@ def irreducible_neg1(a: float, which: str, terms: int | None = None) -> XReal:
 
     Summed from the exact Taylor classes of Ai(x)^2 in double-double; the
     additive constants are the regularised Mellin limits.  Relative
-    accuracy degrades with the e^{(4/3)a^{3/2}} cancellation: near machine
-    for a <= 4, ~1e-6 of the (tiny) result at a = 8.
+    accuracy degrades with the e^{(4/3)a^{3/2}} cancellation.  Against
+    40-digit quadrature: 'i' and 'calI' hold 3e-15 up to a = 6 and 3e-6 at
+    a = 8; 'iprime' is off by 5e-9 at a = 4, 6e-6 at a = 4.75, 7e-5 at
+    a = 5 and 110% at a = 6.  :func:`calI` and :func:`mellin2` therefore
+    stop negative indices at NEG_A_MAX.
     """
     if a <= 0.0:
         raise DomainError("irreducible transforms need a > 0")
@@ -273,7 +274,8 @@ def irreducible_neg1(a: float, which: str, terms: int | None = None) -> XReal:
 
 class Ai2Base:
     """Ai^2, Ai'^2, AiAi', the three irreducible 1/x transforms, and the
-    anchored negative calI chain at a fixed a > 0."""
+    anchored negative calI chain at a fixed a > 0.  The irreducibles are
+    computed on first use: only negative indices need them."""
 
     def __init__(self, a: float):
         self.a = float(a)
@@ -282,10 +284,19 @@ class Ai2Base:
         self.ai2 = dd_mul(st.ai.pair, st.ai.pair)
         self.aip2 = dd_mul(st.aip.pair, st.aip.pair)
         self.aiaip = dd_mul(st.ai.pair, st.aip.pair)
-        self.i_m1 = irreducible_neg1(a, "i").pair
-        self.ip_m1 = irreducible_neg1(a, "iprime").pair
-        self.cal_m1 = irreducible_neg1(a, "calI").pair
         self._cal_neg = {}
+
+    @cached_property
+    def i_m1(self):
+        return irreducible_neg1(self.a, "i").pair
+
+    @cached_property
+    def ip_m1(self):
+        return irreducible_neg1(self.a, "iprime").pair
+
+    @cached_property
+    def cal_m1(self):
+        return irreducible_neg1(self.a, "calI").pair
 
     def _combo(self, w2, wp2, wcross):
         return dd_add(dd_add(dd_mul(self.ai2, w2), dd_mul(self.aip2, wp2)),
@@ -430,12 +441,31 @@ def _bsums(k: int, mu: int, base: Ai2Base):
     return s0, s1, s2
 
 
-def calI(n: int, a: float, method: str = "ladder") -> TransformResult:
-    """calI_n(a) = int_a^inf x^n Ai Ai' dx for -15 <= n <= 20."""
+#: largest a for negative indices: against 40-digit quadrature, the worst
+#: error over n in [-30, -1] is half of err_est here and passes it near 4.9
+NEG_A_MAX = 4.75
+
+
+def _check_range(name: str, n: int, a: float) -> None:
     if not -30 <= n <= 40:
-        raise DomainError("calI supports -30 <= n <= 40")
-    if a <= 0.0:
-        raise DomainError("calI needs a > 0")
+        raise DomainError(f"{name} supports -30 <= n <= 40")
+    if not 0.0 < a <= 13.0:
+        raise DomainError(f"{name} supports 0 < a <= 13")
+    if n < 0 and a > NEG_A_MAX:
+        raise RangeError(f"{name} with n < 0 supports only a <= {NEG_A_MAX}")
+
+
+def calI(n: int, a: float, method: str = "ladder") -> TransformResult:
+    """calI_n(a) = int_a^inf x^n Ai Ai' dx for -30 <= n <= 40, 0 < a <= 13,
+    with err_est = 1e-13 max(1, |value|).
+
+    Checked against 40-digit quadrature at a = 0.05 ... 13: for n >= 0 the
+    error stays below 4% of err_est.  Negative n rest on the irreducible
+    1/x transforms, whose series lose digits like e^{(4/3)a^{3/2}}; they
+    are accepted up to a = NEG_A_MAX, where the error is at most half of
+    err_est, and raise RangeError beyond.
+    """
+    _check_range("calI", n, a)
     base = Ai2Base(a)
     if n >= 0 and method == "bform":
         val = _bform_calI_pos(n, base)
@@ -445,11 +475,9 @@ def calI(n: int, a: float, method: str = "ladder") -> TransformResult:
 
 
 def mellin2(n: int, a: float, primed: bool = False) -> TransformResult:
-    """i_n(a) (Ai^2 weight) or i'_n(a) (Ai'^2 weight)."""
-    if not -30 <= n <= 40:
-        raise DomainError("mellin2 supports -30 <= n <= 40")
-    if a <= 0.0:
-        raise DomainError("mellin2 needs a > 0")
+    """i_n(a) (Ai^2 weight) or i'_n(a) (Ai'^2 weight), with the ranges and
+    err_est of :func:`calI`."""
+    _check_range("mellin2", n, a)
     base = Ai2Base(a)
     pair = base.ip_n(n) if primed else base.i_n(n)
     val = XReal.from_pair(pair)

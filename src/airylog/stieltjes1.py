@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .airy import airy, jpair
 from .ddreal import (
@@ -37,12 +37,10 @@ from .ddreal import (
     dd_div_f,
     dd_ln,
     dd_mul,
-    dd_mul_f,
     dd_powi,
     dd_sub,
     PI,
     SQRT3,
-    SQRT_PI,
 )
 from .errors import AccuracyWarning, DomainError, StabilityError
 from .kernel import AI0, AIP0, alternating_series, compensated_sum, hyp
@@ -178,15 +176,25 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     """
     if not (0.0 < a <= CLOSED_MAX and 0.0 < a0 <= CLOSED_MAX):
         raise DomainError("closed form supports a, a0 in (0, 13]")
+    return _bigI1_closed(a, a0, I1_at_a0, I2_at_a0, _closed_anchor(a0))
+
+
+def _closed_anchor(a0: float) -> tuple:
+    """The closed form's data at a0: (jpair(a0), H+(a0), H-(a0))."""
+    return jpair(a0), _H_plus(a0), _H_minus(a0)
+
+
+def _bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0,
+                  anchor: tuple) -> TransformResult:
     ja = jpair(a)
-    j0 = jpair(a0)
+    j0, Hp0, Hm0 = anchor
     pref = PI / (2 * SQRT3)
     hom = pref * (
         XReal(float(I1_at_a0)) * (ja.jminus * j0.jplus_prime - ja.jplus * j0.jminus_prime)
         - XReal(float(I2_at_a0)) * (ja.jminus * j0.jplus - ja.jplus * j0.jminus)
     )
-    dHp = _H_plus(a) - _H_plus(a0)
-    dHm = _H_minus(a) - _H_minus(a0)
+    dHp = _H_plus(a) - Hp0
+    dHm = _H_minus(a) - Hm0
     ai_ma = airy(-a).ai
     dlog = XReal.from_pair(dd_sub(dd_ln((a, 0.0)), dd_ln((a0, 0.0))))
     val = hom + ja.jplus * dHp + ja.jminus * dHm - ai_ma * dlog
@@ -241,30 +249,56 @@ def bigI_smalla(n: int, a: float, k_max: int = 10) -> TransformResult:
         raise DomainError("bigI_smalla supports n in [1, 6]")
     if a <= 0.0:
         raise DomainError("bigI_smalla needs a > 0")
-    i_max = n + 3 * k_max + 2
-    xs, ls = xi_lambda_derivs(i_max, a)
-    base = BaseValues(a)
-    total = (0.0, 0.0)
-    tail_mag = 0.0
-    fact = 1.0
-    for i in range(i_max + 1):
-        if i > 0:
-            fact *= i
-        tx = dd_mul(xs[i].pair, base.eval_reduction(reduce_In(i - n)))
-        tl = dd_mul(ls[i].pair, base.eval_reduction(reduce_Iprime(i - n)))
-        term = dd_div_f(dd_add(tx, tl), fact)
-        total = dd_add(total, term)
-        if i > i_max - 3:
-            tail_mag = max(tail_mag, abs(term[0]))
-    err = 10.0 * tail_mag + 1e-15 * abs(total[0])
-    val = XReal.from_pair(total)
-    if err > 1e-6 * max(1.0, abs(float(val))):
-        warnings.warn(f"bigI_smalla truncation estimate {err:.2e} is large",
-                      AccuracyWarning)
-    return TransformResult(val, "small_a", err)
+    return _SmallA(a, n + 3 * k_max + 2).bigI(n, k_max)
+
+
+class _SmallA:
+    """The small-a expansion at one a: the xi/lambda ladder, the base
+    values and each reduced Mellin transform, computed once and shared by
+    bigI_n for every n.  Ladder entries do not depend on the ladder's
+    length, so a longer ladder leaves every value unchanged."""
+
+    def __init__(self, a: float, i_max: int):
+        self.xs, self.ls = xi_lambda_derivs(i_max, a)
+        self.base = BaseValues(a)
+        self._reduced = {}
+
+    def _reduced_value(self, reduce, j: int):
+        val = self._reduced.get((reduce, j))
+        if val is None:
+            val = self._reduced[reduce, j] = self.base.eval_reduction(reduce(j))
+        return val
+
+    def bigI(self, n: int, k_max: int = 10) -> TransformResult:
+        """bigI_n(a) truncated at i = n + 3 k_max + 2, which must not pass
+        the ladder's length."""
+        i_max = n + 3 * k_max + 2
+        xs, ls = self.xs, self.ls
+        total = (0.0, 0.0)
+        tail_mag = 0.0
+        fact = 1.0
+        for i in range(i_max + 1):
+            if i > 0:
+                fact *= i
+            tx = dd_mul(xs[i].pair, self._reduced_value(reduce_In, i - n))
+            tl = dd_mul(ls[i].pair, self._reduced_value(reduce_Iprime, i - n))
+            term = dd_div_f(dd_add(tx, tl), fact)
+            total = dd_add(total, term)
+            if i > i_max - 3:
+                tail_mag = max(tail_mag, abs(term[0]))
+        err = 10.0 * tail_mag + 1e-15 * abs(total[0])
+        val = XReal.from_pair(total)
+        if err > 1e-6 * max(1.0, abs(float(val))):
+            warnings.warn(f"bigI_smalla truncation estimate {err:.2e} is large",
+                          AccuracyWarning)
+        return TransformResult(val, "small_a", err)
 
 
 # -- route dispatch and the series pipelines ----------------------------------
+
+#: the small-a ladder length that serves every n in [1, 6] at k_max = 10
+_SMALLA_IMAX = 6 + 3 * 10 + 2
+
 
 class StieltjesContext:
     """Initial data and route dispatch for the per-root transforms.
@@ -273,14 +307,22 @@ class StieltjesContext:
     default (keeping the whole pipeline analytic); ``seed_source='oracle'``
     switches to quadrature values, which decouples the ODE route from the
     expansion route when cross-validating the two.
+
+    Every per-root value is computed once per context: bigI_1 and bigI_3
+    are kept by root magnitude, the small-a expansion is shared by every
+    n at one a, and the closed form's data at a0 is computed on first use.
+    An AccuracyWarning of a route is therefore raised once per context
+    and root.
     """
 
     def __init__(self, roots: RootTable, seed_source: str = "small_a"):
         self.roots = roots
         self.a0 = float(roots[1])
+        self._values = {}
+        self._expansions = {}
         if seed_source == "small_a":
-            i3 = bigI_smalla(3, self.a0).value
-            i4 = bigI_smalla(4, self.a0).value
+            i3 = self._smalla(3, self.a0).value
+            i4 = self._smalla(4, self.a0).value
         elif seed_source == "oracle":
             from .oracle import oracle_stieltjes
 
@@ -292,23 +334,46 @@ class StieltjesContext:
         self.I4_a0 = i4
         self.I1_a0, self.I2_a0 = bigI_relations(self.a0, i3, i4)
 
+    @cached_property
+    def _anchor(self) -> tuple:
+        return _closed_anchor(self.a0)
+
+    def _smalla(self, n: int, a: float) -> TransformResult:
+        key = ("small_a", n, a)
+        res = self._values.get(key)
+        if res is None:
+            exp = self._expansions.get(a)
+            if exp is None:
+                exp = self._expansions[a] = _SmallA(a, _SMALLA_IMAX)
+            res = self._values[key] = exp.bigI(n)
+        return res
+
     def bigI1(self, a: float) -> TransformResult:
         if a <= SMALLA_MAX:
-            res = bigI_smalla(1, a)
-        elif a <= CLOSED_MAX:
-            res = bigI1_closed(a, self.a0, self.I1_a0, self.I2_a0)
-        else:
-            res = bigI_asym(1, a)
+            return self._smalla(1, a)
+        res = self._values.get((1, a))
+        if res is None:
+            if a <= CLOSED_MAX:
+                res = _bigI1_closed(a, self.a0, self.I1_a0, self.I2_a0,
+                                    self._anchor)
+            else:
+                res = bigI_asym(1, a)
+            self._values[1, a] = res
         return res
 
     def bigI3(self, a: float) -> TransformResult:
         if a <= SMALLA_MAX:
-            return bigI_smalla(3, a)
-        if a <= CLOSED_MAX:
-            r = self.bigI1(a)
-            return TransformResult(bigI3_from_I1(a, r.value), "closed_form",
-                                   r.err_est * a)
-        return bigI_asym(3, a)
+            return self._smalla(3, a)
+        res = self._values.get((3, a))
+        if res is None:
+            if a <= CLOSED_MAX:
+                r = self.bigI1(a)
+                res = TransformResult(bigI3_from_I1(a, r.value), "closed_form",
+                                      r.err_est * a)
+            else:
+                res = bigI_asym(3, a)
+            self._values[3, a] = res
+        return res
 
     def eq8_term(self, a: float) -> XReal:
         if a > CLOSED_MAX:

@@ -26,7 +26,7 @@ agreement is part of the validation matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,7 +34,6 @@ from .airy import airy
 from .ddreal import (
     XReal,
     dd_add,
-    dd_div_f,
     dd_ln,
     dd_mul,
     dd_mul_f,
@@ -159,7 +158,10 @@ def constants_c(a0: float, J1, J2, J3, simplified: bool = False):
 
 @dataclass(frozen=True)
 class J1Solution:
-    """ODE solution data at anchor a0: constants, masters, seeds."""
+    """ODE solution data at anchor a0: constants, masters, seeds.
+
+    The per-root summand is kept by root magnitude, so every pipeline that
+    shares one solution computes each root's summand once."""
 
     a0: float
     c1: XReal
@@ -169,6 +171,8 @@ class J1Solution:
     J1_a0: XReal
     J2_a0: XReal
     J3_a0: XReal
+    _summands: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @classmethod
     def build(cls, a0: float, seed_source: str = "oracle") -> "J1Solution":
@@ -189,6 +193,19 @@ class J1Solution:
         dlog = XReal.from_pair(dd_sub(dd_ln((float(a), 0.0)),
                                       dd_ln((self.a0, 0.0))))
         return _delta_u(_masters(a), self.masters_a0, dlog)
+
+    def summand(self, a: float) -> tuple:
+        """(value, parts) of the summand at root magnitude a: closed form
+        up to J_CLOSED_MAX, moment series beyond."""
+        hit = self._summands.get(a)
+        if hit is None:
+            if a <= J_CLOSED_MAX:
+                hit = (bigJ_closed(a, self), {"route": "closed_form"})
+            else:
+                val, err = bigJ_asym(a)
+                hit = (val, {"route": "asymptotic", "err": err})
+            self._summands[a] = hit
+        return hit
 
 
 def solve_J1(a: float, sol: J1Solution) -> TransformResult:
@@ -342,12 +359,8 @@ def J_recurrences(n: int, a: float, J, Jp) -> dict:
 def bigJ_term(k: int, roots: RootTable, sol: J1Solution) -> BigJTerm:
     """Summand at the k-th root; closed form for magnitudes <= 11,
     moment series beyond (both ~1e-11 in the overlap)."""
-    a = float(roots[k])
-    if a <= J_CLOSED_MAX:
-        val = bigJ_closed(a, sol)
-        return BigJTerm(k, val, {"route": "closed_form", "j": float(j_term(a, sol))})
-    val, err = bigJ_asym(a)
-    return BigJTerm(k, val, {"route": "asymptotic", "err": err})
+    val, parts = sol.summand(float(roots[k]))
+    return BigJTerm(k, val, dict(parts))
 
 
 def integral2_series(N: int, roots: RootTable, sol: J1Solution | None = None) -> XReal:

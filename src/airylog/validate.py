@@ -22,7 +22,6 @@ from .mellin2 import Jn_smalla, calI, mellin2, pqr2_ladder, pqr_ladder
 from .oracle import (
     oracle_integral1,
     oracle_integral2,
-    oracle_j_summand,
     oracle_mellin,
     oracle_stieltjes,
 )
@@ -45,7 +44,6 @@ from .stieltjes2 import (
     bigJ_closed,
     integral2_accelerated,
     integral2_series,
-    j_term,
     solve_J1,
 )
 from .zeta import zeta_closed, zeta_incomplete

@@ -6,12 +6,13 @@ from fractions import Fraction as Fr
 import pytest
 
 from airylog.airy import airy
-from airylog.errors import DomainError
+from airylog.errors import DomainError, RangeError
 from airylog.kernel import AI0, AIP0
 from airylog.mellin2 import (
     A2,
     AAP,
     AP2,
+    NEG_A_MAX,
     Ai2Base,
     Jn_smalla,
     calI,
@@ -355,6 +356,40 @@ def test_domain_errors():
         irreducible_neg1(1.0, "bogus")
     with pytest.raises(DomainError):
         Jn_smalla(7, 1.0)
+
+
+#: 30-digit references from mpmath 1.3.0 at mp.dps = 40, each
+#:   mp.quad(lambda x: x**n * w(x), [a, a + 1, a + 3, a + 8, mp.inf])
+#: with w = airyai(x) * airyai(x, derivative=1) for calI, airyai(x)**2 for
+#: i and airyai(x, derivative=1)**2 for i'
+NEG_INDEX_REFS = (
+    ("calI", -2, 4.75, "-7.38158768375883621041485172782e-10"),
+    ("calI", -30, 0.5, "-939438.265978941346283501852243"),
+    ("calI", -1, 4.5, "-1.15645924036518091880971869427e-8"),
+    ("i", -7, 3.0, "3.35676111219194454742591271704e-9"),
+    ("i", -1, 4.75, "1.60778196500985178503916113692e-9"),
+    ("iprime", -1, 4.75, "8.31679122696982066614013094982e-9"),
+    ("iprime", -13, 2.0, "3.87434476030005346393733062484e-8"),
+)
+
+
+def test_negative_indices_meet_err_est_and_stop_at_neg_a_max():
+    # the irreducible 1/x transforms under every negative index lose
+    # digits like e^{(4/3)a^{3/2}}: unchecked, calI(-2, 12) would return
+    # -3.7e4 against a true -6.6e-29
+    for kind, n, a, ref in NEG_INDEX_REFS:
+        r = calI(n, a) if kind == "calI" else mellin2(n, a, kind == "iprime")
+        assert abs(float(r.value) - float(ref)) <= r.err_est, (kind, n, a)
+    for n, a in ((-2, 12.0), (-1, 4.8), (-30, 13.0)):
+        assert a > NEG_A_MAX
+        for fn in (calI, mellin2, lambda n, a: mellin2(n, a, True)):
+            with pytest.raises(RangeError):
+                fn(n, a)
+    # non-negative indices never use the irreducibles and keep a <= 13
+    for fn in (calI, mellin2, lambda n, a: mellin2(n, a, True)):
+        assert math.isfinite(float(fn(2, 12.75).value))
+        with pytest.raises(DomainError):
+            fn(2, 13.25)
 
 
 def test_bform_equals_pqr_exactly_in_rational_arithmetic():
