@@ -23,7 +23,6 @@ from .stieltjes1 import (
     StieltjesContext,
     bigI_asym,
     bigI_smalla,
-    bigI1_closed,
     integral1_accelerated,
     integral1_series,
 )
@@ -125,16 +124,15 @@ def cmd_transform(args) -> int:
 
     methods = args.method
     if family == "stieltjes":
-        orc = oracle_stieltjes(weight, idx, a, tol=args.tol)
         if methods in ("all", "oracle"):
+            orc = oracle_stieltjes(weight, idx, a, tol=args.tol)
             add("oracle", orc.value, orc.abs_err_est)
         if weight == "Ai":
             if methods in ("all", "small_a") and a <= 4.0 and 1 <= idx <= 6:
                 r = bigI_smalla(idx, a)
                 add(r.method, r.value, r.err_est)
             if methods in ("all", "closed_form") and idx == 1 and a <= 13.0:
-                ctx = StieltjesContext(roots_upto(1))
-                r = bigI1_closed(a, ctx.a0, ctx.I1_a0, ctx.I2_a0)
+                r = StieltjesContext(roots_upto(1)).bigI1_closed(a)
                 add(r.method, r.value, r.err_est)
             if methods in ("all", "asymptotic") and a > 8.0:
                 r = bigI_asym(idx, a)
@@ -149,8 +147,8 @@ def cmd_transform(args) -> int:
             r = Jn_smalla(idx, a)
             add(r.method, r.value, r.err_est)
     else:
-        orc = oracle_mellin(weight, idx, a, tol=args.tol)
         if methods in ("all", "oracle"):
+            orc = oracle_mellin(weight, idx, a, tol=args.tol)
             add("oracle", orc.value, orc.abs_err_est)
         if weight == "Ai":
             r = mellin_closed(idx, a)

@@ -185,6 +185,13 @@ def _series_terms_for(a: float) -> int:
     return min(200, int(3.5 * peak) + 40)
 
 
+#: largest a for negative indices: against 40-digit quadrature, the worst
+#: error over n in [-30, -1] is half of err_est here and passes it near 4.9
+NEG_A_MAX = 4.75
+
+_IRREDUCIBLE_A_MAX = {"i": 8.0, "iprime": NEG_A_MAX, "calI": 8.0}
+
+
 def irreducible_neg1(a: float, which: str, terms: int | None = None) -> XReal:
     """The three irreducible 1/x transforms:
 
@@ -194,16 +201,22 @@ def irreducible_neg1(a: float, which: str, terms: int | None = None) -> XReal:
 
     Summed from the exact Taylor classes of Ai(x)^2 in double-double; the
     additive constants are the regularised Mellin limits.  Relative
-    accuracy degrades with the e^{(4/3)a^{3/2}} cancellation.  Against
-    40-digit quadrature: 'i' and 'calI' hold 3e-15 up to a = 6 and 3e-6 at
-    a = 8; 'iprime' is off by 5e-9 at a = 4, 6e-6 at a = 4.75, 7e-5 at
-    a = 5 and 110% at a = 6.  :func:`calI` and :func:`mellin2` therefore
-    stop negative indices at NEG_A_MAX.
+    accuracy degrades with the e^{(4/3)a^{3/2}} cancellation, so each kind
+    raises RangeError above its limit: a = 8 for 'i' and 'calI', NEG_A_MAX
+    = 4.75 for 'iprime'.  Largest relative error against 40-digit
+    quadrature, on grids no coarser than 0.5 below a = 6 and 0.1 above
+    (0.05 or finer near each limit): 'i' and 'calI' 3e-15 up to a = 6 and
+    3e-6 up to a = 8 (2e-11 at 7, over 1e-3 at 9); 'iprime' 5e-9 up to
+    a = 4 and 6e-6 up to a = 4.75 (7e-5 at 5, 110% at 6).  :func:`calI`
+    and :func:`mellin2` stop negative indices at NEG_A_MAX.
     """
     if a <= 0.0:
         raise DomainError("irreducible transforms need a > 0")
-    if a > 13.0:
-        raise DomainError("irreducible transforms supported for a <= 13")
+    if which not in _IRREDUCIBLE_A_MAX:
+        raise DomainError(f"unknown irreducible kind {which!r}")
+    if a > _IRREDUCIBLE_A_MAX[which]:
+        raise RangeError(f"irreducible transform {which!r} supports only "
+                         f"a <= {_IRREDUCIBLE_A_MAX[which]}")
     nterms = terms if terms is not None else _series_terms_for(a)
     ap = (float(a), 0.0)
     a3 = dd_powi(ap, 3)
@@ -267,7 +280,6 @@ def irreducible_neg1(a: float, which: str, terms: int | None = None) -> XReal:
         tot = dd_add(dd_mul(ap2_, dd_add(s0, ln_a)),
                      dd_add(dd_mul(a2_, s1), dd_mul(aap_, s2)))
         return XReal.from_pair(dd_sub(L_IP.pair, tot))
-    raise DomainError(f"unknown irreducible kind {which!r}")
 
 
 # -- base values and reductions ----------------------------------------------
@@ -439,11 +451,6 @@ def _bsums(k: int, mu: int, base: Ai2Base):
         t = dd_mul_f(dd_mul(t, a3_12),
                      (l + 0.5) / float((3 * l + 1) * (3 * l + 2) * (3 * l + 3)))
     return s0, s1, s2
-
-
-#: largest a for negative indices: against 40-digit quadrature, the worst
-#: error over n in [-30, -1] is half of err_est here and passes it near 4.9
-NEG_A_MAX = 4.75
 
 
 def _check_range(name: str, n: int, a: float) -> None:

@@ -10,6 +10,11 @@ values come from scipy.special.airy -- deliberately *not* from
 certifies (the evaluator is cross-checked against scipy directly in the
 test suite).
 
+scipy is imported on the first quadrature, not with this module: no other
+part of airylog needs it, so the analytic commands never load it.  The
+binary64 constants ``AI0_F`` and ``AIP0_F`` are module attributes that
+scipy computes when they are read.
+
 Everything here is pure; results are deterministic for fixed inputs.
 """
 
@@ -17,10 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
-
-from scipy.integrate import quad
-from scipy.special import airy as _scipy_airy
 
 from .errors import AccuracyError, DomainError
 from .ddreal import XReal
@@ -30,17 +33,25 @@ DEFAULT_TOL = 1e-12
 _QUAD_LIMIT = 2000
 
 
-def _ai(x: float) -> float:
-    return _scipy_airy(x)[0]
+@lru_cache(maxsize=None)
+def _scipy() -> tuple:
+    """(scipy.integrate.quad, scipy.special.airy), imported on first use."""
+    from scipy.integrate import quad
+    from scipy.special import airy
+
+    return quad, airy
 
 
-def _aip(x: float) -> float:
-    return _scipy_airy(x)[1]
+#: Ai(0) and Ai'(0) to binary64 accuracy, for integrand normalisation:
+#: module attributes computed by scipy on each access
+_AIRY0 = ("AI0_F", "AIP0_F")
 
 
-#: Ai'(0) and Ai(0) to binary64 accuracy, for integrand normalisation.
-AI0_F = _scipy_airy(0.0)[0]
-AIP0_F = _scipy_airy(0.0)[1]
+def __getattr__(name: str):
+    # module attribute lookup (PEP 562) for the names in _AIRY0
+    if name in _AIRY0:
+        return _scipy()[1](0.0)[_AIRY0.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,7 @@ def integrate_halfline(
     :class:`AccuracyError` if the combined error estimate exceeds ``tol``
     by more than two orders of magnitude.
     """
+    quad = _scipy()[0]
     pts = sorted({p for p in breakpoints if 0.0 < p < split})
     edges = [0.0] + pts + [split]
     total = 0.0
@@ -107,9 +119,11 @@ def oracle_integral1(tol: float = DEFAULT_TOL) -> OracleResult:
     Integrand (Ai'(x)/Ai'(0)) * ln(Ai'(x)/Ai'(0)); the ratio is positive
     on [0, inf) because Ai' < 0 there, and the integrand vanishes at 0.
     """
+    airy = _scipy()[1]
+    aip0 = airy(0.0)[1]
 
     def f(x: float) -> float:
-        r = _aip(x) / AIP0_F
+        r = airy(x)[1] / aip0
         if r <= 0.0:
             return 0.0
         return r * math.log(r)
@@ -119,9 +133,11 @@ def oracle_integral1(tol: float = DEFAULT_TOL) -> OracleResult:
 
 def oracle_integral2(tol: float = DEFAULT_TOL) -> OracleResult:
     """Second log-Airy integral (squared ratio weight)."""
+    airy = _scipy()[1]
+    aip0 = airy(0.0)[1]
 
     def f(x: float) -> float:
-        r = _aip(x) / AIP0_F
+        r = airy(x)[1] / aip0
         if r <= 0.0:
             return 0.0
         return r * r * math.log(r)
@@ -129,11 +145,12 @@ def oracle_integral2(tol: float = DEFAULT_TOL) -> OracleResult:
     return integrate_halfline(f, split=25.0, tol=tol, breakpoints=(1.0, 5.0, 12.0))
 
 
+# weights as functions of scipy's (Ai, Ai', Bi, Bi') tuple
 _STIELTJES_WEIGHTS = {
-    "Ai": lambda x: _ai(x),
-    "Ai2": lambda x: _ai(x) ** 2,
-    "AiP2": lambda x: _aip(x) ** 2,
-    "AiAiP": lambda x: _ai(x) * _aip(x),
+    "Ai": lambda s: s[0],
+    "Ai2": lambda s: s[0] ** 2,
+    "AiP2": lambda s: s[1] ** 2,
+    "AiAiP": lambda s: s[0] * s[1],
 }
 
 
@@ -145,18 +162,13 @@ def oracle_stieltjes(kind: str, k: int, a: float,
     if k < 0:
         raise DomainError("oracle_stieltjes needs k >= 0")
     w = _STIELTJES_WEIGHTS[kind]
-    f = lambda x: w(x) / (x + a) ** k
+    airy = _scipy()[1]
+    f = lambda x: w(airy(x)) / (x + a) ** k
     # subdivide at x = a so each panel sees bounded derivatives
     return integrate_halfline(f, tol=tol, breakpoints=(min(a, 19.0), 1.0, 5.0))
 
 
-_MELLIN_WEIGHTS = {
-    "Ai": lambda x: _ai(x),
-    "AiP": lambda x: _aip(x),
-    "Ai2": lambda x: _ai(x) ** 2,
-    "AiP2": lambda x: _aip(x) ** 2,
-    "AiAiP": lambda x: _ai(x) * _aip(x),
-}
+_MELLIN_WEIGHTS = dict(_STIELTJES_WEIGHTS, AiP=lambda s: s[1])
 
 
 def oracle_mellin(kind: str, n: int, a: float,
@@ -165,7 +177,9 @@ def oracle_mellin(kind: str, n: int, a: float,
     if a < 0.0 or (a == 0.0 and n <= -1):
         raise DomainError("integrand singular at 0 for n <= -1 unless a > 0")
     w = _MELLIN_WEIGHTS[kind]
-    f = lambda x: x ** n * w(x) if x > 0.0 else (w(0.0) if n == 0 else 0.0)
+    airy = _scipy()[1]
+    f = lambda x: (x ** n * w(airy(x)) if x > 0.0
+                   else (w(airy(0.0)) if n == 0 else 0.0))
     split = max(DEFAULT_SPLIT, a + 10.0)
     # shift so the panel starts at the lower limit a
     g = lambda t: f(a + t)
@@ -180,9 +194,10 @@ def oracle_j_summand(a: float, tol: float = DEFAULT_TOL) -> OracleResult:
     """
     if a <= 0.0:
         raise DomainError("oracle_j_summand needs a > 0")
+    airy = _scipy()[1]
 
     def f(x: float) -> float:
-        ai, aip, _, _ = _scipy_airy(x)
+        ai, aip, _, _ = airy(x)
         return (x / (x + a)) * (2.0 * ai * aip + x * aip * aip
                                 - x * x * ai * ai) / a
 

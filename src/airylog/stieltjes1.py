@@ -348,14 +348,20 @@ class StieltjesContext:
             res = self._values[key] = exp.bigI(n)
         return res
 
+    def bigI1_closed(self, a: float) -> TransformResult:
+        """bigI_1(a) by the closed form from this context's seeds at a0,
+        for any 0 < a <= 13; the data at a0 is computed once."""
+        if not 0.0 < a <= CLOSED_MAX:
+            raise DomainError("closed form supports a in (0, 13]")
+        return _bigI1_closed(a, self.a0, self.I1_a0, self.I2_a0, self._anchor)
+
     def bigI1(self, a: float) -> TransformResult:
         if a <= SMALLA_MAX:
             return self._smalla(1, a)
         res = self._values.get((1, a))
         if res is None:
             if a <= CLOSED_MAX:
-                res = _bigI1_closed(a, self.a0, self.I1_a0, self.I2_a0,
-                                    self._anchor)
+                res = self.bigI1_closed(a)
             else:
                 res = bigI_asym(1, a)
             self._values[1, a] = res

@@ -32,7 +32,6 @@ from .stieltjes1 import (
     bigI_asym,
     bigI_relations,
     bigI_smalla,
-    bigI1_closed,
     ladder_residual,
     integral1_accelerated,
     integral1_series,
@@ -266,20 +265,17 @@ def check_zeta(records: list, roots) -> None:
                         2e-3, "tail bound"))
 
 
-def check_headline_oracle(records: list) -> None:
-    r1 = oracle_integral1()
-    r2 = oracle_integral2()
+def check_headline_oracle(records: list, r1, r2) -> None:
     records.append(_rec("oracle.integral1", "quadrature", r1.value,
                         -0.81400778, 5e-8, "printed headline", r1.abs_err_est))
     records.append(_rec("oracle.integral2", "quadrature", r2.value,
                         -0.2636317105, 5e-9, "printed headline", r2.abs_err_est))
 
 
-def check_series1(records: list, roots, ctx) -> None:
+def check_series1(records: list, roots, ctx, oracle: float) -> None:
     e8 = float(integral1_series("eq8", 100, roots, ctx))
     e3 = float(integral1_series("eq3", 100, roots, ctx))
     acc = float(integral1_accelerated(TruncationConfig(10, 3), roots, ctx))
-    oracle = oracle_integral1().value
     records.append(_rec("series1.eq8.N100", "root-series", e8, -0.73273890,
                         1e-6, "printed partial sum"))
     records.append(_rec("series1.eq3.N100", "root-series", e3, -0.81399655,
@@ -324,10 +320,9 @@ def check_J_values(records: list, a0: float) -> None:
                             2e-8, "eight-decimal print"))
 
 
-def check_series2(records: list, roots, sol) -> None:
+def check_series2(records: list, roots, sol, oracle: float) -> None:
     s50 = float(integral2_series(50, roots, sol))
     acc = float(integral2_accelerated(TruncationConfig(10, 6), roots, sol))
-    oracle = oracle_integral2().value
     records.append(_rec("series2.sum50", "root-series", s50, -0.2343590038,
                         1e-7, "printed partial sum"))
     records.append(_rec("series2.accelerated.N10n6", "zeta-accelerated", acc,
@@ -347,8 +342,7 @@ def check_cross_routes(records: list, ctx, sol) -> None:
         if a <= 4.0:
             routes["small_a"] = float(bigI_smalla(k, a).value)
         if k == 1 and a <= 13.0:
-            routes["closed_form"] = float(
-                bigI1_closed(a, ctx.a0, ctx.I1_a0, ctx.I2_a0).value)
+            routes["closed_form"] = float(ctx.bigI1_closed(a).value)
         if k >= 3:
             i1 = ctx.bigI1(a).value
             i2 = bigI_relations(a, ctx.bigI3(a).value,
@@ -422,19 +416,20 @@ def check_residuals(records: list, ctx, sol) -> None:
     # ODE residuals by finite differences
     h = 1e-3
     for a in (1.5, 3.0, 6.0):
-        f = lambda x: float(bigI1_closed(x, ctx.a0, ctx.I1_a0, ctx.I2_a0).value)
-        d2 = (f(a + h) - 2 * f(a) + f(a - h)) / (h * h)
-        res = d2 + a * f(a) - (1.0 / 3.0 + float(AIP0) / a + float(AI0) / a ** 2)
-        records.append(_rec(f"residual.ode_second_order.a{a:g}", "fd", res / max(1.0, abs(f(a))),
+        fm, f0, fp = (float(ctx.bigI1_closed(x).value) for x in (a - h, a, a + h))
+        d2 = (fp - 2 * f0 + fm) / (h * h)
+        res = d2 + a * f0 - (1.0 / 3.0 + float(AIP0) / a + float(AI0) / a ** 2)
+        records.append(_rec(f"residual.ode_second_order.a{a:g}", "fd", res / max(1.0, abs(f0)),
                             0.0, 1e-5, "second-order ODE"))
-        g = lambda x: float(solve_J1(x, sol).value)
-        d3 = (g(a + 2 * h) - 2 * g(a + h) + 2 * g(a - h) - g(a - 2 * h)) / (2 * h ** 3)
-        d1 = (g(a + h) - g(a - h)) / (2 * h)
-        res2 = (0.5 * d3 + 2 * a * d1 + g(a)
+        gm2, gm1, g0, gp1, gp2 = (float(solve_J1(x, sol).value)
+                                  for x in (a - 2 * h, a - h, a, a + h, a + 2 * h))
+        d3 = (gp2 - 2 * gp1 + 2 * gm1 - gm2) / (2 * h ** 3)
+        d1 = (gp1 - gm1) / (2 * h)
+        res2 = (0.5 * d3 + 2 * a * d1 + g0
                 + float(AIP0) ** 2 / a + float(AI0 * AIP0) / a ** 2
                 + float(AI0) ** 2 / a ** 3)
         records.append(_rec(f"residual.ode_third_order.a{a:g}", "fd",
-                            res2 / max(1.0, abs(g(a))), 0.0, 1e-5,
+                            res2 / max(1.0, abs(g0)), 0.0, 1e-5,
                             "third-order ODE"))
 
 
@@ -480,11 +475,13 @@ def run_validation():
     sol = J1Solution.build(float(roots[1]))
     check_roots(records, roots)
     check_zeta(records, roots)
-    check_headline_oracle(records)
-    check_series1(records, roots, ctx)
+    oracle1 = oracle_integral1()
+    oracle2 = oracle_integral2()
+    check_headline_oracle(records, oracle1, oracle2)
+    check_series1(records, roots, ctx, oracle1.value)
     check_smalla_values(records, ctx)
     check_J_values(records, ctx.a0)
-    check_series2(records, roots, sol)
+    check_series2(records, roots, sol, oracle2.value)
     check_cross_routes(records, ctx, sol)
     check_residuals(records, ctx, sol)
     check_polynomials(records)

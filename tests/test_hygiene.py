@@ -1,4 +1,6 @@
-"""Source hygiene: every name a program module imports is used there."""
+"""Source hygiene: every name a program module imports is used there, and
+no module imports scipy or numpy when it is imported (the quadrature
+oracle loads them on its first integral)."""
 
 import ast
 from pathlib import Path
@@ -28,3 +30,44 @@ def test_no_unused_imports():
     assert modules
     unused = [u for p in modules for u in _unused_imports(p)]
     assert not unused, unused
+
+
+#: packages only the oracle's quadrature needs, imported inside functions
+LAZY = ("scipy", "numpy")
+
+
+def _eager_imports(source: str, name: str) -> list:
+    """Imports of LAZY packages that run when the module is imported: at
+    module level or in a class body, not inside a function."""
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module or ""]
+            out.extend(f"{name}:{child.lineno} {n}" for n in names
+                       if n.split(".")[0] in LAZY)
+            visit(child)
+
+    visit(ast.parse(source))
+    return out
+
+
+def test_no_module_level_scipy_or_numpy_import():
+    sample = ("import numpy as np\n"
+              "try:\n    from scipy.special import airy\nexcept ImportError:\n    pass\n"
+              "class C:\n    import scipy\n"
+              "def f():\n    from scipy.integrate import quad\n")
+    assert _eager_imports(sample, "sample") == [
+        "sample:1 numpy", "sample:3 scipy.special", "sample:7 scipy"]
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    eager = [e for p in modules
+             for e in _eager_imports(p.read_text(encoding="utf-8"), p.name)]
+    assert not eager, eager

@@ -392,6 +392,36 @@ def test_negative_indices_meet_err_est_and_stop_at_neg_a_max():
             fn(2, 13.25)
 
 
+#: (kind, a, 30-digit mpmath 1.3.0 quadrature of int_a^inf w(x)/x dx,
+#: measured relative error) just below and at each kind's limit
+IRREDUCIBLE_REFS = (
+    ("iprime", 4.7, "1.04429559032770333591334560118e-8", 3.7e-6),
+    ("iprime", 4.75, "8.31679122696982066614013094982e-9", 6.0e-6),
+    ("i", 7.95, "6.26419643826521938517259438919e-17", 2.6e-6),
+    ("i", 8.0, "4.66629459428781600340189370972e-17", 2.9e-6),
+    ("calI", 7.95, "-1.80356779722341061528818624549e-16", 2.4e-6),
+    ("calI", 8.0, "-1.34747492232868608672834736091e-16", 2.4e-6),
+)
+
+
+def test_irreducible_neg1_stops_at_each_kinds_limit():
+    # the docstring's accuracy up to each limit: 6e-6 for 'iprime' up to
+    # NEG_A_MAX, 3e-6 for 'i' and 'calI' up to a = 8; beyond, the error
+    # grows to 110% ('iprime' at 6) and 52% ('calI' at 9)
+    for which, a, ref, measured in IRREDUCIBLE_REFS:
+        rel = abs(float(irreducible_neg1(a, which)) / float(ref) - 1.0)
+        assert rel <= 1.1 * measured, (which, a, rel)
+    for which, limit in (("iprime", NEG_A_MAX), ("i", 8.0), ("calI", 8.0)):
+        for a in (limit + 0.01, limit + 1.0, 13.0, 20.0):
+            with pytest.raises(RangeError):
+                irreducible_neg1(a, which)
+    # 'i' and 'calI' stay available between the two limits
+    for which in ("i", "calI"):
+        assert math.isfinite(float(irreducible_neg1(6.0, which)))
+    with pytest.raises(DomainError):
+        irreducible_neg1(-1.0, "iprime")
+
+
 def test_bform_equals_pqr_exactly_in_rational_arithmetic():
     """The Gamma-ratio closed forms of the three-term ladder reduce to
     rational Laurent coefficients (the Gamma anchors cancel); for k <= 5
