@@ -167,8 +167,8 @@ def _airy_asym_pos(x: float) -> AiryState:
 def airy(x: float) -> AiryState:
     """All four Airy values at a real point, computed in double-double.
 
-    Supported range: -16 <= x <= 30 (series up to |x| = 16, exponential
-    asymptotics beyond 12.5 on the positive side).  Relative accuracy is
+    Supported range: -16 <= x <= 30 (Maclaurin series on [-16, 9.5],
+    exponential asymptotics beyond ``X_SWITCH`` = 9.5).  Relative accuracy is
     ~1e-13 or better at the range edges and near machine precision for
     |x| <= 8.
     """

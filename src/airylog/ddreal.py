@@ -4,6 +4,10 @@ A value is carried as an unevaluated sum hi + lo of two binary64 numbers
 with |lo| <= ulp(hi)/2, giving roughly 32 significant decimal digits.  The
 error-free transforms (two_sum / two_prod via Dekker splitting) are the
 classical ones; see Dekker (1971) and the QD library of Hida, Li & Bailey.
+The hot primitives (``dd_add``, ``dd_mul``, ``dd_mul_f``, ``dd_div_f``,
+``dd_sqr``) write these transforms out in their bodies, with the same IEEE
+operations in the same order, so no intermediate tuple is built; the
+``_two_sum`` / ``_quick_two_sum`` helpers serve the cold paths only.
 
 Two layers are exposed:
 
@@ -35,27 +39,22 @@ def _quick_two_sum(a: float, b: float):
     return s, b - (s - a)
 
 
-def _split(a: float):
-    c = _SPLITTER * a
-    abig = c - a
-    ahi = c - abig
-    return ahi, a - ahi
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    ahi, alo = _split(a)
-    bhi, blo = _split(b)
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
 def dd_add(a, b):
-    s, e = _two_sum(a[0], b[0])
-    t, f = _two_sum(a[1], b[1])
+    # two_sum of the high and of the low parts, then two quick_two_sums
+    a0, a1 = a
+    b0, b1 = b
+    s = a0 + b0
+    bb = s - a0
+    e = (a0 - (s - bb)) + (b0 - bb)
+    t = a1 + b1
+    bb = t - a1
+    f = (a1 - (t - bb)) + (b1 - bb)
     e += t
-    s, e = _quick_two_sum(s, e)
+    u = s + e
+    e = e - (u - s)
     e += f
-    return _quick_two_sum(s, e)
+    s = u + e
+    return s, e - (s - u)
 
 
 def dd_add_f(a, b: float):
@@ -72,16 +71,38 @@ def dd_sub(a, b):
     return dd_add(a, (-b[0], -b[1]))
 
 
+# In the products below, ``c - (c - x)`` is the high half of x by Dekker's
+# split (c = _SPLITTER * x) and the parenthesised error term is two_prod's.
+
 def dd_mul(a, b):
-    p, e = _two_prod(a[0], b[0])
-    e += a[0] * b[1] + a[1] * b[0]
-    return _quick_two_sum(p, e)
+    a0, a1 = a
+    b0, b1 = b
+    p = a0 * b0
+    c = _SPLITTER * a0
+    ahi = c - (c - a0)
+    alo = a0 - ahi
+    c = _SPLITTER * b0
+    bhi = c - (c - b0)
+    blo = b0 - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    e += a0 * b1 + a1 * b0
+    s = p + e
+    return s, e - (s - p)
 
 
 def dd_mul_f(a, b: float):
-    p, e = _two_prod(a[0], b)
-    e += a[1] * b
-    return _quick_two_sum(p, e)
+    a0, a1 = a
+    p = a0 * b
+    c = _SPLITTER * a0
+    ahi = c - (c - a0)
+    alo = a0 - ahi
+    c = _SPLITTER * b
+    bhi = c - (c - b)
+    blo = b - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    e += a1 * b
+    s = p + e
+    return s, e - (s - p)
 
 
 def dd_div(a, b):
@@ -93,16 +114,30 @@ def dd_div(a, b):
 
 def dd_div_f(a, b: float):
     q1 = a[0] / b
-    p, e = _two_prod(q1, b)
-    r = dd_sub(a, (p, e))
-    q2 = (r[0] + r[1]) / b
-    return _quick_two_sum(q1, q2)
+    p = q1 * b
+    c = _SPLITTER * q1
+    qhi = c - (c - q1)
+    qlo = q1 - qhi
+    c = _SPLITTER * b
+    bhi = c - (c - b)
+    blo = b - bhi
+    e = ((qhi * bhi - p) + qhi * blo + qlo * bhi) + qlo * blo
+    r0, r1 = dd_add(a, (-p, -e))
+    q2 = (r0 + r1) / b
+    s = q1 + q2
+    return s, q2 - (s - q1)
 
 
 def dd_sqr(a):
-    p, e = _two_prod(a[0], a[0])
-    e += 2.0 * a[0] * a[1]
-    return _quick_two_sum(p, e)
+    a0, a1 = a
+    p = a0 * a0
+    c = _SPLITTER * a0
+    ahi = c - (c - a0)
+    alo = a0 - ahi
+    e = ((ahi * ahi - p) + ahi * alo + alo * ahi) + alo * alo
+    e += 2.0 * a0 * a1
+    s = p + e
+    return s, e - (s - p)
 
 
 def dd_sqrt(a):

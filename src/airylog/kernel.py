@@ -146,22 +146,21 @@ def compensated_sum(terms: Sequence) -> XReal:
     """Neumaier-compensated total of floats and/or XReals.
 
     Error <= 2 ulp of the exact sum for up to 1e6 terms; XReal inputs
-    contribute both components.
+    contribute both components, high first.
     """
     s = 0.0
     comp = 0.0
     for t in terms:
         if isinstance(t, XReal):
-            parts = (t.hi, t.lo)
-        else:
-            parts = (float(t),)
-        for x in parts:
-            total = s + x
-            if abs(s) >= abs(x):
-                comp += (s - total) + x
-            else:
-                comp += (x - total) + s
-            s = total
+            for x in (t.hi, t.lo):
+                total = s + x
+                comp += (s - total) + x if abs(s) >= abs(x) else (x - total) + s
+                s = total
+            continue
+        x = float(t)
+        total = s + x
+        comp += (s - total) + x if abs(s) >= abs(x) else (x - total) + s
+        s = total
     return XReal(s, comp)
 
 
@@ -178,15 +177,19 @@ def alternating_series(coeffs: Sequence[float], a: float,
     apow = a ** float(-p)
     best = math.inf
     kept = []
-    for m, c in enumerate(coeffs):
-        term = c * apow * (-1.0 if m % 2 else 1.0)
-        if abs(term) > best:
+    magnitude = 0.0
+    sign = 1.0
+    for c in coeffs:
+        term = c * apow * sign
+        size = abs(term)
+        if size > best:
             break
-        best = abs(term)
+        best = size
         kept.append(term)
+        magnitude += size
         apow /= a
-    rounding = 2.0 ** -52 * sum(abs(t) for t in kept)
-    return compensated_sum(kept), max(best, rounding)
+        sign = -sign
+    return compensated_sum(kept), max(best, 2.0 ** -52 * magnitude)
 
 
 # -- exact polynomials (coefficient tuples, low power first) ----------------
@@ -282,8 +285,12 @@ def hyp_pfq(
     :class:`ConvergenceError` with the partial sum when the cap
     (``max_terms``, default 10000 terms) is hit.
     """
-    a = [Fraction(x) for x in series.a_params]
-    b = [Fraction(x) for x in series.b_params]
+    # each ratio is num/den with num = prod(n_i + k d_i) * prod(d_j) over
+    # the a_i = n_i/d_i and b_j, den = (k + 1) prod(d_i) prod(n_j + k d_j)
+    a = [(f.numerator, f.denominator) for f in map(Fraction, series.a_params)]
+    b = [(f.numerator, f.denominator) for f in map(Fraction, series.b_params)]
+    num0 = math.prod(d for _, d in b)
+    den0 = math.prod(d for _, d in a)
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
 
     if isinstance(series.z, XReal):
@@ -297,14 +304,12 @@ def hyp_pfq(
     total = (1.0, 0.0)
     small = 0
     for k in range(cap):
-        num = 1
-        den = k + 1
-        for ai in a:
-            num *= ai.numerator + k * ai.denominator
-            den *= ai.denominator
-        for bj in b:
-            num *= bj.denominator
-            den *= bj.numerator + k * bj.denominator
+        num = num0
+        for n, d in a:
+            num *= n + k * d
+        den = (k + 1) * den0
+        for n, d in b:
+            den *= n + k * d
         term = dd_mul(term, zp)
         term = dd_mul_f(term, float(num)) if abs(num) <= 2**53 else dd_mul(
             term, XReal.from_fraction(Fraction(num)).pair

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .airy import airy
 from .kernel import AI0, AIP0, ETA
@@ -296,7 +297,7 @@ def check_series1(records: list, roots, ctx, oracle: float) -> None:
                         else "fail"))
 
 
-def check_smalla_values(records: list, ctx) -> None:
+def check_smalla_values(records: list, ctx, stieltjes) -> None:
     a0 = ctx.a0
     records.append(_rec("stieltjes1.I3.first_root", "small_a",
                         float(ctx.I3_a0), 0.1045955174, 1e-9,
@@ -304,8 +305,8 @@ def check_smalla_values(records: list, ctx) -> None:
     records.append(_rec("stieltjes1.I4.first_root", "small_a",
                         float(ctx.I4_a0), 0.08085800094, 1e-9,
                         "ten-decimal print"))
-    i1o = oracle_stieltjes("Ai", 1, a0).value
-    i2o = oracle_stieltjes("Ai", 2, a0).value
+    i1o = stieltjes("Ai", 1, a0).value
+    i2o = stieltjes("Ai", 2, a0).value
     records.append(_rec("stieltjes1.I1.first_root", "relations",
                         float(ctx.I1_a0), i1o, 2e-9, "oracle"))
     records.append(_rec("stieltjes1.I2.first_root", "relations",
@@ -331,13 +332,13 @@ def check_series2(records: list, roots, sol, oracle: float) -> None:
                         acc, oracle, 2e-8, "oracle"))
 
 
-def check_cross_routes(records: list, ctx, sol) -> None:
+def check_cross_routes(records: list, ctx, sol, stieltjes) -> None:
     """Acceptance grid: every analytic route vs the oracle, 1e-7."""
     grid_I = [(1, 0.5), (1, 2.0), (1, 5.0), (2, 1.0), (2, 5.0),
               (3, ctx.a0), (3, 2.0), (3, 5.0), (4, ctx.a0), (4, 1.0),
               (5, 2.0), (6, 1.0)]
     for k, a in grid_I:
-        orc = oracle_stieltjes("Ai", k, a).value
+        orc = stieltjes("Ai", k, a).value
         routes = {}
         if a <= 4.0:
             routes["small_a"] = float(bigI_smalla(k, a).value)
@@ -367,7 +368,7 @@ def check_cross_routes(records: list, ctx, sol) -> None:
     for a in (0.5, 2.0, 5.0, 9.0):
         records.append(_rec(f"J1.route.closed.a{a:g}", "closed_form",
                             float(solve_J1(a, sol).value),
-                            oracle_stieltjes("Ai2", 1, a).value, 1e-7,
+                            stieltjes("Ai2", 1, a).value, 1e-7,
                             "oracle"))
     # closed-form vs moment-series overlap for the summand
     for a in (9.5354490524, 10.5276603970):
@@ -377,10 +378,10 @@ def check_cross_routes(records: list, ctx, sol) -> None:
                             c, m, 1e-9, "route agreement"))
 
 
-def check_residuals(records: list, ctx, sol) -> None:
+def check_residuals(records: list, ctx, sol, stieltjes) -> None:
     # Stieltjes three-term ladder with oracle values
     for k, a in [(1, 1.0), (2, 2.0)]:
-        vals = [oracle_stieltjes("Ai", j, a).value for j in (k, k + 1, k + 3)]
+        vals = [stieltjes("Ai", j, a).value for j in (k, k + 1, k + 3)]
         res = ladder_residual(k, a, *vals)
         records.append(_rec(f"residual.stieltjes_ladder.k{k}.a{a:g}", "oracle-values", res,
                             0.0, 1e-9, "three-term ladder"))
@@ -397,8 +398,8 @@ def check_residuals(records: list, ctx, sol) -> None:
                             res / scale, 0.0, 1e-9, "Mellin ladder"))
     # integration-by-parts relations with oracle values
     for n, a in [(1, 1.0), (2, 2.0)]:
-        J = {m: oracle_stieltjes("Ai2", m, a).value for m in range(max(0, n - 1), n + 4)}
-        Jp = {m: oracle_stieltjes("AiP2", m, a).value for m in range(n, n + 2)}
+        J = {m: stieltjes("Ai2", m, a).value for m in range(max(0, n - 1), n + 4)}
+        Jp = {m: stieltjes("AiP2", m, a).value for m in range(n, n + 2)}
         res = J_recurrences(n, a, J, Jp)
         for name, r in res.items():
             records.append(_rec(f"residual.{name}.n{n}.a{a:g}",
@@ -470,6 +471,9 @@ def _a_col(k: int) -> int:
 def run_validation():
     """Full matrix; returns (records, discrepancies)."""
     records: list = []
+    # the checks share Stieltjes quadratures (the same I_k and J_k at
+    # a = 1, 2): each is computed once per run
+    stieltjes = cache(oracle_stieltjes)
     roots = roots_upto(100)
     ctx = StieltjesContext(roots)
     sol = J1Solution.build(float(roots[1]))
@@ -479,10 +483,10 @@ def run_validation():
     oracle2 = oracle_integral2()
     check_headline_oracle(records, oracle1, oracle2)
     check_series1(records, roots, ctx, oracle1.value)
-    check_smalla_values(records, ctx)
+    check_smalla_values(records, ctx, stieltjes)
     check_J_values(records, ctx.a0)
     check_series2(records, roots, sol, oracle2.value)
-    check_cross_routes(records, ctx, sol)
-    check_residuals(records, ctx, sol)
+    check_cross_routes(records, ctx, sol, stieltjes)
+    check_residuals(records, ctx, sol, stieltjes)
     check_polynomials(records)
     return records, discrepancy_ledger()

@@ -1,6 +1,7 @@
 """scipy (and numpy with it) is a dependency of the quadrature oracle
 only: a fresh interpreter that imports the CLI and runs the analytic
-commands never loads it, and the first quadrature does."""
+commands never loads it, and the first quadrature does.  A validation
+run pays for its closed-form anchor and each of its quadratures once."""
 
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 from pathlib import Path
 
 import airylog
-from airylog import stieltjes1
+from airylog import stieltjes1, validate
 from airylog.validate import run_validation
 
 SRC = Path(airylog.__file__).resolve().parent.parent
@@ -64,3 +65,18 @@ def test_validation_computes_the_closed_form_anchor_once(monkeypatch):
     monkeypatch.setattr(stieltjes1, "_closed_anchor", counted)
     run_validation()
     assert len(calls) <= 1, calls
+
+
+def test_validation_runs_each_oracle_quadrature_once(monkeypatch):
+    calls = []
+    for name in ("oracle_integral1", "oracle_integral2", "oracle_mellin",
+                 "oracle_stieltjes"):
+        def counted(*args, _name=name, _oracle=getattr(validate, name)):
+            calls.append((_name,) + args)
+            return _oracle(*args)
+
+        monkeypatch.setattr(validate, name, counted)
+    run_validation()
+    repeated = sorted({c for c in calls if calls.count(c) > 1})
+    assert not repeated, repeated
+    assert len(calls) == 48

@@ -4,16 +4,20 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from airylog.ddreal import (
     XReal,
     dd_add,
     dd_div,
+    dd_div_f,
     dd_exp,
     dd_ln,
     dd_mul,
+    dd_mul_f,
+    dd_sqr,
     dd_sqrt,
+    dd_sub,
     PI,
     SQRT3,
 )
@@ -89,3 +93,116 @@ def test_operator_coverage():
     assert XReal(1.0) < 2 and XReal(3.0) >= 3
     with pytest.raises(TypeError):
         a ** 0.5
+
+
+# -- the primitives against the textbook compositions ------------------------
+#
+# The primitives write the error-free transforms out inline; these are the
+# same steps as separate helpers (Dekker split, two_prod, Knuth two_sum,
+# quick_two_sum), composed as in the QD library.  Both must give the same
+# bits, signed zeros included.
+
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _quick_two_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    c = _SPLITTER * a
+    abig = c - a
+    ahi = c - abig
+    return ahi, a - ahi
+
+
+def _two_prod(a, b):
+    p = a * b
+    ahi, alo = _split(a)
+    bhi, blo = _split(b)
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def _ref_add(a, b):
+    s, e = _two_sum(a[0], b[0])
+    t, f = _two_sum(a[1], b[1])
+    e += t
+    s, e = _quick_two_sum(s, e)
+    e += f
+    return _quick_two_sum(s, e)
+
+
+def _ref_sub(a, b):
+    return _ref_add(a, (-b[0], -b[1]))
+
+
+def _ref_mul(a, b):
+    p, e = _two_prod(a[0], b[0])
+    e += a[0] * b[1] + a[1] * b[0]
+    return _quick_two_sum(p, e)
+
+
+def _ref_mul_f(a, b):
+    p, e = _two_prod(a[0], b)
+    e += a[1] * b
+    return _quick_two_sum(p, e)
+
+
+def _ref_div_f(a, b):
+    q1 = a[0] / b
+    r = _ref_sub(a, _two_prod(q1, b))
+    q2 = (r[0] + r[1]) / b
+    return _quick_two_sum(q1, q2)
+
+
+def _ref_sqr(a):
+    p, e = _two_prod(a[0], a[0])
+    e += 2.0 * a[0] * a[1]
+    return _quick_two_sum(p, e)
+
+
+def _bits(pair):
+    return [(x.hex(), math.copysign(1.0, x)) for x in pair]
+
+
+@st.composite
+def operands(draw):
+    """(a, b, f): two dd pairs and a float, with zeros, subnormals and
+    magnitudes up to 1e300.  The exponents of b and f are mostly near
+    a's, where the error terms of the transforms are not all zero."""
+    e = draw(st.integers(min_value=-1080, max_value=996))
+
+    def near_exponent():
+        return draw(st.one_of(
+            st.integers(min_value=max(-1080, e - 60), max_value=min(996, e + 60)),
+            st.integers(min_value=-1080, max_value=996)))
+
+    def value(exp):
+        return math.ldexp(draw(st.floats(min_value=-1.0, max_value=1.0)), exp)
+
+    def pair(exp):
+        hi = value(exp)
+        return hi, draw(st.floats(min_value=-0.5, max_value=0.5)) * math.ulp(hi)
+
+    return pair(e), pair(near_exponent()), value(near_exponent())
+
+
+@given(operands())
+@settings(max_examples=300)
+def test_primitives_match_textbook_compositions_bitwise(ops):
+    a, b, f = ops
+    for mine, ref, args in ((dd_add, _ref_add, (a, b)),
+                            (dd_sub, _ref_sub, (a, b)),
+                            (dd_mul, _ref_mul, (a, b)),
+                            (dd_mul_f, _ref_mul_f, (a, f)),
+                            (dd_sqr, _ref_sqr, (a,))):
+        assert _bits(mine(*args)) == _bits(ref(*args)), (mine.__name__, args)
+    if f != 0.0:
+        assert _bits(dd_div_f(a, f)) == _bits(_ref_div_f(a, f)), (a, f)

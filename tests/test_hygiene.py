@@ -1,6 +1,7 @@
-"""Source hygiene: every name a program module imports is used there, and
-no module imports scipy or numpy when it is imported (the quadrature
-oracle loads them on its first integral)."""
+"""Source hygiene: every name a program module imports is used there,
+every private module-level function or class is used somewhere in the
+package, and no module imports scipy or numpy when it is imported (the
+quadrature oracle loads them on its first integral)."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,56 @@ def test_no_unused_imports():
     assert modules
     unused = [u for p in modules for u in _unused_imports(p)]
     assert not unused, unused
+
+
+def _dead_private_definitions(sources: dict) -> list:
+    """Module-level ``_private`` functions and classes that no live
+    top-level statement of any module in ``sources`` (name -> text)
+    refers to, by name, as an attribute or in an import.  A definition
+    used only by dead ones, or only by itself, is dead too."""
+    defined = {}  # id of the statement -> (module, name, line)
+    referenced = {}  # name -> ids of the top-level statements that mention it
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                defined[id(stmt)] = (module, stmt.name, stmt.lineno)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                referenced.setdefault(name, set()).add(id(stmt))
+    dead = set()
+    while True:
+        more = {key for key, (_, name, _) in defined.items() if key not in dead
+                and not referenced.get(name, set()) - dead - {key}}
+        if not more:
+            break
+        dead |= more
+    return sorted(f"{module}:{line} {name}"
+                  for module, name, line in map(defined.get, dead))
+
+
+def test_no_dead_private_helpers():
+    sample = {"a.py": "def _used():\n    pass\n"
+                      "def _dead(n):\n    return _dead(n - 1)\n"
+                      "class _Kept:\n    pass\n"
+                      "def _helper_of_dead():\n    pass\n"
+                      "def _caller():\n    return _helper_of_dead()\n",
+              "b.py": "from a import _used\nimport a\nx = a._Kept()\n"}
+    assert _dead_private_definitions(sample) == [
+        "a.py:3 _dead", "a.py:7 _helper_of_dead", "a.py:9 _caller"]
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    assert sources
+    dead = _dead_private_definitions(sources)
+    assert not dead, dead
 
 
 #: packages only the oracle's quadrature needs, imported inside functions

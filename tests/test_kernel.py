@@ -5,10 +5,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from airylog.errors import ConvergenceError, DomainError
 from airylog.kernel import (
     HypSeries,
+    alternating_series,
     compensated_sum,
     gamma,
     hyp,
@@ -85,6 +87,66 @@ def test_compensated_sum_small_terms():
 def test_compensated_sum_xreal_inputs():
     total = compensated_sum([XReal(1.0, 1e-20), XReal(-1.0)])
     assert abs(float(total) - 1e-20) < 1e-32
+
+
+def _neumaier_reference(terms):
+    """Neumaier's sum over the components of each term, high first."""
+    s = comp = 0.0
+    for t in terms:
+        for x in ((t.hi, t.lo) if isinstance(t, XReal) else (float(t),)):
+            total = s + x
+            if abs(s) >= abs(x):
+                comp += (s - total) + x
+            else:
+                comp += (x - total) + s
+            s = total
+    return XReal(s, comp)
+
+
+def _alternating_reference(coeffs, a, p):
+    """The moment series as a kept-term list, then one compensated sum;
+    the magnitudes are added left to right, as ``sum`` of floats does
+    before Python 3.12."""
+    apow = a ** float(-p)
+    best = math.inf
+    kept = []
+    for m, c in enumerate(coeffs):
+        term = c * apow * (-1.0 if m % 2 else 1.0)
+        if abs(term) > best:
+            break
+        best = abs(term)
+        kept.append(term)
+        apow /= a
+    magnitude = 0.0
+    for t in kept:
+        magnitude += abs(t)
+    return _neumaier_reference(kept), max(best, 2.0 ** -52 * magnitude)
+
+
+def _hex(x: XReal):
+    return (x.hi.hex(), x.lo.hex())
+
+
+coefficient = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+
+
+@given(st.lists(st.one_of(coefficient,
+                          st.builds(XReal, coefficient, st.floats(-1e-5, 1e-5))),
+                max_size=40))
+def test_compensated_sum_matches_reference_bitwise(terms):
+    assert _hex(compensated_sum(terms)) == _hex(_neumaier_reference(terms))
+
+
+@given(st.lists(coefficient, max_size=40).flatmap(
+           # as drawn, or by falling magnitude, so that most terms are kept
+           lambda cs: st.sampled_from([cs, sorted(cs, key=abs, reverse=True)])),
+       st.floats(min_value=0.25, max_value=60.0),
+       st.integers(min_value=0, max_value=5))
+def test_alternating_series_matches_kept_list_reference_bitwise(coeffs, a, p):
+    value, err = alternating_series(coeffs, a, p)
+    ref_value, ref_err = _alternating_reference(coeffs, a, p)
+    assert _hex(value) == _hex(ref_value)
+    assert err.hex() == ref_err.hex()
 
 
 def test_hyp_z_zero():
