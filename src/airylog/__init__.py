@@ -30,7 +30,7 @@ from .kernel import (
     hyp_pfq,
     pochhammer,
 )
-from .airy import AiryState, JPair, airy, airy_asym, jpair, scorer_gi
+from .airy import AiryState, JPair, airy, jpair, scorer_gi
 from .roots import RootTable, refine_root, root_seed, roots_upto
 from .zeta import zeta_closed, zeta_eta_poly, zeta_incomplete
 from .oracle import (

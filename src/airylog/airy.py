@@ -18,7 +18,6 @@ All functions are pure; no shared mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ddreal import (
     XReal,
@@ -110,7 +109,7 @@ def _fg_series(xp):
     return f, g, dd_div(fp_acc, xp), dd_div(gp_acc, xp)
 
 
-def _asym_uv(zeta, nmax: int = 60):
+def _asym_uv(zeta):
     """sum (-1)^k u_k zeta^-k and the v-analogue (plus the unsigned sums)
     for the exponential Airy asymptotics; truncated at the smallest term."""
     uk = (1.0, 0.0)
@@ -121,7 +120,7 @@ def _asym_uv(zeta, nmax: int = 60):
     sv = (1.0, 0.0)
     zpow = (1.0, 0.0)
     best = float("inf")
-    for k in range(1, nmax):
+    for k in range(1, 60):
         num = (6 * k - 5) * (6 * k - 3) * (6 * k - 1)
         den = (2 * k - 1) * 216 * k
         uk = dd_div_f(dd_mul_f(uk, float(num)), float(den))
@@ -246,24 +245,3 @@ def scorer_gi(x: float):
     gip = dd_div(gp_acc, xp) if x != 0.0 else GIP0.pair
     return XReal.from_pair(gi), XReal.from_pair(gip)
 
-
-def airy_asym(x: float, order: int = 4) -> XReal:
-    """Leading exponential asymptotic of Ai(x), truncated at ``order``
-    correction terms; requires x >= 4."""
-    if x < 4.0:
-        raise RangeError("airy_asym requires x >= 4")
-    xp = (x, 0.0)
-    sq = dd_sqrt(xp)
-    zeta = dd_mul_f(dd_mul(xp, sq), 2.0 / 3.0)
-    pref = dd_div(dd_exp(dd_neg(zeta)),
-                  dd_mul(dd_mul_f(SQRT_PI.pair, 2.0), dd_sqrt(sq)))
-    uk = Fraction(1)
-    s = (1.0, 0.0)
-    zpow = (1.0, 0.0)
-    for k in range(1, order + 1):
-        uk *= Fraction((6 * k - 5) * (6 * k - 3) * (6 * k - 1),
-                       (2 * k - 1) * 216 * k)
-        zpow = dd_div(zpow, zeta)
-        term = dd_mul_f(zpow, float(uk) * (-1.0 if k % 2 else 1.0))
-        s = dd_add(s, term)
-    return XReal.from_pair(dd_mul(pref, s))

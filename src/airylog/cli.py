@@ -18,7 +18,7 @@ from .mellin1 import mellin_closed, mellin_prime
 from .mellin2 import Jn_smalla, calI, mellin2
 from .oracle import oracle_mellin, oracle_stieltjes
 from .results import TruncationConfig
-from .roots import roots_upto
+from .roots import NEWTON_TOL, roots_upto
 from .stieltjes1 import (
     StieltjesContext,
     bigI_asym,
@@ -67,7 +67,7 @@ def cmd_roots(args) -> int:
     tab = roots_upto(args.N)
     rows = [
         {"id": f"root.{n}", "method": "newton" if n <= tab.refined_upto else "seed",
-         "value": float(tab[n]), "err_est": tab.refined_tol,
+         "value": float(tab[n]), "err_est": NEWTON_TOL,
          "paper_value": None, "deviation": None, "provenance": "airy-prime-zero"}
         for n in range(1, args.N + 1)
     ]
@@ -150,24 +150,25 @@ def cmd_transform(args) -> int:
         if methods in ("all", "oracle"):
             orc = oracle_mellin(weight, idx, a, tol=args.tol)
             add("oracle", orc.value, orc.abs_err_est)
-        if weight == "Ai":
-            r = mellin_closed(idx, a)
-            add(r.method, r.value, r.err_est)
-            if idx >= 0 and methods == "all":
-                r = mellin_closed(idx, a, method="family")
+        if methods in ("all", "closed_form"):
+            if weight == "Ai":
+                r = mellin_closed(idx, a)
                 add(r.method, r.value, r.err_est)
-        elif weight == "AiP":
-            r = mellin_prime(idx, a)
-            add(r.method, r.value, r.err_est)
-        elif weight == "AiAiP":
-            r = calI(idx, a)
-            add(r.method, r.value, r.err_est)
-            if idx >= 0 and methods == "all":
-                r = calI(idx, a, method="bform")
+                if idx >= 0 and methods == "all":
+                    r = mellin_closed(idx, a, method="family")
+                    add(r.method, r.value, r.err_est)
+            elif weight == "AiP":
+                r = mellin_prime(idx, a)
                 add(r.method, r.value, r.err_est)
-        else:
-            r = mellin2(idx, a, primed=(weight == "AiP2"))
-            add(r.method, r.value, r.err_est)
+            elif weight == "AiAiP":
+                r = calI(idx, a)
+                add(r.method, r.value, r.err_est)
+                if idx >= 0 and methods == "all":
+                    r = calI(idx, a, method="bform")
+                    add(r.method, r.value, r.err_est)
+            else:
+                r = mellin2(idx, a, primed=(weight == "AiP2"))
+                add(r.method, r.value, r.err_est)
     if not rows:
         print("no route available for this argument range", file=sys.stderr)
         return 2
@@ -283,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--method", default="all")
+    sp.add_argument("--method", default="all",
+                    choices=("all", "oracle", "closed_form", "small_a",
+                             "asymptotic"))
     sp.add_argument("--tol", type=float, default=1e-12,
                     help="oracle quadrature tolerance, in [1e-14, 1e-6]")
     common(sp)

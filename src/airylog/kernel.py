@@ -37,7 +37,6 @@ from .ddreal import (
     dd_mul_f,
     dd_powi,
     dd_sub,
-    PI,
     SQRT3,
     TWO_PI,
 )
@@ -94,52 +93,26 @@ def _lngamma_dd(z):
     return res
 
 
-def gamma(x: Union[int, float, Fraction, XReal], dd: bool = False) -> XReal:
-    """Gamma function for real non-pole arguments, |x| <= ~170.
-
-    Relative error <= 1e-15 in binary64 mode; the dd path is accurate to
-    ~1e-30 and is used for the high-precision constants of the Airy
-    series.  Non-positive integers raise :class:`DomainError`.
+def gamma(x: Union[int, float, Fraction]) -> XReal:
+    """Gamma function in double-double for real x > 0, accurate to
+    ~1e-30 relative; it gives the high-precision constants of the Airy
+    series.  Non-positive arguments raise :class:`DomainError`.
     """
-    xf = float(x)
-    if xf <= 0.0 and xf == math.floor(xf):
-        raise DomainError(f"gamma pole at {x}")
-    if not dd:
-        return XReal(math.gamma(xf))
-    if isinstance(x, XReal):
-        pair = x.pair
-    elif isinstance(x, Fraction):
-        pair = XReal.from_fraction(x).pair
-    else:
-        pair = (float(x), 0.0)
-    if pair[0] > 0.0:
-        return XReal.from_pair(dd_exp(_lngamma_dd(pair)))
-    # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1 - x)); sin through
-    # float is the accuracy bottleneck, fine for the |x| < 1 uses here.
-    one_minus = dd_sub((1.0, 0.0), pair)
-    g = dd_exp(_lngamma_dd(one_minus))
-    s = math.sin(math.pi * xf)
-    denom = dd_mul_f(g, s)
-    return XReal.from_pair(dd_div(PI.pair, denom))
+    if x <= 0:
+        raise DomainError(f"gamma needs x > 0, got {x}")
+    pair = XReal.from_fraction(Fraction(x)).pair
+    return XReal.from_pair(dd_exp(_lngamma_dd(pair)))
 
 
-def pochhammer(z: Union[float, Fraction], n: int) -> XReal:
-    """(z)_n by direct product.
-
-    Matches Gamma(z+n)/Gamma(z) to <= 1e-13 relative for n <= 30 and
-    z in [0.1, 10]; exact (Fraction product) when z is rational.
-    """
+def pochhammer(z: Fraction, n: int) -> XReal:
+    """(z)_n for rational z, exact (Fraction product) before the final
+    rounding to double-double."""
     if n < 0:
         raise DomainError("pochhammer needs n >= 0")
-    if isinstance(z, Fraction):
-        acc = Fraction(1)
-        for k in range(n):
-            acc *= z + k
-        return XReal.from_fraction(acc)
-    acc = (1.0, 0.0)
+    acc = Fraction(1)
     for k in range(n):
-        acc = dd_mul_f(acc, z + k)
-    return XReal.from_pair(acc)
+        acc *= z + k
+    return XReal.from_fraction(acc)
 
 
 def compensated_sum(terms: Sequence) -> XReal:
@@ -331,21 +304,19 @@ def hyp_pfq(
     )
 
 
-def hyp(a_params, b_params, z, tol: float = 1e-16,
-        max_terms: int | None = None) -> XReal:
+def hyp(a_params, b_params, z, tol: float = 1e-16) -> XReal:
     """Convenience wrapper: hyp((1,3),(2,3,...),z) with Fraction coercion."""
     return hyp_pfq(
         HypSeries(tuple(Fraction(x) for x in a_params),
                   tuple(Fraction(x) for x in b_params), z),
         tol=tol,
-        max_terms=max_terms,
     )
 
 
 # -- shared high-precision constants ----------------------------------------
 
-GAMMA_1_3 = gamma(Fraction(1, 3), dd=True)
-GAMMA_2_3 = gamma(Fraction(2, 3), dd=True)
+GAMMA_1_3 = gamma(Fraction(1, 3))
+GAMMA_2_3 = gamma(Fraction(2, 3))
 
 # import-time self check: reflection Gamma(1/3)Gamma(2/3) = 2 pi / sqrt(3)
 _refl = GAMMA_1_3 * GAMMA_2_3 - TWO_PI / SQRT3

@@ -192,7 +192,7 @@ NEG_A_MAX = 4.75
 _IRREDUCIBLE_A_MAX = {"i": 8.0, "iprime": NEG_A_MAX, "calI": 8.0}
 
 
-def irreducible_neg1(a: float, which: str, terms: int | None = None) -> XReal:
+def irreducible_neg1(a: float, which: str) -> XReal:
     """The three irreducible 1/x transforms:
 
     which='i'      : int_a^inf Ai^2/x dx
@@ -217,7 +217,7 @@ def irreducible_neg1(a: float, which: str, terms: int | None = None) -> XReal:
     if a > _IRREDUCIBLE_A_MAX[which]:
         raise RangeError(f"irreducible transform {which!r} supports only "
                          f"a <= {_IRREDUCIBLE_A_MAX[which]}")
-    nterms = terms if terms is not None else _series_terms_for(a)
+    nterms = _series_terms_for(a)
     ap = (float(a), 0.0)
     a3 = dd_powi(ap, 3)
     cs, ds, es = _ai2_class_chains(a3, nterms + 2)
@@ -513,7 +513,7 @@ def reid_moment(alpha: float, kind: str) -> XReal:
     return XReal(num * math.exp(log) if num > 0 else -abs(num) * math.exp(log))
 
 
-def Jn_smalla(n: int, a: float, k_max: int = 10) -> TransformResult:
+def Jn_smalla(n: int, a: float) -> TransformResult:
     """Stieltjes transform of Ai^2, J_n(a) = int_0^inf Ai^2/(x+a)^n dx,
     assembled from the squared generating-function derivative ladders and
     the incomplete product transforms:
@@ -522,13 +522,13 @@ def Jn_smalla(n: int, a: float, k_max: int = 10) -> TransformResult:
             + sum_{k=1..n} [Xi^(n-k) i_{-k} + Lam^(n-k) i'_{-k}
                             + rho^(n-k) calI_{-k}]/(n-k)!
 
-    Designed for n in [1, 6], a <= 4; the k sums run to 3*k_max + 2.
+    Designed for n in [1, 6], a <= 4; the k sums run to 32 (ten triples).
     """
     if not 1 <= n <= 6:
         raise DomainError("Jn_smalla supports n in [1, 6]")
     if a <= 0.0:
         raise DomainError("Jn_smalla needs a > 0")
-    kcap = 3 * k_max + 2
+    kcap = 3 * 10 + 2
     Xi, Lam, Rho = xi2_derivs(kcap + n, a)
     base = Ai2Base(a)
     total = (0.0, 0.0)

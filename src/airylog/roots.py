@@ -1,11 +1,11 @@
 """Magnitudes |a_n'| of the zeros of Ai', by asymptotic seed plus Newton
 refinement.
 
-The seed is the large-n expansion in the variable t = (3/8)pi(4n-3); its
-t^-6 coefficient is configurable because the literature value 181223/207360
-and a variant 181228/207360 both circulate -- Newton refinement makes the
-choice immaterial for refined roots, and for seed-only roots the two differ
-below 1e-12 (n >= 15).
+The seed is the large-n expansion in the variable t = (3/8)pi(4n-3).  Its
+t^-6 coefficient is the printed 181228/207360; the literature value
+181223/207360 is kept only so that the validation matrix can compare the
+two.  Newton refinement makes the choice immaterial for refined roots, and
+for seed-only roots the two differ below 1e-12 (n >= 15).
 
 Newton iterates on f(r) = Ai'(-r) with the exact derivative from the Airy
 equation, f'(r) = r*Ai(-r).  Refinement is performed while the root lies
@@ -16,7 +16,7 @@ that the seed itself is already accurate to ~1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .airy import airy, SERIES_MAX
@@ -28,13 +28,13 @@ T6_PAPER = Fraction(181228, 207360)
 #: t^-6 coefficient from the standard asymptotic expansion.
 T6_STANDARD = Fraction(181223, 207360)
 
-DEFAULT_T6 = T6_PAPER
-
-_NEWTON_TOL = 1e-13
+#: Newton residual bound of the refined roots, relative to the derivative
+#: scale
+NEWTON_TOL = 1e-13
 _NEWTON_MAXIT = 8
 
 
-def root_seed(n: int, t6: Fraction = DEFAULT_T6) -> float:
+def root_seed(n: int, t6: Fraction = T6_PAPER) -> float:
     """Asymptotic magnitude of the n-th zero of Ai'.
 
     t^(2/3) * (1 - 7/48 t^-2 + 35/288 t^-4 - t6 * t^-6), t = (3/8)pi(4n-3).
@@ -67,7 +67,7 @@ def refine_root(seed: float) -> XReal:
             break
     st = airy(-float(r))
     scale = max(1.0, abs(float(r * st.ai)))
-    if abs(float(st.aip)) > _NEWTON_TOL * scale:
+    if abs(float(st.aip)) > NEWTON_TOL * scale:
         raise IterationError(
             f"Newton refinement stalled at residual {float(st.aip):.3e}", last=r
         )
@@ -80,17 +80,17 @@ def refine_root(seed: float) -> XReal:
 class RootTable:
     """Ordered magnitudes of the zeros of Ai' with refinement metadata.
 
-    Roots with magnitude <= the Airy series range are Newton-refined
-    (residual <= ``refined_tol`` relative to the derivative scale); larger
-    ones carry the asymptotic seed, accurate to ~1e-12 there.
+    Roots 1..``refined_upto`` lie inside the Airy series range and are
+    Newton-refined (residual <= ``NEWTON_TOL`` relative to the derivative
+    scale); larger ones carry the asymptotic seed, accurate to ~1e-12 there.
     """
 
     roots: tuple
-    n_max: int
-    refined_tol: float = _NEWTON_TOL
-    refined_upto: int = 0
-    t6: Fraction = DEFAULT_T6
-    _floats: tuple = field(default=None, repr=False, compare=False)
+    refined_upto: int
+
+    @property
+    def n_max(self) -> int:
+        return len(self.roots)
 
     def __getitem__(self, n: int) -> XReal:
         """1-based access: table[n] is |a_n'|."""
@@ -98,22 +98,15 @@ class RootTable:
             raise IndexError(f"root index {n} outside 1..{self.n_max}")
         return self.roots[n - 1]
 
-    def magnitudes(self):
-        """Roots as plain floats."""
-        if self._floats is None:
-            object.__setattr__(self, "_floats",
-                               tuple(float(r) for r in self.roots))
-        return self._floats
 
-
-def roots_upto(N: int, t6: Fraction = DEFAULT_T6) -> RootTable:
+def roots_upto(N: int) -> RootTable:
     """Table of the first N root magnitudes, 1 <= N <= 500."""
     if not 1 <= N <= 500:
         raise DomainError("roots_upto supports 1 <= N <= 500")
     roots = []
     refined_upto = 0
     for n in range(1, N + 1):
-        seed = root_seed(n, t6)
+        seed = root_seed(n)
         if seed <= SERIES_MAX - 0.5:
             try:
                 roots.append(refine_root(seed))
@@ -123,4 +116,4 @@ def roots_upto(N: int, t6: Fraction = DEFAULT_T6) -> RootTable:
             refined_upto = n
         else:
             roots.append(XReal(seed))
-    return RootTable(tuple(roots), N, _NEWTON_TOL, refined_upto, t6)
+    return RootTable(tuple(roots), refined_upto)

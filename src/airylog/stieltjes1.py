@@ -85,13 +85,13 @@ def _bigI_asym_coeffs(k: int, count: int) -> tuple:
     return tuple(out)
 
 
-def bigI_asym(k: int, a: float, max_terms: int = 60) -> TransformResult:
+def bigI_asym(k: int, a: float) -> TransformResult:
     """bigI_k(a) by the alternating moment series in 1/a, truncated at its
     smallest term (see :func:`alternating_series` for the error estimate).
     Intended for a >= 13, where it reaches ~1e-13 relative."""
     if a <= 0.0:
         raise DomainError("bigI_asym needs a > 0")
-    val, err = alternating_series(_bigI_asym_coeffs(k, max_terms), a, k)
+    val, err = alternating_series(_bigI_asym_coeffs(k, 60), a, k)
     return TransformResult(val, "asymptotic", err)
 
 
@@ -143,7 +143,8 @@ def ladder_residual(k: int, a: float, Ik, Ik1, Ik3) -> float:
 
 # -- closed-form ODE route ----------------------------------------------------
 
-def _H_plus(a: float, tol: float = 1e-20) -> XReal:
+def _H_plus(a: float) -> XReal:
+    tol = 1e-20
     ap = (float(a), 0.0)
     z = XReal.from_pair(dd_div_f(dd_powi(ap, 3), -9.0))
     f1 = hyp((_F13,), (_F43, _F43), z, tol=tol)
@@ -155,7 +156,8 @@ def _H_plus(a: float, tol: float = 1e-20) -> XReal:
     return XReal.from_pair(dd_add(dd_add(t1, t2), t3))
 
 
-def _H_minus(a: float, tol: float = 1e-20) -> XReal:
+def _H_minus(a: float) -> XReal:
+    tol = 1e-20
     ap = (float(a), 0.0)
     z = XReal.from_pair(dd_div_f(dd_powi(ap, 3), -9.0))
     f1 = hyp((_FM13,), (_F23, _F23), z, tol=tol)
@@ -238,18 +240,23 @@ def bigI3_from_I1(a: float, I1) -> XReal:
 
 # -- small-a generating-function route ----------------------------------------
 
-def bigI_smalla(n: int, a: float, k_max: int = 10) -> TransformResult:
+#: triples of ladder terms kept by the small-a route
+_SMALLA_TRIPLES = 10
+
+
+def bigI_smalla(n: int, a: float) -> TransformResult:
     """bigI_n(a) assembled from I_0, I_-1, I_-2, Ai, Ai' with the
-    xi/lambda derivative ladders, truncated at i = n + 3 k_max + 2.
+    xi/lambda derivative ladders, truncated after _SMALLA_TRIPLES triples
+    (at i = n + 3 _SMALLA_TRIPLES + 2).
 
     Designed for n in [1, 6] and a <= 4, where ten triples already give
-    ~1e-12; it degrades gracefully to ~1e-9 around a = 12 with k_max 18.
+    ~1e-12.
     """
     if n < 1 or n > 6:
         raise DomainError("bigI_smalla supports n in [1, 6]")
     if a <= 0.0:
         raise DomainError("bigI_smalla needs a > 0")
-    return _SmallA(a, n + 3 * k_max + 2).bigI(n, k_max)
+    return _SmallA(a, n + 3 * _SMALLA_TRIPLES + 2).bigI(n)
 
 
 class _SmallA:
@@ -269,10 +276,10 @@ class _SmallA:
             val = self._reduced[reduce, j] = self.base.eval_reduction(reduce(j))
         return val
 
-    def bigI(self, n: int, k_max: int = 10) -> TransformResult:
-        """bigI_n(a) truncated at i = n + 3 k_max + 2, which must not pass
-        the ladder's length."""
-        i_max = n + 3 * k_max + 2
+    def bigI(self, n: int) -> TransformResult:
+        """bigI_n(a) truncated at i = n + 3 _SMALLA_TRIPLES + 2, which must
+        not pass the ladder's length."""
+        i_max = n + 3 * _SMALLA_TRIPLES + 2
         xs, ls = self.xs, self.ls
         total = (0.0, 0.0)
         tail_mag = 0.0
@@ -296,17 +303,16 @@ class _SmallA:
 
 # -- route dispatch and the series pipelines ----------------------------------
 
-#: the small-a ladder length that serves every n in [1, 6] at k_max = 10
-_SMALLA_IMAX = 6 + 3 * 10 + 2
+#: the small-a ladder length that serves every n in [1, 6]
+_SMALLA_IMAX = 6 + 3 * _SMALLA_TRIPLES + 2
 
 
 class StieltjesContext:
     """Initial data and route dispatch for the per-root transforms.
 
-    Seeds bigI_1, bigI_2 at a0 = |a_1'| come from the small-a route by
-    default (keeping the whole pipeline analytic); ``seed_source='oracle'``
-    switches to quadrature values, which decouples the ODE route from the
-    expansion route when cross-validating the two.
+    Seeds bigI_1, bigI_2 at a0 = |a_1'| come from the small-a route
+    through bigI_3, bigI_4 and the exact ladder relations, so the whole
+    pipeline stays analytic.
 
     Every per-root value is computed once per context: bigI_1 and bigI_3
     are kept by root magnitude, the small-a expansion is shared by every
@@ -315,24 +321,15 @@ class StieltjesContext:
     and root.
     """
 
-    def __init__(self, roots: RootTable, seed_source: str = "small_a"):
+    def __init__(self, roots: RootTable):
         self.roots = roots
         self.a0 = float(roots[1])
         self._values = {}
         self._expansions = {}
-        if seed_source == "small_a":
-            i3 = self._smalla(3, self.a0).value
-            i4 = self._smalla(4, self.a0).value
-        elif seed_source == "oracle":
-            from .oracle import oracle_stieltjes
-
-            i3 = oracle_stieltjes("Ai", 3, self.a0).xreal
-            i4 = oracle_stieltjes("Ai", 4, self.a0).xreal
-        else:
-            raise DomainError(f"unknown seed source {seed_source!r}")
-        self.I3_a0 = i3
-        self.I4_a0 = i4
-        self.I1_a0, self.I2_a0 = bigI_relations(self.a0, i3, i4)
+        self.I3_a0 = self._smalla(3, self.a0).value
+        self.I4_a0 = self._smalla(4, self.a0).value
+        self.I1_a0, self.I2_a0 = bigI_relations(self.a0, self.I3_a0,
+                                                self.I4_a0)
 
     @cached_property
     def _anchor(self) -> tuple:
@@ -389,7 +386,7 @@ class StieltjesContext:
 
 
 def integral1_series(route: str, N: int, roots: RootTable,
-                     ctx: StieltjesContext | None = None) -> XReal:
+                     ctx: StieltjesContext) -> XReal:
     """The two plain root-series for the first integral.
 
     route 'eq3': (2/Ai'(0)) sum bigI_3(|a_n'|)/|a_n'|;
@@ -399,7 +396,6 @@ def integral1_series(route: str, N: int, roots: RootTable,
         raise DomainError("route must be 'eq3' or 'eq8'")
     if N > roots.n_max:
         raise DomainError("not enough roots tabulated")
-    ctx = ctx or StieltjesContext(roots)
     terms = []
     for n in range(1, N + 1):
         r = float(roots[n])
@@ -413,14 +409,13 @@ def integral1_series(route: str, N: int, roots: RootTable,
 
 
 def integral1_accelerated(cfg: TruncationConfig, roots: RootTable,
-                          ctx: StieltjesContext | None = None) -> XReal:
+                          ctx: StieltjesContext) -> XReal:
     """Zeta-accelerated representation of the first integral:
 
         (2/Ai'(0)) sum_{n<=N} bigI_3(r_n)/r_n
         + (1/(3 Ai'(0))) sum_{k<=n} (-1)^k (k+2)!/(3^{k/3} Gamma(k/3+1))
                                     {Z_{k+4} - Z_{k+4}(N)}.
     """
-    ctx = ctx or StieltjesContext(roots)
     head = integral1_series("eq3", cfg.N, roots, ctx)
     tail_terms = []
     for k in range(cfg.n + 1):

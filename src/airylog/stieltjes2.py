@@ -71,7 +71,7 @@ J_CLOSED_MAX = 11.0
 
 # -- hypergeometric antiderivative masters ------------------------------------
 
-def _masters(a: float, tol: float = 1e-20):
+def _masters(a: float):
     """Log-free parts of the three master antiderivative combinations
 
         M_mu(a) = Ai'(0)^2 G1_mu + Ai(0)Ai'(0) G2_mu + Ai(0)^2 G3_mu,
@@ -81,6 +81,7 @@ def _masters(a: float, tol: float = 1e-20):
     omitted logarithms carry coefficients (Ai'(0)^2, Ai(0)Ai'(0), Ai(0)^2)
     respectively.
     """
+    tol = 1e-20
     ap = (float(a), 0.0)
     z = XReal.from_pair(dd_mul_f(dd_powi(ap, 3), -4.0 / 9.0))
     a2_, aap_, ap2_ = A2.pair, AAP.pair, AP2.pair
@@ -309,12 +310,12 @@ def _bigJ_asym_coeffs(count: int) -> tuple:
                  for j in range(count))
 
 
-def bigJ_asym(a: float, max_terms: int = 40):
+def bigJ_asym(a: float):
     """Summand by the moment series
     sum_j (-1)^j [j(j+1)/2 mu_j - 2 mu_{j+3}] a^{-2-j}; ~1e-12 relative
     already at a ~ 8 and machine-level beyond 12.  Returns (value, err)
     as :func:`alternating_series` does."""
-    return alternating_series(_bigJ_asym_coeffs(max_terms), a, 2)
+    return alternating_series(_bigJ_asym_coeffs(40), a, 2)
 
 
 def J_asym(a: float, n: int, primed: bool = False) -> XReal:
@@ -363,15 +364,14 @@ def bigJ_term(k: int, roots: RootTable, sol: J1Solution) -> BigJTerm:
     return BigJTerm(k, val, dict(parts))
 
 
-def integral2_series(N: int, roots: RootTable, sol: J1Solution | None = None) -> XReal:
+def integral2_series(N: int, roots: RootTable, sol: J1Solution) -> XReal:
     """Plain partial sum (1/(3 Ai'(0)^2)) sum_{k<=N} bigJ(|a_k'|)."""
-    sol = sol or J1Solution.build(float(roots[1]))
     terms = [bigJ_term(k, roots, sol).value for k in range(1, N + 1)]
     return compensated_sum(terms) / (3 * AP2)
 
 
 def integral2_accelerated(cfg: TruncationConfig, roots: RootTable,
-                          sol: J1Solution | None = None) -> XReal:
+                          sol: J1Solution) -> XReal:
     """Zeta-accelerated second integral:
 
         (1/(3 Ai'(0)^2)) sum_{k<=N} bigJ(r_k)
@@ -379,7 +379,6 @@ def integral2_accelerated(cfg: TruncationConfig, roots: RootTable,
           sum_{k<=n} (-1)^k (k+4)(k+1)!/(12^{k/3} Gamma(k/3+13/6))
                      {Z_{k+2} - Z_{k+2}(N)}.
     """
-    sol = sol or J1Solution.build(float(roots[1]))
     head = integral2_series(cfg.N, roots, sol)
     tail_terms = []
     for k in range(cfg.n + 1):

@@ -107,8 +107,8 @@ def discrepancy_ledger() -> list:
             "t^-6 coefficient printed 181228/207360 (standard tables: 181223/207360)",
             "seed-vs-refined fits prefer 181223/207360; difference is below "
             "5e-10 for n >= 5 and immaterial after Newton refinement",
-            "coefficient is configurable; default keeps the printed value, "
-            "refinement makes the choice moot",
+            "the seed keeps the printed value; refinement makes the choice "
+            "moot, and the root.seed_t6 records compare both",
         ),
         Discrepancy(
             "I4-prime-coefficient",

@@ -22,14 +22,12 @@ from airylog.oracle import (
     AIP0_F,
     oracle_integral1,
     oracle_integral2,
-    oracle_mellin,
     oracle_stieltjes,
 )
 from airylog.results import TruncationConfig
 from airylog.roots import roots_upto
 from airylog.stieltjes1 import (
     StieltjesContext,
-    bigI_relations,
     bigI_smalla,
     bigI1_closed,
     ladder_residual,

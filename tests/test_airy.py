@@ -11,7 +11,7 @@ import random
 import pytest
 from scipy.special import airy as scipy_airy
 
-from airylog.airy import airy, airy_asym, jpair, scorer_gi
+from airylog.airy import airy, jpair, scorer_gi
 from airylog.errors import RangeError
 from airylog.kernel import BI0
 from airylog.mellin1 import I0_hyp, I0_scorer
@@ -81,8 +81,6 @@ def test_range_errors():
         airy(31.0)
     with pytest.raises(RangeError):
         scorer_gi(-1.0)
-    with pytest.raises(RangeError):
-        airy_asym(3.0)
 
 
 def test_scorer_consistency_at_zero():
@@ -122,14 +120,3 @@ def test_jpair_identities():
     assert abs(float(jp.jplus + jp.jminus) - 2 * math.sqrt(3) * float(st.ai)) < 1e-14
     assert abs(float(jp.jplus - jp.jminus) - 2 * float(st.bi)) < 1e-14
 
-
-def test_airy_asym_examples():
-    ratio = float(airy_asym(10.0, 0)) / float(airy(10.0).ai)
-    assert abs(ratio - 1.0) < 0.01
-    vals = [float(airy_asym(x, 0)) for x in (4.0, 8.0, 12.0, 16.0, 20.0)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-    # higher order shrinks the error at x = 6 by at least 5x
-    exact = float(airy(6.0).ai)
-    e0 = abs(float(airy_asym(6.0, 0)) - exact)
-    e1 = abs(float(airy_asym(6.0, 1)) - exact)
-    assert e0 / e1 >= 5.0

@@ -47,6 +47,20 @@ def test_transform_all_methods(capsys):
         assert abs(float(row["value"]) - 0.1045955174) <= 1e-7
 
 
+def test_transform_method_selects_mellin_rows(capsys):
+    def methods(method):
+        code, out = run(["transform", "--kind", "mellin-ai", "--n", "1",
+                         "--a", "2", "--method", method, "--format", "json"],
+                        capsys)
+        return code, [row["method"] for row in json.loads(out or "[]")]
+
+    assert methods("oracle") == (0, ["oracle"])
+    assert methods("closed_form") == (0, ["recurrence"])
+    assert methods("all") == (0, ["oracle", "recurrence", "family"])
+    # no small-a or asymptotic route exists for a Mellin transform
+    assert methods("small_a") == (2, [])
+    assert methods("bogus") == (2, [])
+
 def test_integral_commands(capsys, tmp_path):
     out_path = tmp_path / "i1.json"
     code = main(["integral1", "--N", "10", "--n", "3", "--route",

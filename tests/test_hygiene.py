@@ -1,7 +1,8 @@
-"""Source hygiene: every name a program module imports is used there,
-every private module-level function or class is used somewhere in the
-package, and no module imports scipy or numpy when it is imported (the
-quadrature oracle loads them on its first integral)."""
+"""Source hygiene: every name a program or test module imports is used
+there, every private module-level function or class is used somewhere in
+the package, every defaulted parameter is set by some caller in the
+package or the benchmark, and no module imports scipy or numpy when it is
+imported (the quadrature oracle loads them on its first integral)."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ from pathlib import Path
 import airylog
 
 SRC = Path(airylog.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def _unused_imports(path: Path) -> list:
@@ -27,8 +30,9 @@ def _unused_imports(path: Path) -> list:
 
 
 def test_no_unused_imports():
-    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    assert modules
+    modules = [p for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+               if p.name != "__init__.py"]
+    assert len(modules) > len(list(SRC.glob("*.py")))
     unused = [u for p in modules for u in _unused_imports(p)]
     assert not unused, unused
 
@@ -81,6 +85,79 @@ def test_no_dead_private_helpers():
     assert sources
     dead = _dead_private_definitions(sources)
     assert not dead, dead
+
+
+def _unset_defaults(defining: dict, calling: dict) -> list:
+    """Defaulted parameters of the functions in ``defining`` (name ->
+    text) that no call in ``defining`` or ``calling`` sets, by keyword or
+    by position.  Calls are matched by the called name alone; a class call
+    sets its ``__init__``'s parameters, a method call skips ``self``, and
+    a call with ``*args`` or ``**kwargs`` may set any of them."""
+    params = []  # (module, line, function name, parameter, position)
+    for module, text in defining.items():
+        def visit(node, cls=None):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, child.name)
+                elif isinstance(child, ast.FunctionDef):
+                    args = child.args
+                    pos = args.posonlyargs + args.args
+                    shift = 1 if cls and not any(
+                        getattr(d, "id", "") == "staticmethod"
+                        for d in child.decorator_list) else 0
+                    name = cls if child.name == "__init__" else child.name
+                    first = len(pos) - len(args.defaults)
+                    params.extend((module, child.lineno, name, arg.arg,
+                                   i - shift)
+                                  for i, arg in enumerate(pos) if i >= first)
+                    params.extend((module, child.lineno, name, arg.arg, None)
+                                  for arg, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults)
+                                  if d is not None)
+                    visit(child)
+        visit(ast.parse(text))
+    keywords, positional, open_calls = set(), {}, set()
+    for text in list(defining.values()) + list(calling.values()):
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if any(isinstance(a, ast.Starred) for a in node.args) \
+                    or any(k.arg is None for k in node.keywords):
+                open_calls.add(name)
+            keywords.update((name, k.arg) for k in node.keywords)
+            positional[name] = max(positional.get(name, 0), len(node.args))
+    return [f"{module}:{line} {name}({arg})"
+            for module, line, name, arg, i in params
+            if name not in open_calls and (name, arg) not in keywords
+            and (i is None or positional.get(name, 0) <= i)]
+
+
+#: reference routes that tests compare production against, and the
+#: oracle's tolerance, which ``transform --tol`` sets for two of its entries
+UNSET_DEFAULTS_ALLOWED = ("j_term(grouped)", "J_asym(primed)",
+                          "oracle_integral1(tol)", "oracle_integral2(tol)",
+                          "oracle_j_summand(tol)")
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    sample = {"a.py": "def f(x, k=1, *, t=2):\n    return g(x)\n"
+                      "def g(x, n=3, m=4):\n    return x\n"
+                      "class C:\n    def __init__(self, s=0):\n        pass\n"
+                      "    def run(self, q=5):\n        return q\n"
+                      "def h(r=6):\n    return r\n"}
+    calls = {"b.py": "import a\na.f(1, 2)\na.g(1, m=0)\na.C().run(1)\n"
+                     "a.h(*[1])\n"}
+    assert _unset_defaults(sample, calls) == [
+        "a.py:1 f(t)", "a.py:3 g(n)", "a.py:6 C(s)"]
+    defining = {p.name: p.read_text(encoding="utf-8")
+                for p in sorted(SRC.glob("*.py"))}
+    calling = {str(p): p.read_text(encoding="utf-8")
+               for p in sorted(BENCH.rglob("*.py"))}
+    assert defining and calling
+    unset = [u for u in _unset_defaults(defining, calling)
+             if u.split(" ", 1)[1] not in UNSET_DEFAULTS_ALLOWED]
+    assert not unset, unset
 
 
 #: packages only the oracle's quadrature needs, imported inside functions

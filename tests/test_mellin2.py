@@ -13,7 +13,6 @@ from airylog.mellin2 import (
     AAP,
     AP2,
     NEG_A_MAX,
-    Ai2Base,
     Jn_smalla,
     calI,
     genfunc2,

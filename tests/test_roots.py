@@ -69,7 +69,7 @@ def test_seed_vs_refined_discrepancy_decreases(table):
 
 def test_gap_spacing_sanity(table):
     # successive gaps shrink toward the asymptotic spacing
-    mags = table.magnitudes()
+    mags = [float(r) for r in table.roots]
     gaps = [b - a for a, b in zip(mags, mags[1:])]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 

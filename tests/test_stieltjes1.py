@@ -13,7 +13,6 @@ from airylog.roots import roots_upto
 from airylog.stieltjes1 import (
     StieltjesContext,
     bigI1_closed,
-    bigI3_from_I1,
     bigI_asym,
     bigI_recurrence,
     bigI_relations,
