@@ -76,6 +76,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    if args.k < 2:
+        raise DomainError("zeta sums converge only for k >= 2")
     tab = roots_upto(max(args.N, 1))
     rows = []
     for k in range(2, args.k + 1):

@@ -207,11 +207,13 @@ def dd_powi(a, n: int):
     n = abs(n)
     result = (1.0, 0.0)
     base = a
-    while n:
+    while True:
         if n & 1:
             result = dd_mul(result, base)
-        base = dd_sqr(base)
         n >>= 1
+        if not n:
+            break
+        base = dd_sqr(base)
     return dd_div((1.0, 0.0), result) if inv else result
 
 

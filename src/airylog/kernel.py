@@ -13,7 +13,8 @@ alternating series in scope have non-monotone term magnitudes, so
 termination requires three consecutive terms below tolerance.
 
 Each of these exists once: every compensated binary64 sum goes
-through :func:`compensated_sum`, every large-a moment series
+through :func:`compensated_sum` (or, for the moment series, the same
+Neumaier steps written into its loop), every large-a moment series
 (sum_m (-1)^m c_m a^(-p-m), truncated at its smallest term) through
 :func:`alternating_series`, and every exact rational polynomial
 (coefficient tuples, low power first) through the ``poly_*`` helpers.
@@ -142,15 +143,22 @@ def alternating_series(coeffs: Sequence[float], a: float,
     """sum_m (-1)^m c_m a^(-p-m), stopped before the first term larger
     than the one before it (or at the end of ``coeffs``).
 
-    Returns ``(value, err)``: the compensated sum of the kept terms, and
-    the larger of the smallest kept term (the truncation estimate of an
-    asymptotic series) and 2^-52 times the sum of the kept magnitudes
-    (the rounding of coefficients and powers held in binary64).
+    Returns ``(value, err)``: the Neumaier-compensated sum of the kept
+    terms (as :func:`compensated_sum` forms it), and the larger of the
+    smallest kept term (the truncation estimate of an asymptotic series)
+    and 2^-52 times the sum of the kept magnitudes (the rounding of
+    coefficients and powers held in binary64).
+
+    The sum also stops at the first kept term below a quarter ulp of the
+    running sum, of its compensation and of the magnitude total.  Adding
+    such a term rounds each of the three back to itself, and every later
+    kept term is no larger, so the full list would give the same bits.
+    Such a term is below 2^-54 times the magnitude total, so ``err`` is
+    then 2^-52 times that total either way.
     """
     apow = a ** float(-p)
     best = math.inf
-    kept = []
-    magnitude = 0.0
+    s = comp = magnitude = 0.0
     sign = 1.0
     for c in coeffs:
         term = c * apow * sign
@@ -158,11 +166,19 @@ def alternating_series(coeffs: Sequence[float], a: float,
         if size > best:
             break
         best = size
-        kept.append(term)
+        # 4 size < ulp(v) is size < ulp(v)/4 without underflow; the first
+        # test is implied by the last and skips the ulps while terms are large
+        quad = 4.0 * size
+        if (size < 2.0 ** -54 * magnitude and quad < math.ulp(s)
+                and quad < math.ulp(comp) and quad < math.ulp(magnitude)):
+            break
+        total = s + term
+        comp += (s - total) + term if abs(s) >= size else (term - total) + s
+        s = total
         magnitude += size
         apow /= a
         sign = -sign
-    return compensated_sum(kept), max(best, 2.0 ** -52 * magnitude)
+    return XReal(s, comp), max(best, 2.0 ** -52 * magnitude)
 
 
 # -- exact polynomials (coefficient tuples, low power first) ----------------

@@ -11,11 +11,19 @@ Newton iterates on f(r) = Ai'(-r) with the exact derivative from the Airy
 equation, f'(r) = r*Ai(-r).  Refinement is performed while the root lies
 inside the double-double series range of :func:`airylog.airy.airy`; beyond
 that the seed itself is already accurate to ~1e-12.
+
+Root n depends on n alone, so the process computes each one once: every
+:func:`roots_upto` table is a prefix of one process-wide tuple, which
+grows only when a caller asks for more roots than it holds.  Tables share
+its :class:`~airylog.ddreal.XReal` objects, so callers must not mutate
+them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +55,12 @@ def root_seed(n: int, t6: Fraction = T6_PAPER) -> float:
     t2 = 1.0 / (t * t)
     corr = 1.0 + t2 * (-7.0 / 48.0 + t2 * (35.0 / 288.0 - float(t6) * t2))
     return t ** (2.0 / 3.0) * corr
+
+
+#: Roots 1..REFINED_UPTO (13) have their seeds inside the Airy series range,
+#: with 0.5 to spare, and are Newton-refined; the seeds increase with n.
+REFINED_UPTO = next(n for n in itertools.count(1)
+                    if root_seed(n) > SERIES_MAX - 0.5) - 1
 
 
 def refine_root(seed: float) -> XReal:
@@ -83,6 +97,8 @@ class RootTable:
     Roots 1..``refined_upto`` lie inside the Airy series range and are
     Newton-refined (residual <= ``NEWTON_TOL`` relative to the derivative
     scale); larger ones carry the asymptotic seed, accurate to ~1e-12 there.
+    ``roots`` is a slice of the process-wide table: its XReals are shared
+    with every other table and must not be mutated.
     """
 
     roots: tuple
@@ -99,21 +115,36 @@ class RootTable:
         return self.roots[n - 1]
 
 
+#: Every root magnitude computed so far in this process, |a_n'| at index
+#: n - 1.  A longer tuple replaces it in one assignment and it is never
+#: changed in place, so a reader needs no lock and always sees a complete
+#: prefix; extensions hold ``_EXTEND`` so that none is lost or repeated.
+_ROOTS: tuple = ()
+_EXTEND = threading.Lock()
+
+
+def _root(n: int) -> XReal:
+    seed = root_seed(n)
+    if n > REFINED_UPTO:
+        return XReal(seed)
+    try:
+        return refine_root(seed)
+    except IterationError as exc:
+        raise IterationError(f"refinement failed at root {n}",
+                             last=exc.last) from exc
+
+
 def roots_upto(N: int) -> RootTable:
-    """Table of the first N root magnitudes, 1 <= N <= 500."""
+    """Table of the first N root magnitudes, 1 <= N <= 500, sliced from
+    the process-wide table (extended first if it holds fewer than N)."""
+    global _ROOTS
     if not 1 <= N <= 500:
         raise DomainError("roots_upto supports 1 <= N <= 500")
-    roots = []
-    refined_upto = 0
-    for n in range(1, N + 1):
-        seed = root_seed(n)
-        if seed <= SERIES_MAX - 0.5:
-            try:
-                roots.append(refine_root(seed))
-            except IterationError as exc:
-                raise IterationError(f"refinement failed at root {n}",
-                                     last=exc.last) from exc
-            refined_upto = n
-        else:
-            roots.append(XReal(seed))
-    return RootTable(tuple(roots), refined_upto)
+    roots = _ROOTS
+    if len(roots) < N:
+        with _EXTEND:
+            roots = _ROOTS
+            if len(roots) < N:
+                roots += tuple(_root(n) for n in range(len(roots) + 1, N + 1))
+                _ROOTS = roots
+    return RootTable(roots[:N], min(N, REFINED_UPTO))

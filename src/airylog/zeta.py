@@ -92,6 +92,6 @@ def zeta_incomplete(k: int, N: int, roots: RootTable) -> XReal:
     if N > roots.n_max:
         raise DomainError(f"root table holds {roots.n_max} roots, need {N}")
     acc = (0.0, 0.0)
-    for n in range(N, 0, -1):  # smallest terms first
-        acc = dd_add(acc, dd_powi(roots[n].pair, -k))
+    for r in reversed(roots.roots[:N]):  # smallest terms first
+        acc = dd_add(acc, dd_powi(r.pair, -k))
     return XReal.from_pair(acc)

@@ -37,6 +37,11 @@ def test_zeta_json(capsys):
     assert abs(data[1]["value"] - 1.0) < 1e-12
 
 
+def test_zeta_below_k2_is_a_config_error(capsys):
+    for k in ("1", "0", "-3"):
+        assert run(["zeta", "--N", "10", "--k", k], capsys) == (2, "")
+
+
 def test_transform_all_methods(capsys):
     code, out = run(["transform", "--kind", "stieltjes-ai", "--k", "3",
                      "--a", "1.0187929716", "--method", "all"], capsys)

@@ -15,6 +15,7 @@ from airylog.ddreal import (
     dd_ln,
     dd_mul,
     dd_mul_f,
+    dd_powi,
     dd_sqr,
     dd_sqrt,
     dd_sub,
@@ -206,3 +207,25 @@ def test_primitives_match_textbook_compositions_bitwise(ops):
         assert _bits(mine(*args)) == _bits(ref(*args)), (mine.__name__, args)
     if f != 0.0:
         assert _bits(dd_div_f(a, f)) == _bits(_ref_div_f(a, f)), (a, f)
+
+
+def _ref_powi(a, n):
+    """Right-to-left binary powering, squaring the base after every bit."""
+    result = (1.0, 0.0)
+    base = a
+    m = abs(n)
+    while m:
+        if m & 1:
+            result = dd_mul(result, base)
+        base = dd_sqr(base)
+        m >>= 1
+    return dd_div((1.0, 0.0), result) if n < 0 else result
+
+
+@given(st.floats(min_value=2.0 ** -10, max_value=2.0 ** 10), st.booleans(),
+       st.floats(min_value=-0.5, max_value=0.5),
+       st.integers(min_value=-40, max_value=40))
+def test_powi_matches_textbook_loop_bitwise(mag, negative, lo_ulps, n):
+    hi = -mag if negative else mag
+    a = (hi, lo_ulps * math.ulp(hi))
+    assert _bits(dd_powi(a, n)) == _bits(_ref_powi(a, n)), (a, n)

@@ -18,8 +18,9 @@ from airylog.kernel import (
     pochhammer,
 )
 from airylog.ddreal import XReal
-from airylog.stieltjes1 import bigI_asym
-from airylog.stieltjes2 import bigJ_asym
+from airylog.roots import roots_upto
+from airylog.stieltjes1 import _ai_moments, _bigI_asym_coeffs, bigI_asym
+from airylog.stieltjes2 import _bigJ_asym_coeffs, bigJ_asym
 
 
 def test_gamma_factorial():
@@ -142,6 +143,39 @@ def test_alternating_series_matches_kept_list_reference_bitwise(coeffs, a, p):
     ref_value, ref_err = _alternating_reference(coeffs, a, p)
     assert _hex(value) == _hex(ref_value)
     assert err.hex() == ref_err.hex()
+
+
+def test_alternating_series_keeps_a_term_that_rounds_its_compensation():
+    # the compensation is -2^-60, a power of two, and the third term lies
+    # between a quarter and half of its ulp: adding it moves the
+    # compensation by half an ulp, so the series must not stop there
+    coeffs = (1.0, 2.0 ** -60, 1.5 * 2.0 ** -114)
+    value, err = alternating_series(coeffs, 1.0, 0)
+    assert value.lo == -(2.0 ** -60) + 2.0 ** -113
+    ref_value, ref_err = _alternating_reference(coeffs, 1.0, 0)
+    assert (_hex(value), err.hex()) == (_hex(ref_value), ref_err.hex())
+
+
+#: The moment series the pipelines sum, as (coefficients, p).
+_PRODUCTION_SERIES = {
+    "bigI_asym_k1": (_bigI_asym_coeffs(1, 60), 1),
+    "bigI_asym_k3": (_bigI_asym_coeffs(3, 60), 3),
+    "eq8": (_ai_moments(60)[1:], 2),
+    "bigJ_asym": (_bigJ_asym_coeffs(40), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCTION_SERIES))
+def test_alternating_series_matches_reference_at_every_seed_only_root(name):
+    # the roots past the Newton-refined ones are where the pipelines sum
+    # the series, and where it stops early on negligible terms
+    coeffs, p = _PRODUCTION_SERIES[name]
+    roots = roots_upto(500)
+    for n in range(14, 501):
+        a = float(roots[n])
+        value, err = alternating_series(coeffs, a, p)
+        ref_value, ref_err = _alternating_reference(coeffs, a, p)
+        assert (_hex(value), err.hex()) == (_hex(ref_value), ref_err.hex()), n
 
 
 def test_hyp_z_zero():

@@ -1,8 +1,13 @@
 """Root table: seeds, Newton refinement, reference digits."""
 
+import sys
+import threading
+
 import pytest
 
+from airylog import roots as roots_module
 from airylog.airy import airy
+from airylog.ddreal import XReal
 from airylog.errors import DomainError
 from airylog.roots import T6_STANDARD, refine_root, root_seed, roots_upto
 
@@ -81,3 +86,69 @@ def test_domain_errors():
         roots_upto(0)
     with pytest.raises(DomainError):
         roots_upto(501)
+
+
+def _pairs(roots):
+    return [(r.hi, r.lo) for r in roots]
+
+
+def test_shared_table_grows_to_the_roots_each_request_needs(monkeypatch):
+    # from an empty process table, in an order that both grows it and
+    # slices it: each table holds exactly the roots computed one by one
+    monkeypatch.setattr(roots_module, "_ROOTS", ())
+    expected = [refine_root(root_seed(n)) if n <= 13 else XReal(root_seed(n))
+                for n in range(1, 501)]
+    for N in (14, 1, 500, 5, 13, 100):
+        tab = roots_upto(N)
+        assert tab.n_max == N
+        assert tab.refined_upto == min(N, 13)
+        assert _pairs(tab.roots) == _pairs(expected[:N]), N
+
+
+def test_tabled_roots_are_not_refined_again(monkeypatch):
+    monkeypatch.setattr(roots_module, "_ROOTS", ())
+    calls = []
+
+    def counted(seed):
+        calls.append(seed)
+        return refine_root(seed)
+
+    monkeypatch.setattr(roots_module, "refine_root", counted)
+    first = roots_upto(100)
+    assert len(calls) == 13
+    calls.clear()
+    assert _pairs(roots_upto(100).roots) == _pairs(first.roots)
+    assert _pairs(roots_upto(50).roots) == _pairs(first.roots[:50])
+    assert calls == []
+
+
+def test_concurrent_requests_extend_the_table_once(monkeypatch):
+    # more threads than cores, switching often: an extension that lost a
+    # race and overwrote a longer table, or repeated one, would show here
+    monkeypatch.setattr(roots_module, "_ROOTS", ())
+    calls = []
+
+    def counted(seed):
+        calls.append(seed)
+        return refine_root(seed)
+
+    monkeypatch.setattr(roots_module, "refine_root", counted)
+    sizes = (500, 14, 100, 3, 250, 13, 480, 60)
+    tables = {}
+    threads = [threading.Thread(target=lambda N=N: tables.update({N: roots_upto(N)}))
+               for N in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 13
+    assert len(roots_module._ROOTS) == 500
+    full = _pairs(roots_module._ROOTS)
+    assert {N: _pairs(tab.roots) for N, tab in tables.items()} == {
+        N: full[:N] for N in sizes}
