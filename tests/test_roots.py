@@ -92,10 +92,23 @@ def _pairs(roots):
     return [(r.hi, r.lo) for r in roots]
 
 
-def test_shared_table_grows_to_the_roots_each_request_needs(monkeypatch):
-    # from an empty process table, in an order that both grows it and
-    # slices it: each table holds exactly the roots computed one by one
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """An empty process table, and the seeds refine_root is called with."""
     monkeypatch.setattr(roots_module, "_ROOTS", ())
+    calls = []
+
+    def counted(seed):
+        calls.append(seed)
+        return refine_root(seed)
+
+    monkeypatch.setattr(roots_module, "refine_root", counted)
+    return calls
+
+
+def test_shared_table_grows_to_the_roots_each_request_needs(refine_calls):
+    # in an order that both grows the table and slices it: each table
+    # holds exactly the roots computed one by one
     expected = [refine_root(root_seed(n)) if n <= 13 else XReal(root_seed(n))
                 for n in range(1, 501)]
     for N in (14, 1, 500, 5, 13, 100):
@@ -103,36 +116,21 @@ def test_shared_table_grows_to_the_roots_each_request_needs(monkeypatch):
         assert tab.n_max == N
         assert tab.refined_upto == min(N, 13)
         assert _pairs(tab.roots) == _pairs(expected[:N]), N
+    assert len(refine_calls) == 13
 
 
-def test_tabled_roots_are_not_refined_again(monkeypatch):
-    monkeypatch.setattr(roots_module, "_ROOTS", ())
-    calls = []
-
-    def counted(seed):
-        calls.append(seed)
-        return refine_root(seed)
-
-    monkeypatch.setattr(roots_module, "refine_root", counted)
+def test_tabled_roots_are_not_refined_again(refine_calls):
     first = roots_upto(100)
-    assert len(calls) == 13
-    calls.clear()
+    assert len(refine_calls) == 13
+    refine_calls.clear()
     assert _pairs(roots_upto(100).roots) == _pairs(first.roots)
     assert _pairs(roots_upto(50).roots) == _pairs(first.roots[:50])
-    assert calls == []
+    assert refine_calls == []
 
 
-def test_concurrent_requests_extend_the_table_once(monkeypatch):
+def test_concurrent_requests_extend_the_table_once(refine_calls):
     # more threads than cores, switching often: an extension that lost a
     # race and overwrote a longer table, or repeated one, would show here
-    monkeypatch.setattr(roots_module, "_ROOTS", ())
-    calls = []
-
-    def counted(seed):
-        calls.append(seed)
-        return refine_root(seed)
-
-    monkeypatch.setattr(roots_module, "refine_root", counted)
     sizes = (500, 14, 100, 3, 250, 13, 480, 60)
     tables = {}
     threads = [threading.Thread(target=lambda N=N: tables.update({N: roots_upto(N)}))
@@ -147,8 +145,8 @@ def test_concurrent_requests_extend_the_table_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(calls) == 13
-    assert len(roots_module._ROOTS) == 500
+    assert len(refine_calls) == 13
     full = _pairs(roots_module._ROOTS)
+    assert len(full) == 500
     assert {N: _pairs(tab.roots) for N, tab in tables.items()} == {
         N: full[:N] for N in sizes}
