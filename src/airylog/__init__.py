@@ -34,7 +34,6 @@ from .airy import AiryState, JPair, airy, jpair, scorer_gi
 from .roots import RootTable, refine_root, root_seed, roots_upto
 from .zeta import zeta_closed, zeta_eta_poly, zeta_incomplete
 from .oracle import (
-    OracleResult,
     integrate_halfline,
     oracle_integral1,
     oracle_integral2,
@@ -78,7 +77,6 @@ from .stieltjes1 import (
     integral1_series,
 )
 from .stieltjes2 import (
-    BigJTerm,
     J1Solution,
     J_asym,
     J_recurrences,

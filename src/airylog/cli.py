@@ -17,7 +17,7 @@ from .errors import AccuracyError, ConvergenceError, DomainError, RangeError
 from .mellin1 import mellin_closed, mellin_prime
 from .mellin2 import Jn_smalla, calI, mellin2
 from .oracle import oracle_mellin, oracle_stieltjes
-from .results import TruncationConfig
+from .results import Record, TruncationConfig
 from .roots import NEWTON_TOL, roots_upto
 from .stieltjes1 import (
     StieltjesContext,
@@ -30,10 +30,6 @@ from .stieltjes2 import J1Solution, integral2_accelerated, integral2_series, sol
 from .validate import run_validation
 from .zeta import zeta_closed, zeta_incomplete
 
-COLUMNS = ("id", "method", "value", "err_est", "paper_value", "deviation",
-           "provenance")
-
-
 def _fmt(v):
     if v is None:
         return ""
@@ -42,16 +38,17 @@ def _fmt(v):
     return str(v)
 
 
-def _emit(rows, fmt: str, out_path: str | None):
-    """Rows are dicts with the COLUMNS schema (extra keys preserved in
-    JSON).  CSV uses fixed 12-significant-digit decimals; JSON keeps
+def _emit(records, fmt: str, out_path: str | None):
+    """Print a command's Records, one row each (every command has at
+    least one).  CSV uses fixed 12-significant-digit decimals; JSON keeps
     shortest round-trip floats."""
+    rows = [r.row() for r in records]
     if fmt == "json":
-        text = json.dumps(rows, indent=2, default=float) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        keys = list(rows[0].keys()) if rows else list(COLUMNS)
+        keys = list(rows[0])
         writer.writerow(keys)
         for row in rows:
             writer.writerow([_fmt(row.get(k)) for k in keys])
@@ -65,12 +62,9 @@ def _emit(rows, fmt: str, out_path: str | None):
 
 def cmd_roots(args) -> int:
     tab = roots_upto(args.N)
-    rows = [
-        {"id": f"root.{n}", "method": "newton" if n <= tab.refined_upto else "seed",
-         "value": float(tab[n]), "err_est": NEWTON_TOL,
-         "paper_value": None, "deviation": None, "provenance": "airy-prime-zero"}
-        for n in range(1, args.N + 1)
-    ]
+    rows = [Record(f"root.{n}", "newton" if n <= tab.refined_upto else "seed",
+                   float(tab[n]), NEWTON_TOL, provenance="airy-prime-zero")
+            for n in range(1, args.N + 1)]
     _emit(rows, args.format, args.out)
     return 0
 
@@ -83,10 +77,9 @@ def cmd_zeta(args) -> int:
     for k in range(2, args.k + 1):
         closed = float(zeta_closed(k))
         inc = float(zeta_incomplete(k, args.N, tab))
-        rows.append({"id": f"zeta.{k}", "method": "series-division",
-                     "value": closed, "err_est": 1e-15 * abs(closed),
-                     "paper_value": None, "deviation": closed - inc,
-                     "provenance": f"incomplete N={args.N}: {inc:.12g}"})
+        rows.append(Record(f"zeta.{k}", "series-division", closed,
+                           1e-15 * abs(closed), deviation=closed - inc,
+                           provenance=f"incomplete N={args.N}: {inc:.12g}"))
     _emit(rows, args.format, args.out)
     return 0
 
@@ -104,9 +97,6 @@ _TRANSFORMS = {
 
 
 def cmd_transform(args) -> int:
-    if args.kind not in _TRANSFORMS:
-        print(f"unknown kind {args.kind}", file=sys.stderr)
-        return 2
     if not 1e-14 <= args.tol <= 1e-6:
         print("--tol must lie in [1e-14, 1e-6]", file=sys.stderr)
         return 2
@@ -116,69 +106,51 @@ def cmd_transform(args) -> int:
         print("need --k (stieltjes) or --n (mellin)", file=sys.stderr)
         return 2
     a = args.a
-    rows = []
-
-    def add(method, value, err):
-        rows.append({"id": f"{args.kind}.{idx}.a{a:g}", "method": method,
-                     "value": float(value), "err_est": err,
-                     "paper_value": None, "deviation": None,
-                     "provenance": "transform"})
+    results = []
+    add = results.append
 
     methods = args.method
     if family == "stieltjes":
         if methods in ("all", "oracle"):
-            orc = oracle_stieltjes(weight, idx, a, tol=args.tol)
-            add("oracle", orc.value, orc.abs_err_est)
+            add(oracle_stieltjes(weight, idx, a, tol=args.tol))
         if weight == "Ai":
             if methods in ("all", "small_a") and a <= 4.0 and 1 <= idx <= 6:
-                r = bigI_smalla(idx, a)
-                add(r.method, r.value, r.err_est)
+                add(bigI_smalla(idx, a))
             if methods in ("all", "closed_form") and idx == 1 and a <= 13.0:
-                r = StieltjesContext(roots_upto(1)).bigI1_closed(a)
-                add(r.method, r.value, r.err_est)
+                add(StieltjesContext(roots_upto(1)).bigI1_closed(a))
             if methods in ("all", "asymptotic") and a > 8.0:
-                r = bigI_asym(idx, a)
-                add(r.method, r.value, r.err_est)
+                add(bigI_asym(idx, a))
         elif weight == "Ai2" and idx == 1 and methods in ("all", "closed_form") \
                 and 0.2 <= a <= 13.0:
             sol = J1Solution.build(float(roots_upto(1)[1]))
-            r = solve_J1(a, sol)
-            add(r.method, r.value, r.err_est)
+            add(solve_J1(a, sol))
         if weight == "Ai2" and 1 <= idx <= 6 and a <= 4.0 \
                 and methods in ("all", "small_a"):
-            r = Jn_smalla(idx, a)
-            add(r.method, r.value, r.err_est)
+            add(Jn_smalla(idx, a))
     else:
         if methods in ("all", "oracle"):
-            orc = oracle_mellin(weight, idx, a, tol=args.tol)
-            add("oracle", orc.value, orc.abs_err_est)
+            add(oracle_mellin(weight, idx, a, tol=args.tol))
         if methods in ("all", "closed_form"):
             if weight == "Ai":
-                r = mellin_closed(idx, a)
-                add(r.method, r.value, r.err_est)
+                add(mellin_closed(idx, a))
                 if idx >= 0 and methods == "all":
-                    r = mellin_closed(idx, a, method="family")
-                    add(r.method, r.value, r.err_est)
+                    add(mellin_closed(idx, a, method="family"))
             elif weight == "AiP":
-                r = mellin_prime(idx, a)
-                add(r.method, r.value, r.err_est)
+                add(mellin_prime(idx, a))
             elif weight == "AiAiP":
-                r = calI(idx, a)
-                add(r.method, r.value, r.err_est)
+                add(calI(idx, a))
                 if idx >= 0 and methods == "all":
-                    r = calI(idx, a, method="bform")
-                    add(r.method, r.value, r.err_est)
+                    add(calI(idx, a, method="bform"))
             else:
-                r = mellin2(idx, a, primed=(weight == "AiP2"))
-                add(r.method, r.value, r.err_est)
-    if not rows:
+                add(mellin2(idx, a, primed=(weight == "AiP2")))
+    if not results:
         print("no route available for this argument range", file=sys.stderr)
         return 2
-    vals = [r["value"] for r in rows]
+    vals = [float(r) for r in results]
     spread = max(vals) - min(vals)
-    for r in rows:
-        r["deviation"] = spread
-    _emit(rows, args.format, args.out)
+    _emit([Record(f"{args.kind}.{idx}.a{a:g}", r.method, v, r.err_est,
+                  deviation=spread, provenance="transform")
+           for r, v in zip(results, vals)], args.format, args.out)
     return 0
 
 
@@ -188,21 +160,16 @@ def cmd_integral1(args) -> int:
     rows = []
     if args.route in ("accelerated", "all"):
         v = integral1_accelerated(TruncationConfig(args.N, args.n), roots, ctx)
-        rows.append({"id": f"integral1.accelerated.N{args.N}n{args.n}",
-                     "method": "zeta-accelerated", "value": float(v),
-                     "err_est": None, "paper_value": -0.8140073597,
-                     "deviation": float(v) + 0.8140073597,
-                     "provenance": "printed value"})
-    if args.route in ("eq3", "all"):
-        v = integral1_series("eq3", args.N, roots, ctx)
-        rows.append({"id": f"integral1.eq3.N{args.N}", "method": "root-series",
-                     "value": float(v), "err_est": None, "paper_value": None,
-                     "deviation": None, "provenance": "partial sum"})
-    if args.route in ("eq8", "all"):
-        v = integral1_series("eq8", args.N, roots, ctx)
-        rows.append({"id": f"integral1.eq8.N{args.N}", "method": "root-series",
-                     "value": float(v), "err_est": None, "paper_value": None,
-                     "deviation": None, "provenance": "partial sum"})
+        rows.append(Record(f"integral1.accelerated.N{args.N}n{args.n}",
+                           "zeta-accelerated", float(v),
+                           paper_value=-0.8140073597,
+                           deviation=float(v) + 0.8140073597,
+                           provenance="printed value"))
+    for route in ("eq3", "eq8"):
+        if args.route in (route, "all"):
+            v = integral1_series(route, args.N, roots, ctx)
+            rows.append(Record(f"integral1.{route}.N{args.N}", "root-series",
+                               float(v), provenance="partial sum"))
     _emit(rows, args.format, args.out)
     return 0
 
@@ -213,32 +180,19 @@ def cmd_integral2(args) -> int:
     v = integral2_accelerated(TruncationConfig(args.N, args.n), roots, sol)
     s = integral2_series(args.N, roots, sol)
     rows = [
-        {"id": f"integral2.accelerated.N{args.N}n{args.n}",
-         "method": "zeta-accelerated", "value": float(v), "err_est": None,
-         "paper_value": -0.2636317121, "deviation": float(v) + 0.2636317121,
-         "provenance": "printed value"},
-        {"id": f"integral2.partial.N{args.N}", "method": "root-series",
-         "value": float(s), "err_est": None, "paper_value": None,
-         "deviation": None, "provenance": "partial sum"},
+        Record(f"integral2.accelerated.N{args.N}n{args.n}", "zeta-accelerated",
+               float(v), paper_value=-0.2636317121,
+               deviation=float(v) + 0.2636317121, provenance="printed value"),
+        Record(f"integral2.partial.N{args.N}", "root-series", float(s),
+               provenance="partial sum"),
     ]
     _emit(rows, args.format, args.out)
     return 0
 
 
-def _records_to_rows(records):
-    return [
-        {"id": r.id, "method": r.method, "value": r.value,
-         "err_est": r.err_est, "paper_value": r.paper_value,
-         "deviation": r.deviation, "provenance": r.provenance,
-         "status": r.status}
-        for r in records
-    ]
-
-
 def cmd_validate(args) -> int:
     records, _ = run_validation()
-    rows = _records_to_rows(records)
-    _emit(rows, args.format, args.out)
+    _emit(records, args.format, args.out)
     bad = [r for r in records if r.status != "pass"]
     for r in bad:
         print(f"{r.status.upper()}: {r.id} deviation {r.deviation:.3e} "
@@ -248,16 +202,14 @@ def cmd_validate(args) -> int:
 
 def cmd_report(args) -> int:
     records, ledger = run_validation()
-    rows = _records_to_rows(records)
     disc_rows = [
-        {"id": d.id, "method": "adjudication", "value": None, "err_est": None,
-         "paper_value": None, "deviation": None,
-         "provenance": f"{d.location} | printed: {d.printed} | "
-                       f"adjudicated: {d.adjudicated} | resolution: {d.resolution}",
-         "status": "discrepancy-logged"}
+        Record(d.id, "adjudication", None,
+               provenance=f"{d.location} | printed: {d.printed} | "
+                          f"adjudicated: {d.adjudicated} | resolution: {d.resolution}",
+               status="discrepancy-logged")
         for d in ledger
     ]
-    _emit(rows + disc_rows, args.format, args.out)
+    _emit(records + disc_rows, args.format, args.out)
     return 1 if any(r.status != "pass" for r in records) else 0
 
 

@@ -364,7 +364,8 @@ def eval_laurent_dd(d: dict, a_pair):
 
 
 class BaseValues:
-    """I_0, I_{-1}, I_{-2}, Ai, Ai' at a fixed a > 0, computed once."""
+    """I_0, I_{-1}, I_{-2}, Ai, Ai' at a fixed a > 0, computed once;
+    a <= 0 raises :class:`DomainError` (from :func:`Im1_hyp`)."""
 
     def __init__(self, a: float, tol: float = 1e-28):
         self.a = float(a)
@@ -373,8 +374,8 @@ class BaseValues:
         self.ai = st.ai.pair
         self.aip = st.aip.pair
         self.I0 = I0_hyp(a, tol).pair
-        self.Im1 = Im1_hyp(a, tol).pair if a > 0 else None
-        self.Im2 = Im2_hyp(a, tol).pair if a > 0 else None
+        self.Im1 = Im1_hyp(a, tol).pair
+        self.Im2 = Im2_hyp(a, tol).pair
 
     def eval_reduction(self, red: Reduction):
         acc = (0.0, 0.0)

@@ -21,12 +21,12 @@ Everything here is pure; results are deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from .errors import AccuracyError, DomainError
 from .ddreal import XReal
+from .results import TransformResult
 
 DEFAULT_SPLIT = 20.0
 DEFAULT_TOL = 1e-12
@@ -54,28 +54,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """A quadrature value with a conservative error bound."""
-
-    value: float
-    abs_err_est: float
-    subdivisions: int
-
-    def __float__(self):
-        return self.value
-
-    @property
-    def xreal(self) -> XReal:
-        return XReal(self.value)
-
-
 def integrate_halfline(
     f: Callable[[float], float],
     split: float = DEFAULT_SPLIT,
     tol: float = DEFAULT_TOL,
     breakpoints: tuple = (),
-) -> OracleResult:
+) -> TransformResult:
     """Integrate f over [0, inf): adaptive GK on [0, split] (honouring
     interior breakpoints), sinh-transformed tail beyond.
 
@@ -83,7 +67,8 @@ def integrate_halfline(
     ``split``; Airy-weighted integrands decay exponentially and the tail
     panel converges in a handful of subdivisions.  Raises
     :class:`AccuracyError` if the combined error estimate exceeds ``tol``
-    by more than two orders of magnitude.
+    by more than two orders of magnitude.  The result's ``subdivisions``
+    counts the subintervals of all panels.
     """
     quad = _scipy()[0]
     pts = sorted({p for p in breakpoints if 0.0 < p < split})
@@ -110,10 +95,10 @@ def integrate_halfline(
     if err > 100.0 * tol * max(1.0, abs(total)):
         raise AccuracyError("halfline quadrature missed tolerance",
                             best=total, err_est=err)
-    return OracleResult(total, err, neval)
+    return TransformResult(XReal(total), "oracle", err, neval)
 
 
-def oracle_integral1(tol: float = DEFAULT_TOL) -> OracleResult:
+def oracle_integral1(tol: float = DEFAULT_TOL) -> TransformResult:
     """First log-Airy integral by direct quadrature.
 
     Integrand (Ai'(x)/Ai'(0)) * ln(Ai'(x)/Ai'(0)); the ratio is positive
@@ -131,7 +116,7 @@ def oracle_integral1(tol: float = DEFAULT_TOL) -> OracleResult:
     return integrate_halfline(f, split=25.0, tol=tol, breakpoints=(1.0, 5.0, 12.0))
 
 
-def oracle_integral2(tol: float = DEFAULT_TOL) -> OracleResult:
+def oracle_integral2(tol: float = DEFAULT_TOL) -> TransformResult:
     """Second log-Airy integral (squared ratio weight)."""
     airy = _scipy()[1]
     aip0 = airy(0.0)[1]
@@ -155,7 +140,7 @@ _STIELTJES_WEIGHTS = {
 
 
 def oracle_stieltjes(kind: str, k: int, a: float,
-                     tol: float = DEFAULT_TOL) -> OracleResult:
+                     tol: float = DEFAULT_TOL) -> TransformResult:
     """integral_0^inf w(x)/(x+a)^k dx for w in {Ai, Ai2, AiP2, AiAiP}."""
     if a <= 0.0:
         raise DomainError("oracle_stieltjes needs a > 0")
@@ -172,7 +157,7 @@ _MELLIN_WEIGHTS = dict(_STIELTJES_WEIGHTS, AiP=lambda s: s[1])
 
 
 def oracle_mellin(kind: str, n: int, a: float,
-                  tol: float = DEFAULT_TOL) -> OracleResult:
+                  tol: float = DEFAULT_TOL) -> TransformResult:
     """integral_a^inf x^n w(x) dx for w in {Ai, AiP, Ai2, AiP2, AiAiP}."""
     if a < 0.0 or (a == 0.0 and n <= -1):
         raise DomainError("integrand singular at 0 for n <= -1 unless a > 0")
@@ -187,7 +172,7 @@ def oracle_mellin(kind: str, n: int, a: float,
     return integrate_halfline(g, split=split - a, tol=tol, breakpoints=pts)
 
 
-def oracle_j_summand(a: float, tol: float = DEFAULT_TOL) -> OracleResult:
+def oracle_j_summand(a: float, tol: float = DEFAULT_TOL) -> TransformResult:
     """The per-root summand of the second pipeline by direct quadrature:
 
         (1/a) * int_0^inf x/(x+a) [2 Ai Ai' + x Ai'^2 - x^2 Ai^2] dx.

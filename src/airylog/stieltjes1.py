@@ -382,7 +382,8 @@ class StieltjesContext:
         if a > CLOSED_MAX:
             # 1/(3a) - bigI_1(a) without the cancelling leading term
             return alternating_series(_ai_moments(60)[1:], a, 2)[0]
-        return XReal(1.0 / (3.0 * a)) - self.bigI1(a).value
+        i1 = self.bigI1(a).value  # raises DomainError for a <= 0
+        return XReal(1.0 / (3.0 * a)) - i1
 
 
 def integral1_series(route: str, N: int, roots: RootTable,

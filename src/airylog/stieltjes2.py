@@ -135,25 +135,23 @@ def _delta_u(masters_a, masters_a0, dlog: XReal):
 
 def constants_c(a0: float, J1, J2, J3, simplified: bool = False):
     """Integration constants of the J_1 solution from initial data
-    (J_1, J_2, J_3) at a0.
+    (J_1, J_2, J_3) at a0, as XReal values.
 
     ``simplified=True`` uses the at-root forms (valid when a0 is a zero
     of Ai', where Ai(-a0)Bi'(-a0) = 1/pi); both must agree there.
     """
     st = airy(-a0)
     ai, aip, bi, bip = st.ai, st.aip, st.bi, st.bip
-    J1x, J2x, J3x = (v if isinstance(v, XReal) else XReal(float(v))
-                     for v in (J1, J2, J3))
     if simplified:
-        j13 = a0 * J1x + J3x
-        c1 = j13 * bi * bi + (J1x * bip - J2x * bi) * bip
+        j13 = a0 * J1 + J3
+        c1 = j13 * bi * bi + (J1 * bip - J2 * bi) * bip
         c2 = j13 * ai * ai
-        c3 = -2 * j13 * ai * bi + J2x / PI
+        c3 = -2 * j13 * ai * bi + J2 / PI
         return c1, c2, c3
-    c1 = J1x * (a0 * bi * bi + bip * bip) - J2x * bi * bip + J3x * bi * bi
-    c2 = J1x * (a0 * ai * ai + aip * aip) - J2x * ai * aip + J3x * ai * ai
-    c3 = (-2 * J1x * (a0 * ai * bi + aip * bip)
-          + J2x * (ai * bip + aip * bi) - 2 * J3x * ai * bi)
+    c1 = J1 * (a0 * bi * bi + bip * bip) - J2 * bi * bip + J3 * bi * bi
+    c2 = J1 * (a0 * ai * ai + aip * aip) - J2 * ai * aip + J3 * ai * ai
+    c3 = (-2 * J1 * (a0 * ai * bi + aip * bip)
+          + J2 * (ai * bip + aip * bi) - 2 * J3 * ai * bi)
     return c1, c2, c3
 
 
@@ -180,7 +178,7 @@ class J1Solution:
         if seed_source == "oracle":
             from .oracle import oracle_stieltjes
 
-            seeds = [oracle_stieltjes("Ai2", n, a0).xreal for n in (1, 2, 3)]
+            seeds = [oracle_stieltjes("Ai2", n, a0).value for n in (1, 2, 3)]
         elif seed_source == "small_a":
             from .mellin2 import Jn_smalla
 
@@ -195,17 +193,13 @@ class J1Solution:
                                       dd_ln((self.a0, 0.0))))
         return _delta_u(_masters(a), self.masters_a0, dlog)
 
-    def summand(self, a: float) -> tuple:
-        """(value, parts) of the summand at root magnitude a: closed form
-        up to J_CLOSED_MAX, moment series beyond."""
+    def summand(self, a: float) -> XReal:
+        """The summand at root magnitude a: closed form up to
+        J_CLOSED_MAX, moment series beyond."""
         hit = self._summands.get(a)
         if hit is None:
-            if a <= J_CLOSED_MAX:
-                hit = (bigJ_closed(a, self), {"route": "closed_form"})
-            else:
-                val, err = bigJ_asym(a)
-                hit = (val, {"route": "asymptotic", "err": err})
-            self._summands[a] = hit
+            hit = self._summands[a] = (bigJ_closed(a, self) if a <= J_CLOSED_MAX
+                                       else bigJ_asym(a).value)
         return hit
 
 
@@ -256,15 +250,6 @@ def d_coefficients(a: float):
     return -k_box, -k_ii, k_i
 
 
-@dataclass(frozen=True)
-class BigJTerm:
-    """One root's contribution to the second-integral sum."""
-
-    k: int
-    value: XReal
-    parts: dict
-
-
 def j_term(a: float, sol: J1Solution, grouped: bool = False) -> XReal:
     """The bracket combination j(a) = 2a^2 J_1 - J_2 + a J_3 (that exact
     identity is oracle-tested).  ``grouped=True`` evaluates through the
@@ -310,12 +295,13 @@ def _bigJ_asym_coeffs(count: int) -> tuple:
                  for j in range(count))
 
 
-def bigJ_asym(a: float):
+def bigJ_asym(a: float) -> TransformResult:
     """Summand by the moment series
     sum_j (-1)^j [j(j+1)/2 mu_j - 2 mu_{j+3}] a^{-2-j}; ~1e-12 relative
-    already at a ~ 8 and machine-level beyond 12.  Returns (value, err)
-    as :func:`alternating_series` does."""
-    return alternating_series(_bigJ_asym_coeffs(40), a, 2)
+    already at a ~ 8 and machine-level beyond 12 (see
+    :func:`alternating_series` for the error estimate)."""
+    val, err = alternating_series(_bigJ_asym_coeffs(40), a, 2)
+    return TransformResult(val, "asymptotic", err)
 
 
 def J_asym(a: float, n: int, primed: bool = False) -> XReal:
@@ -357,16 +343,15 @@ def J_recurrences(n: int, a: float, J, Jp) -> dict:
 
 # -- pipeline --------------------------------------------------------------------
 
-def bigJ_term(k: int, roots: RootTable, sol: J1Solution) -> BigJTerm:
+def bigJ_term(k: int, roots: RootTable, sol: J1Solution) -> XReal:
     """Summand at the k-th root; closed form for magnitudes <= 11,
     moment series beyond (both ~1e-11 in the overlap)."""
-    val, parts = sol.summand(float(roots[k]))
-    return BigJTerm(k, val, dict(parts))
+    return sol.summand(float(roots[k]))
 
 
 def integral2_series(N: int, roots: RootTable, sol: J1Solution) -> XReal:
     """Plain partial sum (1/(3 Ai'(0)^2)) sum_{k<=N} bigJ(|a_k'|)."""
-    terms = [bigJ_term(k, roots, sol).value for k in range(1, N + 1)]
+    terms = [bigJ_term(k, roots, sol) for k in range(1, N + 1)]
     return compensated_sum(terms) / (3 * AP2)
 
 

@@ -13,7 +13,7 @@ nonzero so the condition is visible).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .airy import airy
@@ -26,7 +26,7 @@ from .oracle import (
     oracle_mellin,
     oracle_stieltjes,
 )
-from .results import TruncationConfig
+from .results import Record, TruncationConfig
 from .roots import T6_PAPER, T6_STANDARD, root_seed, roots_upto
 from .stieltjes1 import (
     StieltjesContext,
@@ -55,23 +55,6 @@ TABLE1 = (
 )
 
 
-@dataclass
-class ValidationRecord:
-    id: str
-    method: str
-    value: float
-    err_est: float
-    paper_value: float | None
-    deviation: float
-    tol: float
-    provenance: str
-    status: str = field(default="")
-
-    def __post_init__(self):
-        if not self.status:
-            self.status = "pass" if abs(self.deviation) <= self.tol else "fail"
-
-
 @dataclass(frozen=True)
 class Discrepancy:
     id: str
@@ -84,7 +67,7 @@ class Discrepancy:
 def discrepancy_ledger() -> list:
     """The catalogued print inconsistencies, each resolved by the oracle
     or by exact re-derivation (values quoted to the digits that matter)."""
-    i1_true = oracle_stieltjes("Ai", 1, TABLE1[0]).value
+    i1_true = float(oracle_stieltjes("Ai", 1, TABLE1[0]))
     return [
         Discrepancy(
             "I1-at-first-root-double-value",
@@ -228,12 +211,14 @@ def discrepancy_ledger() -> list:
 
 
 def _rec(id_, method, value, ref, tol, provenance, err=0.0,
-         status="") -> ValidationRecord:
+         status="") -> Record:
+    """A check's row; unless given, its status is pass when the deviation
+    from ``ref`` is within ``tol``, fail otherwise."""
     value = float(value)
     ref_f = None if ref is None else float(ref)
     dev = 0.0 if ref_f is None else value - ref_f
-    return ValidationRecord(id_, method, value, err, ref_f, dev, tol,
-                            provenance, status)
+    return Record(id_, method, value, err, ref_f, dev, provenance,
+                  status or ("pass" if abs(dev) <= tol else "fail"), tol)
 
 
 def check_roots(records: list, roots) -> None:
@@ -268,9 +253,9 @@ def check_zeta(records: list, roots) -> None:
 
 def check_headline_oracle(records: list, r1, r2) -> None:
     records.append(_rec("oracle.integral1", "quadrature", r1.value,
-                        -0.81400778, 5e-8, "printed headline", r1.abs_err_est))
+                        -0.81400778, 5e-8, "printed headline", r1.err_est))
     records.append(_rec("oracle.integral2", "quadrature", r2.value,
-                        -0.2636317105, 5e-9, "printed headline", r2.abs_err_est))
+                        -0.2636317105, 5e-9, "printed headline", r2.err_est))
 
 
 def check_series1(records: list, roots, ctx, oracle: float) -> None:
@@ -373,7 +358,7 @@ def check_cross_routes(records: list, ctx, sol, stieltjes) -> None:
     # closed-form vs moment-series overlap for the summand
     for a in (9.5354490524, 10.5276603970):
         c = float(bigJ_closed(a, sol))
-        m = float(bigJ_asym(a)[0])
+        m = float(bigJ_asym(a))
         records.append(_rec(f"bigJ.route_overlap.a{a:.3f}", "closed/asym",
                             c, m, 1e-9, "route agreement"))
 
@@ -398,8 +383,8 @@ def check_residuals(records: list, ctx, sol, stieltjes) -> None:
                             res / scale, 0.0, 1e-9, "Mellin ladder"))
     # integration-by-parts relations with oracle values
     for n, a in [(1, 1.0), (2, 2.0)]:
-        J = {m: stieltjes("Ai2", m, a).value for m in range(max(0, n - 1), n + 4)}
-        Jp = {m: stieltjes("AiP2", m, a).value for m in range(n, n + 2)}
+        J = {m: float(stieltjes("Ai2", m, a)) for m in range(max(0, n - 1), n + 4)}
+        Jp = {m: float(stieltjes("AiP2", m, a)) for m in range(n, n + 2)}
         res = J_recurrences(n, a, J, Jp)
         for name, r in res.items():
             records.append(_rec(f"residual.{name}.n{n}.a{a:g}",
@@ -482,10 +467,10 @@ def run_validation():
     oracle1 = oracle_integral1()
     oracle2 = oracle_integral2()
     check_headline_oracle(records, oracle1, oracle2)
-    check_series1(records, roots, ctx, oracle1.value)
+    check_series1(records, roots, ctx, float(oracle1))
     check_smalla_values(records, ctx, stieltjes)
     check_J_values(records, ctx.a0)
-    check_series2(records, roots, sol, oracle2.value)
+    check_series2(records, roots, sol, float(oracle2))
     check_cross_routes(records, ctx, sol, stieltjes)
     check_residuals(records, ctx, sol, stieltjes)
     check_polynomials(records)

@@ -133,7 +133,7 @@ def test_criterion_04_accelerated_vs_oracle(roots, ctx):
     4.4e-7 (0.80 of its bound), see discrepancy
     'accelerated-first-integral-accuracy'."""
     orc = oracle_integral1()
-    slack = orc.abs_err_est + 1e-15
+    slack = orc.err_est + 1e-15
     gaps, ratios = {}, {}
     bounded = True
     for N, n_max in ((10, 8), (20, 6)):

@@ -30,7 +30,7 @@ for argv in (["roots", "--N", "5"], ["zeta", "--N", "20", "--k", "4"],
                       sorted({"scipy", "numpy"} & set(sys.modules))]
 
 from airylog.oracle import oracle_mellin
-value = oracle_mellin("AiAiP", -1, 1.0).value
+value = float(oracle_mellin("AiAiP", -1, 1.0))
 state["oracle_mellin"] = [repr(value), "scipy" in sys.modules]
 
 import scipy.special

@@ -160,6 +160,36 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     assert not unset, unset
 
 
+def _value_dataclasses(source: str, name: str) -> list:
+    """Classes decorated with ``dataclass`` that declare a ``value``
+    field."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = {getattr(getattr(d, "func", d), "id", None)
+                      for d in node.decorator_list}
+        fields = {stmt.target.id for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)}
+        if "dataclass" in decorators and "value" in fields:
+            out.append(f"{name}:{node.lineno} {node.name}")
+    return out
+
+
+def test_value_carrying_dataclasses_live_in_results():
+    # every computed or printed number travels as a TransformResult or a
+    # Record; a new result shape belongs beside them or not at all
+    sample = ("@dataclass(frozen=True)\nclass A:\n    value: float\n"
+              "@dataclass\nclass B:\n    k: int\n"
+              "class C:\n    value: float\n")
+    assert _value_dataclasses(sample, "s") == ["s:2 A"]
+    found = [c for p in sorted(SRC.glob("*.py"))
+             for c in _value_dataclasses(p.read_text(encoding="utf-8"), p.name)]
+    assert found
+    assert all(c.startswith("results.py:") for c in found), found
+
+
 #: packages only the oracle's quadrature needs, imported inside functions
 LAZY = ("scipy", "numpy")
 

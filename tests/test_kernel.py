@@ -260,10 +260,7 @@ def test_alternating_series_error_estimate_is_honest():
     # true error and overstates it by less than four orders of magnitude,
     # from the truncation-dominated a ~ 11 to the rounding-dominated a = 40
     for (k, a), ref in _ASYM_REFERENCES.items():
-        if k == "J":
-            value, err = bigJ_asym(a)
-        else:
-            res = bigI_asym(k, a)
-            value, err = res.value, res.err_est
+        res = bigJ_asym(a) if k == "J" else bigI_asym(k, a)
+        value, err = res.value, res.err_est
         actual = float(abs(Fraction(value.hi) + Fraction(value.lo) - Fraction(ref)))
         assert actual <= err <= 1e4 * actual, (k, a, actual, err)

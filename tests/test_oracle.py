@@ -21,7 +21,7 @@ AIP0 = scipy_airy(0.0)[1]
 def test_airy_normalisation():
     res = integrate_halfline(lambda x: scipy_airy(x)[0])
     assert abs(res.value - 1.0 / 3.0) <= 1e-12
-    assert res.abs_err_est < 1e-10
+    assert res.err_est < 1e-10
 
 
 def test_exponential():
@@ -92,7 +92,7 @@ def test_halving_tol_within_err_est():
     for kind, k, a in (("Ai", 3, 2.0), ("Ai2", 1, 1.0)):
         loose = oracle_stieltjes(kind, k, a, tol=1e-8)
         tight = oracle_stieltjes(kind, k, a, tol=5e-9)
-        assert abs(loose.value - tight.value) <= 2 * max(loose.abs_err_est, 1e-15)
+        assert abs(loose.value - tight.value) <= 2 * max(loose.err_est, 1e-15)
 
 
 def test_j_summand_value():

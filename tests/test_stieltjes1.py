@@ -211,3 +211,12 @@ def test_domain_errors(ctx, roots):
         bigI1_closed(14.0, 1.0, 0.2, 0.14)
     with pytest.raises(DomainError):
         TruncationConfig(0, 3)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0])
+def test_context_routes_reject_nonpositive_a(ctx, a):
+    # these reached the small-a route's base values with I_{-1}, I_{-2}
+    # missing and raised TypeError or ZeroDivisionError
+    for route in (ctx.bigI1, ctx.bigI3, ctx.eq8_term):
+        with pytest.raises(DomainError):
+            route(a)
