@@ -25,7 +25,6 @@ from .kernel import (
     ETA,
     HypSeries,
     compensated_sum,
-    gamma,
     hyp,
     hyp_pfq,
     pochhammer,

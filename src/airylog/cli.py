@@ -20,6 +20,8 @@ from .oracle import oracle_mellin, oracle_stieltjes
 from .results import Record, TruncationConfig
 from .roots import NEWTON_TOL, roots_upto
 from .stieltjes1 import (
+    CLOSED_MAX,
+    SMALLA_MAX,
     StieltjesContext,
     bigI_asym,
     bigI_smalla,
@@ -101,9 +103,10 @@ def cmd_transform(args) -> int:
         print("--tol must lie in [1e-14, 1e-6]", file=sys.stderr)
         return 2
     weight, family = _TRANSFORMS[args.kind]
-    idx = args.k if args.k is not None else args.n
-    if idx is None:
-        print("need --k (stieltjes) or --n (mellin)", file=sys.stderr)
+    flag, other = ("k", "n") if family == "stieltjes" else ("n", "k")
+    idx = getattr(args, flag)
+    if idx is None or getattr(args, other) is not None:
+        print(f"{family} kinds take --{flag} and not --{other}", file=sys.stderr)
         return 2
     a = args.a
     results = []
@@ -114,9 +117,9 @@ def cmd_transform(args) -> int:
         if methods in ("all", "oracle"):
             add(oracle_stieltjes(weight, idx, a, tol=args.tol))
         if weight == "Ai":
-            if methods in ("all", "small_a") and a <= 4.0 and 1 <= idx <= 6:
+            if methods in ("all", "small_a") and a <= SMALLA_MAX and 1 <= idx <= 6:
                 add(bigI_smalla(idx, a))
-            if methods in ("all", "closed_form") and idx == 1 and a <= 13.0:
+            if methods in ("all", "closed_form") and idx == 1 and a <= CLOSED_MAX:
                 add(StieltjesContext(roots_upto(1)).bigI1_closed(a))
             if methods in ("all", "asymptotic") and a > 8.0:
                 add(bigI_asym(idx, a))

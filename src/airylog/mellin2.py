@@ -513,6 +513,18 @@ def reid_moment(alpha: float, kind: str) -> XReal:
     return XReal(num * math.exp(log) if num > 0 else -abs(num) * math.exp(log))
 
 
+#: last k of the small-a sums for J_n: ten triples
+_J_KCAP = 3 * 10 + 2
+
+
+@lru_cache(maxsize=8)
+def _J_smalla_data(a: float) -> tuple:
+    """The squared ladders to _J_KCAP + 6 and :class:`Ai2Base` at a, kept
+    per process and point and shared by J_n for every n in [1, 6] (ladder
+    entries do not depend on the ladder's length)."""
+    return xi2_derivs(_J_KCAP + 6, a), Ai2Base(a)
+
+
 def Jn_smalla(n: int, a: float) -> TransformResult:
     """Stieltjes transform of Ai^2, J_n(a) = int_0^inf Ai^2/(x+a)^n dx,
     assembled from the squared generating-function derivative ladders and
@@ -522,18 +534,18 @@ def Jn_smalla(n: int, a: float) -> TransformResult:
             + sum_{k=1..n} [Xi^(n-k) i_{-k} + Lam^(n-k) i'_{-k}
                             + rho^(n-k) calI_{-k}]/(n-k)!
 
-    Designed for n in [1, 6], a <= 4; the k sums run to 32 (ten triples).
+    Designed for n in [1, 6], a <= 4; the k sums run to _J_KCAP = 32 (ten
+    triples).  The ladders and base values at a are built once per process
+    (:func:`_J_smalla_data`); the sums are redone on every call.
     """
     if not 1 <= n <= 6:
         raise DomainError("Jn_smalla supports n in [1, 6]")
     if a <= 0.0:
         raise DomainError("Jn_smalla needs a > 0")
-    kcap = 3 * 10 + 2
-    Xi, Lam, Rho = xi2_derivs(kcap + n, a)
-    base = Ai2Base(a)
+    (Xi, Lam, Rho), base = _J_smalla_data(float(a))
     total = (0.0, 0.0)
     tail = 0.0
-    for k in range(kcap + 1):
+    for k in range(_J_KCAP + 1):
         fact = math.factorial(k + n)
         term = dd_add(
             dd_add(dd_mul(Xi[k + n].pair, base.i_n(k)),
@@ -542,7 +554,7 @@ def Jn_smalla(n: int, a: float) -> TransformResult:
         )
         term = dd_div_f(term, float(fact))
         total = dd_add(total, term)
-        if k > kcap - 3:
+        if k > _J_KCAP - 3:
             tail = max(tail, abs(term[0]))
     for k in range(1, n + 1):
         fact = math.factorial(n - k)

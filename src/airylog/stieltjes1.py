@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .airy import airy, jpair
 from .ddreal import (
@@ -178,18 +178,8 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     """
     if not (0.0 < a <= CLOSED_MAX and 0.0 < a0 <= CLOSED_MAX):
         raise DomainError("closed form supports a, a0 in (0, 13]")
-    return _bigI1_closed(a, a0, I1_at_a0, I2_at_a0, _closed_anchor(a0))
-
-
-def _closed_anchor(a0: float) -> tuple:
-    """The closed form's data at a0: (jpair(a0), H+(a0), H-(a0))."""
-    return jpair(a0), _H_plus(a0), _H_minus(a0)
-
-
-def _bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0,
-                  anchor: tuple) -> TransformResult:
     ja = jpair(a)
-    j0, Hp0, Hm0 = anchor
+    j0, Hp0, Hm0 = _closed_anchor(a0)
     pref = PI / (2 * SQRT3)
     hom = pref * (
         XReal(float(I1_at_a0)) * (ja.jminus * j0.jplus_prime - ja.jplus * j0.jminus_prime)
@@ -209,6 +199,13 @@ def _bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0,
         warnings.warn("bigI1_closed lost more than six digits to cancellation",
                       AccuracyWarning)
     return TransformResult(val, "closed_form", err)
+
+
+@lru_cache(maxsize=4)
+def _closed_anchor(a0: float) -> tuple:
+    """The closed form's data at a0: (jpair(a0), H+(a0), H-(a0)), computed
+    once per process and point (the pipelines anchor at |a_1'| only)."""
+    return jpair(a0), _H_plus(a0), _H_minus(a0)
 
 
 def bigI_relations(a: float, I3, I4):
@@ -256,19 +253,32 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
         raise DomainError("bigI_smalla supports n in [1, 6]")
     if a <= 0.0:
         raise DomainError("bigI_smalla needs a > 0")
-    return _SmallA(a, n + 3 * _SMALLA_TRIPLES + 2).bigI(n)
+    return _SmallA.at(float(a)).bigI(n)
+
+
+#: the small-a ladder length that serves every n in [1, 6]
+_SMALLA_IMAX = 6 + 3 * _SMALLA_TRIPLES + 2
 
 
 class _SmallA:
-    """The small-a expansion at one a: the xi/lambda ladder, the base
-    values and each reduced Mellin transform, computed once and shared by
-    bigI_n for every n.  Ladder entries do not depend on the ladder's
-    length, so a longer ladder leaves every value unchanged."""
+    """The small-a expansion at one a: the xi/lambda ladder to
+    _SMALLA_IMAX, the base values and each reduced Mellin transform.
 
-    def __init__(self, a: float, i_max: int):
-        self.xs, self.ls = xi_lambda_derivs(i_max, a)
+    :meth:`at` keeps one expansion per point for the whole process, shared
+    by bigI_n for every n and by every StieltjesContext; the sum for each
+    n (and its AccuracyWarning) is redone on every call.  Ladder entries
+    do not depend on the ladder's length, so the one length serves every
+    n with unchanged values."""
+
+    def __init__(self, a: float):
+        self.xs, self.ls = xi_lambda_derivs(_SMALLA_IMAX, a)
         self.base = BaseValues(a)
         self._reduced = {}
+
+    @staticmethod
+    @lru_cache(maxsize=8)
+    def at(a: float) -> "_SmallA":
+        return _SmallA(a)
 
     def _reduced_value(self, reduce, j: int):
         val = self._reduced.get((reduce, j))
@@ -277,8 +287,7 @@ class _SmallA:
         return val
 
     def bigI(self, n: int) -> TransformResult:
-        """bigI_n(a) truncated at i = n + 3 _SMALLA_TRIPLES + 2, which must
-        not pass the ladder's length."""
+        """bigI_n(a) truncated at i = n + 3 _SMALLA_TRIPLES + 2."""
         i_max = n + 3 * _SMALLA_TRIPLES + 2
         xs, ls = self.xs, self.ls
         total = (0.0, 0.0)
@@ -303,10 +312,6 @@ class _SmallA:
 
 # -- route dispatch and the series pipelines ----------------------------------
 
-#: the small-a ladder length that serves every n in [1, 6]
-_SMALLA_IMAX = 6 + 3 * _SMALLA_TRIPLES + 2
-
-
 class StieltjesContext:
     """Initial data and route dispatch for the per-root transforms.
 
@@ -314,43 +319,34 @@ class StieltjesContext:
     through bigI_3, bigI_4 and the exact ladder relations, so the whole
     pipeline stays analytic.
 
-    Every per-root value is computed once per context: bigI_1 and bigI_3
-    are kept by root magnitude, the small-a expansion is shared by every
-    n at one a, and the closed form's data at a0 is computed on first use.
-    An AccuracyWarning of a route is therefore raised once per context
-    and root.
+    The routes' data at a point is kept per process: the small-a
+    expansion (:meth:`_SmallA.at`) and the closed form's anchor at a0
+    (:func:`_closed_anchor`), so a second context on the same roots builds
+    neither again.  The per-root results are kept per context: bigI_1 and
+    bigI_3 by route and root magnitude, so each is computed once per
+    context and a route's AccuracyWarning is raised once per context and
+    root.
     """
 
     def __init__(self, roots: RootTable):
         self.roots = roots
         self.a0 = float(roots[1])
         self._values = {}
-        self._expansions = {}
         self.I3_a0 = self._smalla(3, self.a0).value
         self.I4_a0 = self._smalla(4, self.a0).value
         self.I1_a0, self.I2_a0 = bigI_relations(self.a0, self.I3_a0,
                                                 self.I4_a0)
 
-    @cached_property
-    def _anchor(self) -> tuple:
-        return _closed_anchor(self.a0)
-
     def _smalla(self, n: int, a: float) -> TransformResult:
         key = ("small_a", n, a)
         res = self._values.get(key)
         if res is None:
-            exp = self._expansions.get(a)
-            if exp is None:
-                exp = self._expansions[a] = _SmallA(a, _SMALLA_IMAX)
-            res = self._values[key] = exp.bigI(n)
+            res = self._values[key] = bigI_smalla(n, a)
         return res
 
     def bigI1_closed(self, a: float) -> TransformResult:
-        """bigI_1(a) by the closed form from this context's seeds at a0,
-        for any 0 < a <= 13; the data at a0 is computed once."""
-        if not 0.0 < a <= CLOSED_MAX:
-            raise DomainError("closed form supports a in (0, 13]")
-        return _bigI1_closed(a, self.a0, self.I1_a0, self.I2_a0, self._anchor)
+        """bigI_1(a) by the closed form from this context's seeds at a0."""
+        return bigI1_closed(a, self.a0, self.I1_a0, self.I2_a0)
 
     def bigI1(self, a: float) -> TransformResult:
         if a <= SMALLA_MAX:

@@ -29,8 +29,11 @@ from .oracle import (
 from .results import Record, TruncationConfig
 from .roots import T6_PAPER, T6_STANDARD, root_seed, roots_upto
 from .stieltjes1 import (
+    CLOSED_MAX,
+    SMALLA_MAX,
     StieltjesContext,
     bigI_asym,
+    bigI_recurrence,
     bigI_relations,
     bigI_smalla,
     ladder_residual,
@@ -325,17 +328,15 @@ def check_cross_routes(records: list, ctx, sol, stieltjes) -> None:
     for k, a in grid_I:
         orc = stieltjes("Ai", k, a).value
         routes = {}
-        if a <= 4.0:
+        if a <= SMALLA_MAX:
             routes["small_a"] = float(bigI_smalla(k, a).value)
-        if k == 1 and a <= 13.0:
+        if k == 1 and a <= CLOSED_MAX:
             routes["closed_form"] = float(ctx.bigI1_closed(a).value)
         if k >= 3:
             i1 = ctx.bigI1(a).value
             i2 = bigI_relations(a, ctx.bigI3(a).value,
                                 bigI_smalla(4, a).value
-                                if a <= 4 else bigI_asym(4, a).value)[1]
-            from .stieltjes1 import bigI_recurrence
-
+                                if a <= SMALLA_MAX else bigI_asym(4, a).value)[1]
             routes["recurrence"] = float(
                 bigI_recurrence(k, a, (float(i1), float(i2))).value)
         for method, v in routes.items():

@@ -9,6 +9,8 @@ import pytest
 
 from airylog.cli import main
 
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected"
+
 
 def run(args, capsys):
     code = main(args)
@@ -86,6 +88,18 @@ def test_transform_config_error(capsys):
     assert code == 2
 
 
+def test_transform_takes_only_its_familys_index_flag(capsys):
+    for args in (["--kind", "mellin-ai", "--k", "3", "--method", "closed_form"],
+                 ["--kind", "stieltjes-ai", "--n", "2", "--k", "1",
+                  "--method", "small_a"],
+                 ["--kind", "stieltjes-ai", "--n", "1"],
+                 ["--kind", "mellin-ai", "--n", "1", "--k", "1"]):
+        code = main(["transform", *args, "--a", "1.0"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), args
+        assert "kinds take --" in err, args
+
+
 def test_domain_error_maps_to_config_exit(capsys):
     code, _ = run(["transform", "--kind", "mellin-ai", "--n", "3",
                    "--a", "-1.0"], capsys)
@@ -98,11 +112,21 @@ def test_dead_flags_are_rejected(capsys):
     assert run(["integral1", "--precision", "double"], capsys)[0] == 2
 
 
+def test_frozen_cli_commands_reproduce_their_output(capsys):
+    # the benchmark's frozen stdout and exit code of every CLI command it
+    # draws, run in this process
+    frozen = json.loads((EXPECTED / "cli.json").read_text(encoding="utf-8"))
+    assert len(frozen) == 69
+    for command, want in frozen.items():
+        code = main(command.split())
+        assert (code, capsys.readouterr().out) == (want["exit"],
+                                                   want["stdout"]), command
+
+
 @pytest.mark.slow
 def test_validate_deterministic(tmp_path, capsys):
     # byte-identical to the frozen output of the benchmark, on every run
-    frozen = (Path(__file__).resolve().parents[1] / "bench" / "expected"
-              / "validate.json").read_bytes()
+    frozen = (EXPECTED / "validate.json").read_bytes()
     logged = ("DISCREPANCY-LOGGED: series1.accelerated.vs_oracle deviation "
               "4.364e-07 (tol 1e-07)\n")
     for name in ("v1.json", "v2.json"):

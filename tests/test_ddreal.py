@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from airylog.ddreal import (
     XReal,
@@ -170,7 +170,12 @@ def _ref_sqr(a):
 
 
 def _bits(pair):
-    return [(x.hex(), math.copysign(1.0, x)) for x in pair]
+    """Every bit of each component, the sign of zero included.  A NaN
+    compares only as NaN: IEEE 754 leaves its sign uninterpreted, and
+    CPython 3.11 gives nan + (-nan) either sign depending on whether the
+    ``+`` has been specialised."""
+    return [(x.hex(), None if math.isnan(x) else math.copysign(1.0, x))
+            for x in pair]
 
 
 @st.composite
@@ -197,6 +202,9 @@ def operands(draw):
 
 @given(operands())
 @settings(max_examples=300)
+# the dd_div_f quotient overflows and both compositions end in NaN
+@example(((-1.4617738461880009e+150, -5.727438867031787e+108), (0.0, 0.0),
+          -1.473295445627293e-244))
 def test_primitives_match_textbook_compositions_bitwise(ops):
     a, b, f = ops
     for mine, ref, args in ((dd_add, _ref_add, (a, b)),

@@ -1,5 +1,5 @@
-"""Kernel: gamma, Pochhammer, compensated summation, truncated moment
-series, pFq engine."""
+"""Kernel: Gamma constants, Pochhammer, compensated summation, truncated
+moment series, pFq engine."""
 
 import math
 from fractions import Fraction
@@ -9,59 +9,42 @@ from hypothesis import given, strategies as st
 
 from airylog.errors import ConvergenceError, DomainError
 from airylog.kernel import (
+    GAMMA_1_3,
+    GAMMA_2_3,
     HypSeries,
     alternating_series,
     compensated_sum,
-    gamma,
     hyp,
     hyp_pfq,
     pochhammer,
 )
-from airylog.ddreal import XReal
+from airylog.ddreal import SQRT3, TWO_PI, XReal
 from airylog.roots import roots_upto
 from airylog.stieltjes1 import _ai_moments, _bigI_asym_coeffs, bigI_asym
 from airylog.stieltjes2 import _bigJ_asym_coeffs, bigJ_asym
 
 
-def test_gamma_factorial():
-    assert float(gamma(1)) == 1.0
-    assert abs(float(gamma(5)) - 24.0) < 1e-13
+#: Gamma(1/3) and Gamma(2/3) to 40 digits (mpmath 1.3.0, mp.dps = 40)
+GAMMA_REFS = ((GAMMA_1_3, "2.678938534707747633655692940974677644129"),
+              (GAMMA_2_3, "1.354117939426400416945288028154513785519"))
 
 
-def test_gamma_half():
-    assert abs(float(gamma(0.5)) - math.sqrt(math.pi)) < 1e-15
+def test_gamma_constants_match_40_digit_references():
+    for const, ref in GAMMA_REFS:
+        exact = Fraction(const.hi) + Fraction(const.lo)
+        assert abs(exact / Fraction(ref) - 1) <= Fraction(1, 10 ** 29), ref
 
 
 def test_gamma_reflection_oracle():
-    # Gamma(2/3)Gamma(1/3) = 2 pi / sqrt(3)
-    lhs = float(gamma(Fraction(2, 3)) * gamma(Fraction(1, 3)))
-    assert abs(lhs - 2 * math.pi / math.sqrt(3)) < 1e-14
-
-
-def test_gamma_pole():
-    for x in (0, -1, -2.0):
-        with pytest.raises(DomainError):
-            gamma(x)
-
-
-def test_gamma_recurrence_ulp():
-    # the dd evaluator (the one behind the closed-form constants) meets the
-    # 4-ulp bound with margin, and agrees with libm's binary64 gamma;
-    # quarter-spaced grid keeps x and x+1 exactly representable
-    x = 0.25
-    while x < 40.0:
-        g1 = float(gamma(x + 1.0))
-        g0 = float(XReal(x) * gamma(x))
-        assert abs(g1 - g0) <= 4 * math.ulp(g1)
-        assert abs(math.gamma(x + 1.0) - g1) <= 1e-14 * abs(g1)
-        x += 0.75
+    # Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3)
+    assert abs(float(GAMMA_1_3 * GAMMA_2_3 - TWO_PI / SQRT3)) <= 1e-28
 
 
 def test_pochhammer_vs_gamma():
     for z in (Fraction(1, 10), Fraction(1, 2), Fraction(5, 2), Fraction(10)):
         for n in (0, 1, 5, 30):
             direct = float(pochhammer(z, n))
-            via = float(gamma(z + n)) / float(gamma(z))
+            via = math.gamma(z + n) / math.gamma(z)
             assert abs(direct - via) <= 1e-13 * abs(via)
 
 

@@ -3,6 +3,7 @@ share a StieltjesContext or a J1Solution give the same numbers as on a
 fresh one, the expensive per-root layers run once per distinct root, and
 a route's AccuracyWarning still reaches the caller."""
 
+import importlib
 import warnings
 
 import pytest
@@ -24,6 +25,9 @@ from airylog.stieltjes2 import (
     integral2_accelerated,
     integral2_series,
 )
+
+#: the module; the package attribute of the same name is its function
+mellin2 = importlib.import_module("airylog.mellin2")
 
 NS = (10, 37, 120)
 TERMS = (0, 6)
@@ -79,25 +83,41 @@ def _count(monkeypatch, module, name, counts):
 def test_each_root_is_computed_once_per_request(monkeypatch, roots):
     N, n = 20, 6
     mags = [float(roots[k]) for k in range(1, N + 1)]
+    stieltjes1._closed_anchor.cache_clear()
+    stieltjes1._SmallA.at.cache_clear()
+    mellin2._J_smalla_data.cache_clear()
     counts = {}
     for name in ("_H_plus", "xi_lambda_derivs"):
         _count(monkeypatch, stieltjes1, name, counts)
     _count(monkeypatch, stieltjes2, "_masters", counts)
+    _count(monkeypatch, mellin2, "xi2_derivs", counts)
 
-    ctx = StieltjesContext(roots)
-    integral1_accelerated(TruncationConfig(N, n), roots, ctx)
-    integral1_series("eq3", N, roots, ctx)
-    integral1_series("eq8", N, roots, ctx)
+    def request(ctx):
+        integral1_accelerated(TruncationConfig(N, n), roots, ctx)
+        integral1_series("eq3", N, roots, ctx)
+        integral1_series("eq8", N, roots, ctx)
+
+    request(StieltjesContext(roots))
     closed = sum(SMALLA_MAX < a <= CLOSED_MAX for a in mags)
     small = sum(a <= SMALLA_MAX for a in mags)  # a0 is the first root
     assert (closed, small) == (8, 2)
     assert counts == {"_H_plus": closed + 1, "xi_lambda_derivs": small}
+
+    # the anchor at a0 and the small-a expansions are kept per process
+    counts.clear()
+    request(StieltjesContext(roots))
+    assert counts == {"_H_plus": closed}
 
     counts.clear()
     sol = J1Solution.build(float(roots[1]))
     integral2_accelerated(TruncationConfig(N, n), roots, sol)
     integral2_series(N, roots, sol)
     assert counts == {"_masters": sum(a <= J_CLOSED_MAX for a in mags) + 1}
+
+    # the three small-a seeds at a0 share one squared ladder
+    counts.clear()
+    J1Solution.build(float(roots[1]), seed_source="small_a")
+    assert counts == {"_masters": 1, "xi2_derivs": 1}
 
 
 def test_route_warning_reaches_the_caller_once_per_context(monkeypatch, roots):
