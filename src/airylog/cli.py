@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .errors import AccuracyError, ConvergenceError, DomainError, RangeError
@@ -28,7 +29,13 @@ from .stieltjes1 import (
     integral1_accelerated,
     integral1_series,
 )
-from .stieltjes2 import J1Solution, integral2_accelerated, integral2_series, solve_J1
+from .stieltjes2 import (
+    SOLVE_J1_A,
+    J1Solution,
+    integral2_accelerated,
+    integral2_series,
+    solve_J1,
+)
 from .validate import run_validation
 from .zeta import zeta_closed, zeta_incomplete
 
@@ -102,6 +109,9 @@ def cmd_transform(args) -> int:
     if not 1e-14 <= args.tol <= 1e-6:
         print("--tol must lie in [1e-14, 1e-6]", file=sys.stderr)
         return 2
+    if not math.isfinite(args.a):
+        print("--a must be finite", file=sys.stderr)
+        return 2
     weight, family = _TRANSFORMS[args.kind]
     flag, other = ("k", "n") if family == "stieltjes" else ("n", "k")
     idx = getattr(args, flag)
@@ -124,10 +134,10 @@ def cmd_transform(args) -> int:
             if methods in ("all", "asymptotic") and a > 8.0:
                 add(bigI_asym(idx, a))
         elif weight == "Ai2" and idx == 1 and methods in ("all", "closed_form") \
-                and 0.2 <= a <= 13.0:
+                and SOLVE_J1_A[0] <= a <= SOLVE_J1_A[1]:
             sol = J1Solution.build(float(roots_upto(1)[1]))
             add(solve_J1(a, sol))
-        if weight == "Ai2" and 1 <= idx <= 6 and a <= 4.0 \
+        if weight == "Ai2" and 1 <= idx <= 6 and a <= SMALLA_MAX \
                 and methods in ("all", "small_a"):
             add(Jn_smalla(idx, a))
     else:

@@ -298,15 +298,6 @@ class XReal:
             raise TypeError("XReal ** only supports integer exponents")
         return XReal.from_pair(dd_powi(self.pair, n))
 
-    def sqrt(self) -> "XReal":
-        return XReal.from_pair(dd_sqrt(self.pair))
-
-    def exp(self) -> "XReal":
-        return XReal.from_pair(dd_exp(self.pair))
-
-    def ln(self) -> "XReal":
-        return XReal.from_pair(dd_ln(self.pair))
-
     # -- comparisons (on the exact represented value) --------------------
     def _cmp(self, other: Scalar) -> int:
         o = self._coerce(other)
@@ -344,9 +335,6 @@ class XReal:
     def __format__(self, spec):
         return format(float(self), spec)
 
-
-ZERO = XReal(0.0)
-ONE = XReal(1.0)
 
 # Trusted literal constants (40 digits).
 PI = XReal.parse("3.141592653589793238462643383279502884197169399375105820975")

@@ -277,7 +277,6 @@ GAMMA_2_3 = XReal(float.fromhex("0x1.5aa77928c3679p+0"),
                   float.fromhex("-0x1.aa68580a47f71p-55"))
 
 _CBRT3 = XReal.from_pair(dd_exp(dd_div_f(dd_ln((3.0, 0.0)), 3.0)))  # 3**(1/3)
-CBRT3 = _CBRT3
 #: Ai(0) = 3**(-2/3) / Gamma(2/3)
 AI0 = 1 / (_CBRT3 * _CBRT3 * GAMMA_2_3)
 #: Ai'(0) = -3**(-1/3) / Gamma(1/3)

@@ -232,7 +232,7 @@ def Im1_hyp(a: float, tol: float = 1e-28) -> XReal:
     -Ai'(0) a 1F2(1/3;4/3,4/3;.) - (Ai(0)/18) a^3 2F3(1,1;2,2,5/3;.)
     - (Ai(0)/6) [6 ln a - ln 3 + 4 gamma + sqrt(3) pi / 3], arg a^3/9.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("I_{-1} needs a > 0")
     ap = (float(a), 0.0)
     z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
@@ -255,7 +255,7 @@ def Im2_hyp(a: float, tol: float = 1e-28) -> XReal:
     (Ai(0)/a) 1F2(-1/3;2/3,2/3;.) - (Ai'(0)/36) a^3 2F3(1,1;2,2,7/3;.)
     - (Ai'(0)/6) [6 ln a - ln 3 + 4 gamma - 6 - sqrt(3) pi / 3], arg a^3/9.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("I_{-2} needs a > 0")
     ap = (float(a), 0.0)
     z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
@@ -364,8 +364,9 @@ def eval_laurent_dd(d: dict, a_pair):
 
 
 class BaseValues:
-    """I_0, I_{-1}, I_{-2}, Ai, Ai' at a fixed a > 0, computed once;
-    a <= 0 raises :class:`DomainError` (from :func:`Im1_hyp`)."""
+    """I_0, I_{-1}, I_{-2}, Ai, Ai' at a fixed a > 0, computed once, and
+    each reduced transform I_m, I'_m, computed on first use and kept per
+    instance; a <= 0 raises :class:`DomainError` (from :func:`Im1_hyp`)."""
 
     def __init__(self, a: float, tol: float = 1e-28):
         self.a = float(a)
@@ -376,8 +377,23 @@ class BaseValues:
         self.I0 = I0_hyp(a, tol).pair
         self.Im1 = Im1_hyp(a, tol).pair
         self.Im2 = Im2_hyp(a, tol).pair
+        self._memo = {}
 
-    def eval_reduction(self, red: Reduction):
+    def I(self, m: int):
+        """I_m(a) as a dd pair, by :func:`reduce_In`."""
+        return self._reduced(reduce_In, m)
+
+    def Iprime(self, m: int):
+        """I'_m(a) as a dd pair, by :func:`reduce_Iprime`."""
+        return self._reduced(reduce_Iprime, m)
+
+    def _reduced(self, reduce, m: int):
+        val = self._memo.get((reduce, m))
+        if val is None:
+            val = self._memo[reduce, m] = self._evaluate(reduce(m))
+        return val
+
+    def _evaluate(self, red: Reduction):
         acc = (0.0, 0.0)
         for coeff, base in ((red.alpha, self.I0), (red.beta, self.Im1),
                             (red.gamma, self.Im2)):
@@ -484,15 +500,14 @@ def mellin_closed(n: int, a: float, method: str = "auto") -> TransformResult:
     """
     if not -60 <= n <= 80:
         raise DomainError("mellin_closed supports -60 <= n <= 80")
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("mellin_closed needs a > 0")
     base = BaseValues(a, 1e-18)
     if method == "family":
         if n < 0:
             raise DomainError("family route implemented for n >= 0")
         return TransformResult(_family_In(n, base), "family", 1e-13)
-    red = reduce_In(n)
-    val = XReal.from_pair(base.eval_reduction(red))
+    val = XReal.from_pair(base.I(n))
     return TransformResult(val, "recurrence", 1e-14 * max(1.0, abs(float(val))))
 
 
@@ -504,10 +519,9 @@ def mellin_prime(n: int, a: float) -> TransformResult:
     at a = 10 and 39 at a = 11."""
     if not -60 <= n <= 80:
         raise DomainError("mellin_prime supports -60 <= n <= 80")
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("mellin_prime needs a > 0")
     base = BaseValues(a, 1e-18)
-    red = reduce_Iprime(n)
-    val = XReal.from_pair(base.eval_reduction(red))
+    val = XReal.from_pair(base.Iprime(n))
     return TransformResult(val, "recurrence", 1e-14 * max(1.0, abs(float(val))))
 

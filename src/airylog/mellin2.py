@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .airy import airy
 from .ddreal import (
@@ -210,7 +210,7 @@ def irreducible_neg1(a: float, which: str) -> XReal:
     a = 4 and 6e-6 up to a = 4.75 (7e-5 at 5, 110% at 6).  :func:`calI`
     and :func:`mellin2` stop negative indices at NEG_A_MAX.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("irreducible transforms need a > 0")
     if which not in _IRREDUCIBLE_A_MAX:
         raise DomainError(f"unknown irreducible kind {which!r}")
@@ -285,9 +285,10 @@ def irreducible_neg1(a: float, which: str) -> XReal:
 # -- base values and reductions ----------------------------------------------
 
 class Ai2Base:
-    """Ai^2, Ai'^2, AiAi', the three irreducible 1/x transforms, and the
-    anchored negative calI chain at a fixed a > 0.  The irreducibles are
-    computed on first use: only negative indices need them."""
+    """Ai^2, Ai'^2 and AiAi' at a fixed a > 0, and each product transform
+    calI_n, i_n, i'_n at that a, computed on first use and kept per
+    instance.  The n = -1 values are the irreducible 1/x transforms, so
+    only negative indices compute them."""
 
     def __init__(self, a: float):
         self.a = float(a)
@@ -296,90 +297,69 @@ class Ai2Base:
         self.ai2 = dd_mul(st.ai.pair, st.ai.pair)
         self.aip2 = dd_mul(st.aip.pair, st.aip.pair)
         self.aiaip = dd_mul(st.ai.pair, st.aip.pair)
-        self._cal_neg = {}
+        self._memo = {}
 
-    @cached_property
-    def i_m1(self):
-        return irreducible_neg1(self.a, "i").pair
+    def calI(self, n: int):
+        """int_a^inf x^n Ai Ai' dx."""
+        return self._value("calI", n)
 
-    @cached_property
-    def ip_m1(self):
-        return irreducible_neg1(self.a, "iprime").pair
+    def i_n(self, n: int):
+        """int_a^inf x^n Ai^2 dx."""
+        return self._value("i", n)
 
-    @cached_property
-    def cal_m1(self):
-        return irreducible_neg1(self.a, "calI").pair
+    def ip_n(self, n: int):
+        """int_a^inf x^n Ai'^2 dx."""
+        return self._value("iprime", n)
+
+    def _value(self, kind: str, n: int):
+        val = self._memo.get((kind, n))
+        if val is None:
+            val = self._memo[kind, n] = self._compute(kind, n)
+        return val
 
     def _combo(self, w2, wp2, wcross):
         return dd_add(dd_add(dd_mul(self.ai2, w2), dd_mul(self.aip2, wp2)),
                       dd_mul(self.aiaip, wcross))
 
-    def calI_neg(self, n: int):
-        """calI_{-n}(a) for n >= 1 (anchors at n = 1, 2, 3; recurrence
-        below)."""
-        if n < 1:
-            raise DomainError("calI_neg expects n >= 1")
-        if n in self._cal_neg:
-            return self._cal_neg[n]
-        a = self.a
-        if n == 1:
-            val = self.cal_m1
-        elif n == 2:
+    def _compute(self, kind: str, n: int):
+        if n == -1:
+            return irreducible_neg1(self.a, kind).pair
+        if kind != "calI":
+            # integration by parts onto calI_{n+1} (Ai^2) or calI_{n+2} (Ai'^2)
+            shift, square = (1, self.ai2) if kind == "i" else (2, self.aip2)
+            return dd_div_f(
+                dd_neg(dd_add(dd_mul_f(self.calI(n + shift), 2.0),
+                              dd_mul(dd_powi(self.ap, n + 1), square))),
+                float(n + 1),
+            )
+        if n >= 0:
+            row = pqr_ladder(max(8, n))[n]
+            return self._combo(poly_eval_dd(row.p, self.ap),
+                               poly_eval_dd(row.q, self.ap),
+                               poly_eval_dd(row.r, self.ap))
+        if n == -2:
             # -a Ai^2 + Ai'^2 + AiAi'/a + i'_{-1}
-            val = dd_add(self._combo((-a, 0.0), (1.0, 0.0),
-                                     dd_powi(self.ap, -1)), self.ip_m1)
-        elif n == 3:
+            return dd_add(self._combo((-self.a, 0.0), (1.0, 0.0),
+                                      dd_powi(self.ap, -1)), self.ip_n(-1))
+        if n == -3:
             # -Ai^2/2 + Ai'^2/(2a) + AiAi'/(2a^2) + i_{-1}/2
-            val = dd_add(
+            return dd_add(
                 self._combo((-0.5, 0.0),
                             dd_mul_f(dd_powi(self.ap, -1), 0.5),
                             dd_mul_f(dd_powi(self.ap, -2), 0.5)),
-                dd_mul_f(self.i_m1, 0.5),
+                dd_mul_f(self.i_n(-1), 0.5),
             )
-        else:
-            m = n - 3
-            prev = self.calI_neg(m)
-            # calI_{-m-3} = [(4m+2) calI_{-m} + (m+1)Ai^2/a^m
-            #               + m Ai'^2/a^{m+1} + m(m+1) AiAi'/a^{m+2}]
-            #               / (m(m+1)(m+2))
-            add = self._combo(
-                dd_mul_f(dd_powi(self.ap, -m), float(m + 1)),
-                dd_mul_f(dd_powi(self.ap, -m - 1), float(m)),
-                dd_mul_f(dd_powi(self.ap, -m - 2), float(m * (m + 1))),
-            )
-            val = dd_div_f(dd_add(dd_mul_f(prev, float(4 * m + 2)), add),
-                           float(m * (m + 1) * (m + 2)))
-        self._cal_neg[n] = val
-        return val
-
-    def calI_pos(self, n: int):
-        row = pqr_ladder(max(8, n))[n]
-        return self._combo(poly_eval_dd(row.p, self.ap),
-                           poly_eval_dd(row.q, self.ap),
-                           poly_eval_dd(row.r, self.ap))
-
-    def calI(self, n: int):
-        return self.calI_pos(n) if n >= 0 else self.calI_neg(-n)
-
-    def i_n(self, n: int):
-        """int_a^inf x^n Ai^2 dx."""
-        if n == -1:
-            return self.i_m1
-        return dd_div_f(
-            dd_neg(dd_add(dd_mul_f(self.calI(n + 1), 2.0),
-                          dd_mul(dd_powi(self.ap, n + 1), self.ai2))),
-            float(n + 1),
+        # calI_{-m-3} = [(4m+2) calI_{-m} + (m+1)Ai^2/a^m
+        #               + m Ai'^2/a^{m+1} + m(m+1) AiAi'/a^{m+2}]
+        #               / (m(m+1)(m+2))
+        m = -n - 3
+        add = self._combo(
+            dd_mul_f(dd_powi(self.ap, -m), float(m + 1)),
+            dd_mul_f(dd_powi(self.ap, -m - 1), float(m)),
+            dd_mul_f(dd_powi(self.ap, -m - 2), float(m * (m + 1))),
         )
-
-    def ip_n(self, n: int):
-        """int_a^inf x^n Ai'^2 dx."""
-        if n == -1:
-            return self.ip_m1
-        return dd_div_f(
-            dd_neg(dd_add(dd_mul_f(self.calI(n + 2), 2.0),
-                          dd_mul(dd_powi(self.ap, n + 1), self.aip2))),
-            float(n + 1),
-        )
+        return dd_div_f(dd_add(dd_mul_f(self.calI(-m), float(4 * m + 2)), add),
+                        float(m * (m + 1) * (m + 2)))
 
 
 # -- public operations ---------------------------------------------------------
@@ -498,7 +478,7 @@ def reid_moment(alpha: float, kind: str) -> XReal:
     AiP2 :  2 (a+1) G(a) / (sqrt(pi) 12^{a/3+7/6} G(a/3+7/6))
     AiAiP: -2 (2a+3) G(a) / (sqrt(pi) 12^{a/3+3/2} G(a/3+3/2))
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise DomainError("reid_moment needs alpha > 0")
     if kind == "Ai2":
         num, shift = 2.0, 5.0 / 6.0
@@ -540,7 +520,7 @@ def Jn_smalla(n: int, a: float) -> TransformResult:
     """
     if not 1 <= n <= 6:
         raise DomainError("Jn_smalla supports n in [1, 6]")
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("Jn_smalla needs a > 0")
     (Xi, Lam, Rho), base = _J_smalla_data(float(a))
     total = (0.0, 0.0)

@@ -142,7 +142,7 @@ _STIELTJES_WEIGHTS = {
 def oracle_stieltjes(kind: str, k: int, a: float,
                      tol: float = DEFAULT_TOL) -> TransformResult:
     """integral_0^inf w(x)/(x+a)^k dx for w in {Ai, Ai2, AiP2, AiAiP}."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("oracle_stieltjes needs a > 0")
     if k < 0:
         raise DomainError("oracle_stieltjes needs k >= 0")
@@ -159,7 +159,7 @@ _MELLIN_WEIGHTS = dict(_STIELTJES_WEIGHTS, AiP=lambda s: s[1])
 def oracle_mellin(kind: str, n: int, a: float,
                   tol: float = DEFAULT_TOL) -> TransformResult:
     """integral_a^inf x^n w(x) dx for w in {Ai, AiP, Ai2, AiP2, AiAiP}."""
-    if a < 0.0 or (a == 0.0 and n <= -1):
+    if not a >= 0.0 or (a == 0.0 and n <= -1):
         raise DomainError("integrand singular at 0 for n <= -1 unless a > 0")
     w = _MELLIN_WEIGHTS[kind]
     airy = _scipy()[1]
@@ -177,7 +177,7 @@ def oracle_j_summand(a: float, tol: float = DEFAULT_TOL) -> TransformResult:
 
         (1/a) * int_0^inf x/(x+a) [2 Ai Ai' + x Ai'^2 - x^2 Ai^2] dx.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("oracle_j_summand needs a > 0")
     airy = _scipy()[1]
 

@@ -44,7 +44,7 @@ from .ddreal import (
 )
 from .errors import AccuracyWarning, DomainError, StabilityError
 from .kernel import AI0, AIP0, alternating_series, compensated_sum, hyp
-from .mellin1 import BaseValues, reduce_In, reduce_Iprime, xi_lambda_derivs
+from .mellin1 import BaseValues, xi_lambda_derivs
 from .results import TransformResult, TruncationConfig
 from .roots import RootTable
 from .zeta import zeta_closed, zeta_incomplete
@@ -89,7 +89,7 @@ def bigI_asym(k: int, a: float) -> TransformResult:
     """bigI_k(a) by the alternating moment series in 1/a, truncated at its
     smallest term (see :func:`alternating_series` for the error estimate).
     Intended for a >= 13, where it reaches ~1e-13 relative."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("bigI_asym needs a > 0")
     val, err = alternating_series(_bigI_asym_coeffs(k, 60), a, k)
     return TransformResult(val, "asymptotic", err)
@@ -108,7 +108,7 @@ def bigI_recurrence(k: int, a: float, seeds) -> TransformResult:
     """
     if k < 0:
         raise DomainError("bigI_recurrence needs k >= 0")
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("bigI_recurrence needs a > 0")
     if k == 0:
         return TransformResult(XReal(1.0 / 3.0), "recurrence", 0.0)
@@ -219,7 +219,7 @@ def bigI_relations(a: float, I3, I4):
     version satisfies the ladder with quadrature values substituted (see
     the discrepancy report).
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("bigI_relations needs a > 0")
     I3x = I3 if isinstance(I3, XReal) else XReal(float(I3))
     I4x = I4 if isinstance(I4, XReal) else XReal(float(I4))
@@ -240,6 +240,17 @@ def bigI3_from_I1(a: float, I1) -> XReal:
 #: triples of ladder terms kept by the small-a route
 _SMALLA_TRIPLES = 10
 
+#: the small-a ladder length that serves every n in [1, 6]
+_SMALLA_IMAX = 6 + 3 * _SMALLA_TRIPLES + 2
+
+
+@lru_cache(maxsize=8)
+def _smalla_data(a: float) -> tuple:
+    """The xi/lambda ladders to _SMALLA_IMAX and :class:`BaseValues` at a,
+    kept per process and point and shared by bigI_n for every n in [1, 6]
+    (ladder entries do not depend on the ladder's length)."""
+    return xi_lambda_derivs(_SMALLA_IMAX, a), BaseValues(a)
+
 
 def bigI_smalla(n: int, a: float) -> TransformResult:
     """bigI_n(a) assembled from I_0, I_-1, I_-2, Ai, Ai' with the
@@ -247,67 +258,34 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
     (at i = n + 3 _SMALLA_TRIPLES + 2).
 
     Designed for n in [1, 6] and a <= 4, where ten triples already give
-    ~1e-12.
+    ~1e-12.  The ladders, base values and reduced transforms at a are
+    built once per process (:func:`_smalla_data`); the sum and its
+    AccuracyWarning are redone on every call.
     """
     if n < 1 or n > 6:
         raise DomainError("bigI_smalla supports n in [1, 6]")
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("bigI_smalla needs a > 0")
-    return _SmallA.at(float(a)).bigI(n)
-
-
-#: the small-a ladder length that serves every n in [1, 6]
-_SMALLA_IMAX = 6 + 3 * _SMALLA_TRIPLES + 2
-
-
-class _SmallA:
-    """The small-a expansion at one a: the xi/lambda ladder to
-    _SMALLA_IMAX, the base values and each reduced Mellin transform.
-
-    :meth:`at` keeps one expansion per point for the whole process, shared
-    by bigI_n for every n and by every StieltjesContext; the sum for each
-    n (and its AccuracyWarning) is redone on every call.  Ladder entries
-    do not depend on the ladder's length, so the one length serves every
-    n with unchanged values."""
-
-    def __init__(self, a: float):
-        self.xs, self.ls = xi_lambda_derivs(_SMALLA_IMAX, a)
-        self.base = BaseValues(a)
-        self._reduced = {}
-
-    @staticmethod
-    @lru_cache(maxsize=8)
-    def at(a: float) -> "_SmallA":
-        return _SmallA(a)
-
-    def _reduced_value(self, reduce, j: int):
-        val = self._reduced.get((reduce, j))
-        if val is None:
-            val = self._reduced[reduce, j] = self.base.eval_reduction(reduce(j))
-        return val
-
-    def bigI(self, n: int) -> TransformResult:
-        """bigI_n(a) truncated at i = n + 3 _SMALLA_TRIPLES + 2."""
-        i_max = n + 3 * _SMALLA_TRIPLES + 2
-        xs, ls = self.xs, self.ls
-        total = (0.0, 0.0)
-        tail_mag = 0.0
-        fact = 1.0
-        for i in range(i_max + 1):
-            if i > 0:
-                fact *= i
-            tx = dd_mul(xs[i].pair, self._reduced_value(reduce_In, i - n))
-            tl = dd_mul(ls[i].pair, self._reduced_value(reduce_Iprime, i - n))
-            term = dd_div_f(dd_add(tx, tl), fact)
-            total = dd_add(total, term)
-            if i > i_max - 3:
-                tail_mag = max(tail_mag, abs(term[0]))
-        err = 10.0 * tail_mag + 1e-15 * abs(total[0])
-        val = XReal.from_pair(total)
-        if err > 1e-6 * max(1.0, abs(float(val))):
-            warnings.warn(f"bigI_smalla truncation estimate {err:.2e} is large",
-                          AccuracyWarning)
-        return TransformResult(val, "small_a", err)
+    (xs, ls), base = _smalla_data(float(a))
+    i_max = n + 3 * _SMALLA_TRIPLES + 2
+    total = (0.0, 0.0)
+    tail_mag = 0.0
+    fact = 1.0
+    for i in range(i_max + 1):
+        if i > 0:
+            fact *= i
+        tx = dd_mul(xs[i].pair, base.I(i - n))
+        tl = dd_mul(ls[i].pair, base.Iprime(i - n))
+        term = dd_div_f(dd_add(tx, tl), fact)
+        total = dd_add(total, term)
+        if i > i_max - 3:
+            tail_mag = max(tail_mag, abs(term[0]))
+    err = 10.0 * tail_mag + 1e-15 * abs(total[0])
+    val = XReal.from_pair(total)
+    if err > 1e-6 * max(1.0, abs(float(val))):
+        warnings.warn(f"bigI_smalla truncation estimate {err:.2e} is large",
+                      AccuracyWarning)
+    return TransformResult(val, "small_a", err)
 
 
 # -- route dispatch and the series pipelines ----------------------------------
@@ -320,28 +298,38 @@ class StieltjesContext:
     pipeline stays analytic.
 
     The routes' data at a point is kept per process: the small-a
-    expansion (:meth:`_SmallA.at`) and the closed form's anchor at a0
+    expansion (:func:`_smalla_data`) and the closed form's anchor at a0
     (:func:`_closed_anchor`), so a second context on the same roots builds
-    neither again.  The per-root results are kept per context: bigI_1 and
-    bigI_3 by route and root magnitude, so each is computed once per
-    context and a route's AccuracyWarning is raised once per context and
-    root.
+    neither again.  The per-root results are kept per context, keyed by
+    (k, root magnitude), so each is computed once per context and a
+    route's AccuracyWarning is raised once per context and root.
     """
 
     def __init__(self, roots: RootTable):
         self.roots = roots
         self.a0 = float(roots[1])
         self._values = {}
-        self.I3_a0 = self._smalla(3, self.a0).value
-        self.I4_a0 = self._smalla(4, self.a0).value
+        self.I3_a0 = self._bigI(3, self.a0).value
+        self.I4_a0 = self._bigI(4, self.a0).value
         self.I1_a0, self.I2_a0 = bigI_relations(self.a0, self.I3_a0,
                                                 self.I4_a0)
 
-    def _smalla(self, n: int, a: float) -> TransformResult:
-        key = ("small_a", n, a)
-        res = self._values.get(key)
+    def _bigI(self, k: int, a: float) -> TransformResult:
+        """bigI_k(a) by the route for a: small_a up to SMALLA_MAX, the
+        closed form for k in {1, 3} up to CLOSED_MAX, asymptotic beyond."""
+        res = self._values.get((k, a))
         if res is None:
-            res = self._values[key] = bigI_smalla(n, a)
+            if a <= SMALLA_MAX:
+                res = bigI_smalla(k, a)
+            elif a <= CLOSED_MAX and k == 1:
+                res = self.bigI1_closed(a)
+            elif a <= CLOSED_MAX:  # k == 3, from bigI_1 by the ladder
+                r = self._bigI(1, a)
+                res = TransformResult(bigI3_from_I1(a, r.value), "closed_form",
+                                      r.err_est * a)
+            else:
+                res = bigI_asym(k, a)
+            self._values[k, a] = res
         return res
 
     def bigI1_closed(self, a: float) -> TransformResult:
@@ -349,30 +337,10 @@ class StieltjesContext:
         return bigI1_closed(a, self.a0, self.I1_a0, self.I2_a0)
 
     def bigI1(self, a: float) -> TransformResult:
-        if a <= SMALLA_MAX:
-            return self._smalla(1, a)
-        res = self._values.get((1, a))
-        if res is None:
-            if a <= CLOSED_MAX:
-                res = self.bigI1_closed(a)
-            else:
-                res = bigI_asym(1, a)
-            self._values[1, a] = res
-        return res
+        return self._bigI(1, a)
 
     def bigI3(self, a: float) -> TransformResult:
-        if a <= SMALLA_MAX:
-            return self._smalla(3, a)
-        res = self._values.get((3, a))
-        if res is None:
-            if a <= CLOSED_MAX:
-                r = self.bigI1(a)
-                res = TransformResult(bigI3_from_I1(a, r.value), "closed_form",
-                                      r.err_est * a)
-            else:
-                res = bigI_asym(3, a)
-            self._values[3, a] = res
-        return res
+        return self._bigI(3, a)
 
     def eq8_term(self, a: float) -> XReal:
         if a > CLOSED_MAX:

@@ -45,7 +45,8 @@ from .ddreal import (
 )
 from .errors import DomainError
 from .kernel import alternating_series, compensated_sum, hyp
-from .mellin2 import A2, AAP, AP2
+from .mellin2 import A2, AAP, AP2, Jn_smalla
+from .oracle import oracle_stieltjes
 from .results import TransformResult, TruncationConfig
 from .roots import RootTable
 from .zeta import zeta_closed, zeta_incomplete
@@ -67,6 +68,8 @@ _FM23 = Fraction(-2, 3)
 
 #: closed-form route used for root magnitudes up to this; moment series beyond
 J_CLOSED_MAX = 11.0
+#: the interval of a on which :func:`solve_J1` is supported
+SOLVE_J1_A = (0.2, 13.0)
 
 
 # -- hypergeometric antiderivative masters ------------------------------------
@@ -176,12 +179,8 @@ class J1Solution:
     @classmethod
     def build(cls, a0: float, seed_source: str = "oracle") -> "J1Solution":
         if seed_source == "oracle":
-            from .oracle import oracle_stieltjes
-
             seeds = [oracle_stieltjes("Ai2", n, a0).value for n in (1, 2, 3)]
         elif seed_source == "small_a":
-            from .mellin2 import Jn_smalla
-
             seeds = [Jn_smalla(n, a0).value for n in (1, 2, 3)]
         else:
             raise DomainError(f"unknown seed source {seed_source!r}")
@@ -204,9 +203,10 @@ class J1Solution:
 
 
 def solve_J1(a: float, sol: J1Solution) -> TransformResult:
-    """J_1(a) from the closed-form ODE solution, a in [0.2, 13]."""
-    if not 0.2 <= a <= 13.0:
-        raise DomainError("solve_J1 supports a in [0.2, 13]")
+    """J_1(a) from the closed-form ODE solution, a in SOLVE_J1_A."""
+    lo, hi = SOLVE_J1_A
+    if not lo <= a <= hi:
+        raise DomainError(f"solve_J1 supports a in [{lo:g}, {hi:g}]")
     du1, du2, du3 = sol.deltas(a)
     st = airy(-a)
     val = PI * PI * (st.ai * st.ai * (sol.c1 - du1)
@@ -300,6 +300,8 @@ def bigJ_asym(a: float) -> TransformResult:
     sum_j (-1)^j [j(j+1)/2 mu_j - 2 mu_{j+3}] a^{-2-j}; ~1e-12 relative
     already at a ~ 8 and machine-level beyond 12 (see
     :func:`alternating_series` for the error estimate)."""
+    if not a > 0.0:
+        raise DomainError("bigJ_asym needs a > 0")
     val, err = alternating_series(_bigJ_asym_coeffs(40), a, 2)
     return TransformResult(val, "asymptotic", err)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 from .airy import airy
@@ -434,11 +435,10 @@ def check_polynomials(records: list) -> None:
     ok = cde[5].e == 40 and cde[4].c == (12, 0, 0, 4)
     records.append(_rec("poly.table6", "ladder", 0.0 if ok else 1.0, 0.0,
                         0.5, "exact rows"))
-    from fractions import Fraction as Fr
-
     p = pqr_ladder(5)
-    ok = (p[3].p == (Fr(-3, 10), 0, 0, Fr(-2, 10))
-          and p[3].q == (0, 0, Fr(-3, 10)) and p[3].r == (0, Fr(3, 5)))
+    ok = (p[3].p == (Fraction(-3, 10), 0, 0, Fraction(-2, 10))
+          and p[3].q == (0, 0, Fraction(-3, 10))
+          and p[3].r == (0, Fraction(3, 5)))
     records.append(_rec("poly.table7", "ladder", 0.0 if ok else 1.0, 0.0,
                         0.5, "exact rows"))
     p2 = pqr2_ladder(4)

@@ -15,6 +15,7 @@ sign, which the series division here adjudicates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .ddreal import XReal, dd_add, dd_powi
 from .errors import DomainError
@@ -24,6 +25,7 @@ from .roots import RootTable
 K_MAX = 20
 
 
+@lru_cache(maxsize=None)
 def _log_derivative_coeffs(order: int):
     """Taylor coefficients (eta-polynomials) of z*Ai(z)/Ai'(z) at 0."""
     kmax = order // 3 + 2
@@ -50,10 +52,7 @@ def _log_derivative_coeffs(order: int):
         for j in range(m):
             acc = poly_add(acc, poly_scale(poly_mul(q[j], den[m - j]), -1))
         q.append(acc)
-    return q
-
-
-_COEFF_CACHE: dict = {}
+    return tuple(q)
 
 
 def zeta_eta_poly(k: int):
@@ -63,12 +62,8 @@ def zeta_eta_poly(k: int):
         raise DomainError("zeta sums converge only for k >= 2")
     if k > K_MAX:
         raise DomainError(f"zeta closed form capped at k = {K_MAX}")
-    if k - 1 not in _COEFF_CACHE:
-        q = _log_derivative_coeffs(K_MAX)
-        for m, poly in enumerate(q):
-            sign = 1 if m % 2 == 0 else -1
-            _COEFF_CACHE[m] = [sign * c for c in poly]
-    return _COEFF_CACHE[k - 1]
+    sign = 1 if k % 2 else -1  # (-1)^(k-1)
+    return [sign * c for c in _log_derivative_coeffs(K_MAX)[k - 1]]
 
 
 def zeta_closed(k: int) -> XReal:

@@ -106,6 +106,14 @@ def test_domain_error_maps_to_config_exit(capsys):
     assert code == 2
 
 
+def test_nan_a_is_a_config_error(capsys):
+    # these printed 0 or nan and exited 0, or exited 3 from a pFq sum
+    for args in (["--kind", "mellin-ai2", "--n", "1", "--method", "oracle"],
+                 ["--kind", "stieltjes-ai", "--k", "1"],
+                 ["--kind", "mellin-ai", "--n", "1", "--method", "closed_form"]):
+        assert run(["transform", *args, "--a", "nan"], capsys) == (2, ""), args
+
+
 def test_dead_flags_are_rejected(capsys):
     # --tol only sets the oracle tolerance of transform; --precision is gone
     assert run(["roots", "--tol", "1e-9"], capsys)[0] == 2

@@ -1,6 +1,7 @@
 """Source hygiene: every name a program or test module imports is used
 there, every private module-level function or class is used somewhere in
-the package, every defaulted parameter is set by some caller in the
+the package, every public definition is reached from the CLI or the
+benchmark, every defaulted parameter is set by some caller in the
 package or the benchmark, and no module imports scipy or numpy when it is
 imported (the quadrature oracle loads them on its first integral)."""
 
@@ -85,6 +86,115 @@ def test_no_dead_private_helpers():
     assert sources
     dead = _dead_private_definitions(sources)
     assert not dead, dead
+
+
+def _unreached_public_definitions(sources: dict, roots: dict,
+                                  allowed=()) -> list:
+    """Public definitions of ``sources`` (name -> text) that no root
+    reaches.  Definitions are top-level functions and classes, the
+    non-dunder methods of classes (``Class.method``) and module-level
+    assignment targets; a dunder top-level function counts as public.
+    Live code is every statement of ``roots`` (name -> text), the
+    module-level statements of ``sources`` that define or import nothing,
+    the definitions named in ``allowed`` and the bodies of reached
+    definitions.  A definition is reached when live code mentions its name
+    as a name or an attribute; an import mentions nothing."""
+    defs = []  # (module, qualified name, line, name, nodes of its body)
+    live = [ast.parse(text) for text in roots.values()]
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, ast.ClassDef):
+                own = stmt.decorator_list + stmt.bases + stmt.keywords
+                for item in stmt.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")):
+                        defs.append((module, f"{stmt.name}.{item.name}",
+                                     item.lineno, item.name, [item]))
+                    else:
+                        own.append(item)
+                defs.append((module, stmt.name, stmt.lineno, stmt.name, own))
+            elif isinstance(stmt, ast.FunctionDef):
+                defs.append((module, stmt.name, stmt.lineno, stmt.name, [stmt]))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                for node in ast.walk(ast.Tuple(elts=targets)):
+                    if isinstance(node, ast.Name):
+                        defs.append((module, node.id, stmt.lineno, node.id,
+                                     [stmt.value] if stmt.value else []))
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                live.append(stmt)
+
+    def mentioned(nodes) -> set:
+        return {getattr(n, "id", getattr(n, "attr", None))
+                for node in nodes for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    names = mentioned(live)
+    reached = {i for i, d in enumerate(defs) if d[1] in allowed}
+    names |= mentioned(node for i in reached for node in defs[i][4])
+    while True:
+        more = {i for i, d in enumerate(defs)
+                if i not in reached and d[3] in names}
+        if not more:
+            break
+        reached |= more
+        names |= mentioned(node for i in more for node in defs[i][4])
+    return sorted(f"{module}:{line} {qualified}"
+                  for i, (module, qualified, line, name, _) in enumerate(defs)
+                  if i not in reached
+                  and (not name.startswith("_") or name.startswith("__")))
+
+
+#: public definitions that no CLI path or benchmark reaches, and why each
+#: stays
+UNREACHED_ALLOWED = {
+    "scorer_gi": "Scorer Gi, the base of the I0_scorer reference route",
+    "I0_scorer": "second route for I_0 that tests compare I0_hyp with",
+    "genfunc_xi": "generating function the xi ladder is tested against",
+    "genfunc_lambda": "generating function the lambda ladder is tested "
+                      "against",
+    "genfunc2": "squared generating functions the xi2 ladder is tested "
+                "against",
+    "oracle_j_summand": "quadrature reference for the per-root J summand",
+    "AiryState.wronskian": "Wronskian identity that tests check airy with",
+    "TWO_PI": "constant of the Gamma reflection identity that tests check",
+    "__getattr__": "PEP 562 hook: the oracle's AI0_F and AIP0_F",
+    "reid_moment": "printed moments; a validation record for them moves "
+                   "printed output and waits for a bench/expected refreeze",
+    "J_asym": "printed expansions; a validation record for them moves "
+              "printed output and waits for a bench/expected refreeze",
+}
+
+
+def test_every_public_definition_is_reached():
+    sample = {"a.py": "X = 1\nY = X + 1\nZ = 2\n"
+                      "class C:\n    def used(self):\n        return Y\n"
+                      "    def unused(self):\n        return Z\n"
+                      "    def __repr__(self):\n        return 'c'\n"
+                      "def f():\n    return C().used()\n"
+                      "def g():\n    return h()\n"
+                      "def h():\n    pass\n"
+                      "def k():\n    return W\n"
+                      "W, _V = 3, 4\n"
+                      "from b import g\n"
+                      "print(f)\n"}
+    roots = {"r.py": "import a\n"}
+    assert _unreached_public_definitions(sample, roots, ("k",)) == [
+        "a.py:13 g", "a.py:15 h", "a.py:3 Z", "a.py:7 C.unused"]
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    roots = {str(p): p.read_text(encoding="utf-8")
+             for p in sorted(BENCH.glob("*.py"))}
+    roots["cli.py"] = sources["cli.py"]
+    assert len(roots) > 1
+    unreached = _unreached_public_definitions(sources, roots,
+                                              tuple(UNREACHED_ALLOWED))
+    assert not unreached, unreached
+    # an entry that the CLI or the benchmark reaches leaves the list
+    found = {u.split(" ", 1)[1]
+             for u in _unreached_public_definitions(sources, roots)}
+    assert set(UNREACHED_ALLOWED) <= found, found
 
 
 def _unset_defaults(defining: dict, calling: dict) -> list:

@@ -84,7 +84,7 @@ def test_each_root_is_computed_once_per_request(monkeypatch, roots):
     N, n = 20, 6
     mags = [float(roots[k]) for k in range(1, N + 1)]
     stieltjes1._closed_anchor.cache_clear()
-    stieltjes1._SmallA.at.cache_clear()
+    stieltjes1._smalla_data.cache_clear()
     mellin2._J_smalla_data.cache_clear()
     counts = {}
     for name in ("_H_plus", "xi_lambda_derivs"):
@@ -137,3 +137,26 @@ def test_route_warning_reaches_the_caller_once_per_context(monkeypatch, roots):
     assert _pair(again) == _pair(first)
     with pytest.warns(AccuracyWarning):
         integral1_series("eq3", 12, roots, StieltjesContext(roots))
+
+
+def test_small_a_seeds_evaluate_each_product_transform_once(monkeypatch, roots):
+    # J_1, J_2, J_3 at a0 share one Ai2Base, whose calI_n, i_n and i'_n are
+    # each evaluated once; a repeat build in the process evaluates none
+    mellin2._J_smalla_data.cache_clear()
+    compute = mellin2.Ai2Base._compute
+    calls = []
+
+    def counted(self, kind, n):
+        calls.append((kind, n))
+        return compute(self, kind, n)
+
+    monkeypatch.setattr(mellin2.Ai2Base, "_compute", counted)
+    J1Solution.build(float(roots[1]), seed_source="small_a")
+    assert len(calls) == len(set(calls))
+    indices = {kind: sorted(n for k, n in calls if k == kind)
+               for kind in ("calI", "i", "iprime")}
+    assert indices == {"calI": list(range(-3, 35)), "i": list(range(-3, 33)),
+                       "iprime": list(range(-3, 33))}
+    calls.clear()
+    J1Solution.build(float(roots[1]), seed_source="small_a")
+    assert calls == []

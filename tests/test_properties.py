@@ -3,11 +3,17 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from airylog.airy import airy, jpair
+from airylog.errors import DomainError
 from airylog.kernel import compensated_sum, pochhammer
-from airylog.mellin1 import mellin_closed
+from airylog.mellin1 import mellin_closed, mellin_prime
+from airylog.mellin2 import Jn_smalla, irreducible_neg1
+from airylog.oracle import oracle_mellin, oracle_stieltjes
+from airylog.stieltjes1 import bigI_asym, bigI_smalla
+from airylog.stieltjes2 import bigJ_asym
 from airylog.zeta import zeta_closed, zeta_incomplete
 from airylog.roots import roots_upto
 
@@ -73,3 +79,25 @@ def test_mellin_recurrence_residual(n, a):
            - a ** (n - 1) * float(st_.aip)
            + (n - 1) * a ** (n - 2) * float(st_.ai))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+#: one call per route whose domain check let a NaN argument through
+NAN_ROUTES = {
+    "mellin_closed": lambda a: mellin_closed(1, a),
+    "mellin_prime": lambda a: mellin_prime(1, a),
+    "bigI_smalla": lambda a: bigI_smalla(1, a),
+    "bigI_asym": lambda a: bigI_asym(1, a),
+    "bigJ_asym": bigJ_asym,
+    "Jn_smalla": lambda a: Jn_smalla(1, a),
+    "irreducible_neg1": lambda a: irreducible_neg1(a, "i"),
+    "oracle_stieltjes": lambda a: oracle_stieltjes("Ai", 1, a),
+    "oracle_mellin": lambda a: oracle_mellin("Ai2", 1, a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_ROUTES))
+def test_nan_argument_raises_domain_error(name):
+    # a NaN fails every comparison, so a check written as a <= 0 let it
+    # through to a NaN, a 0.0 or an untyped error
+    with pytest.raises(DomainError):
+        NAN_ROUTES[name](math.nan)

@@ -213,10 +213,10 @@ def test_domain_errors(ctx, roots):
         TruncationConfig(0, 3)
 
 
-@pytest.mark.parametrize("a", [0.0, -1.0])
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
 def test_context_routes_reject_nonpositive_a(ctx, a):
-    # these reached the small-a route's base values with I_{-1}, I_{-2}
-    # missing and raised TypeError or ZeroDivisionError
+    # 0 and -1 reached the small-a route's base values with I_{-1}, I_{-2}
+    # missing and raised TypeError or ZeroDivisionError; NaN returned NaN
     for route in (ctx.bigI1, ctx.bigI3, ctx.eq8_term):
         with pytest.raises(DomainError):
             route(a)
