@@ -28,10 +28,11 @@ from .kernel import (
     hyp,
     hyp_pfq,
     pochhammer,
+    smalla_sum,
 )
 from .airy import AiryState, JPair, airy, jpair, scorer_gi
 from .roots import RootTable, refine_root, root_seed, roots_upto
-from .zeta import zeta_closed, zeta_eta_poly, zeta_incomplete
+from .zeta import zeta_closed, zeta_eta_poly, zeta_incomplete, zeta_tail
 from .oracle import (
     integrate_halfline,
     oracle_integral1,
@@ -42,10 +43,8 @@ from .oracle import (
 )
 from .results import TransformResult, TruncationConfig
 from .mellin1 import (
-    CdePoly,
     PQPoly,
     amatrix,
-    cde_ladder,
     genfunc_lambda,
     genfunc_xi,
     mellin_closed,

@@ -172,7 +172,7 @@ def airy(x: float) -> AiryState:
     |x| <= 8.
     """
     x = float(x)
-    if x > ASYM_MAX or x < -SERIES_MAX:
+    if not -SERIES_MAX <= x <= ASYM_MAX:
         raise RangeError(f"airy argument {x} outside [-16, 30]")
     if x > X_SWITCH:
         return _airy_asym_pos(x)

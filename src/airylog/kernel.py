@@ -1,6 +1,7 @@
 """Scalar numerics kernel: the Airy constants at 0, Pochhammer,
 compensated summation, the truncated moment series, exact rational
-polynomials and the generalized hypergeometric series engine.
+polynomials, the small-a expansion sum and the generalized
+hypergeometric series engine.
 
 Every closed form in the package funnels through :func:`hyp_pfq`.  The
 series is summed in double-double by forward term-ratio recursion
@@ -17,7 +18,9 @@ through :func:`compensated_sum` (or, for the moment series, the same
 Neumaier steps written into its loop), every large-a moment series
 (sum_m (-1)^m c_m a^(-p-m), truncated at its smallest term) through
 :func:`alternating_series`, and every exact rational polynomial
-(coefficient tuples, low power first) through the ``poly_*`` helpers.
+(coefficient tuples, low power first) through the ``poly_*`` helpers,
+and every small-a Stieltjes expansion (a generating-function ladder
+against incomplete Mellin transforms) through :func:`smalla_sum`.
 """
 
 from __future__ import annotations
@@ -117,6 +120,34 @@ def alternating_series(coeffs: Sequence[float], a: float,
         apow /= a
         sign = -sign
     return XReal(s, comp), max(best, 2.0 ** -52 * magnitude)
+
+
+def smalla_sum(ladders, transforms, n: int, i_max: int) -> tuple:
+    """sum_{i=0..i_max} sum_j ladders[j][i] transforms[j](i - n) / i! in
+    double-double: the small-a expansion of a Stieltjes transform of order
+    n, with ``ladders`` the z-derivatives of its generating functions
+    (XReal lists) and ``transforms`` the incomplete Mellin transforms they
+    pair with (index -> dd pair).
+
+    The i! is a running binary64 product.  Returns ``(total, tail)``: the
+    dd pair and the largest |term| among the last three terms, the
+    truncation estimate.
+    """
+    total = (0.0, 0.0)
+    tail = 0.0
+    fact = 1.0
+    for i in range(i_max + 1):
+        if i > 0:
+            fact *= i
+        term = None
+        for ladder, transform in zip(ladders, transforms):
+            part = dd_mul(ladder[i].pair, transform(i - n))
+            term = part if term is None else dd_add(term, part)
+        term = dd_div_f(term, fact)
+        total = dd_add(total, term)
+        if i > i_max - 3:
+            tail = max(tail, abs(term[0]))
+    return total, tail
 
 
 # -- exact polynomials (coefficient tuples, low power first) ----------------

@@ -103,46 +103,6 @@ def amatrix(k_max: int):
     return rows
 
 
-@dataclass(frozen=True)
-class CdePoly:
-    """I_n(a) = c_n(a) Ai + d_n(a) Ai' + e_n I_0 for n >= 1.
-
-    c, d are exact integer-coefficient polynomials; e_{3k} = (3k)!/(3^k k!)
-    and vanishes otherwise.
-    """
-
-    n: int
-    c: tuple
-    d: tuple
-    e: int
-
-
-@lru_cache(maxsize=None)
-def cde_ladder(n_max: int):
-    """Rows n = 1..n_max by the recurrence
-    c_n = (n-1)(n-2) c_{n-3} + (n-1) a^{n-2} (d, e analogous)."""
-    if n_max > 80:
-        raise DomainError("cde_ladder capped at 80")
-    rows = {
-        1: CdePoly(1, (0,), (-1,), 0),
-        2: CdePoly(2, (1,), (0, -1), 0),
-        3: CdePoly(3, (0, 2), (0, 0, -1), 2),
-    }
-    for n in range(4, n_max + 1):
-        prev = rows[n - 3]
-        m = (n - 1) * (n - 2)
-        c = list(c * m for c in prev.c)
-        while len(c) < n - 1:
-            c.append(0)
-        c[n - 2] += n - 1
-        d = list(x * m for x in prev.d)
-        while len(d) < n:
-            d.append(0)
-        d[n - 1] -= 1
-        rows[n] = CdePoly(n, tuple(c), tuple(d), m * prev.e)
-    return tuple(rows[n] for n in range(1, n_max + 1))
-
-
 # -- generating functions ----------------------------------------------------
 
 def genfunc_xi(t: float, z: float) -> XReal:
@@ -307,10 +267,15 @@ def reduce_In(m: int) -> Reduction:
     if m == -2:
         return Reduction(Fraction(0), Fraction(0), Fraction(1), {}, {})
     if m >= 1:
-        row = cde_ladder(m)[m - 1]
-        u = {p: Fraction(c) for p, c in enumerate(row.c) if c}
-        v = {p: Fraction(c) for p, c in enumerate(row.d) if c}
-        return Reduction(Fraction(row.e), Fraction(0), Fraction(0), u, v)
+        # I_m = (m-1)(m-2) I_{m-3} + (m-1) a^{m-2} Ai - a^{m-1} Ai'
+        base = reduce_In(m - 3)
+        s = Fraction((m - 1) * (m - 2))
+        u = _laurent_scaled(base.u, s)
+        v = _laurent_scaled(base.v, s)
+        if m > 1:
+            _laurent_addto(u, m - 2, Fraction(m - 1))
+        _laurent_addto(v, m - 1, Fraction(-1))
+        return Reduction(s * base.alpha, s * base.beta, s * base.gamma, u, v)
     # m <= -3: I_{n-3} = [I_n + a^{n-1} Ai' - (n-1) a^{n-2} Ai]/((n-1)(n-2))
     n = m + 3
     base = reduce_In(n)

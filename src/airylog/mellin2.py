@@ -53,6 +53,7 @@ from .kernel import (
     poly_eval_dd,
     poly_scale,
     poly_shift,
+    smalla_sum,
 )
 from .mellin1 import genfunc_lambda, genfunc_xi, xi_lambda_derivs
 from .results import TransformResult
@@ -493,7 +494,7 @@ def reid_moment(alpha: float, kind: str) -> XReal:
     return XReal(num * math.exp(log) if num > 0 else -abs(num) * math.exp(log))
 
 
-#: last k of the small-a sums for J_n: ten triples
+#: terms of the small-a sum for J_n past i = n: ten triples
 _J_KCAP = 3 * 10 + 2
 
 
@@ -508,42 +509,23 @@ def _J_smalla_data(a: float) -> tuple:
 def Jn_smalla(n: int, a: float) -> TransformResult:
     """Stieltjes transform of Ai^2, J_n(a) = int_0^inf Ai^2/(x+a)^n dx,
     assembled from the squared generating-function derivative ladders and
-    the incomplete product transforms:
+    the incomplete product transforms by :func:`smalla_sum`:
 
-        J_n = sum_{k>=0} [Xi^(k+n) i_k + Lam^(k+n) i'_k + rho^(k+n) calI_k]/(k+n)!
-            + sum_{k=1..n} [Xi^(n-k) i_{-k} + Lam^(n-k) i'_{-k}
-                            + rho^(n-k) calI_{-k}]/(n-k)!
+        J_n = sum_{i>=0} [Xi^(i) i_{i-n} + Lam^(i) i'_{i-n}
+                          + rho^(i) calI_{i-n}]/i!
 
-    Designed for n in [1, 6], a <= 4; the k sums run to _J_KCAP = 32 (ten
-    triples).  The ladders and base values at a are built once per process
-    (:func:`_J_smalla_data`); the sums are redone on every call.
+    Designed for n in [1, 6], a <= 4; the sum runs to i = n + _J_KCAP
+    (ten triples past i = n).  The ladders and base values at a are built
+    once per process (:func:`_J_smalla_data`); the sum is redone on every
+    call.
     """
     if not 1 <= n <= 6:
         raise DomainError("Jn_smalla supports n in [1, 6]")
     if not a > 0.0:
         raise DomainError("Jn_smalla needs a > 0")
     (Xi, Lam, Rho), base = _J_smalla_data(float(a))
-    total = (0.0, 0.0)
-    tail = 0.0
-    for k in range(_J_KCAP + 1):
-        fact = math.factorial(k + n)
-        term = dd_add(
-            dd_add(dd_mul(Xi[k + n].pair, base.i_n(k)),
-                   dd_mul(Lam[k + n].pair, base.ip_n(k))),
-            dd_mul(Rho[k + n].pair, base.calI(k)),
-        )
-        term = dd_div_f(term, float(fact))
-        total = dd_add(total, term)
-        if k > _J_KCAP - 3:
-            tail = max(tail, abs(term[0]))
-    for k in range(1, n + 1):
-        fact = math.factorial(n - k)
-        term = dd_add(
-            dd_add(dd_mul(Xi[n - k].pair, base.i_n(-k)),
-                   dd_mul(Lam[n - k].pair, base.ip_n(-k))),
-            dd_mul(Rho[n - k].pair, base.calI(-k)),
-        )
-        total = dd_add(total, dd_div_f(term, float(fact)))
+    total, tail = smalla_sum((Xi, Lam, Rho), (base.i_n, base.ip_n, base.calI),
+                             n, n + _J_KCAP)
     val = XReal.from_pair(total)
     err = 10.0 * tail + 1e-14 * abs(float(val))
     return TransformResult(val, "small_a", err)

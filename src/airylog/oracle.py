@@ -11,9 +11,7 @@ certifies (the evaluator is cross-checked against scipy directly in the
 test suite).
 
 scipy is imported on the first quadrature, not with this module: no other
-part of airylog needs it, so the analytic commands never load it.  The
-binary64 constants ``AI0_F`` and ``AIP0_F`` are module attributes that
-scipy computes when they are read.
+part of airylog needs it, so the analytic commands never load it.
 
 Everything here is pure; results are deterministic for fixed inputs.
 """
@@ -42,18 +40,6 @@ def _scipy() -> tuple:
     return quad, airy
 
 
-#: Ai(0) and Ai'(0) to binary64 accuracy, for integrand normalisation:
-#: module attributes computed by scipy on each access
-_AIRY0 = ("AI0_F", "AIP0_F")
-
-
-def __getattr__(name: str):
-    # module attribute lookup (PEP 562) for the names in _AIRY0
-    if name in _AIRY0:
-        return _scipy()[1](0.0)[_AIRY0.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def integrate_halfline(
     f: Callable[[float], float],
     split: float = DEFAULT_SPLIT,
@@ -67,8 +53,8 @@ def integrate_halfline(
     ``split``; Airy-weighted integrands decay exponentially and the tail
     panel converges in a handful of subdivisions.  Raises
     :class:`AccuracyError` if the combined error estimate exceeds ``tol``
-    by more than two orders of magnitude.  The result's ``subdivisions``
-    counts the subintervals of all panels.
+    by more than two orders of magnitude, or is NaN.  The result's
+    ``subdivisions`` counts the subintervals of all panels.
     """
     quad = _scipy()[0]
     pts = sorted({p for p in breakpoints if 0.0 < p < split})
@@ -92,7 +78,7 @@ def integrate_halfline(
     total += v
     err += e
     neval += info["last"]
-    if err > 100.0 * tol * max(1.0, abs(total)):
+    if not err <= 100.0 * tol * max(1.0, abs(total)):
         raise AccuracyError("halfline quadrature missed tolerance",
                             best=total, err_est=err)
     return TransformResult(XReal(total), "oracle", err, neval)
@@ -159,8 +145,9 @@ _MELLIN_WEIGHTS = dict(_STIELTJES_WEIGHTS, AiP=lambda s: s[1])
 def oracle_mellin(kind: str, n: int, a: float,
                   tol: float = DEFAULT_TOL) -> TransformResult:
     """integral_a^inf x^n w(x) dx for w in {Ai, AiP, Ai2, AiP2, AiAiP}."""
-    if not a >= 0.0 or (a == 0.0 and n <= -1):
-        raise DomainError("integrand singular at 0 for n <= -1 unless a > 0")
+    if not 0.0 <= a < math.inf or (a == 0.0 and n <= -1):
+        raise DomainError("oracle_mellin needs a finite a >= 0, and a > 0 "
+                          "for n <= -1 (the integrand is singular at 0)")
     w = _MELLIN_WEIGHTS[kind]
     airy = _scipy()[1]
     f = lambda x: (x ** n * w(airy(x)) if x > 0.0

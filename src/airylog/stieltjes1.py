@@ -43,11 +43,11 @@ from .ddreal import (
     SQRT3,
 )
 from .errors import AccuracyWarning, DomainError, StabilityError
-from .kernel import AI0, AIP0, alternating_series, compensated_sum, hyp
+from .kernel import AI0, AIP0, alternating_series, compensated_sum, hyp, smalla_sum
 from .mellin1 import BaseValues, xi_lambda_derivs
 from .results import TransformResult, TruncationConfig
 from .roots import RootTable
-from .zeta import zeta_closed, zeta_incomplete
+from .zeta import zeta_tail
 
 _F13 = Fraction(1, 3)
 _F23 = Fraction(2, 3)
@@ -231,6 +231,8 @@ def bigI_relations(a: float, I3, I4):
 
 def bigI3_from_I1(a: float, I1) -> XReal:
     """bigI_3 = 1/6 + Ai'(0)/(2a) + Ai(0)/(2a^2) - (a/2) bigI_1."""
+    if not a > 0.0:
+        raise DomainError("bigI3_from_I1 needs a > 0")
     I1x = I1 if isinstance(I1, XReal) else XReal(float(I1))
     return XReal(1.0 / 6.0) + AIP0 / (2 * a) + AI0 / (2 * a * a) - (a / 2) * I1x
 
@@ -267,20 +269,9 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
     if not a > 0.0:
         raise DomainError("bigI_smalla needs a > 0")
     (xs, ls), base = _smalla_data(float(a))
-    i_max = n + 3 * _SMALLA_TRIPLES + 2
-    total = (0.0, 0.0)
-    tail_mag = 0.0
-    fact = 1.0
-    for i in range(i_max + 1):
-        if i > 0:
-            fact *= i
-        tx = dd_mul(xs[i].pair, base.I(i - n))
-        tl = dd_mul(ls[i].pair, base.Iprime(i - n))
-        term = dd_div_f(dd_add(tx, tl), fact)
-        total = dd_add(total, term)
-        if i > i_max - 3:
-            tail_mag = max(tail_mag, abs(term[0]))
-    err = 10.0 * tail_mag + 1e-15 * abs(total[0])
+    total, tail = smalla_sum((xs, ls), (base.I, base.Iprime), n,
+                             n + 3 * _SMALLA_TRIPLES + 2)
+    err = 10.0 * tail + 1e-15 * abs(total[0])
     val = XReal.from_pair(total)
     if err > 1e-6 * max(1.0, abs(float(val))):
         warnings.warn(f"bigI_smalla truncation estimate {err:.2e} is large",
@@ -382,12 +373,7 @@ def integral1_accelerated(cfg: TruncationConfig, roots: RootTable,
                                     {Z_{k+4} - Z_{k+4}(N)}.
     """
     head = integral1_series("eq3", cfg.N, roots, ctx)
-    tail_terms = []
-    for k in range(cfg.n + 1):
-        coeff = math.factorial(k + 2) / (3.0 ** (k / 3.0) * math.gamma(k / 3.0 + 1.0))
-        if k % 2:
-            coeff = -coeff
-        gap = zeta_closed(k + 4) - zeta_incomplete(k + 4, cfg.N, roots)
-        tail_terms.append(coeff * gap)
-    tail = compensated_sum(tail_terms) / (3 * AIP0)
-    return head + tail
+    coeffs = [(-1) ** k * math.factorial(k + 2)
+              / (3.0 ** (k / 3.0) * math.gamma(k / 3.0 + 1.0))
+              for k in range(cfg.n + 1)]
+    return head + zeta_tail(coeffs, 4, cfg.N, roots) / (3 * AIP0)

@@ -49,7 +49,7 @@ from .mellin2 import A2, AAP, AP2, Jn_smalla
 from .oracle import oracle_stieltjes
 from .results import TransformResult, TruncationConfig
 from .roots import RootTable
-from .zeta import zeta_closed, zeta_incomplete
+from .zeta import zeta_tail
 
 _F13 = Fraction(1, 3)
 _F16 = Fraction(1, 6)
@@ -270,6 +270,8 @@ def j_term(a: float, sol: J1Solution, grouped: bool = False) -> XReal:
 def bigJ_closed(a: float, sol: J1Solution) -> XReal:
     """Summand by the closed form:
     -2Ai(0)^2/(5a) - (2/3)Ai(0)Ai'(0) - 2a Ai'(0)^2 + pi^2 j(a)."""
+    if not a > 0.0:
+        raise DomainError("bigJ_closed needs a > 0")
     j = j_term(a, sol)
     return (-2 * A2 / (5 * a) - Fraction(2, 3) * AAP - 2 * a * AP2
             + PI * PI * j)
@@ -353,6 +355,8 @@ def bigJ_term(k: int, roots: RootTable, sol: J1Solution) -> XReal:
 
 def integral2_series(N: int, roots: RootTable, sol: J1Solution) -> XReal:
     """Plain partial sum (1/(3 Ai'(0)^2)) sum_{k<=N} bigJ(|a_k'|)."""
+    if N > roots.n_max:
+        raise DomainError("not enough roots tabulated")
     terms = [bigJ_term(k, roots, sol) for k in range(1, N + 1)]
     return compensated_sum(terms) / (3 * AP2)
 
@@ -367,14 +371,8 @@ def integral2_accelerated(cfg: TruncationConfig, roots: RootTable,
                      {Z_{k+2} - Z_{k+2}(N)}.
     """
     head = integral2_series(cfg.N, roots, sol)
-    tail_terms = []
-    for k in range(cfg.n + 1):
-        coeff = ((k + 4) * math.factorial(k + 1)
-                 / (12.0 ** (k / 3.0) * math.gamma(k / 3.0 + 13.0 / 6.0)))
-        if k % 2:
-            coeff = -coeff
-        gap = zeta_closed(k + 2) - zeta_incomplete(k + 2, cfg.N, roots)
-        tail_terms.append(coeff * gap)
-    tail = compensated_sum(tail_terms)
+    coeffs = [(-1) ** k * (k + 4) * math.factorial(k + 1)
+              / (12.0 ** (k / 3.0) * math.gamma(k / 3.0 + 13.0 / 6.0))
+              for k in range(cfg.n + 1)]
     pref = 2 / (XReal(12.0 ** (13.0 / 6.0)) * SQRT_PI * AP2)
-    return head - pref * tail
+    return head - pref * zeta_tail(coeffs, 2, cfg.N, roots)

@@ -19,7 +19,7 @@ from functools import cache
 
 from .airy import airy
 from .kernel import AI0, AIP0, ETA
-from .mellin1 import amatrix, cde_ladder, mellin_closed, pq_ladder
+from .mellin1 import amatrix, mellin_closed, pq_ladder, reduce_In
 from .mellin2 import Jn_smalla, calI, mellin2, pqr2_ladder, pqr_ladder
 from .oracle import (
     oracle_integral1,
@@ -431,8 +431,7 @@ def check_polynomials(records: list) -> None:
     records.append(_rec("poly.amatrix.first_column", "ladder",
                         0.0 if first_col_ok else 1.0, 0.0, 0.5,
                         "3^{k+1}G(k+2/3)/G(2/3)"))
-    cde = cde_ladder(6)
-    ok = cde[5].e == 40 and cde[4].c == (12, 0, 0, 4)
+    ok = reduce_In(6).alpha == 40 and reduce_In(5).u == {0: 12, 3: 4}
     records.append(_rec("poly.table6", "ladder", 0.0 if ok else 1.0, 0.0,
                         0.5, "exact rows"))
     p = pqr_ladder(5)

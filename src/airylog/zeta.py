@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .ddreal import XReal, dd_add, dd_powi
 from .errors import DomainError
-from .kernel import ETA, poly_add, poly_mul, poly_scale
+from .kernel import ETA, compensated_sum, poly_add, poly_mul, poly_scale
 from .roots import RootTable
 
 K_MAX = 20
@@ -90,3 +90,12 @@ def zeta_incomplete(k: int, N: int, roots: RootTable) -> XReal:
     for r in reversed(roots.roots[:N]):  # smallest terms first
         acc = dd_add(acc, dd_powi(r.pair, -k))
     return XReal.from_pair(acc)
+
+
+def zeta_tail(coeffs, p: int, N: int, roots: RootTable) -> XReal:
+    """sum_k c_k {Z_{p+k} - Z_{p+k}(N)}, k = 0..len(coeffs)-1, summed by
+    :func:`compensated_sum`: the zeta-accelerated tail of both log-Airy
+    integrals, whose roots beyond the first N enter only through the gaps
+    between the closed and the incomplete sums."""
+    return compensated_sum([c * (zeta_closed(p + k) - zeta_incomplete(p + k, N, roots))
+                            for k, c in enumerate(coeffs)])

@@ -32,11 +32,6 @@ for argv in (["roots", "--N", "5"], ["zeta", "--N", "20", "--k", "4"],
 from airylog.oracle import oracle_mellin
 value = float(oracle_mellin("AiAiP", -1, 1.0))
 state["oracle_mellin"] = [repr(value), "scipy" in sys.modules]
-
-import scipy.special
-from airylog import oracle
-state["AIP0_F"] = bool(oracle.AIP0_F == scipy.special.airy(0.0)[1])
-state["AI0_F"] = bool(oracle.AI0_F == scipy.special.airy(0.0)[0])
 print(json.dumps(state))
 """
 
@@ -51,7 +46,6 @@ def test_analytic_commands_never_import_scipy():
         assert state[command] == [0, True, []], (command, state[command])
     # the first quadrature loads scipy and gives the eager import's value
     assert state["oracle_mellin"] == ["-0.0069664329596629245", True]
-    assert state["AIP0_F"] and state["AI0_F"]
 
 
 def test_validation_computes_the_closed_form_anchor_once():

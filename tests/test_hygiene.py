@@ -159,7 +159,6 @@ UNREACHED_ALLOWED = {
     "oracle_j_summand": "quadrature reference for the per-root J summand",
     "AiryState.wronskian": "Wronskian identity that tests check airy with",
     "TWO_PI": "constant of the Gamma reflection identity that tests check",
-    "__getattr__": "PEP 562 hook: the oracle's AI0_F and AIP0_F",
     "reid_moment": "printed moments; a validation record for them moves "
                    "printed output and waits for a bench/expected refreeze",
     "J_asym": "printed expansions; a validation record for them moves "

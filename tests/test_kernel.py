@@ -17,6 +17,7 @@ from airylog.kernel import (
     hyp,
     hyp_pfq,
     pochhammer,
+    smalla_sum,
 )
 from airylog.ddreal import SQRT3, TWO_PI, XReal
 from airylog.roots import roots_upto
@@ -66,6 +67,23 @@ def test_compensated_sum_small_terms():
 def test_compensated_sum_xreal_inputs():
     total = compensated_sum([XReal(1.0, 1e-20), XReal(-1.0)])
     assert abs(float(total) - 1e-20) < 1e-32
+
+
+def test_smalla_sum_of_reciprocal_factorials():
+    # unit ladders against a unit transform: sum_{i<=20} 1/i!, with the
+    # largest of the last three terms, 1/18!, as the tail
+    ones = [XReal(1.0)] * 21
+    unit = lambda m: (1.0, 0.0)
+    exact = lambda pair: Fraction(pair[0]) + Fraction(pair[1])
+    total, tail = smalla_sum((ones,), (unit,), 3, 20)
+    expect = sum(Fraction(1, math.factorial(i)) for i in range(21))
+    assert abs(exact(total) - expect) < Fraction(1, 2 ** 100)
+    assert tail == 1.0 / math.factorial(18)
+    # each term adds the ladders' products; each transform sees i - n, so
+    # one that vanishes away from 0 leaves only the i = n term, 1/3!
+    at_zero = lambda m: (1.0, 0.0) if m == 0 else (0.0, 0.0)
+    total, tail = smalla_sum((ones, ones), (at_zero, unit), 3, 20)
+    assert abs(exact(total) - (expect + Fraction(1, 6))) < Fraction(1, 2 ** 100)
 
 
 def _neumaier_reference(terms):

@@ -14,12 +14,12 @@ from airylog.mellin1 import (
     Im1_hyp,
     Im2_hyp,
     amatrix,
-    cde_ladder,
     genfunc_lambda,
     genfunc_xi,
     mellin_closed,
     mellin_prime,
     pq_ladder,
+    reduce_In,
     xi_lambda_derivs,
 )
 from airylog.oracle import oracle_mellin
@@ -120,22 +120,31 @@ def test_amatrix_rows_and_first_column():
         assert abs(rows[3 * k + 1][0] - expect) < 1e-9
 
 
+def _cde(n):
+    """(c_n, d_n, e_n) of I_n = c_n Ai + d_n Ai' + e_n I_0 as Table 6
+    prints them (coefficient tuples, low power first), read from
+    :func:`reduce_In`."""
+    red = reduce_In(n)
+    assert red.beta == red.gamma == 0
+    poly = lambda d: tuple(d.get(p, 0) for p in range(max(d, default=0) + 1))
+    return poly(red.u), poly(red.v), red.alpha
+
+
 def test_cde_table6():
-    lad = cde_ladder(6)
-    assert lad[0].c == (0,) and lad[0].d == (-1,) and lad[0].e == 0
-    assert lad[2].c == (0, 2) and lad[2].d == (0, 0, -1) and lad[2].e == 2
-    assert lad[3].c == (0, 0, 3) and lad[3].d == (-6, 0, 0, -1)
-    assert lad[4].c == (12, 0, 0, 4) and lad[4].d == (0, -12, 0, 0, -1)
+    assert _cde(1) == ((0,), (-1,), 0)
+    assert _cde(3) == ((0, 2), (0, 0, -1), 2)
+    assert _cde(4)[:2] == ((0, 0, 3), (-6, 0, 0, -1))
+    assert _cde(5)[:2] == ((12, 0, 0, 4), (0, -12, 0, 0, -1))
     # table row 6 prints c_6 = 40 + 5a^4; the recurrence (and the explicit
     # I_6 list, which shows +(40a + 5a^4)Ai) give 40a + 5a^4
-    assert lad[5].c == (0, 40, 0, 0, 5) and lad[5].e == 40
+    c6, _, e6 = _cde(6)
+    assert c6 == (0, 40, 0, 0, 5) and e6 == 40
 
 
 def test_e_formula_matches_recurrence():
-    lad = cde_ladder(24)
     for k in range(1, 9):
         expect = math.factorial(3 * k) // (3 ** k * math.factorial(k))
-        assert lad[3 * k - 1].e == expect
+        assert reduce_In(3 * k).alpha == expect
 
 
 def test_mellin_closed_examples():

@@ -108,3 +108,14 @@ def test_argument_validation():
         oracle_stieltjes("Ai", 3, -1.0)
     with pytest.raises(DomainError):
         oracle_mellin("Ai2", -1, 0.0)
+    with pytest.raises(DomainError):
+        oracle_mellin("Ai", 1, math.inf)
+
+
+def test_nan_integrand_fails_the_accuracy_gate():
+    # a NaN error estimate fails every comparison, so the gate is written
+    # to raise unless the estimate is within tolerance
+    from airylog.errors import AccuracyError
+
+    with pytest.raises(AccuracyError):
+        integrate_halfline(lambda x: math.nan)

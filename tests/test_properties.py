@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airylog.airy import airy, jpair
-from airylog.errors import DomainError
+from airylog.errors import DomainError, RangeError
 from airylog.kernel import compensated_sum, pochhammer
 from airylog.mellin1 import mellin_closed, mellin_prime
 from airylog.mellin2 import Jn_smalla, irreducible_neg1
 from airylog.oracle import oracle_mellin, oracle_stieltjes
-from airylog.stieltjes1 import bigI_asym, bigI_smalla
-from airylog.stieltjes2 import bigJ_asym
+from airylog.stieltjes1 import bigI3_from_I1, bigI_asym, bigI_smalla
+from airylog.stieltjes2 import bigJ_asym, bigJ_closed
 from airylog.zeta import zeta_closed, zeta_incomplete
 from airylog.roots import roots_upto
 
@@ -87,7 +87,9 @@ NAN_ROUTES = {
     "mellin_prime": lambda a: mellin_prime(1, a),
     "bigI_smalla": lambda a: bigI_smalla(1, a),
     "bigI_asym": lambda a: bigI_asym(1, a),
+    "bigI3_from_I1": lambda a: bigI3_from_I1(a, 0.1),
     "bigJ_asym": bigJ_asym,
+    "bigJ_closed": lambda a: bigJ_closed(a, None),  # checked before use
     "Jn_smalla": lambda a: Jn_smalla(1, a),
     "irreducible_neg1": lambda a: irreducible_neg1(a, "i"),
     "oracle_stieltjes": lambda a: oracle_stieltjes("Ai", 1, a),
@@ -101,3 +103,10 @@ def test_nan_argument_raises_domain_error(name):
     # through to a NaN, a 0.0 or an untyped error
     with pytest.raises(DomainError):
         NAN_ROUTES[name](math.nan)
+
+
+@pytest.mark.parametrize("evaluate", [airy, jpair], ids=["airy", "jpair"])
+def test_nan_argument_raises_range_error(evaluate):
+    # the Airy evaluator's range check is written so that NaN fails it
+    with pytest.raises(RangeError):
+        evaluate(math.nan)

@@ -234,3 +234,8 @@ def test_domain_errors(sol):
         J_asym(10.0, 3)
     with pytest.raises(DomainError):
         J1Solution.build(1.0, seed_source="bogus")
+
+
+def test_series_needs_enough_roots(sol):
+    with pytest.raises(DomainError):
+        integral2_series(20, roots_upto(10), sol)

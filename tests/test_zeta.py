@@ -5,9 +5,9 @@ from fractions import Fraction as Fr
 import pytest
 
 from airylog.errors import DomainError
-from airylog.kernel import ETA
+from airylog.kernel import ETA, compensated_sum
 from airylog.roots import root_seed, roots_upto
-from airylog.zeta import zeta_closed, zeta_eta_poly, zeta_incomplete
+from airylog.zeta import zeta_closed, zeta_eta_poly, zeta_incomplete, zeta_tail
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +77,13 @@ def test_domain_errors(roots):
         zeta_incomplete(1, 5, roots)
     with pytest.raises(DomainError):
         zeta_incomplete(3, 101, roots)
+
+
+def test_zeta_tail_is_the_compensated_sum_of_the_gaps(roots):
+    coeffs = [1.5, -0.25, 3.0]
+    gaps = [c * (zeta_closed(4 + k) - zeta_incomplete(4 + k, 37, roots))
+            for k, c in enumerate(coeffs)]
+    got = zeta_tail(coeffs, 4, 37, roots)
+    assert (got.hi, got.lo) == (compensated_sum(gaps).hi, compensated_sum(gaps).lo)
+    with pytest.raises(DomainError):
+        zeta_tail(coeffs, 4, roots.n_max + 1, roots)
