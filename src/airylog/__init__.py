@@ -48,6 +48,7 @@ from .mellin1 import (
     genfunc_lambda,
     genfunc_xi,
     mellin_closed,
+    mellin_family,
     mellin_prime,
     pq_ladder,
     xi_lambda_derivs,
@@ -57,12 +58,12 @@ from .mellin2 import (
     PqrPoly,
     PQRPoly2,
     calI,
+    calI_bform,
     genfunc2,
     irreducible_neg1,
     mellin2,
     pqr2_ladder,
     pqr_ladder,
-    reid_moment,
 )
 from .stieltjes1 import (
     StieltjesContext,
@@ -76,7 +77,6 @@ from .stieltjes1 import (
 )
 from .stieltjes2 import (
     J1Solution,
-    J_asym,
     J_recurrences,
     bigJ_asym,
     bigJ_closed,

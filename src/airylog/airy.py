@@ -57,7 +57,6 @@ class AiryState:
     over |x| <= 15 (far better inside the series range).
     """
 
-    x: float
     ai: XReal
     aip: XReal
     bi: XReal
@@ -76,7 +75,6 @@ class JPair:
     d/da of the combination).
     """
 
-    a: float
     jminus: XReal
     jplus: XReal
     jminus_prime: XReal
@@ -155,7 +153,6 @@ def _airy_asym_pos(x: float) -> AiryState:
     bi = dd_div(dd_mul(ep, su), dd_mul(SQRT_PI.pair, x14))
     bip = dd_div(dd_mul(dd_mul(ep, sv), x14), SQRT_PI.pair)
     return AiryState(
-        x,
         XReal.from_pair(ai),
         XReal.from_pair(aip),
         XReal.from_pair(bi),
@@ -184,7 +181,6 @@ def airy(x: float) -> AiryState:
     bi = dd_mul(SQRT3.pair, dd_sub(dd_mul(a0, f), dd_mul(ap0, g)))
     bip = dd_mul(SQRT3.pair, dd_sub(dd_mul(a0, fp), dd_mul(ap0, gp)))
     return AiryState(
-        x,
         XReal.from_pair(ai),
         XReal.from_pair(aip),
         XReal.from_pair(bi),
@@ -199,7 +195,7 @@ def jpair(a: float) -> JPair:
     st = airy(-a)
     sa = SQRT3 * st.ai
     sap = SQRT3 * st.aip
-    return JPair(a, sa - st.bi, sa + st.bi, sap - st.bip, sap + st.bip)
+    return JPair(sa - st.bi, sa + st.bi, sap - st.bip, sap + st.bip)
 
 
 #: Gi(0) = Bi(0)/3 and Gi'(0) = Bi'(0)/3
@@ -216,7 +212,7 @@ def scorer_gi(x: float):
     unused by the pipelines, which stay below 13).
     """
     x = float(x)
-    if x < 0.0 or x > 20.0:
+    if not 0.0 <= x <= 20.0:
         raise RangeError(f"scorer_gi argument {x} outside [0, 20]")
     xp = (x, 0.0)
     x3 = dd_mul(dd_mul(xp, xp), xp)

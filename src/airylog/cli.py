@@ -14,9 +14,10 @@ import json
 import math
 import sys
 
-from .errors import AccuracyError, ConvergenceError, DomainError, RangeError
-from .mellin1 import mellin_closed, mellin_prime
-from .mellin2 import Jn_smalla, calI, mellin2
+from .errors import (AccuracyError, ConvergenceError, DomainError,
+                     IterationError, RangeError, StabilityError)
+from .mellin1 import mellin_closed, mellin_family, mellin_prime
+from .mellin2 import Jn_smalla, calI, calI_bform, mellin2
 from .oracle import oracle_mellin, oracle_stieltjes
 from .results import Record, TruncationConfig
 from .roots import NEWTON_TOL, roots_upto
@@ -147,13 +148,13 @@ def cmd_transform(args) -> int:
             if weight == "Ai":
                 add(mellin_closed(idx, a))
                 if idx >= 0 and methods == "all":
-                    add(mellin_closed(idx, a, method="family"))
+                    add(mellin_family(idx, a))
             elif weight == "AiP":
                 add(mellin_prime(idx, a))
             elif weight == "AiAiP":
                 add(calI(idx, a))
                 if idx >= 0 and methods == "all":
-                    add(calI(idx, a, method="bform"))
+                    add(calI_bform(idx, a))
             else:
                 add(mellin2(idx, a, primed=(weight == "AiP2")))
     if not results:
@@ -294,7 +295,8 @@ def main(argv=None) -> int:
     except (DomainError, RangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (AccuracyError, ConvergenceError) as exc:
+    except (AccuracyError, ConvergenceError, IterationError,
+            StabilityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -68,7 +68,6 @@ _F73 = Fraction(7, 3)
 class PQPoly:
     """P_k, Q_k as integer coefficient lists (low power first)."""
 
-    k: int
     P: tuple
     Q: tuple
 
@@ -78,12 +77,12 @@ def pq_ladder(k_max: int):
     """P_0..P_kmax, Q_0..Q_kmax from the first-order recurrences."""
     if k_max > 120:
         raise DomainError("pq_ladder capped at 120")
-    out = [PQPoly(0, (1,), (0,))]
+    out = [PQPoly((1,), (0,))]
     for k in range(k_max):
         prev = out[-1]
         P = poly_add(poly_deriv(prev.P), poly_shift(prev.Q))
         Q = poly_add(poly_deriv(prev.Q), prev.P)
-        out.append(PQPoly(k + 1, P, Q))
+        out.append(PQPoly(P, Q))
     return tuple(out)
 
 
@@ -447,33 +446,39 @@ def _family_In(n: int, base: BaseValues) -> XReal:
     return XReal.from_pair(dd_mul_f(dd_sub(part1, part2), pref))
 
 
-def mellin_closed(n: int, a: float, method: str = "auto") -> TransformResult:
-    """I_n(a) for -60 <= n <= 80, a > 0.
+def _base(name: str, n: int, a: float) -> BaseValues:
+    """The base values at a, after the range checks every route shares."""
+    if not -60 <= n <= 80:
+        raise DomainError(f"{name} supports -60 <= n <= 80")
+    if not a > 0.0:
+        raise DomainError(f"{name} needs a > 0")
+    return BaseValues(a, 1e-18)
 
-    method: 'auto' (recurrence reduction; canonical) or 'family' (explicit
-    3k-family route, n >= 0).  err_est is 1e-14 max(1, |value|) for
-    'auto' and 1e-13 for 'family'.
 
-    Measured for 'auto' against 40-digit quadrature, n in [-3, 6]: the
-    error stays below 5% of err_est up to a = 8.5.  Beyond, every n whose
-    reduction carries I_0, I_{-1} or I_{-2} (n <= 0, n = 3, 6, ...) loses
-    digits to the cancellation in their series and exceeds err_est; the
-    worst error / err_est is 1.3 at a = 9, 30 at a = 10, 1.5e3 at a = 11,
+def mellin_closed(n: int, a: float) -> TransformResult:
+    """I_n(a) for -60 <= n <= 80, a > 0, by the recurrence reduction, with
+    err_est = 1e-14 max(1, |value|).
+
+    Measured against 40-digit quadrature, n in [-3, 6]: the error stays
+    below 5% of err_est up to a = 8.5.  Beyond, every n whose reduction
+    carries I_0, I_{-1} or I_{-2} (n <= 0, n = 3, 6, ...) loses digits to
+    the cancellation in their series and exceeds err_est; the worst
+    error / err_est is 1.3 at a = 9, 30 at a = 10, 1.5e3 at a = 11,
     1.3e4 at a = 12 and 1e6 at a = 13 (n = 6; n = 0 gives 0.03, 0.75, 39,
     320 and 2.5e4).  n = 1, 2, 4, 5, ... reduce onto Ai and Ai' alone and
     stay far inside err_est.
     """
-    if not -60 <= n <= 80:
-        raise DomainError("mellin_closed supports -60 <= n <= 80")
-    if not a > 0.0:
-        raise DomainError("mellin_closed needs a > 0")
-    base = BaseValues(a, 1e-18)
-    if method == "family":
-        if n < 0:
-            raise DomainError("family route implemented for n >= 0")
-        return TransformResult(_family_In(n, base), "family", 1e-13)
-    val = XReal.from_pair(base.I(n))
+    val = XReal.from_pair(_base("mellin_closed", n, a).I(n))
     return TransformResult(val, "recurrence", 1e-14 * max(1.0, abs(float(val))))
+
+
+def mellin_family(n: int, a: float) -> TransformResult:
+    """I_n(a) for 0 <= n <= 80, a > 0, by the explicit 3k-family formulas
+    (the second route), with err_est = 1e-13."""
+    if n < 0:
+        raise DomainError("mellin_family supports n >= 0")
+    return TransformResult(_family_In(n, _base("mellin_family", n, a)),
+                           "family", 1e-13)
 
 
 def mellin_prime(n: int, a: float) -> TransformResult:
@@ -482,11 +487,5 @@ def mellin_prime(n: int, a: float) -> TransformResult:
     I_{n+2} (n <= -2) and carries its measured accuracy: for n = 1 and
     n = -2 (both through I_0) the error / err_est is 0.03 at a = 9, 0.75
     at a = 10 and 39 at a = 11."""
-    if not -60 <= n <= 80:
-        raise DomainError("mellin_prime supports -60 <= n <= 80")
-    if not a > 0.0:
-        raise DomainError("mellin_prime needs a > 0")
-    base = BaseValues(a, 1e-18)
-    val = XReal.from_pair(base.Iprime(n))
+    val = XReal.from_pair(_base("mellin_prime", n, a).Iprime(n))
     return TransformResult(val, "recurrence", 1e-14 * max(1.0, abs(float(val))))
-

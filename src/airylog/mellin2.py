@@ -76,7 +76,6 @@ L_CAL = -AAP * (Fraction(2, 3) * EULER_GAMMA + LN3 / 3)
 class PqrPoly:
     """calI_n = p_n Ai^2 + q_n Ai'^2 + r_n Ai Ai' (Fraction coefficients)."""
 
-    n: int
     p: tuple
     q: tuple
     r: tuple
@@ -90,10 +89,9 @@ def pqr_ladder(n_max: int):
     if n_max > 60:
         raise DomainError("pqr_ladder capped at 60")
     rows = {
-        0: PqrPoly(0, (Fraction(-1, 2),), (Fraction(0),), (Fraction(0),)),
-        1: PqrPoly(1, (Fraction(0),), (Fraction(-1, 2),), (Fraction(0),)),
+        0: PqrPoly((Fraction(-1, 2),), (Fraction(0),), (Fraction(0),)),
+        1: PqrPoly((Fraction(0),), (Fraction(-1, 2),), (Fraction(0),)),
         2: PqrPoly(
-            2,
             (Fraction(0), Fraction(0), Fraction(-1, 6)),
             (Fraction(0), Fraction(-1, 3)),
             (Fraction(1, 3),),
@@ -106,7 +104,7 @@ def pqr_ladder(n_max: int):
         p = poly_add(poly_scale(prev.p, m), (0,) * n + (-(n - 1) * inv,))
         q = poly_add(poly_scale(prev.q, m), (0,) * (n - 1) + (-n * inv,))
         r = poly_add(poly_scale(prev.r, m), (0,) * (n - 2) + (n * (n - 1) * inv,))
-        rows[n] = PqrPoly(n, p, q, r)
+        rows[n] = PqrPoly(p, q, r)
     return tuple(rows[n] for n in range(n_max + 1))
 
 
@@ -114,7 +112,6 @@ def pqr_ladder(n_max: int):
 class PQRPoly2:
     """d^j Ai^2/dx^j = P_j Ai^2 + Q_j Ai'^2 + R_j Ai Ai' (integer polys)."""
 
-    j: int
     P: tuple
     Q: tuple
     R: tuple
@@ -126,14 +123,14 @@ def pqr2_ladder(j_max: int):
     R_{j+1} = R_j' + 2 P_j + 2 x Q_j;  seeds (1, 0, 0)."""
     if j_max > 80:
         raise DomainError("pqr2_ladder capped at 80")
-    out = [PQRPoly2(0, (1,), (0,), (0,))]
+    out = [PQRPoly2((1,), (0,), (0,))]
     for j in range(j_max):
         P, Q, R = out[-1].P, out[-1].Q, out[-1].R
         Pn = poly_add(poly_deriv(P), poly_shift(R))
         Qn = poly_add(poly_deriv(Q), R)
         Rn = poly_add(poly_deriv(R),
                       poly_add(poly_scale(P, 2), poly_shift(poly_scale(Q, 2))))
-        out.append(PQRPoly2(j + 1, Pn, Qn, Rn))
+        out.append(PQRPoly2(Pn, Qn, Rn))
     return tuple(out)
 
 
@@ -365,19 +362,6 @@ class Ai2Base:
 
 # -- public operations ---------------------------------------------------------
 
-def _bform_calI_pos(n: int, base: Ai2Base) -> XReal:
-    """Second route for calI_n, n >= 0: the closed-form solution of the
-    three-term recurrence (Gamma-ratio coefficient sums)."""
-    k, mu = divmod(n, 3)
-    s0, s1, s2 = _bsums(k, mu, base)
-    # G(k + mu/3 + 5/6) / G(mu/3 + 5/6)
-    ratio = float(pochhammer(Fraction(2 * mu + 5, 6), k))
-    pref = math.factorial(3 * k + mu) / (12.0 ** (k + 1) * ratio)
-    combo = dd_add(dd_add(dd_mul(base.ai2, s0), dd_mul(base.aip2, s1)),
-                   dd_mul(base.aiaip, s2))
-    return XReal.from_pair(dd_mul_f(combo, pref))
-
-
 def _bsums(k: int, mu: int, base: Ai2Base):
     """The three B coefficient sums for the closed-form positive route,
     normalised so the overall prefactor is (3k+mu)!/(12^{k+1} G(k+mu/3+5/6))
@@ -443,9 +427,9 @@ def _check_range(name: str, n: int, a: float) -> None:
         raise RangeError(f"{name} with n < 0 supports only a <= {NEG_A_MAX}")
 
 
-def calI(n: int, a: float, method: str = "ladder") -> TransformResult:
+def calI(n: int, a: float) -> TransformResult:
     """calI_n(a) = int_a^inf x^n Ai Ai' dx for -30 <= n <= 40, 0 < a <= 13,
-    with err_est = 1e-13 max(1, |value|).
+    by the ladder, with err_est = 1e-13 max(1, |value|).
 
     Checked against 40-digit quadrature at a = 0.05 ... 13: for n >= 0 the
     error stays below 4% of err_est.  Negative n rest on the irreducible
@@ -454,12 +438,27 @@ def calI(n: int, a: float, method: str = "ladder") -> TransformResult:
     err_est, and raise RangeError beyond.
     """
     _check_range("calI", n, a)
-    base = Ai2Base(a)
-    if n >= 0 and method == "bform":
-        val = _bform_calI_pos(n, base)
-        return TransformResult(val, "bform", 1e-13 * max(1.0, abs(float(val))))
-    val = XReal.from_pair(base.calI(n))
+    val = XReal.from_pair(Ai2Base(a).calI(n))
     return TransformResult(val, "ladder", 1e-13 * max(1.0, abs(float(val))))
+
+
+def calI_bform(n: int, a: float) -> TransformResult:
+    """calI_n(a) for 0 <= n <= 40, 0 < a <= 13, by the second route: the
+    closed-form solution of the three-term recurrence (Gamma-ratio
+    coefficient sums), with the err_est of :func:`calI`."""
+    if n < 0:
+        raise DomainError("calI_bform supports n >= 0")
+    _check_range("calI_bform", n, a)
+    base = Ai2Base(a)
+    k, mu = divmod(n, 3)
+    s0, s1, s2 = _bsums(k, mu, base)
+    # G(k + mu/3 + 5/6) / G(mu/3 + 5/6)
+    ratio = float(pochhammer(Fraction(2 * mu + 5, 6), k))
+    pref = math.factorial(3 * k + mu) / (12.0 ** (k + 1) * ratio)
+    combo = dd_add(dd_add(dd_mul(base.ai2, s0), dd_mul(base.aip2, s1)),
+                   dd_mul(base.aiaip, s2))
+    val = XReal.from_pair(dd_mul_f(combo, pref))
+    return TransformResult(val, "bform", 1e-13 * max(1.0, abs(float(val))))
 
 
 def mellin2(n: int, a: float, primed: bool = False) -> TransformResult:
@@ -470,28 +469,6 @@ def mellin2(n: int, a: float, primed: bool = False) -> TransformResult:
     pair = base.ip_n(n) if primed else base.i_n(n)
     val = XReal.from_pair(pair)
     return TransformResult(val, "vallee", 1e-13 * max(1.0, abs(float(val))))
-
-
-def reid_moment(alpha: float, kind: str) -> XReal:
-    """Full-axis Mellin transforms int_0^inf x^{alpha-1} w dx:
-
-    Ai2  :  2 G(a) / (sqrt(pi) 12^{a/3+5/6} G(a/3+5/6))
-    AiP2 :  2 (a+1) G(a) / (sqrt(pi) 12^{a/3+7/6} G(a/3+7/6))
-    AiAiP: -2 (2a+3) G(a) / (sqrt(pi) 12^{a/3+3/2} G(a/3+3/2))
-    """
-    if not alpha > 0.0:
-        raise DomainError("reid_moment needs alpha > 0")
-    if kind == "Ai2":
-        num, shift = 2.0, 5.0 / 6.0
-    elif kind == "AiP2":
-        num, shift = 2.0 * (alpha + 1.0), 7.0 / 6.0
-    elif kind == "AiAiP":
-        num, shift = -2.0 * (2.0 * alpha + 3.0), 1.5
-    else:
-        raise DomainError(f"unknown moment kind {kind!r}")
-    log = (math.lgamma(alpha) - math.lgamma(alpha / 3.0 + shift)
-           - (alpha / 3.0 + shift) * math.log(12.0) - 0.5 * math.log(math.pi))
-    return XReal(num * math.exp(log) if num > 0 else -abs(num) * math.exp(log))
 
 
 #: terms of the small-a sum for J_n past i = n: ten triples

@@ -84,7 +84,7 @@ def integrate_halfline(
     return TransformResult(XReal(total), "oracle", err, neval)
 
 
-def oracle_integral1(tol: float = DEFAULT_TOL) -> TransformResult:
+def oracle_integral1() -> TransformResult:
     """First log-Airy integral by direct quadrature.
 
     Integrand (Ai'(x)/Ai'(0)) * ln(Ai'(x)/Ai'(0)); the ratio is positive
@@ -99,10 +99,10 @@ def oracle_integral1(tol: float = DEFAULT_TOL) -> TransformResult:
             return 0.0
         return r * math.log(r)
 
-    return integrate_halfline(f, split=25.0, tol=tol, breakpoints=(1.0, 5.0, 12.0))
+    return integrate_halfline(f, split=25.0, breakpoints=(1.0, 5.0, 12.0))
 
 
-def oracle_integral2(tol: float = DEFAULT_TOL) -> TransformResult:
+def oracle_integral2() -> TransformResult:
     """Second log-Airy integral (squared ratio weight)."""
     airy = _scipy()[1]
     aip0 = airy(0.0)[1]
@@ -113,7 +113,7 @@ def oracle_integral2(tol: float = DEFAULT_TOL) -> TransformResult:
             return 0.0
         return r * r * math.log(r)
 
-    return integrate_halfline(f, split=25.0, tol=tol, breakpoints=(1.0, 5.0, 12.0))
+    return integrate_halfline(f, split=25.0, breakpoints=(1.0, 5.0, 12.0))
 
 
 # weights as functions of scipy's (Ai, Ai', Bi, Bi') tuple
@@ -159,7 +159,7 @@ def oracle_mellin(kind: str, n: int, a: float,
     return integrate_halfline(g, split=split - a, tol=tol, breakpoints=pts)
 
 
-def oracle_j_summand(a: float, tol: float = DEFAULT_TOL) -> TransformResult:
+def oracle_j_summand(a: float) -> TransformResult:
     """The per-root summand of the second pipeline by direct quadrature:
 
         (1/a) * int_0^inf x/(x+a) [2 Ai Ai' + x Ai'^2 - x^2 Ai^2] dx.
@@ -173,5 +173,4 @@ def oracle_j_summand(a: float, tol: float = DEFAULT_TOL) -> TransformResult:
         return (x / (x + a)) * (2.0 * ai * aip + x * aip * aip
                                 - x * x * ai * ai) / a
 
-    return integrate_halfline(f, split=25.0, tol=tol,
-                              breakpoints=(1.0, 5.0, 12.0))
+    return integrate_halfline(f, split=25.0, breakpoints=(1.0, 5.0, 12.0))

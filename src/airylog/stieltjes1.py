@@ -297,7 +297,6 @@ class StieltjesContext:
     """
 
     def __init__(self, roots: RootTable):
-        self.roots = roots
         self.a0 = float(roots[1])
         self._values = {}
         self.I3_a0 = self._bigI(3, self.a0).value
@@ -350,6 +349,8 @@ def integral1_series(route: str, N: int, roots: RootTable,
     """
     if route not in ("eq3", "eq8"):
         raise DomainError("route must be 'eq3' or 'eq8'")
+    if N < 1:
+        raise DomainError("need N >= 1")
     if N > roots.n_max:
         raise DomainError("not enough roots tabulated")
     terms = []

@@ -136,25 +136,28 @@ def _delta_u(masters_a, masters_a0, dlog: XReal):
 
 # -- constants of integration --------------------------------------------------
 
-def constants_c(a0: float, J1, J2, J3, simplified: bool = False):
+def constants_c(a0: float, J1, J2, J3):
     """Integration constants of the J_1 solution from initial data
-    (J_1, J_2, J_3) at a0, as XReal values.
-
-    ``simplified=True`` uses the at-root forms (valid when a0 is a zero
-    of Ai', where Ai(-a0)Bi'(-a0) = 1/pi); both must agree there.
-    """
+    (J_1, J_2, J_3) at a0, as XReal values."""
     st = airy(-a0)
     ai, aip, bi, bip = st.ai, st.aip, st.bi, st.bip
-    if simplified:
-        j13 = a0 * J1 + J3
-        c1 = j13 * bi * bi + (J1 * bip - J2 * bi) * bip
-        c2 = j13 * ai * ai
-        c3 = -2 * j13 * ai * bi + J2 / PI
-        return c1, c2, c3
     c1 = J1 * (a0 * bi * bi + bip * bip) - J2 * bi * bip + J3 * bi * bi
     c2 = J1 * (a0 * ai * ai + aip * aip) - J2 * ai * aip + J3 * ai * ai
     c3 = (-2 * J1 * (a0 * ai * bi + aip * bip)
           + J2 * (ai * bip + aip * bi) - 2 * J3 * ai * bi)
+    return c1, c2, c3
+
+
+def constants_c_at_root(a0: float, J1, J2, J3):
+    """The constants of :func:`constants_c` in their at-root forms, valid
+    when a0 is a zero of Ai' (where Ai(-a0)Bi'(-a0) = 1/pi); both must
+    agree there."""
+    st = airy(-a0)
+    ai, bi, bip = st.ai, st.bi, st.bip
+    j13 = a0 * J1 + J3
+    c1 = j13 * bi * bi + (J1 * bip - J2 * bi) * bip
+    c2 = j13 * ai * ai
+    c3 = -2 * j13 * ai * bi + J2 / PI
     return c1, c2, c3
 
 
@@ -250,14 +253,22 @@ def d_coefficients(a: float):
     return -k_box, -k_ii, k_i
 
 
-def j_term(a: float, sol: J1Solution, grouped: bool = False) -> XReal:
+def j_term(a: float, sol: J1Solution) -> XReal:
     """The bracket combination j(a) = 2a^2 J_1 - J_2 + a J_3 (that exact
-    identity is oracle-tested).  ``grouped=True`` evaluates through the
-    d_i / master-difference regrouping instead; both must agree."""
+    identity is oracle-tested), for finite a > 0 (it takes ln a)."""
+    if not 0.0 < a < math.inf:
+        raise DomainError("j_term needs 0 < a < inf")
     du1, du2, du3 = sol.deltas(a)
     b1, b2, b3 = _j_brackets(a)
-    if not grouped:
-        return b1 * (sol.c1 - du1) + b2 * (sol.c2 - du2) + b3 * (sol.c3 + 2 * du3)
+    return b1 * (sol.c1 - du1) + b2 * (sol.c2 - du2) + b3 * (sol.c3 + 2 * du3)
+
+
+def j_term_grouped(a: float, sol: J1Solution) -> XReal:
+    """j(a) through the d_i / master-difference regrouping instead of the
+    brackets of :func:`j_term`; both must agree."""
+    if not 0.0 < a < math.inf:
+        raise DomainError("j_term_grouped needs 0 < a < inf")
+    b1, b2, b3 = _j_brackets(a)
     d1, d2, d3 = d_coefficients(a)
     ma = _masters(a)
     dlog = XReal.from_pair(dd_sub(dd_ln((float(a), 0.0)), dd_ln((sol.a0, 0.0))))
@@ -270,8 +281,8 @@ def j_term(a: float, sol: J1Solution, grouped: bool = False) -> XReal:
 def bigJ_closed(a: float, sol: J1Solution) -> XReal:
     """Summand by the closed form:
     -2Ai(0)^2/(5a) - (2/3)Ai(0)Ai'(0) - 2a Ai'(0)^2 + pi^2 j(a)."""
-    if not a > 0.0:
-        raise DomainError("bigJ_closed needs a > 0")
+    if not 0.0 < a < math.inf:
+        raise DomainError("bigJ_closed needs 0 < a < inf")
     j = j_term(a, sol)
     return (-2 * A2 / (5 * a) - Fraction(2, 3) * AAP - 2 * a * AP2
             + PI * PI * j)
@@ -308,24 +319,6 @@ def bigJ_asym(a: float) -> TransformResult:
     return TransformResult(val, "asymptotic", err)
 
 
-def J_asym(a: float, n: int, primed: bool = False) -> XReal:
-    """The printed three-term large-a expansions (n in {1, 2};
-    primed only with n = 1)."""
-    if a < 5.0:
-        raise DomainError("J_asym needs a >= 5")
-    A2f, AAPf, AP2f = float(A2), float(AAP), float(AP2)
-    if primed:
-        if n != 1:
-            raise DomainError("primed expansion printed only for n = 1")
-        return XReal(-2 * AAPf / (3 * a) - 3 * A2f / (10 * a * a)
-                     + 4 * AP2f / (7 * a ** 3))
-    if n == 1:
-        return XReal(AP2f / a + AAPf / (3 * a * a) + A2f / (5 * a ** 3))
-    if n == 2:
-        return XReal(AP2f / a ** 2 + 2 * AAPf / (3 * a ** 3) + 3 * A2f / (5 * a ** 4))
-    raise DomainError("J_asym supports n in {1, 2}")
-
-
 # -- recurrence / relation residuals -------------------------------------------
 
 def J_recurrences(n: int, a: float, J, Jp) -> dict:
@@ -355,6 +348,8 @@ def bigJ_term(k: int, roots: RootTable, sol: J1Solution) -> XReal:
 
 def integral2_series(N: int, roots: RootTable, sol: J1Solution) -> XReal:
     """Plain partial sum (1/(3 Ai'(0)^2)) sum_{k<=N} bigJ(|a_k'|)."""
+    if N < 1:
+        raise DomainError("need N >= 1")
     if N > roots.n_max:
         raise DomainError("not enough roots tabulated")
     terms = [bigJ_term(k, roots, sol) for k in range(1, N + 1)]

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from airylog import cli
 from airylog.cli import main
+from airylog.errors import IterationError
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected"
 
@@ -112,6 +114,23 @@ def test_nan_a_is_a_config_error(capsys):
                  ["--kind", "stieltjes-ai", "--k", "1"],
                  ["--kind", "mellin-ai", "--n", "1", "--method", "closed_form"]):
         assert run(["transform", *args, "--a", "nan"], capsys) == (2, ""), args
+
+
+def test_nonpositive_root_count_is_a_config_error(capsys):
+    # these printed value 0 and exited 0
+    for args in (["--route", "eq3", "--N", "-5"], ["--route", "eq8", "--N", "0"]):
+        assert run(["integral1", *args], capsys) == (2, ""), args
+
+
+def test_iteration_failure_maps_to_numerical_exit(capsys, monkeypatch):
+    # a Newton root that fails to converge is a numerical failure (3), not
+    # a traceback with the validation-failure code
+    def fail(N):
+        raise IterationError("Newton step did not converge")
+
+    monkeypatch.setattr(cli, "roots_upto", fail)
+    assert main(["roots"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_dead_flags_are_rejected(capsys):

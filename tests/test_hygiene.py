@@ -45,8 +45,10 @@ def _dead_private_definitions(sources: dict) -> list:
     used only by dead ones, or only by itself, is dead too."""
     defined = {}  # id of the statement -> (module, name, line)
     referenced = {}  # name -> ids of the top-level statements that mention it
-    for module, text in sources.items():
-        for stmt in ast.parse(text).body:
+    # every tree stays alive to the end, so no two statements share an id
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    for module, tree in trees.items():
+        for stmt in tree.body:
             if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                     and stmt.name.startswith("_")
                     and not stmt.name.startswith("__")):
@@ -159,10 +161,10 @@ UNREACHED_ALLOWED = {
     "oracle_j_summand": "quadrature reference for the per-root J summand",
     "AiryState.wronskian": "Wronskian identity that tests check airy with",
     "TWO_PI": "constant of the Gamma reflection identity that tests check",
-    "reid_moment": "printed moments; a validation record for them moves "
-                   "printed output and waits for a bench/expected refreeze",
-    "J_asym": "printed expansions; a validation record for them moves "
-              "printed output and waits for a bench/expected refreeze",
+    "j_term_grouped": "second route for the summand bracket j(a), through "
+                      "the d_i regrouping, that tests compare j_term with",
+    "constants_c_at_root": "at-root forms of the J_1 constants that tests "
+                           "compare constants_c with",
 }
 
 
@@ -242,13 +244,6 @@ def _unset_defaults(defining: dict, calling: dict) -> list:
             and (i is None or positional.get(name, 0) <= i)]
 
 
-#: reference routes that tests compare production against, and the
-#: oracle's tolerance, which ``transform --tol`` sets for two of its entries
-UNSET_DEFAULTS_ALLOWED = ("j_term(grouped)", "J_asym(primed)",
-                          "oracle_integral1(tol)", "oracle_integral2(tol)",
-                          "oracle_j_summand(tol)")
-
-
 def test_every_defaulted_parameter_is_set_by_a_caller():
     sample = {"a.py": "def f(x, k=1, *, t=2):\n    return g(x)\n"
                       "def g(x, n=3, m=4):\n    return x\n"
@@ -264,8 +259,7 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     calling = {str(p): p.read_text(encoding="utf-8")
                for p in sorted(BENCH.rglob("*.py"))}
     assert defining and calling
-    unset = [u for u in _unset_defaults(defining, calling)
-             if u.split(" ", 1)[1] not in UNSET_DEFAULTS_ALLOWED]
+    unset = _unset_defaults(defining, calling)
     assert not unset, unset
 
 

@@ -17,6 +17,7 @@ from airylog.mellin1 import (
     genfunc_lambda,
     genfunc_xi,
     mellin_closed,
+    mellin_family,
     mellin_prime,
     pq_ladder,
     reduce_In,
@@ -171,8 +172,15 @@ def test_family_route_agrees():
     for a in (0.5, 1.0187929716, 2.0, 5.0):
         for n in range(0, 13):
             rec = float(mellin_closed(n, a).value)
-            fam = float(mellin_closed(n, a, method="family").value)
+            fam = float(mellin_family(n, a).value)
             assert abs(rec - fam) <= 1e-12 * max(1.0, abs(rec))
+
+
+def test_family_route_rejects_negative_n():
+    # the 3k families cover n >= 0 only; a negative n is not handed to
+    # the recurrence under the family's name
+    with pytest.raises(DomainError):
+        mellin_family(-1, 1.0)
 
 
 #: (I_n or I'_n, n, a) -> the transform to 32 digits: mpmath 1.3.0

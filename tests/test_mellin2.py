@@ -15,12 +15,12 @@ from airylog.mellin2 import (
     NEG_A_MAX,
     Jn_smalla,
     calI,
+    calI_bform,
     genfunc2,
     irreducible_neg1,
     mellin2,
     pqr2_ladder,
     pqr_ladder,
-    reid_moment,
     xi2_derivs,
 )
 from airylog.oracle import oracle_mellin, oracle_stieltjes
@@ -201,8 +201,15 @@ def test_bform_route_agrees():
     for n in range(0, 12):
         for a in (0.5, 1.3, 2.0):
             lad = float(calI(n, a).value)
-            bf = float(calI(n, a, method="bform").value)
+            bf = float(calI_bform(n, a).value)
             assert abs(lad - bf) <= 1e-12 * max(1.0, abs(lad))
+
+
+def test_bform_route_rejects_negative_n():
+    # the closed-form solution covers n >= 0 only; a negative n is not
+    # handed to the ladder under the B-form's name
+    with pytest.raises(DomainError):
+        calI_bform(-1, 1.0)
 
 
 def test_negative_list_identities():
@@ -281,14 +288,6 @@ def test_product_ladder_residual():
         rhs = (-(n - 1) * a ** n * ai * ai - n * a ** (n - 1) * aip * aip
                + n * (n - 1) * a ** (n - 2) * ai * aip)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
-
-
-def test_reid_moments():
-    assert abs(float(reid_moment(1.0, "Ai2"))
-               - oracle_mellin("Ai2", 0, 0.0).value) <= 1e-11
-    assert abs(float(reid_moment(1.0, "AiAiP")) + float(AI0) ** 2 / 2) <= 1e-13
-    assert abs(float(reid_moment(2.0, "AiP2"))
-               - oracle_mellin("AiP2", 1, 0.0).value) <= 1e-11
 
 
 def test_moment_family_formulas():

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from airylog.airy import airy, jpair
+from airylog.airy import airy, jpair, scorer_gi
 from airylog.errors import DomainError, RangeError
 from airylog.kernel import compensated_sum, pochhammer
 from airylog.mellin1 import mellin_closed, mellin_prime
 from airylog.mellin2 import Jn_smalla, irreducible_neg1
 from airylog.oracle import oracle_mellin, oracle_stieltjes
 from airylog.stieltjes1 import bigI3_from_I1, bigI_asym, bigI_smalla
-from airylog.stieltjes2 import bigJ_asym, bigJ_closed
+from airylog.stieltjes2 import bigJ_asym, bigJ_closed, j_term, j_term_grouped
 from airylog.zeta import zeta_closed, zeta_incomplete
 from airylog.roots import roots_upto
 
@@ -90,6 +90,8 @@ NAN_ROUTES = {
     "bigI3_from_I1": lambda a: bigI3_from_I1(a, 0.1),
     "bigJ_asym": bigJ_asym,
     "bigJ_closed": lambda a: bigJ_closed(a, None),  # checked before use
+    "j_term": lambda a: j_term(a, None),
+    "j_term_grouped": lambda a: j_term_grouped(a, None),
     "Jn_smalla": lambda a: Jn_smalla(1, a),
     "irreducible_neg1": lambda a: irreducible_neg1(a, "i"),
     "oracle_stieltjes": lambda a: oracle_stieltjes("Ai", 1, a),
@@ -105,7 +107,18 @@ def test_nan_argument_raises_domain_error(name):
         NAN_ROUTES[name](math.nan)
 
 
-@pytest.mark.parametrize("evaluate", [airy, jpair], ids=["airy", "jpair"])
+@pytest.mark.parametrize("a", [0.0, -1.0, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["j_term", "j_term_grouped", "bigJ_closed"])
+def test_summand_brackets_need_a_finite_positive_a(name, a):
+    # given a solution, these raised a bare ValueError from ln a or exp in
+    # double-double, or from a NaN converted to an integer; the check now
+    # comes before the solution is used
+    with pytest.raises(DomainError):
+        NAN_ROUTES[name](a)
+
+
+@pytest.mark.parametrize("evaluate", [airy, jpair, scorer_gi],
+                         ids=["airy", "jpair", "scorer_gi"])
 def test_nan_argument_raises_range_error(evaluate):
     # the Airy evaluator's range check is written so that NaN fails it
     with pytest.raises(RangeError):

@@ -207,6 +207,10 @@ def test_domain_errors(ctx, roots):
         bigI_smalla(7, 1.0)
     with pytest.raises(DomainError):
         integral1_series("eq9", 5, roots, ctx)
+    # an empty or negative root count summed no roots and returned 0
+    for route, N in (("eq3", 0), ("eq3", -5), ("eq8", 0), ("eq8", -5)):
+        with pytest.raises(DomainError):
+            integral1_series(route, N, roots, ctx)
     with pytest.raises(DomainError):
         bigI1_closed(14.0, 1.0, 0.2, 0.14)
     with pytest.raises(DomainError):

@@ -16,16 +16,17 @@ from airylog.results import TruncationConfig
 from airylog.roots import roots_upto
 from airylog.stieltjes2 import (
     J1Solution,
-    J_asym,
     J_recurrences,
     bigJ_asym,
     bigJ_closed,
     bigJ_term,
     constants_c,
+    constants_c_at_root,
     d_coefficients,
     integral2_accelerated,
     integral2_series,
     j_term,
+    j_term_grouped,
     solve_J1,
 )
 
@@ -42,7 +43,7 @@ def sol(roots):
 
 def test_constants_general_vs_simplified(sol):
     g = constants_c(sol.a0, sol.J1_a0, sol.J2_a0, sol.J3_a0)
-    s = constants_c(sol.a0, sol.J1_a0, sol.J2_a0, sol.J3_a0, simplified=True)
+    s = constants_c_at_root(sol.a0, sol.J1_a0, sol.J2_a0, sol.J3_a0)
     for a, b in zip(g, s):
         assert abs(float(a) - float(b)) <= 1e-10 * max(1.0, abs(float(a)))
 
@@ -117,7 +118,7 @@ def test_j_term_grouped_identity(sol, roots):
     for k in (1, 4, 7):
         a = float(roots[k])
         direct = float(j_term(a, sol))
-        grouped = float(j_term(a, sol, grouped=True))
+        grouped = float(j_term_grouped(a, sol))
         assert abs(direct - grouped) <= 1e-12 * max(1.0, abs(direct))
 
 
@@ -196,20 +197,6 @@ def test_J1prime_relation(roots):
     assert abs(lhs - rhs) <= 1e-9
 
 
-def test_J_asym_printed_forms(roots):
-    a = 10.0
-    lead = float(AP2) / a
-    assert abs(float(J_asym(a, 1)) - oracle_stieltjes("Ai2", 1, a).value) \
-        <= 0.05 * lead
-    gaps = []
-    for a in (8.0, 12.0):
-        ratio = float(J_asym(a, 2)) / oracle_stieltjes("Ai2", 2, a).value
-        gaps.append(abs(ratio - 1.0))
-        assert gaps[-1] < 0.01
-    assert gaps[1] < gaps[0]  # ratio tends to 1 as a grows
-    assert float(J_asym(10.0, 1, primed=True)) > 0  # -2AAp/(3a) with AAp < 0
-
-
 def test_d_coefficients_shape(sol, roots):
     # grouped evaluation uses d_i and the log with the B1/pi^2 weight; the
     # identity against the direct bracket form is the real content (tested
@@ -229,13 +216,11 @@ def test_domain_errors(sol):
     with pytest.raises(DomainError):
         solve_J1(0.1, sol)
     with pytest.raises(DomainError):
-        J_asym(3.0, 1)
-    with pytest.raises(DomainError):
-        J_asym(10.0, 3)
-    with pytest.raises(DomainError):
         J1Solution.build(1.0, seed_source="bogus")
 
 
 def test_series_needs_enough_roots(sol):
-    with pytest.raises(DomainError):
-        integral2_series(20, roots_upto(10), sol)
+    # 0 and -5 summed no roots and returned 0
+    for N in (20, 0, -5):
+        with pytest.raises(DomainError):
+            integral2_series(N, roots_upto(10), sol)
