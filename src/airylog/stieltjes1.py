@@ -25,6 +25,7 @@ oracle in the validation matrix.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -281,6 +282,13 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
 
 # -- route dispatch and the series pipelines ----------------------------------
 
+#: (value, warnings its route raised) of every per-root value read in the
+#: process, keyed by (a0, k, a) (see :meth:`StieltjesContext._route`);
+#: held under ``_COMPUTE`` so that no two threads record warnings at once.
+_VALUES: dict = {}
+_COMPUTE = threading.RLock()
+
+
 class StieltjesContext:
     """Initial data and route dispatch for the per-root transforms.
 
@@ -288,39 +296,52 @@ class StieltjesContext:
     through bigI_3, bigI_4 and the exact ladder relations, so the whole
     pipeline stays analytic.
 
-    The routes' data at a point is kept per process: the small-a
-    expansion (:func:`_smalla_data`) and the closed form's anchor at a0
-    (:func:`_closed_anchor`), so a second context on the same roots builds
-    neither again.  The per-root results are kept per context, keyed by
-    (k, root magnitude), so each is computed once per context and a
-    route's AccuracyWarning is raised once per context and root.
+    Every per-root value is kept per process, keyed by (a0, k, root
+    magnitude), as are the routes' data at a point (:func:`_smalla_data`,
+    :func:`_closed_anchor`), so a second context on the same roots
+    computes nothing again.  A route's AccuracyWarning is recorded with
+    its value and raised again on each context's first read of it.
     """
 
     def __init__(self, roots: RootTable):
         self.a0 = float(roots[1])
-        self._values = {}
+        self._warned = set()
         self.I3_a0 = self._bigI(3, self.a0).value
         self.I4_a0 = self._bigI(4, self.a0).value
         self.I1_a0, self.I2_a0 = bigI_relations(self.a0, self.I3_a0,
                                                 self.I4_a0)
 
-    def _bigI(self, k: int, a: float) -> TransformResult:
+    def _bigI(self, k, a: float):
+        """The memo entry at (a0, k, a), computed by :meth:`_route` on a
+        miss; its warnings are raised on this context's first read."""
+        key = (self.a0, k, a)
+        if key not in self._warned:
+            with _COMPUTE:
+                if key not in _VALUES:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        value = self._route(k, a)
+                    _VALUES[key] = (value, tuple(caught))
+                for w in _VALUES[key][1]:
+                    warnings.warn(w.message)
+                self._warned.add(key)
+        return _VALUES[key][0]
+
+    def _route(self, k, a: float):
         """bigI_k(a) by the route for a: small_a up to SMALLA_MAX, the
-        closed form for k in {1, 3} up to CLOSED_MAX, asymptotic beyond."""
-        res = self._values.get((k, a))
-        if res is None:
-            if a <= SMALLA_MAX:
-                res = bigI_smalla(k, a)
-            elif a <= CLOSED_MAX and k == 1:
-                res = self.bigI1_closed(a)
-            elif a <= CLOSED_MAX:  # k == 3, from bigI_1 by the ladder
-                r = self._bigI(1, a)
-                res = TransformResult(bigI3_from_I1(a, r.value), "closed_form",
-                                      r.err_est * a)
-            else:
-                res = bigI_asym(k, a)
-            self._values[k, a] = res
-        return res
+        closed form for k in {1, 3} up to CLOSED_MAX, asymptotic beyond;
+        for k = "eq8", 1/(3a) - bigI_1(a) without its leading term."""
+        if k == "eq8":
+            return alternating_series(_ai_moments(60)[1:], a, 2)[0]
+        if a <= SMALLA_MAX:
+            return bigI_smalla(k, a)
+        if a <= CLOSED_MAX and k == 1:
+            return self.bigI1_closed(a)
+        if a <= CLOSED_MAX:  # k == 3, from bigI_1 by the ladder
+            r = self._bigI(1, a)
+            return TransformResult(bigI3_from_I1(a, r.value), "closed_form",
+                                   r.err_est * a)
+        return bigI_asym(k, a)
 
     def bigI1_closed(self, a: float) -> TransformResult:
         """bigI_1(a) by the closed form from this context's seeds at a0."""
@@ -334,8 +355,7 @@ class StieltjesContext:
 
     def eq8_term(self, a: float) -> XReal:
         if a > CLOSED_MAX:
-            # 1/(3a) - bigI_1(a) without the cancelling leading term
-            return alternating_series(_ai_moments(60)[1:], a, 2)[0]
+            return self._bigI("eq8", a)
         i1 = self.bigI1(a).value  # raises DomainError for a <= 0
         return XReal(1.0 / (3.0 * a)) - i1
 

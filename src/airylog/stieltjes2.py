@@ -161,12 +161,18 @@ def constants_c_at_root(a0: float, J1, J2, J3):
     return c1, c2, c3
 
 
+#: the solutions :meth:`J1Solution.build` has returned, by (a0, seed
+#: source); the first one stored wins a race, so callers share its memo
+_SOLUTIONS: dict = {}
+
+
 @dataclass(frozen=True)
 class J1Solution:
     """ODE solution data at anchor a0: constants, masters, seeds.
 
-    The per-root summand is kept by root magnitude, so every pipeline that
-    shares one solution computes each root's summand once."""
+    :meth:`build` returns one solution per (a0, seed source) per process,
+    and the solution keeps each root's summand by root magnitude, so every
+    pipeline in the process computes each root's summand once."""
 
     a0: float
     c1: XReal
@@ -181,6 +187,9 @@ class J1Solution:
 
     @classmethod
     def build(cls, a0: float, seed_source: str = "oracle") -> "J1Solution":
+        key = (float(a0), seed_source)
+        if key in _SOLUTIONS:
+            return _SOLUTIONS[key]
         if seed_source == "oracle":
             seeds = [oracle_stieltjes("Ai2", n, a0).value for n in (1, 2, 3)]
         elif seed_source == "small_a":
@@ -188,7 +197,8 @@ class J1Solution:
         else:
             raise DomainError(f"unknown seed source {seed_source!r}")
         c1, c2, c3 = constants_c(a0, *seeds)
-        return cls(float(a0), c1, c2, c3, _masters(a0), *seeds)
+        return _SOLUTIONS.setdefault(
+            key, cls(float(a0), c1, c2, c3, _masters(a0), *seeds))
 
     def deltas(self, a: float):
         dlog = XReal.from_pair(dd_sub(dd_ln((float(a), 0.0)),

@@ -66,6 +66,7 @@ def zeta_eta_poly(k: int):
     return [sign * c for c in _log_derivative_coeffs(K_MAX)[k - 1]]
 
 
+@lru_cache(maxsize=K_MAX)
 def zeta_closed(k: int) -> XReal:
     """Z_k = sum over root magnitudes of |a_n'|^-k, from the closed form."""
     poly = zeta_eta_poly(k)
@@ -78,6 +79,11 @@ def zeta_closed(k: int) -> XReal:
     return acc
 
 
+#: |a_n'|^-k for n = 1, 2, ... by k; every RootTable is a prefix of
+#: roots._ROOTS.  A longer tuple replaces an entry, so readers need no lock.
+_INVERSE_POWERS: dict = {}
+
+
 def zeta_incomplete(k: int, N: int, roots: RootTable) -> XReal:
     """Finite sum of |a_n'|^-k over the first N roots."""
     if k < 2:
@@ -86,9 +92,13 @@ def zeta_incomplete(k: int, N: int, roots: RootTable) -> XReal:
         raise DomainError("N must be >= 0")
     if N > roots.n_max:
         raise DomainError(f"root table holds {roots.n_max} roots, need {N}")
+    powers = _INVERSE_POWERS.get(k, ())
+    if len(powers) < N:
+        powers += tuple(dd_powi(r.pair, -k) for r in roots.roots[len(powers):N])
+        _INVERSE_POWERS[k] = powers
     acc = (0.0, 0.0)
-    for r in reversed(roots.roots[:N]):  # smallest terms first
-        acc = dd_add(acc, dd_powi(r.pair, -k))
+    for p in reversed(powers[:N]):  # smallest terms first
+        acc = dd_add(acc, p)
     return XReal.from_pair(acc)
 
 

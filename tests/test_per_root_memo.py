@@ -1,14 +1,18 @@
-"""Each request computes every per-root quantity once: the pipelines that
+"""Each process computes every per-root quantity once: the pipelines that
 share a StieltjesContext or a J1Solution give the same numbers as on a
-fresh one, the expensive per-root layers run once per distinct root, and
-a route's AccuracyWarning still reaches the caller."""
+fresh one or with every memo cleared, the expensive per-root layers run
+once per distinct root, whatever the thread, and a route's
+AccuracyWarning still reaches every context that reads the root."""
 
 import importlib
+import sys
+import threading
 import warnings
 
 import pytest
 
-from airylog import stieltjes1, stieltjes2
+from airylog import roots as roots_module
+from airylog import stieltjes1, stieltjes2, zeta
 from airylog.errors import AccuracyWarning
 from airylog.results import TruncationConfig
 from airylog.roots import roots_upto
@@ -40,6 +44,19 @@ def roots():
 
 def _pair(x):
     return (x.hi, x.lo)
+
+
+def _clear_memos(monkeypatch):
+    """Start from an empty process: every per-point and per-root memo,
+    and the root table, are emptied for the rest of the test."""
+    stieltjes1._closed_anchor.cache_clear()
+    stieltjes1._smalla_data.cache_clear()
+    mellin2._J_smalla_data.cache_clear()
+    zeta.zeta_closed.cache_clear()
+    monkeypatch.setattr(stieltjes1, "_VALUES", {})
+    monkeypatch.setattr(stieltjes2, "_SOLUTIONS", {})
+    monkeypatch.setattr(zeta, "_INVERSE_POWERS", {})
+    monkeypatch.setattr(roots_module, "_ROOTS", ())
 
 
 def test_shared_context_matches_fresh_contexts(roots):
@@ -83,41 +100,47 @@ def _count(monkeypatch, module, name, counts):
 def test_each_root_is_computed_once_per_request(monkeypatch, roots):
     N, n = 20, 6
     mags = [float(roots[k]) for k in range(1, N + 1)]
-    stieltjes1._closed_anchor.cache_clear()
-    stieltjes1._smalla_data.cache_clear()
-    mellin2._J_smalla_data.cache_clear()
+    _clear_memos(monkeypatch)
     counts = {}
     for name in ("_H_plus", "xi_lambda_derivs"):
         _count(monkeypatch, stieltjes1, name, counts)
     _count(monkeypatch, stieltjes2, "_masters", counts)
     _count(monkeypatch, mellin2, "xi2_derivs", counts)
 
-    def request(ctx):
+    def request():
+        ctx = StieltjesContext(roots)
         integral1_accelerated(TruncationConfig(N, n), roots, ctx)
         integral1_series("eq3", N, roots, ctx)
         integral1_series("eq8", N, roots, ctx)
+        sol = J1Solution.build(float(roots[1]))
+        integral2_accelerated(TruncationConfig(N, n), roots, sol)
+        integral2_series(N, roots, sol)
+        return sol
 
-    request(StieltjesContext(roots))
+    sol = request()
     closed = sum(SMALLA_MAX < a <= CLOSED_MAX for a in mags)
     small = sum(a <= SMALLA_MAX for a in mags)  # a0 is the first root
     assert (closed, small) == (8, 2)
-    assert counts == {"_H_plus": closed + 1, "xi_lambda_derivs": small}
-
-    # the anchor at a0 and the small-a expansions are kept per process
-    counts.clear()
-    request(StieltjesContext(roots))
-    assert counts == {"_H_plus": closed}
-
-    counts.clear()
-    sol = J1Solution.build(float(roots[1]))
-    integral2_accelerated(TruncationConfig(N, n), roots, sol)
-    integral2_series(N, roots, sol)
-    assert counts == {"_masters": sum(a <= J_CLOSED_MAX for a in mags) + 1}
+    assert counts == {"_H_plus": closed + 1, "xi_lambda_derivs": small,
+                      "_masters": sum(a <= J_CLOSED_MAX for a in mags) + 1}
 
     # the three small-a seeds at a0 share one squared ladder
     counts.clear()
     J1Solution.build(float(roots[1]), seed_source="small_a")
     assert counts == {"_masters": 1, "xi2_derivs": 1}
+
+    # every per-root value, the anchor at a0, the small-a expansions, the
+    # solutions and the zeta powers are kept per process: a second request
+    # computes none of them, not even a moment series or a root power
+    for module, name in ((stieltjes1, "alternating_series"),
+                         (stieltjes2, "alternating_series"),
+                         (stieltjes1, "dd_powi"), (stieltjes2, "dd_powi"),
+                         (zeta, "dd_powi")):
+        _count(monkeypatch, module, name, counts)
+    counts.clear()
+    assert request() is sol
+    J1Solution.build(float(roots[1]), seed_source="small_a")
+    assert counts == {}
 
 
 def test_route_warning_reaches_the_caller_once_per_context(monkeypatch, roots):
@@ -127,6 +150,7 @@ def test_route_warning_reaches_the_caller_once_per_context(monkeypatch, roots):
         warnings.warn(f"test warning at a={a}", AccuracyWarning)
         return asym(k, a)
 
+    _clear_memos(monkeypatch)
     monkeypatch.setattr(stieltjes1, "bigI_asym", warning_asym)
     ctx = StieltjesContext(roots)
     with pytest.warns(AccuracyWarning):
@@ -142,7 +166,7 @@ def test_route_warning_reaches_the_caller_once_per_context(monkeypatch, roots):
 def test_small_a_seeds_evaluate_each_product_transform_once(monkeypatch, roots):
     # J_1, J_2, J_3 at a0 share one Ai2Base, whose calI_n, i_n and i'_n are
     # each evaluated once; a repeat build in the process evaluates none
-    mellin2._J_smalla_data.cache_clear()
+    _clear_memos(monkeypatch)
     compute = mellin2.Ai2Base._compute
     calls = []
 
@@ -160,3 +184,73 @@ def test_small_a_seeds_evaluate_each_product_transform_once(monkeypatch, roots):
     calls.clear()
     J1Solution.build(float(roots[1]), seed_source="small_a")
     assert calls == []
+
+
+def _request(kind, N, n):
+    """What ``airylog integral1`` / ``integral2`` compute, as (hi, lo)."""
+    roots = roots_upto(max(N, 10))
+    if kind == "integral1":
+        ctx = StieltjesContext(roots)
+        return (_pair(integral1_accelerated(TruncationConfig(N, n), roots, ctx)),
+                _pair(integral1_series("eq3", N, roots, ctx)),
+                _pair(integral1_series("eq8", N, roots, ctx)))
+    sol = J1Solution.build(float(roots[1]))
+    return (_pair(integral2_accelerated(TruncationConfig(N, n), roots, sol)),
+            _pair(integral2_series(N, roots, sol)))
+
+
+@pytest.mark.parametrize("first", ("oracle", "small_a"))
+def test_seed_sources_keep_separate_summands(monkeypatch, roots, first):
+    a0 = float(roots[1])
+    mags = [float(roots[k]) for k in range(1, 13)]
+
+    def summands(source):
+        sol = J1Solution.build(a0, seed_source=source)
+        return [_pair(sol.summand(a)) for a in mags]
+
+    alone = {}
+    for source in ("oracle", "small_a"):
+        _clear_memos(monkeypatch)
+        alone[source] = summands(source)
+    assert alone["oracle"] != alone["small_a"]
+    _clear_memos(monkeypatch)
+    second = "small_a" if first == "oracle" else "oracle"
+    assert {first: summands(first), second: summands(second)} == alone
+
+
+def test_warm_memos_match_cleared_memos(monkeypatch):
+    reqs = [(kind, N, n) for N in (10, 37, 120, 500) for n in (0, 6, 10)
+            for kind in ("integral1", "integral2")]
+    cold = {}
+    for req in reqs:
+        _clear_memos(monkeypatch)
+        cold[req] = _request(*req)
+    warm = {req: _request(*req) for req in reversed(reqs)}
+    assert warm == cold
+
+
+def test_threads_share_the_memos(monkeypatch):
+    reqs = [(kind, N, n) for N, n in ((10, 3), (37, 6), (120, 10))
+            for kind in ("integral1", "integral2")]
+    _clear_memos(monkeypatch)
+    serial = {req: _request(*req) for req in reqs}
+    _clear_memos(monkeypatch)
+    results = [{} for _ in range(4)]
+
+    def work(i):
+        # each thread takes the requests in its own order
+        for req in reqs[i:] + reqs[:i]:
+            results[i][req] = _request(*req)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
