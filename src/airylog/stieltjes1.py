@@ -284,7 +284,7 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
 
 #: (value, warnings its route raised) of every per-root value read in the
 #: process, keyed by (a0, k, a) (see :meth:`StieltjesContext._route`);
-#: held under ``_COMPUTE`` so that no two threads record warnings at once.
+#: filled under ``_COMPUTE``, so that no two threads record warnings at once.
 _VALUES: dict = {}
 _COMPUTE = threading.RLock()
 

@@ -230,16 +230,19 @@ def test_warm_memos_match_cleared_memos(monkeypatch):
 
 
 def test_threads_share_the_memos(monkeypatch):
-    reqs = [(kind, N, n) for N, n in ((10, 3), (37, 6), (120, 10))
+    reqs = [(kind, N, n) for N, n in ((10, 3), (37, 6), (120, 10), (500, 8))
             for kind in ("integral1", "integral2")]
     _clear_memos(monkeypatch)
     serial = {req: _request(*req) for req in reqs}
     _clear_memos(monkeypatch)
     results = [{} for _ in range(4)]
+    start = threading.Barrier(4, timeout=60)
 
     def work(i):
-        # each thread takes the requests in its own order
-        for req in reqs[i:] + reqs[:i]:
+        # two threads take the requests in order and two in reverse, so
+        # small and large tables extend the same memo entries at once
+        start.wait()
+        for req in (reqs if i % 2 else reqs[::-1]):
             results[i][req] = _request(*req)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
@@ -254,3 +257,5 @@ def test_threads_share_the_memos(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * 4
+    # the memos the threads left behind give the serial values too
+    assert {req: _request(*req) for req in reqs} == serial
