@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,3 +149,9 @@ def roots_upto(N: int) -> RootTable:
                 roots += tuple(_root(n) for n in range(len(roots) + 1, N + 1))
                 _ROOTS = roots
     return RootTable(roots[:N], min(N, REFINED_UPTO))
+
+
+def is_root_magnitude(a: float) -> bool:
+    """Whether a is float(|a_n'|) of a root in the process-wide table."""
+    n = bisect_left(_ROOTS, a, key=float)  # _ROOTS only ever grows
+    return n < len(_ROOTS) and float(_ROOTS[n]) == a

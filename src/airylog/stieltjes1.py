@@ -24,8 +24,8 @@ oracle in the validation matrix.
 
 from __future__ import annotations
 
+import contextvars
 import math
-import threading
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +47,7 @@ from .errors import AccuracyWarning, DomainError, StabilityError
 from .kernel import AI0, AIP0, alternating_series, compensated_sum, hyp, smalla_sum
 from .mellin1 import BaseValues, xi_lambda_derivs
 from .results import TransformResult, TruncationConfig
-from .roots import RootTable
+from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
 
 _F13 = Fraction(1, 3)
@@ -111,8 +111,6 @@ def bigI_recurrence(k: int, a: float, seeds) -> TransformResult:
         raise DomainError("bigI_recurrence needs k >= 0")
     if not a > 0.0:
         raise DomainError("bigI_recurrence needs a > 0")
-    if k == 0:
-        return TransformResult(XReal(1.0 / 3.0), "recurrence", 0.0)
     vals = {0: XReal(1.0 / 3.0), 1: XReal(seeds[0]), 2: XReal(seeds[1])}
     errs = {0: 0.0, 1: 1e-15 * abs(float(seeds[0])), 2: 1e-15 * abs(float(seeds[1]))}
     A0f, AP0f = float(AI0), float(AIP0)
@@ -128,8 +126,7 @@ def bigI_recurrence(k: int, a: float, seeds) -> TransformResult:
         scale = abs(float(vals[j])) + a * abs(float(vals[j + 1])) + abs(rhs)
         errs[j + 3] = (errs[j] + a * errs[j + 1] + 1e-16 * scale) \
             / ((j + 1) * (j + 2))
-    val = vals[k]
-    err = errs[k]
+    val, err = vals[k], errs[k]
     if err > 0.1 * max(1e-300, abs(float(val))):
         raise StabilityError(
             f"recurrence to k={k} at a={a} amplifies seed error beyond 10%")
@@ -197,8 +194,7 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     headroom = math.exp((2.0 / 3.0) * max(a, a0) ** 1.5)
     err = max(scale, headroom * 0.02) * 2e-31 + 1e-16 * abs(float(val))
     if abs(float(val)) < 1e-6 * scale:
-        warnings.warn("bigI1_closed lost more than six digits to cancellation",
-                      AccuracyWarning)
+        _warn_accuracy("bigI1_closed lost more than six digits to cancellation")
     return TransformResult(val, "closed_form", err)
 
 
@@ -275,18 +271,26 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
     err = 10.0 * tail + 1e-15 * abs(total[0])
     val = XReal.from_pair(total)
     if err > 1e-6 * max(1.0, abs(float(val))):
-        warnings.warn(f"bigI_smalla truncation estimate {err:.2e} is large",
-                      AccuracyWarning)
+        _warn_accuracy(f"bigI_smalla truncation estimate {err:.2e} is large")
     return TransformResult(val, "small_a", err)
 
 
 # -- route dispatch and the series pipelines ----------------------------------
 
-#: (value, warnings its route raised) of every per-root value read in the
-#: process, keyed by (a0, k, a) (see :meth:`StieltjesContext._route`);
-#: filled under ``_COMPUTE``, so that no two threads record warnings at once.
+#: (value, AccuracyWarning messages of its route) of each per-root value
+#: read in the process, by (a0, k, root magnitude); the first stored wins
 _VALUES: dict = {}
-_COMPUTE = threading.RLock()
+#: the messages of the memo entry that this thread computes, or None
+_RECORDING = contextvars.ContextVar("_RECORDING", default=None)
+
+
+def _warn_accuracy(message: str) -> None:
+    """Raise an AccuracyWarning, or keep it with the memo entry that this
+    thread computes: the routes report through this, per thread."""
+    if _RECORDING.get() is None:
+        warnings.warn(message, AccuracyWarning, stacklevel=2)
+    else:
+        _RECORDING.get().append(message)
 
 
 class StieltjesContext:
@@ -296,11 +300,10 @@ class StieltjesContext:
     through bigI_3, bigI_4 and the exact ladder relations, so the whole
     pipeline stays analytic.
 
-    Every per-root value is kept per process, keyed by (a0, k, root
-    magnitude), as are the routes' data at a point (:func:`_smalla_data`,
-    :func:`_closed_anchor`), so a second context on the same roots
-    computes nothing again.  A route's AccuracyWarning is recorded with
-    its value and raised again on each context's first read of it.
+    Every value at a root magnitude is kept per process (:data:`_VALUES`),
+    as are the routes' data at a point, so a second context on the same
+    roots computes nothing again.  A route's AccuracyWarnings are kept
+    with its value and raised again on each context's first read of it.
     """
 
     def __init__(self, roots: RootTable):
@@ -312,20 +315,23 @@ class StieltjesContext:
                                                 self.I4_a0)
 
     def _bigI(self, k, a: float):
-        """The memo entry at (a0, k, a), computed by :meth:`_route` on a
-        miss; its warnings are raised on this context's first read."""
+        """bigI_k(a) by :meth:`_route`, kept if a is a root magnitude; its
+        route's AccuracyWarnings are raised on this context's first read."""
         key = (self.a0, k, a)
-        if key not in self._warned:
-            with _COMPUTE:
-                if key not in _VALUES:
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        value = self._route(k, a)
-                    _VALUES[key] = (value, tuple(caught))
-                for w in _VALUES[key][1]:
-                    warnings.warn(w.message)
-                self._warned.add(key)
-        return _VALUES[key][0]
+        hit = _VALUES.get(key)
+        if hit is None:
+            token = _RECORDING.set([])
+            try:
+                hit = (self._route(k, a), tuple(_RECORDING.get()))
+            finally:
+                _RECORDING.reset(token)
+            if is_root_magnitude(a):
+                hit = _VALUES.setdefault(key, hit)
+        if key not in self._warned or _RECORDING.get() is not None:
+            self._warned.add(key)
+            for message in hit[1]:
+                _warn_accuracy(message)
+        return hit[0]
 
     def _route(self, k, a: float):
         """bigI_k(a) by the route for a: small_a up to SMALLA_MAX, the

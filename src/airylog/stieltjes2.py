@@ -48,7 +48,7 @@ from .kernel import alternating_series, compensated_sum, hyp
 from .mellin2 import A2, AAP, AP2, Jn_smalla
 from .oracle import oracle_stieltjes
 from .results import TransformResult, TruncationConfig
-from .roots import RootTable
+from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
 
 _F13 = Fraction(1, 3)
@@ -161,8 +161,8 @@ def constants_c_at_root(a0: float, J1, J2, J3):
     return c1, c2, c3
 
 
-#: the solutions :meth:`J1Solution.build` has returned, by (a0, seed
-#: source); the first one stored wins a race, so callers share its memo
+#: the solutions :meth:`J1Solution.build` has returned at a root magnitude,
+#: by (a0, seed source); the first one stored wins a race
 _SOLUTIONS: dict = {}
 
 
@@ -170,9 +170,9 @@ _SOLUTIONS: dict = {}
 class J1Solution:
     """ODE solution data at anchor a0: constants, masters, seeds.
 
-    :meth:`build` returns one solution per (a0, seed source) per process,
-    and the solution keeps each root's summand by root magnitude, so every
-    pipeline in the process computes each root's summand once."""
+    :meth:`build` returns one solution per root magnitude a0 and seed
+    source per process, which keeps the summand at each root magnitude, so
+    each is computed once per process (at other points, on every call)."""
 
     a0: float
     c1: XReal
@@ -197,8 +197,8 @@ class J1Solution:
         else:
             raise DomainError(f"unknown seed source {seed_source!r}")
         c1, c2, c3 = constants_c(a0, *seeds)
-        return _SOLUTIONS.setdefault(
-            key, cls(float(a0), c1, c2, c3, _masters(a0), *seeds))
+        sol = cls(float(a0), c1, c2, c3, _masters(a0), *seeds)
+        return _SOLUTIONS.setdefault(key, sol) if is_root_magnitude(key[0]) else sol
 
     def deltas(self, a: float):
         dlog = XReal.from_pair(dd_sub(dd_ln((float(a), 0.0)),
@@ -210,8 +210,9 @@ class J1Solution:
         J_CLOSED_MAX, moment series beyond."""
         hit = self._summands.get(a)
         if hit is None:
-            hit = self._summands[a] = (bigJ_closed(a, self) if a <= J_CLOSED_MAX
-                                       else bigJ_asym(a).value)
+            hit = bigJ_closed(a, self) if a <= J_CLOSED_MAX else bigJ_asym(a).value
+            if is_root_magnitude(a):
+                self._summands[a] = hit
         return hit
 
 

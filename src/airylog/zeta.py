@@ -79,8 +79,8 @@ def zeta_closed(k: int) -> XReal:
     return acc
 
 
-#: |a_n'|^-k for n = 1, 2, ... by k; every RootTable is a prefix of
-#: roots._ROOTS.  A longer tuple replaces an entry, so readers need no lock.
+#: |a_n'|^-k for n = 1, 2, ... by k (every RootTable is a prefix of one
+#: process-wide table); a longer tuple replaces an entry, so no lock
 _INVERSE_POWERS: dict = {}
 
 

@@ -1,8 +1,9 @@
 """Each process computes every per-root quantity once: the pipelines that
-share a StieltjesContext or a J1Solution give the same numbers as on a
-fresh one or with every memo cleared, the expensive per-root layers run
-once per distinct root, whatever the thread, and a route's
-AccuracyWarning still reaches every context that reads the root."""
+share a StieltjesContext or a J1Solution give the same numbers as with
+every memo cleared, the expensive per-root layers run once per distinct
+root, whatever the thread, only root magnitudes are kept, and a route's
+AccuracyWarning still reaches every context that reads the root, and no
+other warning is taken for it."""
 
 import importlib
 import sys
@@ -33,13 +34,13 @@ from airylog.stieltjes2 import (
 #: the module; the package attribute of the same name is its function
 mellin2 = importlib.import_module("airylog.mellin2")
 
-NS = (10, 37, 120)
-TERMS = (0, 6)
+#: (N, n) of the requests read through warm memos and after clearing them
+REQUESTS = [(N, n) for N in (10, 37, 120, 500) for n in (0, 6, 10)]
 
 
 @pytest.fixture(scope="module")
 def roots():
-    return roots_upto(max(NS))
+    return roots_upto(120)
 
 
 def _pair(x):
@@ -48,7 +49,8 @@ def _pair(x):
 
 def _clear_memos(monkeypatch):
     """Start from an empty process: every per-point and per-root memo,
-    and the root table, are emptied for the rest of the test."""
+    and the root table, are emptied for the rest of the test.  The memos
+    keep values only at the roots of a table taken after this."""
     stieltjes1._closed_anchor.cache_clear()
     stieltjes1._smalla_data.cache_clear()
     mellin2._J_smalla_data.cache_clear()
@@ -59,32 +61,51 @@ def _clear_memos(monkeypatch):
     monkeypatch.setattr(roots_module, "_ROOTS", ())
 
 
-def test_shared_context_matches_fresh_contexts(roots):
-    for N in NS:
+def _request(kind, N, n):
+    """What ``airylog integral1`` / ``integral2`` compute, as (hi, lo)."""
+    roots = roots_upto(max(N, 10))
+    if kind == "integral1":
         ctx = StieltjesContext(roots)
-        shared = [_pair(integral1_accelerated(TruncationConfig(N, n), roots, ctx))
-                  for n in TERMS]
-        shared += [_pair(integral1_series(r, N, roots, ctx)) for r in ("eq3", "eq8")]
-        fresh = [_pair(integral1_accelerated(TruncationConfig(N, n), roots,
-                                             StieltjesContext(roots)))
-                 for n in TERMS]
-        fresh += [_pair(integral1_series(r, N, roots, StieltjesContext(roots)))
-                  for r in ("eq3", "eq8")]
-        assert shared == fresh, N
+        return (_pair(integral1_accelerated(TruncationConfig(N, n), roots, ctx)),
+                _pair(integral1_series("eq3", N, roots, ctx)),
+                _pair(integral1_series("eq8", N, roots, ctx)))
+    sol = J1Solution.build(float(roots[1]))
+    return (_pair(integral2_accelerated(TruncationConfig(N, n), roots, sol)),
+            _pair(integral2_series(N, roots, sol)))
 
 
-def test_shared_solution_matches_fresh_solutions(roots):
-    a0 = float(roots[1])
-    for N in NS:
-        sol = J1Solution.build(a0)
-        shared = [_pair(integral2_accelerated(TruncationConfig(N, n), roots, sol))
-                  for n in TERMS]
-        shared.append(_pair(integral2_series(N, roots, sol)))
-        fresh = [_pair(integral2_accelerated(TruncationConfig(N, n), roots,
-                                             J1Solution.build(a0)))
-                 for n in TERMS]
-        fresh.append(_pair(integral2_series(N, roots, J1Solution.build(a0))))
-        assert shared == fresh, N
+def _cleared(monkeypatch, kind):
+    """Each request of REQUESTS computed alone, after clearing every memo."""
+    out = {}
+    for N, n in REQUESTS:
+        _clear_memos(monkeypatch)
+        out[N, n] = _request(kind, N, n)
+    return out
+
+
+def test_shared_context_matches_fresh_contexts(monkeypatch):
+    # one context, read in descending N over the memos that the cleared
+    # requests left, against a fresh context on cleared memos per request
+    fresh = _cleared(monkeypatch, "integral1")
+    roots = roots_upto(500)
+    ctx = StieltjesContext(roots)
+    shared = {(N, n): (
+        _pair(integral1_accelerated(TruncationConfig(N, n), roots, ctx)),
+        _pair(integral1_series("eq3", N, roots, ctx)),
+        _pair(integral1_series("eq8", N, roots, ctx)))
+        for N, n in reversed(REQUESTS)}
+    assert shared == fresh
+
+
+def test_shared_solution_matches_fresh_solutions(monkeypatch):
+    fresh = _cleared(monkeypatch, "integral2")
+    roots = roots_upto(500)
+    sol = J1Solution.build(float(roots[1]))
+    shared = {(N, n): (
+        _pair(integral2_accelerated(TruncationConfig(N, n), roots, sol)),
+        _pair(integral2_series(N, roots, sol)))
+        for N, n in reversed(REQUESTS)}
+    assert shared == fresh
 
 
 def _count(monkeypatch, module, name, counts):
@@ -108,13 +129,14 @@ def test_each_root_is_computed_once_per_request(monkeypatch, roots):
     _count(monkeypatch, mellin2, "xi2_derivs", counts)
 
     def request():
-        ctx = StieltjesContext(roots)
-        integral1_accelerated(TruncationConfig(N, n), roots, ctx)
-        integral1_series("eq3", N, roots, ctx)
-        integral1_series("eq8", N, roots, ctx)
-        sol = J1Solution.build(float(roots[1]))
-        integral2_accelerated(TruncationConfig(N, n), roots, sol)
-        integral2_series(N, roots, sol)
+        table = roots_upto(N)
+        ctx = StieltjesContext(table)
+        integral1_accelerated(TruncationConfig(N, n), table, ctx)
+        integral1_series("eq3", N, table, ctx)
+        integral1_series("eq8", N, table, ctx)
+        sol = J1Solution.build(float(table[1]))
+        integral2_accelerated(TruncationConfig(N, n), table, sol)
+        integral2_series(N, table, sol)
         return sol
 
     sol = request()
@@ -143,15 +165,37 @@ def test_each_root_is_computed_once_per_request(monkeypatch, roots):
     assert counts == {}
 
 
-def test_route_warning_reaches_the_caller_once_per_context(monkeypatch, roots):
+def test_values_off_the_roots_are_not_kept(monkeypatch, roots):
+    # a sweep over points that are not root magnitudes leaves every
+    # process memo as it was, and reads the same values again
+    _clear_memos(monkeypatch)
+    table = roots_upto(12)
+    ctx = StieltjesContext(table)
+    sol = J1Solution.build(float(table[1]))
+    kept = (dict(stieltjes1._VALUES), dict(stieltjes2._SOLUTIONS),
+            dict(sol._summands))
+    points = [float(table[n]) * 1.001 for n in range(1, 13)] + [20.5]
+    first = [(_pair(ctx.bigI1(a).value), _pair(ctx.bigI3(a).value),
+              _pair(ctx.eq8_term(a)), _pair(sol.summand(a))) for a in points]
+    assert J1Solution.build(1.5) is not J1Solution.build(1.5)
+    assert (stieltjes1._VALUES, stieltjes2._SOLUTIONS, sol._summands) == kept
+    assert [(_pair(ctx.bigI1(a).value), _pair(ctx.bigI3(a).value),
+             _pair(ctx.eq8_term(a)), _pair(sol.summand(a)))
+            for a in points] == first
+
+
+def test_route_warning_reaches_the_caller_once_per_context(monkeypatch):
     asym = stieltjes1.bigI_asym
+    calls = []
 
     def warning_asym(k, a):
-        warnings.warn(f"test warning at a={a}", AccuracyWarning)
+        calls.append(a)
+        stieltjes1._warn_accuracy(f"test warning at a={a}")
         return asym(k, a)
 
     _clear_memos(monkeypatch)
     monkeypatch.setattr(stieltjes1, "bigI_asym", warning_asym)
+    roots = roots_upto(12)
     ctx = StieltjesContext(roots)
     with pytest.warns(AccuracyWarning):
         first = integral1_series("eq3", 12, roots, ctx)
@@ -159,14 +203,61 @@ def test_route_warning_reaches_the_caller_once_per_context(monkeypatch, roots):
         warnings.simplefilter("error")
         again = integral1_series("eq3", 12, roots, ctx)
     assert _pair(again) == _pair(first)
-    with pytest.warns(AccuracyWarning):
+    with pytest.warns(AccuracyWarning) as record:
         integral1_series("eq3", 12, roots, StieltjesContext(roots))
+    # the second context is warned from the memo: the route ran once per root
+    deep = [float(roots[k]) for k in range(1, 13) if float(roots[k]) > CLOSED_MAX]
+    assert deep and calls == deep
+    assert [str(w.message) for w in record] == [f"test warning at a={a}"
+                                                for a in deep]
 
 
-def test_small_a_seeds_evaluate_each_product_transform_once(monkeypatch, roots):
+def test_warnings_of_other_threads_stay_with_their_callers(monkeypatch):
+    # while one thread computes a memo entry, the warnings of another
+    # thread, from a direct route call or from elsewhere, reach that
+    # thread's caller; they are neither kept with the entry nor replayed
+    asym = stieltjes1.bigI_asym
+    inside, outside_done = threading.Event(), threading.Event()
+
+    def warning_asym(k, a):
+        stieltjes1._warn_accuracy(f"route warning at a={a}")
+        if threading.current_thread() is filler:
+            inside.set()
+            assert outside_done.wait(timeout=60)
+        return asym(k, a)
+
+    _clear_memos(monkeypatch)
+    monkeypatch.setattr(stieltjes1, "bigI_asym", warning_asym)
+    roots = roots_upto(11)
+    a = float(roots[11])
+    assert a > CLOSED_MAX
+    filler = threading.Thread(target=lambda: StieltjesContext(roots).bigI3(a))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        filler.start()
+        try:
+            assert inside.wait(timeout=60)
+            stieltjes1.bigI_asym(3, 20.0)
+            warnings.warn("elsewhere", RuntimeWarning)
+        finally:
+            outside_done.set()
+            filler.join(timeout=60)
+    assert not filler.is_alive()
+    assert sorted(str(w.message) for w in seen) == sorted(
+        ["route warning at a=20.0", "elsewhere", f"route warning at a={a}"])
+    entry = stieltjes1._VALUES[float(roots[1]), 3, a]
+    assert entry[1] == (f"route warning at a={a}",)
+    with warnings.catch_warnings(record=True) as replay:
+        warnings.simplefilter("always")
+        StieltjesContext(roots).bigI3(a)
+    assert [str(w.message) for w in replay] == [f"route warning at a={a}"]
+
+
+def test_small_a_seeds_evaluate_each_product_transform_once(monkeypatch):
     # J_1, J_2, J_3 at a0 share one Ai2Base, whose calI_n, i_n and i'_n are
     # each evaluated once; a repeat build in the process evaluates none
     _clear_memos(monkeypatch)
+    a0 = float(roots_upto(1)[1])
     compute = mellin2.Ai2Base._compute
     calls = []
 
@@ -175,38 +266,23 @@ def test_small_a_seeds_evaluate_each_product_transform_once(monkeypatch, roots):
         return compute(self, kind, n)
 
     monkeypatch.setattr(mellin2.Ai2Base, "_compute", counted)
-    J1Solution.build(float(roots[1]), seed_source="small_a")
+    J1Solution.build(a0, seed_source="small_a")
     assert len(calls) == len(set(calls))
     indices = {kind: sorted(n for k, n in calls if k == kind)
                for kind in ("calI", "i", "iprime")}
     assert indices == {"calI": list(range(-3, 35)), "i": list(range(-3, 33)),
                        "iprime": list(range(-3, 33))}
     calls.clear()
-    J1Solution.build(float(roots[1]), seed_source="small_a")
+    J1Solution.build(a0, seed_source="small_a")
     assert calls == []
 
 
-def _request(kind, N, n):
-    """What ``airylog integral1`` / ``integral2`` compute, as (hi, lo)."""
-    roots = roots_upto(max(N, 10))
-    if kind == "integral1":
-        ctx = StieltjesContext(roots)
-        return (_pair(integral1_accelerated(TruncationConfig(N, n), roots, ctx)),
-                _pair(integral1_series("eq3", N, roots, ctx)),
-                _pair(integral1_series("eq8", N, roots, ctx)))
-    sol = J1Solution.build(float(roots[1]))
-    return (_pair(integral2_accelerated(TruncationConfig(N, n), roots, sol)),
-            _pair(integral2_series(N, roots, sol)))
-
-
 @pytest.mark.parametrize("first", ("oracle", "small_a"))
-def test_seed_sources_keep_separate_summands(monkeypatch, roots, first):
-    a0 = float(roots[1])
-    mags = [float(roots[k]) for k in range(1, 13)]
-
+def test_seed_sources_keep_separate_summands(monkeypatch, first):
     def summands(source):
-        sol = J1Solution.build(a0, seed_source=source)
-        return [_pair(sol.summand(a)) for a in mags]
+        roots = roots_upto(12)
+        sol = J1Solution.build(float(roots[1]), seed_source=source)
+        return [_pair(sol.summand(float(roots[k]))) for k in range(1, 13)]
 
     alone = {}
     for source in ("oracle", "small_a"):
@@ -216,17 +292,6 @@ def test_seed_sources_keep_separate_summands(monkeypatch, roots, first):
     _clear_memos(monkeypatch)
     second = "small_a" if first == "oracle" else "oracle"
     assert {first: summands(first), second: summands(second)} == alone
-
-
-def test_warm_memos_match_cleared_memos(monkeypatch):
-    reqs = [(kind, N, n) for N in (10, 37, 120, 500) for n in (0, 6, 10)
-            for kind in ("integral1", "integral2")]
-    cold = {}
-    for req in reqs:
-        _clear_memos(monkeypatch)
-        cold[req] = _request(*req)
-    warm = {req: _request(*req) for req in reversed(reqs)}
-    assert warm == cold
 
 
 def test_threads_share_the_memos(monkeypatch):
