@@ -111,6 +111,8 @@ def bigI_recurrence(k: int, a: float, seeds) -> TransformResult:
         raise DomainError("bigI_recurrence needs k >= 0")
     if not a > 0.0:
         raise DomainError("bigI_recurrence needs a > 0")
+    if k == 0:
+        return TransformResult(XReal(1.0 / 3.0), "recurrence", 0.0)
     vals = {0: XReal(1.0 / 3.0), 1: XReal(seeds[0]), 2: XReal(seeds[1])}
     errs = {0: 0.0, 1: 1e-15 * abs(float(seeds[0])), 2: 1e-15 * abs(float(seeds[1]))}
     A0f, AP0f = float(AI0), float(AIP0)
@@ -126,7 +128,8 @@ def bigI_recurrence(k: int, a: float, seeds) -> TransformResult:
         scale = abs(float(vals[j])) + a * abs(float(vals[j + 1])) + abs(rhs)
         errs[j + 3] = (errs[j] + a * errs[j + 1] + 1e-16 * scale) \
             / ((j + 1) * (j + 2))
-    val, err = vals[k], errs[k]
+    val = vals[k]
+    err = errs[k]
     if err > 0.1 * max(1e-300, abs(float(val))):
         raise StabilityError(
             f"recurrence to k={k} at a={a} amplifies seed error beyond 10%")
