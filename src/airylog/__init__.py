@@ -12,6 +12,7 @@ from .errors import (
     AccuracyError,
     AccuracyWarning,
     ConvergenceError,
+    DependencyError,
     DomainError,
     IterationError,
     RangeError,

@@ -2,7 +2,8 @@
 values, run the validation matrix, and emit machine-readable reports.
 
 Exit codes: 0 success, 1 validation failure (including logged
-discrepancies), 2 configuration error, 3 internal numerical failure.
+discrepancies), 2 configuration error (including a quadrature without
+scipy installed), 3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import json
 import math
 import sys
 
-from .errors import (AccuracyError, ConvergenceError, DomainError,
-                     IterationError, RangeError, StabilityError)
+from .errors import (AccuracyError, ConvergenceError, DependencyError,
+                     DomainError, IterationError, RangeError, StabilityError)
 from .mellin1 import mellin_closed, mellin_family, mellin_prime
 from .mellin2 import Jn_smalla, calI, calI_bform, mellin2
 from .oracle import oracle_mellin, oracle_stieltjes
@@ -23,6 +24,7 @@ from .results import Record, TruncationConfig
 from .roots import NEWTON_TOL, roots_upto
 from .stieltjes1 import (
     CLOSED_MAX,
+    CLOSED_MIN,
     SMALLA_MAX,
     StieltjesContext,
     bigI_asym,
@@ -130,7 +132,8 @@ def cmd_transform(args) -> int:
         if weight == "Ai":
             if methods in ("all", "small_a") and a <= SMALLA_MAX and 1 <= idx <= 6:
                 add(bigI_smalla(idx, a))
-            if methods in ("all", "closed_form") and idx == 1 and a <= CLOSED_MAX:
+            if methods in ("all", "closed_form") and idx == 1 \
+                    and CLOSED_MIN <= a <= CLOSED_MAX:
                 add(StieltjesContext(roots_upto(1)).bigI1_closed(a))
             if methods in ("all", "asymptotic") and a > 8.0:
                 add(bigI_asym(idx, a))
@@ -292,7 +295,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DomainError, RangeError) as exc:
+    except (DependencyError, DomainError, RangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, ConvergenceError, IterationError,

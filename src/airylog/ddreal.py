@@ -163,7 +163,8 @@ def dd_from_str(s: str):
     return dd_from_fraction(Fraction(s))
 
 
-# exp/ln: enough range for this package (arguments stay within |x| < 700).
+# exp/ln: dd_exp raises OverflowError above 709 and flushes to 0 below -709;
+# dd_ln takes any positive finite binary64 pair.
 
 _LN2 = dd_from_str(
     "0.69314718055994530941723212145817656807550013436025525412068"
@@ -186,12 +187,18 @@ def dd_exp(a):
         total = dd_add(total, term)
         if abs(term[0]) < 1e-36 * abs(total[0]):
             break
+    if k > 996:  # dd_mul_f would overflow splitting 2**k: scale each part
+        return math.ldexp(total[0], k), math.ldexp(total[1], k)
     return dd_mul_f(total, math.ldexp(1.0, k))  # scaling by 2**k is exact
 
 
 def dd_ln(a):
     if a[0] <= 0.0:
         raise ValueError("dd_ln of non-positive value")
+    e = math.frexp(a[0])[1]
+    if not -990 <= e <= 990:  # exp(-y) below would leave the dd range there
+        return dd_add(dd_ln((math.ldexp(a[0], -e), math.ldexp(a[1], -e))),
+                      dd_mul_f(_LN2, float(e)))
     y = (math.log(a[0]), 0.0)
     # two Newton steps: y <- y + a*exp(-y) - 1
     for _ in range(2):

@@ -11,6 +11,11 @@ class RangeError(ValueError):
     """Argument outside the supported numerical range."""
 
 
+class DependencyError(ImportError):
+    """An optional dependency is not installed: the quadrature oracle
+    needs scipy (and numpy), which come with the ``oracle`` extra."""
+
+
 class ConvergenceError(RuntimeError):
     """A series failed to converge; carries the partial value."""
 

@@ -41,7 +41,7 @@ from .ddreal import (
     dd_mul_f,
     SQRT3,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RangeError
 
 DEFAULT_MAX_TERMS = 10_000
 
@@ -120,6 +120,16 @@ def alternating_series(coeffs: Sequence[float], a: float,
         apow /= a
         sign = -sign
     return XReal(s, comp), max(best, 2.0 ** -52 * magnitude)
+
+
+def smalla_range_check(name: str, n: int, a: float) -> None:
+    """Raise RangeError where the small-a expansion of order n would leave
+    the double-double range: it forms powers of a down to a^-(n-1) (a^-1
+    for n = 1), and the Dekker split of a product overflows past 2^996.
+    So a^(n-1) (a for n = 1) must be at least 2^-960."""
+    floor = 2.0 ** (-960.0 / max(n - 1, 1))
+    if a < floor:
+        raise RangeError(f"{name} of order {n} supports only a >= {floor:.3g}")
 
 
 def smalla_sum(ladders, transforms, n: int, i_max: int) -> tuple:

@@ -53,6 +53,7 @@ from .kernel import (
     poly_eval_dd,
     poly_scale,
     poly_shift,
+    smalla_range_check,
     smalla_sum,
 )
 from .mellin1 import genfunc_lambda, genfunc_xi, xi_lambda_derivs
@@ -500,6 +501,7 @@ def Jn_smalla(n: int, a: float) -> TransformResult:
         raise DomainError("Jn_smalla supports n in [1, 6]")
     if not a > 0.0:
         raise DomainError("Jn_smalla needs a > 0")
+    smalla_range_check("Jn_smalla", n, a)
     (Xi, Lam, Rho), base = _J_smalla_data(float(a))
     total, tail = smalla_sum((Xi, Lam, Rho), (base.i_n, base.ip_n, base.calI),
                              n, n + _J_KCAP)

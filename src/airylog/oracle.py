@@ -11,7 +11,8 @@ certifies (the evaluator is cross-checked against scipy directly in the
 test suite).
 
 scipy is imported on the first quadrature, not with this module: no other
-part of airylog needs it, so the analytic commands never load it.
+part of airylog needs it, so the analytic commands never load it, and
+without it a quadrature raises :class:`DependencyError`.
 
 Everything here is pure; results are deterministic for fixed inputs.
 """
@@ -22,7 +23,7 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DependencyError, DomainError
 from .ddreal import XReal
 from .results import TransformResult
 
@@ -34,8 +35,12 @@ _QUAD_LIMIT = 2000
 @lru_cache(maxsize=None)
 def _scipy() -> tuple:
     """(scipy.integrate.quad, scipy.special.airy), imported on first use."""
-    from scipy.integrate import quad
-    from scipy.special import airy
+    try:
+        from scipy.integrate import quad
+        from scipy.special import airy
+    except ImportError as exc:
+        raise DependencyError("the quadrature oracle needs scipy "
+                              "(pip install 'airylog[oracle]')") from exc
 
     return quad, airy
 

@@ -43,8 +43,9 @@ from .ddreal import (
     PI,
     SQRT3,
 )
-from .errors import AccuracyWarning, DomainError, StabilityError
-from .kernel import AI0, AIP0, alternating_series, compensated_sum, hyp, smalla_sum
+from .errors import AccuracyWarning, DomainError, RangeError, StabilityError
+from .kernel import (AI0, AIP0, alternating_series, compensated_sum, hyp,
+                     smalla_range_check, smalla_sum)
 from .mellin1 import BaseValues, xi_lambda_derivs
 from .results import TransformResult, TruncationConfig
 from .roots import RootTable, is_root_magnitude
@@ -57,8 +58,10 @@ _F53 = Fraction(5, 3)
 _F73 = Fraction(7, 3)
 _FM13 = Fraction(-1, 3)
 
-#: route boundaries in a
+#: route boundaries in a; below CLOSED_MIN the closed form's J_- dH_-
+#: term cancels to about 1e-32/a, past its err_est
 SMALLA_MAX = 4.0
+CLOSED_MIN = 1e-15
 CLOSED_MAX = 13.0
 
 
@@ -179,6 +182,8 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     """
     if not (0.0 < a <= CLOSED_MAX and 0.0 < a0 <= CLOSED_MAX):
         raise DomainError("closed form supports a, a0 in (0, 13]")
+    if a < CLOSED_MIN or a0 < CLOSED_MIN:
+        raise RangeError(f"closed form supports only a, a0 >= {CLOSED_MIN:g}")
     ja = jpair(a)
     j0, Hp0, Hm0 = _closed_anchor(a0)
     pref = PI / (2 * SQRT3)
@@ -268,6 +273,7 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
         raise DomainError("bigI_smalla supports n in [1, 6]")
     if not a > 0.0:
         raise DomainError("bigI_smalla needs a > 0")
+    smalla_range_check("bigI_smalla", n, a)
     (xs, ls), base = _smalla_data(float(a))
     total, tail = smalla_sum((xs, ls), (base.I, base.Iprime), n,
                              n + 3 * _SMALLA_TRIPLES + 2)

@@ -20,6 +20,7 @@ from functools import lru_cache
 from .ddreal import XReal, dd_add, dd_powi
 from .errors import DomainError
 from .kernel import ETA, compensated_sum, poly_add, poly_mul, poly_scale
+from . import roots as _roots
 from .roots import RootTable
 
 K_MAX = 20
@@ -79,23 +80,32 @@ def zeta_closed(k: int) -> XReal:
     return acc
 
 
-#: |a_n'|^-k for n = 1, 2, ... by k (every RootTable is a prefix of one
-#: process-wide table); a longer tuple replaces an entry, so no lock
+#: |a_n'|^-k for n = 1, 2, ... by k, over the roots of the process-wide
+#: table; a longer tuple replaces an entry, so no lock
 _INVERSE_POWERS: dict = {}
 
 
 def zeta_incomplete(k: int, N: int, roots: RootTable) -> XReal:
-    """Finite sum of |a_n'|^-k over the first N roots."""
+    """Finite sum of |a_n'|^-k over the first N roots.
+
+    The powers are memoised when the table's first N roots are those of
+    the process-wide table (tables from :func:`roots_upto` share its
+    objects, which the tuple comparison matches by identity); any other
+    table is raised to -k on every call."""
     if k < 2:
         raise DomainError("zeta sums need k >= 2")
     if N < 0:
         raise DomainError("N must be >= 0")
     if N > roots.n_max:
         raise DomainError(f"root table holds {roots.n_max} roots, need {N}")
-    powers = _INVERSE_POWERS.get(k, ())
-    if len(powers) < N:
-        powers += tuple(dd_powi(r.pair, -k) for r in roots.roots[len(powers):N])
-        _INVERSE_POWERS[k] = powers
+    table = roots.roots[:N]
+    if table == _roots._ROOTS[:N]:
+        powers = _INVERSE_POWERS.get(k, ())
+        if len(powers) < N:
+            powers += tuple(dd_powi(r.pair, -k) for r in table[len(powers):])
+            _INVERSE_POWERS[k] = powers
+    else:
+        powers = tuple(dd_powi(r.pair, -k) for r in table)
     acc = (0.0, 0.0)
     for p in reversed(powers[:N]):  # smallest terms first
         acc = dd_add(acc, p)

@@ -116,6 +116,20 @@ def test_nan_a_is_a_config_error(capsys):
         assert run(["transform", *args, "--a", "nan"], capsys) == (2, ""), args
 
 
+def test_a_below_a_routes_range_is_a_config_error(capsys):
+    # the small-a routes exited 1 with a traceback (dd_ln's range) at 1e-300;
+    # the closed form printed a value 0.355 off with err_est 2e-14 there
+    for kind in ("stieltjes-ai", "stieltjes-ai2"):
+        code = main(["transform", "--kind", kind, "--k", "1", "--a", "1e-300",
+                     "--method", "small_a"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), kind
+        assert "supports only a >= 1.03e-289" in err, err
+    code = main(["transform", "--kind", "stieltjes-ai", "--k", "1", "--a",
+                 "1e-300", "--method", "closed_form"])
+    assert (code, capsys.readouterr().out) == (2, "")
+
+
 def test_nonpositive_root_count_is_a_config_error(capsys):
     # these printed value 0 and exited 0
     for args in (["--route", "eq3", "--N", "-5"], ["--route", "eq8", "--N", "0"]):

@@ -70,6 +70,31 @@ def test_exp_ln_inverse():
         assert abs(e[0] + e[1] - v) < 1e-28 * v
 
 
+#: ln x and exp x to 36 digits for x the binary64 value of each literal
+#: (mpmath 1.3.0, mp.dps = 40)
+LN_ENDS = {1e-300: "-690.775527898213705180338344570100503",
+           5e-324: "-744.440071921381262314107298446081634",
+           1e308: "709.196208642166070688520431672224631",
+           1.7976931348623157e308: "709.782712893383996732223389910657146"}
+EXP_ENDS = {695.0: "6.83384182957801084376941975483524183e+301",
+            709.0: "8.21840746155497218924137238659781639e+307"}
+
+
+def test_exp_and_ln_at_the_ends_of_binary64():
+    # dd_exp returned (nan, nan) from 691 to 709, where splitting 2**k
+    # overflowed; dd_ln failed below 1.4e-300 and was off by 1 at 1e308
+    def rel(v, ref):
+        exact = Fraction(ref)
+        return abs(Fraction(v[0]) + Fraction(v[1]) - exact) / abs(exact)
+
+    for x, ref in LN_ENDS.items():
+        assert rel(dd_ln((x, 0.0)), ref) < 1e-31, x
+    for x, ref in EXP_ENDS.items():
+        assert rel(dd_exp((x, 0.0)), ref) < 1e-29, x
+    with pytest.raises(OverflowError):
+        dd_exp((709.5, 0.0))
+
+
 def test_parse_and_fraction():
     x = XReal.parse("0.1")
     exact = Fraction(1, 10)

@@ -14,9 +14,10 @@ import pytest
 
 from airylog import roots as roots_module
 from airylog import stieltjes1, stieltjes2, zeta
+from airylog.ddreal import XReal
 from airylog.errors import AccuracyWarning
 from airylog.results import TruncationConfig
-from airylog.roots import roots_upto
+from airylog.roots import RootTable, roots_upto
 from airylog.stieltjes1 import (
     CLOSED_MAX,
     SMALLA_MAX,
@@ -183,6 +184,18 @@ def test_values_off_the_roots_are_not_kept(monkeypatch, roots):
              _pair(ctx.eq8_term(a)), _pair(sol.summand(a)))
             for a in points] == first
 
+
+def test_a_hand_built_table_leaves_the_zeta_memo_alone(monkeypatch):
+    # RootTable is public: a table of other numbers gets its own sums, and
+    # a later sum over the process table still reads the true roots
+    _clear_memos(monkeypatch)
+    alone = _pair(zeta.zeta_incomplete(4, 20, roots_upto(20)))
+    _clear_memos(monkeypatch)
+    scaled = RootTable(tuple(XReal(1.01 * float(r))
+                             for r in roots_upto(20).roots), 13)
+    assert zeta.zeta_incomplete(4, 20, scaled) < 0.91
+    assert _pair(zeta.zeta_incomplete(4, 20, roots_upto(20))) == alone
+    assert alone[0] == pytest.approx(0.94074, abs=1e-5)
 
 def test_route_warning_reaches_the_caller_once_per_context(monkeypatch):
     asym = stieltjes1.bigI_asym

@@ -5,12 +5,14 @@ import math
 
 import pytest
 
-from airylog.errors import DomainError, StabilityError
+from airylog.errors import DomainError, RangeError, StabilityError
 from airylog.kernel import AI0, AIP0
+from airylog.mellin2 import Jn_smalla
 from airylog.oracle import oracle_integral1, oracle_stieltjes
 from airylog.results import TruncationConfig
 from airylog.roots import roots_upto
 from airylog.stieltjes1 import (
+    CLOSED_MIN,
     StieltjesContext,
     bigI1_closed,
     bigI_asym,
@@ -200,6 +202,20 @@ def test_route_boundaries(ctx):
     assert ctx.bigI1(3.0).method == "small_a"
     assert ctx.bigI1(5.0).method == "closed_form"
     assert ctx.bigI1(14.0).method == "asymptotic"
+
+
+def test_routes_stop_where_their_terms_leave_the_dd_range(ctx):
+    # below these floors the small-a routes returned NaN or raised
+    # ZeroDivisionError, and the closed form missed its err_est
+    for n in range(1, 7):
+        floor = 2.0 ** (-960.0 / max(n - 1, 1))
+        for route in (bigI_smalla, Jn_smalla):
+            assert math.isfinite(float(route(n, floor).value)), (route, n)
+            with pytest.raises(RangeError):
+                route(n, 0.99 * floor)
+    assert math.isfinite(float(ctx.bigI1_closed(CLOSED_MIN).value))
+    with pytest.raises(RangeError):
+        ctx.bigI1_closed(0.99 * CLOSED_MIN)
 
 
 def test_domain_errors(ctx, roots):

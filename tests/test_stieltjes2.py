@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from airylog import stieltjes2
 from airylog.airy import airy
 from airylog.errors import DomainError
 from airylog.mellin2 import A2, AAP, AP2
@@ -40,6 +41,20 @@ def roots():
 def sol(roots):
     return J1Solution.build(float(roots[1]))
 
+
+def test_root1_oracle_seeds_are_the_quadrature_values(monkeypatch):
+    # the constants are keyed by the anchor every pipeline builds at, so a
+    # moved root 1 fails here instead of quietly integrating again
+    (a0, seeds), = stieltjes2._ORACLE_SEEDS.items()
+    assert float(roots_upto(1)[1]) == a0
+    quad = [oracle_stieltjes("Ai2", n, a0).value for n in (1, 2, 3)]
+    assert ([(s.hi.hex(), s.lo.hex()) for s in seeds]
+            == [(q.hi.hex(), q.lo.hex()) for q in quad])
+    # and the build at that anchor reads them without a quadrature
+    monkeypatch.setattr(stieltjes2, "_SOLUTIONS", {})
+    monkeypatch.setattr(stieltjes2, "oracle_stieltjes", None)
+    sol = J1Solution.build(a0)
+    assert (sol.J1_a0, sol.J2_a0, sol.J3_a0) == seeds
 
 def test_constants_general_vs_simplified(sol):
     g = constants_c(sol.a0, sol.J1_a0, sol.J2_a0, sol.J3_a0)
