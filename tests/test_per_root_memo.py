@@ -197,6 +197,7 @@ def test_a_hand_built_table_leaves_the_zeta_memo_alone(monkeypatch):
     assert _pair(zeta.zeta_incomplete(4, 20, roots_upto(20))) == alone
     assert alone[0] == pytest.approx(0.94074, abs=1e-5)
 
+
 def test_route_warning_reaches_the_caller_once_per_context(monkeypatch):
     asym = stieltjes1.bigI_asym
     calls = []

@@ -56,6 +56,7 @@ def test_root1_oracle_seeds_are_the_quadrature_values(monkeypatch):
     sol = J1Solution.build(a0)
     assert (sol.J1_a0, sol.J2_a0, sol.J3_a0) == seeds
 
+
 def test_constants_general_vs_simplified(sol):
     g = constants_c(sol.a0, sol.J1_a0, sol.J2_a0, sol.J3_a0)
     s = constants_c_at_root(sol.a0, sol.J1_a0, sol.J2_a0, sol.J3_a0)
