@@ -45,13 +45,13 @@ from .oracle import (
 from .results import TransformResult, TruncationConfig
 from .mellin1 import (
     PQPoly,
-    amatrix,
+    amatrix_row,
     genfunc_lambda,
     genfunc_xi,
     mellin_closed,
     mellin_family,
     mellin_prime,
-    pq_ladder,
+    pq_row,
     xi_lambda_derivs,
 )
 from .mellin2 import (
@@ -63,8 +63,8 @@ from .mellin2 import (
     genfunc2,
     irreducible_neg1,
     mellin2,
-    pqr2_ladder,
-    pqr_ladder,
+    pqr2_row,
+    pqr_row,
 )
 from .stieltjes1 import (
     StieltjesContext,

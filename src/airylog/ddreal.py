@@ -24,6 +24,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .errors import RangeError
+
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
@@ -163,20 +165,24 @@ def dd_from_str(s: str):
     return dd_from_fraction(Fraction(s))
 
 
-# exp/ln: dd_exp raises OverflowError above 709 and flushes to 0 below -709;
-# dd_ln takes any positive finite binary64 pair.
+# exp/ln: dd_exp raises OverflowError above 709 and RangeError below
+# _EXP_MIN; dd_ln takes any positive finite binary64 pair.
 
 _LN2 = dd_from_str(
     "0.69314718055994530941723212145817656807550013436025525412068"
 )
 _EXP_COEFFS = 26  # Taylor terms after range reduction; |r| <= ln2/2
+#: below this, 2**k < 2**-968 puts the low part of exp(a) among the
+#: subnormals, whose spacing 2**-1074 is then coarser than 2**-106 of it
+_EXP_MIN = -671.0
 
 
 def dd_exp(a):
     if a[0] > 709.0:
         raise OverflowError("dd_exp overflow")
-    if a[0] < -709.0:
-        return (0.0, 0.0)
+    if a[0] < _EXP_MIN:
+        raise RangeError(f"dd_exp keeps double-double accuracy only for "
+                         f"a >= {_EXP_MIN:g}")
     k = round((a[0] + a[1]) / _LN2[0])
     r = dd_sub(a, dd_mul_f(_LN2, float(k)))
     # Taylor sum of exp(r), |r| <= ~0.347
@@ -196,7 +202,7 @@ def dd_ln(a):
     if a[0] <= 0.0:
         raise ValueError("dd_ln of non-positive value")
     e = math.frexp(a[0])[1]
-    if not -990 <= e <= 990:  # exp(-y) below would leave the dd range there
+    if not -960 <= e <= 960:  # keeps exp(-y) below inside dd_exp's range
         return dd_add(dd_ln((math.ldexp(a[0], -e), math.ldexp(a[1], -e))),
                       dd_mul_f(_LN2, float(e)))
     y = (math.log(a[0]), 0.0)
@@ -225,6 +231,17 @@ def dd_powi(a, n: int):
 
 
 Scalar = Union["XReal", int, float, Fraction]
+
+
+def _exact(v):
+    """v as Python compares numbers exactly.  For an XReal: hi when lo is 0
+    or hi is not finite (an infinity orders by hi, a NaN is unordered), lo
+    when only lo is not finite, else the Fraction hi + lo."""
+    if not isinstance(v, XReal):
+        return v
+    if v.lo == 0.0 or not math.isfinite(v.hi):
+        return v.hi
+    return v.lo if not math.isfinite(v.lo) else Fraction(v.hi) + Fraction(v.lo)
 
 
 class XReal:
@@ -305,33 +322,27 @@ class XReal:
             raise TypeError("XReal ** only supports integer exponents")
         return XReal.from_pair(dd_powi(self.pair, n))
 
-    # -- comparisons (on the exact represented value) --------------------
-    def _cmp(self, other: Scalar) -> int:
-        o = self._coerce(other)
-        d = dd_sub(self.pair, o)
-        v = d[0] if d[0] != 0.0 else d[1]
-        return (v > 0) - (v < 0)
-
+    # -- comparisons and hash (on the exact represented value) -----------
     def __eq__(self, other):
-        try:
-            return self._cmp(other) == 0
-        except TypeError:
-            return NotImplemented
+        return _exact(self) == _exact(other)
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return _exact(self) < _exact(other)
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return _exact(self) <= _exact(other)
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return _exact(self) > _exact(other)
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return _exact(self) >= _exact(other)
 
     def __hash__(self):
-        return hash((self.hi, self.lo))
+        # Python's numeric hash of the exact value, so an XReal hashes as
+        # the equal float, int or Fraction; a NaN by its own hi
+        v = _exact(self)
+        return hash(v) if v == v else hash(self.hi)
 
     def __float__(self):
         return self.hi + self.lo

@@ -132,21 +132,27 @@ def smalla_range_check(name: str, n: int, a: float) -> None:
         raise RangeError(f"{name} of order {n} supports only a >= {floor:.3g}")
 
 
-def smalla_sum(ladders, transforms, n: int, i_max: int) -> tuple:
-    """sum_{i=0..i_max} sum_j ladders[j][i] transforms[j](i - n) / i! in
-    double-double: the small-a expansion of a Stieltjes transform of order
-    n, with ``ladders`` the z-derivatives of its generating functions
-    (XReal lists) and ``transforms`` the incomplete Mellin transforms they
-    pair with (index -> dd pair).
+#: terms of a small-a sum past i = n: ten triples and two more, so every
+#: small-a route (n <= 6) reads its ladders to i = 6 + SMALLA_PAST_N = 38
+SMALLA_PAST_N = 3 * 10 + 2
+
+
+def smalla_sum(ladders, transforms, n: int) -> tuple:
+    """sum_{i=0..n+SMALLA_PAST_N} sum_j ladders[j][i] transforms[j](i - n)
+    / i! in double-double: the small-a expansion of a Stieltjes transform
+    of order n, with ``ladders`` the z-derivatives of its generating
+    functions (XReal lists) and ``transforms`` the incomplete Mellin
+    transforms they pair with (index -> dd pair).
 
     The i! is a running binary64 product.  Returns ``(total, tail)``: the
     dd pair and the largest |term| among the last three terms, the
     truncation estimate.
     """
+    last = n + SMALLA_PAST_N
     total = (0.0, 0.0)
     tail = 0.0
     fact = 1.0
-    for i in range(i_max + 1):
+    for i in range(last + 1):
         if i > 0:
             fact *= i
         term = None
@@ -155,7 +161,7 @@ def smalla_sum(ladders, transforms, n: int, i_max: int) -> tuple:
             term = part if term is None else dd_add(term, part)
         term = dd_div_f(term, fact)
         total = dd_add(total, term)
-        if i > i_max - 3:
+        if i > last - 3:
             tail = max(tail, abs(term[0]))
     return total, tail
 

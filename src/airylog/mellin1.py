@@ -46,6 +46,7 @@ from .kernel import (
     AIP0,
     GAMMA_1_3,
     GAMMA_2_3,
+    SMALLA_PAST_N,
     hyp,
     poly_add,
     poly_deriv,
@@ -73,33 +74,29 @@ class PQPoly:
 
 
 @lru_cache(maxsize=None)
-def pq_ladder(k_max: int):
-    """P_0..P_kmax, Q_0..Q_kmax from the first-order recurrences."""
-    if k_max > 120:
-        raise DomainError("pq_ladder capped at 120")
-    out = [PQPoly((1,), (0,))]
-    for k in range(k_max):
-        prev = out[-1]
-        P = poly_add(poly_deriv(prev.P), poly_shift(prev.Q))
-        Q = poly_add(poly_deriv(prev.Q), prev.P)
-        out.append(PQPoly(P, Q))
-    return tuple(out)
+def pq_row(k: int) -> PQPoly:
+    """P_k, Q_k for 0 <= k <= 120, from row k - 1 by the first-order
+    recurrences P_k = P_{k-1}' + z Q_{k-1}, Q_k = Q_{k-1}' + P_{k-1}."""
+    if not 0 <= k <= 120:
+        raise DomainError("pq_row supports 0 <= k <= 120")
+    if k == 0:
+        return PQPoly((1,), (0,))
+    prev = pq_row(k - 1)
+    return PQPoly(poly_add(poly_deriv(prev.P), poly_shift(prev.Q)),
+                  poly_add(poly_deriv(prev.Q), prev.P))
 
 
-def amatrix(k_max: int):
-    """Coefficient rows A[k][i] of z^4 F_k(z) = z(2P_k - Q_{k+1}) + 3Q_k.
+def amatrix_row(k: int) -> tuple:
+    """Coefficient row A[k][i] of z^4 F_k(z) = z(2P_k - Q_{k+1}) + 3Q_k,
+    0 <= k <= 119.
 
     Reconstructed directly from the ladder; the printed rows and the
     closed first-column entries 3^{k+1}Gamma(k+2/3)/Gamma(2/3) are test
     fixtures for it.
     """
-    lad = pq_ladder(k_max + 1)
-    rows = []
-    for k in range(k_max + 1):
-        inner = poly_add(poly_scale(lad[k].P, 2), poly_scale(lad[k + 1].Q, -1))
-        row = poly_add(poly_shift(inner), poly_scale(lad[k].Q, 3))
-        rows.append(row)
-    return rows
+    row, nxt = pq_row(k), pq_row(k + 1)
+    inner = poly_add(poly_scale(row.P, 2), poly_scale(nxt.Q, -1))
+    return poly_add(poly_shift(inner), poly_scale(row.Q, 3))
 
 
 # -- generating functions ----------------------------------------------------
@@ -118,36 +115,36 @@ def genfunc_lambda(t: float, z: float) -> XReal:
     return PI * (s0.ai * s1.bi - s0.bi * s1.ai)
 
 
-def xi_lambda_derivs(i_max: int, a: float):
-    """z-derivatives xi^(i)(-a, 0), lambda^(i)(-a, 0) for i = 0..i_max.
+def xi_lambda_derivs(a: float):
+    """z-derivatives xi^(i)(-a, 0), lambda^(i)(-a, 0) for i = 0 ..
+    6 + SMALLA_PAST_N, the orders a small-a sum reads.
 
     Assembled from the ladder values P_j(0), Q_j(0) (exact integers) and
     P_{i-j}(-a), Q_{i-j}(-a) through the binomial translation identity;
     reproduces the printed i <= 3 instances exactly.
     """
-    lad = pq_ladder(i_max + 1)
+    orders = range(6 + SMALLA_PAST_N + 1)
     st = airy(-a)
     jm = dd_sub(dd_mul(SQRT3.pair, st.ai.pair), st.bi.pair)
     jp = dd_add(dd_mul(SQRT3.pair, st.ai.pair), st.bi.pair)
     jmp = dd_sub(dd_mul(SQRT3.pair, st.aip.pair), st.bip.pair)
     jpp = dd_add(dd_mul(SQRT3.pair, st.aip.pair), st.bip.pair)
     ma = (-a, 0.0)
-    pz = [poly_eval_dd(lad[m].P, ma) for m in range(i_max + 1)]
-    qz = [poly_eval_dd(lad[m].Q, ma) for m in range(i_max + 1)]
+    pz = [poly_eval_dd(pq_row(m).P, ma) for m in orders]
+    qz = [poly_eval_dd(pq_row(m).Q, ma) for m in orders]
     # minus-combo and plus-combo per order m
-    minus = [dd_add(dd_mul(pz[m], jm), dd_mul(qz[m], jmp)) for m in range(i_max + 1)]
-    plus = [dd_add(dd_mul(pz[m], jp), dd_mul(qz[m], jpp)) for m in range(i_max + 1)]
+    minus = [dd_add(dd_mul(pz[m], jm), dd_mul(qz[m], jmp)) for m in orders]
+    plus = [dd_add(dd_mul(pz[m], jp), dd_mul(qz[m], jpp)) for m in orders]
     a0p, ap0p = AI0.pair, AIP0.pair
     xs, ls = [], []
-    for i in range(i_max + 1):
+    for i in orders:
         xi_acc = (0.0, 0.0)
         lam_acc = (0.0, 0.0)
         for j in range(i + 1):
             b = float(math.comb(i, j))
-            p0_next = lad[j + 1].P[0]
-            q0_next = lad[j + 1].Q[0]
-            p0 = lad[j].P[0]
-            q0 = lad[j].Q[0]
+            row, nxt = pq_row(j), pq_row(j + 1)
+            p0_next, q0_next = nxt.P[0], nxt.Q[0]
+            p0, q0 = row.P[0], row.Q[0]
             m = minus[i - j]
             p = plus[i - j]
             if p0_next:

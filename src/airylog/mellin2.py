@@ -83,30 +83,25 @@ class PqrPoly:
 
 
 @lru_cache(maxsize=None)
-def pqr_ladder(n_max: int):
-    """Rows n = 0..n_max of the p/q/r ladder:
+def pqr_row(n: int) -> PqrPoly:
+    """Row n of the p/q/r ladder, 0 <= n <= 60, from row n - 3 by
     2(2n-1) p_n - n(n-1)(n-2) p_{n-3} = -(n-1) a^n, and the q, r
     analogues with right sides -n a^{n-1}, n(n-1) a^{n-2}."""
-    if n_max > 60:
-        raise DomainError("pqr_ladder capped at 60")
-    rows = {
-        0: PqrPoly((Fraction(-1, 2),), (Fraction(0),), (Fraction(0),)),
-        1: PqrPoly((Fraction(0),), (Fraction(-1, 2),), (Fraction(0),)),
-        2: PqrPoly(
-            (Fraction(0), Fraction(0), Fraction(-1, 6)),
-            (Fraction(0), Fraction(-1, 3)),
-            (Fraction(1, 3),),
-        ),
-    }
-    for n in range(3, n_max + 1):
-        prev = rows[n - 3]
-        m = Fraction(n * (n - 1) * (n - 2), 2 * (2 * n - 1))
-        inv = Fraction(1, 2 * (2 * n - 1))
-        p = poly_add(poly_scale(prev.p, m), (0,) * n + (-(n - 1) * inv,))
-        q = poly_add(poly_scale(prev.q, m), (0,) * (n - 1) + (-n * inv,))
-        r = poly_add(poly_scale(prev.r, m), (0,) * (n - 2) + (n * (n - 1) * inv,))
-        rows[n] = PqrPoly(p, q, r)
-    return tuple(rows[n] for n in range(n_max + 1))
+    if not 0 <= n <= 60:
+        raise DomainError("pqr_row supports 0 <= n <= 60")
+    if n < 3:  # the seeds calI_0, calI_1, calI_2
+        zero, half = Fraction(0), Fraction(-1, 2)
+        return (PqrPoly((half,), (zero,), (zero,)),
+                PqrPoly((zero,), (half,), (zero,)),
+                PqrPoly((zero, zero, Fraction(-1, 6)),
+                        (zero, Fraction(-1, 3)), (Fraction(1, 3),)))[n]
+    prev = pqr_row(n - 3)
+    m = Fraction(n * (n - 1) * (n - 2), 2 * (2 * n - 1))
+    inv = Fraction(1, 2 * (2 * n - 1))
+    p = poly_add(poly_scale(prev.p, m), (0,) * n + (-(n - 1) * inv,))
+    q = poly_add(poly_scale(prev.q, m), (0,) * (n - 1) + (-n * inv,))
+    r = poly_add(poly_scale(prev.r, m), (0,) * (n - 2) + (n * (n - 1) * inv,))
+    return PqrPoly(p, q, r)
 
 
 @dataclass(frozen=True)
@@ -119,20 +114,21 @@ class PQRPoly2:
 
 
 @lru_cache(maxsize=None)
-def pqr2_ladder(j_max: int):
-    """P_{j+1} = P_j' + x R_j;  Q_{j+1} = Q_j' + R_j;
+def pqr2_row(j: int) -> PQRPoly2:
+    """P_j, Q_j, R_j for 0 <= j <= 80, from row j - 1 by
+    P_{j+1} = P_j' + x R_j;  Q_{j+1} = Q_j' + R_j;
     R_{j+1} = R_j' + 2 P_j + 2 x Q_j;  seeds (1, 0, 0)."""
-    if j_max > 80:
-        raise DomainError("pqr2_ladder capped at 80")
-    out = [PQRPoly2((1,), (0,), (0,))]
-    for j in range(j_max):
-        P, Q, R = out[-1].P, out[-1].Q, out[-1].R
-        Pn = poly_add(poly_deriv(P), poly_shift(R))
-        Qn = poly_add(poly_deriv(Q), R)
-        Rn = poly_add(poly_deriv(R),
-                      poly_add(poly_scale(P, 2), poly_shift(poly_scale(Q, 2))))
-        out.append(PQRPoly2(Pn, Qn, Rn))
-    return tuple(out)
+    if not 0 <= j <= 80:
+        raise DomainError("pqr2_row supports 0 <= j <= 80")
+    if j == 0:
+        return PQRPoly2((1,), (0,), (0,))
+    prev = pqr2_row(j - 1)
+    P, Q, R = prev.P, prev.Q, prev.R
+    return PQRPoly2(
+        poly_add(poly_deriv(P), poly_shift(R)),
+        poly_add(poly_deriv(Q), R),
+        poly_add(poly_deriv(R),
+                 poly_add(poly_scale(P, 2), poly_shift(poly_scale(Q, 2)))))
 
 
 def genfunc2(t: float, x: float):
@@ -142,12 +138,13 @@ def genfunc2(t: float, x: float):
     return xi * xi, lam * lam, 2 * xi * lam
 
 
-def xi2_derivs(i_max: int, a: float):
+def xi2_derivs(a: float):
     """z-derivatives at (-a, 0) of the three squared generating functions,
-    by binomial convolution of the xi/lambda ladders."""
-    xs, ls = xi_lambda_derivs(i_max, a)
+    by binomial convolution of the xi/lambda ladders (to the orders of
+    :func:`xi_lambda_derivs`)."""
+    xs, ls = xi_lambda_derivs(a)
     Xi, Lam, Rho = [], [], []
-    for i in range(i_max + 1):
+    for i in range(len(xs)):
         sx = (0.0, 0.0)
         sl = (0.0, 0.0)
         sr = (0.0, 0.0)
@@ -332,7 +329,7 @@ class Ai2Base:
                 float(n + 1),
             )
         if n >= 0:
-            row = pqr_ladder(max(8, n))[n]
+            row = pqr_row(n)
             return self._combo(poly_eval_dd(row.p, self.ap),
                                poly_eval_dd(row.q, self.ap),
                                poly_eval_dd(row.r, self.ap))
@@ -472,16 +469,11 @@ def mellin2(n: int, a: float, primed: bool = False) -> TransformResult:
     return TransformResult(val, "vallee", 1e-13 * max(1.0, abs(float(val))))
 
 
-#: terms of the small-a sum for J_n past i = n: ten triples
-_J_KCAP = 3 * 10 + 2
-
-
 @lru_cache(maxsize=8)
 def _J_smalla_data(a: float) -> tuple:
-    """The squared ladders to _J_KCAP + 6 and :class:`Ai2Base` at a, kept
-    per process and point and shared by J_n for every n in [1, 6] (ladder
-    entries do not depend on the ladder's length)."""
-    return xi2_derivs(_J_KCAP + 6, a), Ai2Base(a)
+    """The squared ladders and :class:`Ai2Base` at a, kept per process and
+    point and shared by J_n for every n in [1, 6]."""
+    return xi2_derivs(a), Ai2Base(a)
 
 
 def Jn_smalla(n: int, a: float) -> TransformResult:
@@ -492,10 +484,10 @@ def Jn_smalla(n: int, a: float) -> TransformResult:
         J_n = sum_{i>=0} [Xi^(i) i_{i-n} + Lam^(i) i'_{i-n}
                           + rho^(i) calI_{i-n}]/i!
 
-    Designed for n in [1, 6], a <= 4; the sum runs to i = n + _J_KCAP
-    (ten triples past i = n).  The ladders and base values at a are built
-    once per process (:func:`_J_smalla_data`); the sum is redone on every
-    call.
+    Designed for n in [1, 6], a <= 4; the sum runs to i = n +
+    :data:`~airylog.kernel.SMALLA_PAST_N` (ten triples past i = n).  The
+    ladders and base values at a are built once per process
+    (:func:`_J_smalla_data`); the sum is redone on every call.
     """
     if not 1 <= n <= 6:
         raise DomainError("Jn_smalla supports n in [1, 6]")
@@ -503,8 +495,8 @@ def Jn_smalla(n: int, a: float) -> TransformResult:
         raise DomainError("Jn_smalla needs a > 0")
     smalla_range_check("Jn_smalla", n, a)
     (Xi, Lam, Rho), base = _J_smalla_data(float(a))
-    total, tail = smalla_sum((Xi, Lam, Rho), (base.i_n, base.ip_n, base.calI),
-                             n, n + _J_KCAP)
+    total, tail = smalla_sum((Xi, Lam, Rho),
+                             (base.i_n, base.ip_n, base.calI), n)
     val = XReal.from_pair(total)
     err = 10.0 * tail + 1e-14 * abs(float(val))
     return TransformResult(val, "small_a", err)

@@ -68,22 +68,21 @@ CLOSED_MAX = 13.0
 # -- moments of Ai (exact chain) ---------------------------------------------
 
 @lru_cache(maxsize=None)
-def _ai_moments(count: int) -> tuple:
-    """I_m(0) = int x^m Ai dx for m = 0..count-1, as floats, from the exact
+def _ai_moments() -> tuple:
+    """I_m(0) = int x^m Ai dx for m = 0..59, as floats, from the exact
     chain I_{m+3}(0) = (m+1)(m+2) I_m(0) with seeds 1/3, -Ai'(0), Ai(0)."""
     out = [1.0 / 3.0, -float(AIP0), float(AI0)]
-    while len(out) < count:
-        m = len(out) - 3
+    for m in range(57):
         out.append((m + 1) * (m + 2) * out[m])
-    return tuple(out[:count])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _bigI_asym_coeffs(k: int, count: int) -> tuple:
+def _bigI_asym_coeffs(k: int) -> tuple:
     """C(k+m-1, m) I_m(0): the coefficients of a^(-k-m) in bigI_k."""
     out = []
     binom = 1.0
-    for m, mom in enumerate(_ai_moments(count)):
+    for m, mom in enumerate(_ai_moments()):
         out.append(binom * mom)
         binom *= (k + m) / (m + 1.0)
     return tuple(out)
@@ -95,7 +94,7 @@ def bigI_asym(k: int, a: float) -> TransformResult:
     Intended for a >= 13, where it reaches ~1e-13 relative."""
     if not a > 0.0:
         raise DomainError("bigI_asym needs a > 0")
-    val, err = alternating_series(_bigI_asym_coeffs(k, 60), a, k)
+    val, err = alternating_series(_bigI_asym_coeffs(k), a, k)
     return TransformResult(val, "asymptotic", err)
 
 
@@ -244,25 +243,17 @@ def bigI3_from_I1(a: float, I1) -> XReal:
 
 # -- small-a generating-function route ----------------------------------------
 
-#: triples of ladder terms kept by the small-a route
-_SMALLA_TRIPLES = 10
-
-#: the small-a ladder length that serves every n in [1, 6]
-_SMALLA_IMAX = 6 + 3 * _SMALLA_TRIPLES + 2
-
-
 @lru_cache(maxsize=8)
 def _smalla_data(a: float) -> tuple:
-    """The xi/lambda ladders to _SMALLA_IMAX and :class:`BaseValues` at a,
-    kept per process and point and shared by bigI_n for every n in [1, 6]
-    (ladder entries do not depend on the ladder's length)."""
-    return xi_lambda_derivs(_SMALLA_IMAX, a), BaseValues(a)
+    """The xi/lambda ladders and :class:`BaseValues` at a, kept per process
+    and point and shared by bigI_n for every n in [1, 6]."""
+    return xi_lambda_derivs(a), BaseValues(a)
 
 
 def bigI_smalla(n: int, a: float) -> TransformResult:
     """bigI_n(a) assembled from I_0, I_-1, I_-2, Ai, Ai' with the
-    xi/lambda derivative ladders, truncated after _SMALLA_TRIPLES triples
-    (at i = n + 3 _SMALLA_TRIPLES + 2).
+    xi/lambda derivative ladders, truncated at i = n +
+    :data:`~airylog.kernel.SMALLA_PAST_N` (ten triples past i = n).
 
     Designed for n in [1, 6] and a <= 4, where ten triples already give
     ~1e-12.  The ladders, base values and reduced transforms at a are
@@ -275,8 +266,7 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
         raise DomainError("bigI_smalla needs a > 0")
     smalla_range_check("bigI_smalla", n, a)
     (xs, ls), base = _smalla_data(float(a))
-    total, tail = smalla_sum((xs, ls), (base.I, base.Iprime), n,
-                             n + 3 * _SMALLA_TRIPLES + 2)
+    total, tail = smalla_sum((xs, ls), (base.I, base.Iprime), n)
     err = 10.0 * tail + 1e-15 * abs(total[0])
     val = XReal.from_pair(total)
     if err > 1e-6 * max(1.0, abs(float(val))):
@@ -347,7 +337,7 @@ class StieltjesContext:
         closed form for k in {1, 3} up to CLOSED_MAX, asymptotic beyond;
         for k = "eq8", 1/(3a) - bigI_1(a) without its leading term."""
         if k == "eq8":
-            return alternating_series(_ai_moments(60)[1:], a, 2)[0]
+            return alternating_series(_ai_moments()[1:], a, 2)[0]
         if a <= SMALLA_MAX:
             return bigI_smalla(k, a)
         if a <= CLOSED_MAX and k == 1:

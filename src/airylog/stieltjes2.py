@@ -318,22 +318,22 @@ def bigJ_closed(a: float, sol: J1Solution) -> XReal:
 
 # -- moment asymptotics ---------------------------------------------------------
 
-def _ai2_moments(count: int):
-    """int_0^inf x^m Ai^2 dx; chain mu_{m+3} = mu_m (m+1)(m+2)(m+3)/(4m+14)."""
+def _ai2_moments() -> list:
+    """int_0^inf x^m Ai^2 dx for m = 0..42; chain mu_{m+3} = mu_m
+    (m+1)(m+2)(m+3)/(4m+14)."""
     out = [float(AP2), -float(AAP) / 3.0, float(A2) / 5.0]
-    while len(out) < count:
-        m = len(out) - 3
+    for m in range(40):
         out.append(out[m] * (m + 1) * (m + 2) * (m + 3) / (4 * m + 14))
-    return out[:count]
+    return out
 
 
 @lru_cache(maxsize=None)
-def _bigJ_asym_coeffs(count: int) -> tuple:
+def _bigJ_asym_coeffs() -> tuple:
     """j(j+1)/2 mu_j - 2 mu_{j+3}: the coefficients of a^(-2-j) in the
-    summand."""
-    mu = _ai2_moments(count + 3)
+    summand, for every j whose mu_{j+3} :func:`_ai2_moments` holds."""
+    mu = _ai2_moments()
     return tuple(j * (j + 1) * mu[j] / 2.0 - 2.0 * mu[j + 3]
-                 for j in range(count))
+                 for j in range(len(mu) - 3))
 
 
 def bigJ_asym(a: float) -> TransformResult:
@@ -343,7 +343,7 @@ def bigJ_asym(a: float) -> TransformResult:
     :func:`alternating_series` for the error estimate)."""
     if not a > 0.0:
         raise DomainError("bigJ_asym needs a > 0")
-    val, err = alternating_series(_bigJ_asym_coeffs(40), a, 2)
+    val, err = alternating_series(_bigJ_asym_coeffs(), a, 2)
     return TransformResult(val, "asymptotic", err)
 
 

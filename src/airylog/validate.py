@@ -19,8 +19,8 @@ from functools import cache
 
 from .airy import airy
 from .kernel import AI0, AIP0, ETA
-from .mellin1 import amatrix, mellin_closed, pq_ladder, reduce_In
-from .mellin2 import Jn_smalla, calI, mellin2, pqr2_ladder, pqr_ladder
+from .mellin1 import amatrix_row, mellin_closed, pq_row, reduce_In
+from .mellin2 import Jn_smalla, calI, mellin2, pqr2_row, pqr_row
 from .oracle import (
     oracle_integral1,
     oracle_integral2,
@@ -422,26 +422,24 @@ def check_residuals(records: list, ctx, sol, stieltjes) -> None:
 
 
 def check_polynomials(records: list) -> None:
-    lad = pq_ladder(11)
-    ok = lad[7].Q == (10, 0, 0, 1) and lad[10].P == (0, 0, 100, 0, 0, 1)
+    ok = pq_row(7).Q == (10, 0, 0, 1) and pq_row(10).P == (0, 0, 100, 0, 0, 1)
     records.append(_rec("poly.table2", "ladder", 0.0 if ok else 1.0, 0.0,
                         0.5, "exact rows"))
-    rows = amatrix(12)
-    first_col_ok = all(rows[3 * k + 1][0] == _a_col(k) for k in range(4))
+    first_col_ok = all(amatrix_row(3 * k + 1)[0] == _a_col(k)
+                       for k in range(4))
     records.append(_rec("poly.amatrix.first_column", "ladder",
                         0.0 if first_col_ok else 1.0, 0.0, 0.5,
                         "3^{k+1}G(k+2/3)/G(2/3)"))
     ok = reduce_In(6).alpha == 40 and reduce_In(5).u == {0: 12, 3: 4}
     records.append(_rec("poly.table6", "ladder", 0.0 if ok else 1.0, 0.0,
                         0.5, "exact rows"))
-    p = pqr_ladder(5)
-    ok = (p[3].p == (Fraction(-3, 10), 0, 0, Fraction(-2, 10))
-          and p[3].q == (0, 0, Fraction(-3, 10))
-          and p[3].r == (0, Fraction(3, 5)))
+    p = pqr_row(3)
+    ok = (p.p == (Fraction(-3, 10), 0, 0, Fraction(-2, 10))
+          and p.q == (0, 0, Fraction(-3, 10)) and p.r == (0, Fraction(3, 5)))
     records.append(_rec("poly.table7", "ladder", 0.0 if ok else 1.0, 0.0,
                         0.5, "exact rows"))
-    p2 = pqr2_ladder(4)
-    ok = p2[4].P == (0, 0, 8) and p2[4].Q == (0, 8) and p2[4].R == (12,)
+    p2 = pqr2_row(4)
+    ok = p2.P == (0, 0, 8) and p2.Q == (0, 8) and p2.R == (12,)
     records.append(_rec("poly.table4", "ladder", 0.0 if ok else 1.0, 0.0,
                         0.5, "exact rows"))
 

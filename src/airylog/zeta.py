@@ -27,28 +27,29 @@ K_MAX = 20
 
 
 @lru_cache(maxsize=None)
-def _log_derivative_coeffs(order: int):
-    """Taylor coefficients (eta-polynomials) of z*Ai(z)/Ai'(z) at 0."""
-    kmax = order // 3 + 2
+def _log_derivative_coeffs():
+    """Taylor coefficients (eta-polynomials) of z*Ai(z)/Ai'(z) at 0, to
+    z^K_MAX; built on first use."""
+    kmax = K_MAX // 3 + 2
     F = [Fraction(1)]
     G = [Fraction(1)]
     for k in range(kmax):
         F.append(F[-1] / ((3 * k + 2) * (3 * k + 3)))
         G.append(G[-1] / ((3 * k + 3) * (3 * k + 4)))
-    num = [(Fraction(0),)] * (order + 1)   # z * (eta f + g)
-    den = [(Fraction(0),)] * (order + 1)   # eta f' + g'
+    num = [(Fraction(0),)] * (K_MAX + 1)   # z * (eta f + g)
+    den = [(Fraction(0),)] * (K_MAX + 1)   # eta f' + g'
     for k in range(kmax):
-        if 3 * k + 1 <= order:
+        if 3 * k + 1 <= K_MAX:
             num[3 * k + 1] = (Fraction(0), F[k])          # eta * F_k z^{3k+1}
-        if 3 * k + 2 <= order:
+        if 3 * k + 2 <= K_MAX:
             num[3 * k + 2] = poly_add(num[3 * k + 2], (G[k],))
-        if 3 * k - 1 >= 0 and 3 * k - 1 <= order:
+        if 3 * k - 1 >= 0 and 3 * k - 1 <= K_MAX:
             den[3 * k - 1] = poly_add(den[3 * k - 1], (0, 3 * k * F[k]))
-        if 3 * k <= order:
+        if 3 * k <= K_MAX:
             den[3 * k] = poly_add(den[3 * k], ((3 * k + 1) * G[k],))
     # long division q = num / den with den[0] = [1]
     q = []
-    for m in range(order + 1):
+    for m in range(K_MAX + 1):
         acc = num[m]
         for j in range(m):
             acc = poly_add(acc, poly_scale(poly_mul(q[j], den[m - j]), -1))
@@ -64,7 +65,7 @@ def zeta_eta_poly(k: int):
     if k > K_MAX:
         raise DomainError(f"zeta closed form capped at k = {K_MAX}")
     sign = 1 if k % 2 else -1  # (-1)^(k-1)
-    return [sign * c for c in _log_derivative_coeffs(K_MAX)[k - 1]]
+    return [sign * c for c in _log_derivative_coeffs()[k - 1]]
 
 
 @lru_cache(maxsize=K_MAX)

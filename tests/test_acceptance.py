@@ -215,18 +215,16 @@ def test_criterion_08_cross_routes(roots, ctx, sol):
 def test_criterion_09_polynomial_fixtures():
     from fractions import Fraction as Fr
 
-    from airylog.mellin1 import pq_ladder, reduce_In
-    from airylog.mellin2 import pqr2_ladder, pqr_ladder
+    from airylog.mellin1 import pq_row, reduce_In
+    from airylog.mellin2 import pqr2_row, pqr_row
 
-    lad = pq_ladder(10)
-    ok = (lad[7].Q == (10, 0, 0, 1) and lad[10].P == (0, 0, 100, 0, 0, 1)
-          and lad[6].P == (4, 0, 0, 1))
-    lad2 = pqr2_ladder(8)
-    ok = ok and lad2[4].P == (0, 0, 8) and lad2[7].R == (216, 0, 0, 128)
+    ok = (pq_row(7).Q == (10, 0, 0, 1) and pq_row(10).P == (0, 0, 100, 0, 0, 1)
+          and pq_row(6).P == (4, 0, 0, 1))
+    ok = (ok and pqr2_row(4).P == (0, 0, 8)
+          and pqr2_row(7).R == (216, 0, 0, 128))
     ok = ok and reduce_In(5).u == {0: 12, 3: 4} and reduce_In(3).alpha == 2
-    p = pqr_ladder(4)
-    ok = ok and p[3].p == (Fr(-3, 10), 0, 0, Fr(-1, 5)) \
-        and p[4].r == (0, 0, Fr(6, 7))
+    ok = ok and pqr_row(3).p == (Fr(-3, 10), 0, 0, Fr(-1, 5)) \
+        and pqr_row(4).r == (0, 0, Fr(6, 7))
     ok = ok and zeta_eta_poly(6) == [Fr(1, 4), Fr(0), Fr(0), Fr(-1, 4)]
     report(9, ok, "tables 2/4/6/7 and the closed zeta forms exact in "
                   "rational arithmetic")

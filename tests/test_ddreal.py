@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from airylog.errors import RangeError
 from airylog.ddreal import (
     XReal,
     dd_add,
@@ -77,7 +78,8 @@ LN_ENDS = {1e-300: "-690.775527898213705180338344570100503",
            1e308: "709.196208642166070688520431672224631",
            1.7976931348623157e308: "709.782712893383996732223389910657146"}
 EXP_ENDS = {695.0: "6.83384182957801084376941975483524183e+301",
-            709.0: "8.21840746155497218924137238659781639e+307"}
+            709.0: "8.21840746155497218924137238659781639e+307",
+            -671.0: "3.87616845552294167599908874713864210e-292"}
 
 
 def test_exp_and_ln_at_the_ends_of_binary64():
@@ -93,6 +95,18 @@ def test_exp_and_ln_at_the_ends_of_binary64():
         assert rel(dd_exp((x, 0.0)), ref) < 1e-29, x
     with pytest.raises(OverflowError):
         dd_exp((709.5, 0.0))
+    # -671 is the last argument whose result keeps its low part out of the
+    # subnormals; below it dd_exp lost accuracy (1.1e-16 at -709) and
+    # flushed to 0 past -709
+    with pytest.raises(RangeError):
+        dd_exp((math.nextafter(-671.0, -math.inf), 0.0))
+    # dd_ln scales arguments past binary exponent +-960, so its Newton
+    # steps ask dd_exp only for arguments inside that range
+    ln15 = Fraction("0.405465108108164381978013115464349136572")
+    ln2 = Fraction("0.693147180559945309417232121458176568076")
+    for e in (-991, -961, -960, -955, 955, 960, 961, 991):
+        x = math.ldexp(1.5, e - 1)  # binary exponent e
+        assert rel(dd_ln((x, 0.0)), ln15 + (e - 1) * ln2) < 3e-32, e
 
 
 def test_parse_and_fraction():
@@ -119,6 +133,43 @@ def test_operator_coverage():
     assert XReal(1.0) < 2 and XReal(3.0) >= 3
     with pytest.raises(TypeError):
         a ** 0.5
+
+
+def test_xreal_comparisons_follow_the_numeric_contract():
+    # a NaN difference used to read as 0: NaN compared equal to anything
+    # and an infinity equal to a finite value
+    nan, inf = math.nan, math.inf
+    assert not (XReal(nan) == 1.0 or XReal(nan) <= 1.0 or XReal(nan) >= 1.0)
+    assert XReal(nan) != XReal(nan)
+    assert XReal(inf) != 1.0 and XReal(inf) > 1.0 and XReal(-inf) < -1e308
+    assert XReal(inf) == inf and XReal(inf, nan) == inf
+    # a Fraction is compared exactly, not rounded to double-double first
+    third = XReal(1.0) / 3
+    assert third != Fraction(1, 3)
+    assert third < Fraction(1, 3) or third > Fraction(1, 3)
+    assert XReal(2.0 ** 60, 1.0) == 2 ** 60 + 1
+    # an XReal hashes as the number it equals
+    assert hash(XReal(1.0)) == hash(1.0) and 1.0 in {XReal(1.0)}
+    assert not XReal(1.0) == "1.0"
+
+
+#: binary64 parts from which one value arises as several (hi, lo) pairs
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 0.5, 1.0 + 2.0 ** -52,
+                          2.0 ** -52, -2.0 ** -52, 2.0 ** -53, -2.0 ** -53])
+
+
+@given(_PARTS, _PARTS, _PARTS, _PARTS)
+@example(1.0, 2.0 ** -52, 1.0 + 2.0 ** -52, 0.0)
+def test_xreal_orders_and_hashes_by_its_exact_value(a, b, c, d):
+    x, y = XReal(a, b), XReal(c, d)
+    ex, ey = Fraction(a) + Fraction(b), Fraction(c) + Fraction(d)
+    assert ((x == y, x < y, x <= y, x > y, x >= y)
+            == (ex == ey, ex < ey, ex <= ey, ex > ey, ex >= ey))
+    assert x == ex and hash(x) == hash(ex)
+    if x == y:
+        assert hash(x) == hash(y)
+    if Fraction(float(ex)) == ex:
+        assert x == float(ex) and hash(x) == hash(float(ex))
 
 
 # -- the primitives against the textbook compositions ------------------------

@@ -17,6 +17,7 @@ from airylog.kernel import (
     hyp,
     hyp_pfq,
     pochhammer,
+    SMALLA_PAST_N,
     smalla_sum,
 )
 from airylog.ddreal import SQRT3, TWO_PI, XReal
@@ -70,19 +71,21 @@ def test_compensated_sum_xreal_inputs():
 
 
 def test_smalla_sum_of_reciprocal_factorials():
-    # unit ladders against a unit transform: sum_{i<=20} 1/i!, with the
-    # largest of the last three terms, 1/18!, as the tail
-    ones = [XReal(1.0)] * 21
+    # unit ladders against a unit transform at n = 3: the sum stops at
+    # i = n + SMALLA_PAST_N = 35, giving sum_{i<=35} 1/i!, with the
+    # largest of the last three terms, 1/33!, as the tail
+    assert SMALLA_PAST_N == 32
+    ones = [XReal(1.0)] * 36
     unit = lambda m: (1.0, 0.0)
     exact = lambda pair: Fraction(pair[0]) + Fraction(pair[1])
-    total, tail = smalla_sum((ones,), (unit,), 3, 20)
-    expect = sum(Fraction(1, math.factorial(i)) for i in range(21))
+    total, tail = smalla_sum((ones,), (unit,), 3)
+    expect = sum(Fraction(1, math.factorial(i)) for i in range(36))
     assert abs(exact(total) - expect) < Fraction(1, 2 ** 100)
-    assert tail == 1.0 / math.factorial(18)
+    assert tail == 1.0 / math.factorial(33)
     # each term adds the ladders' products; each transform sees i - n, so
     # one that vanishes away from 0 leaves only the i = n term, 1/3!
     at_zero = lambda m: (1.0, 0.0) if m == 0 else (0.0, 0.0)
-    total, tail = smalla_sum((ones, ones), (at_zero, unit), 3, 20)
+    total, tail = smalla_sum((ones, ones), (at_zero, unit), 3)
     assert abs(exact(total) - (expect + Fraction(1, 6))) < Fraction(1, 2 ** 100)
 
 
@@ -159,10 +162,10 @@ def test_alternating_series_keeps_a_term_that_rounds_its_compensation():
 
 #: The moment series the pipelines sum, as (coefficients, p).
 _PRODUCTION_SERIES = {
-    "bigI_asym_k1": (_bigI_asym_coeffs(1, 60), 1),
-    "bigI_asym_k3": (_bigI_asym_coeffs(3, 60), 3),
-    "eq8": (_ai_moments(60)[1:], 2),
-    "bigJ_asym": (_bigJ_asym_coeffs(40), 2),
+    "bigI_asym_k1": (_bigI_asym_coeffs(1), 1),
+    "bigI_asym_k3": (_bigI_asym_coeffs(3), 3),
+    "eq8": (_ai_moments()[1:], 2),
+    "bigJ_asym": (_bigJ_asym_coeffs(), 2),
 }
 
 

@@ -13,13 +13,13 @@ from airylog.mellin1 import (
     I0_hyp,
     Im1_hyp,
     Im2_hyp,
-    amatrix,
+    amatrix_row,
     genfunc_lambda,
     genfunc_xi,
     mellin_closed,
     mellin_family,
     mellin_prime,
-    pq_ladder,
+    pq_row,
     reduce_In,
     xi_lambda_derivs,
 )
@@ -28,36 +28,34 @@ from airylog.stieltjes1 import _ai_moments
 
 
 def test_table2_rows():
-    lad = pq_ladder(10)
-    assert lad[1].P == (0,) and lad[1].Q == (1,)
-    assert lad[2].P == (0, 1) and lad[2].Q == (0,)
-    assert lad[6].P == (4, 0, 0, 1) and lad[6].Q == (0, 6)
-    assert lad[7].Q == (10, 0, 0, 1)
-    assert lad[8].P == (0, 28, 0, 0, 1) and lad[8].Q == (0, 0, 12)
-    assert lad[10].P == (0, 0, 100, 0, 0, 1) and lad[10].Q == (80, 0, 0, 20)
+    assert pq_row(1).P == (0,) and pq_row(1).Q == (1,)
+    assert pq_row(2).P == (0, 1) and pq_row(2).Q == (0,)
+    assert pq_row(6).P == (4, 0, 0, 1) and pq_row(6).Q == (0, 6)
+    assert pq_row(7).Q == (10, 0, 0, 1)
+    assert pq_row(8).P == (0, 28, 0, 0, 1) and pq_row(8).Q == (0, 0, 12)
+    assert pq_row(10).P == (0, 0, 100, 0, 0, 1)
+    assert pq_row(10).Q == (80, 0, 0, 20)
 
 
 def test_three_term_recurrences():
-    lad = pq_ladder(23)
     for k in range(1, 21):
         for field in ("P", "Q"):
-            nxt = npp.Polynomial(getattr(lad[k + 2], field))
-            ref = (npp.Polynomial((0,) + tuple(getattr(lad[k], field)))
-                   + k * npp.Polynomial(getattr(lad[k - 1], field)))
+            nxt = npp.Polynomial(getattr(pq_row(k + 2), field))
+            ref = (npp.Polynomial((0,) + tuple(getattr(pq_row(k), field)))
+                   + k * npp.Polynomial(getattr(pq_row(k - 1), field)))
             assert (nxt - ref).coef.tolist() == [0.0]
 
 
 def test_derivative_identity_via_translation():
     # d^k Ai/dz^k = P_k Ai + Q_k Ai' checked through the t-Taylor series
     # of Ai(z + t) with exact ladder coefficients
-    lad = pq_ladder(40)
     for z in (0.5, 1.0, 2.0):
         st = airy(z)
         for t in (-0.4, 0.3):
             total = compensated_sum([
                 (t ** k / math.factorial(k))
-                * (_polyval(lad[k].P, z) * float(st.ai)
-                   + _polyval(lad[k].Q, z) * float(st.aip))
+                * (_polyval(pq_row(k).P, z) * float(st.ai)
+                   + _polyval(pq_row(k).Q, z) * float(st.aip))
                 for k in range(40)
             ])
             assert abs(float(total) - float(airy(z + t).ai)) < 1e-10
@@ -77,11 +75,10 @@ def test_genfunc_trivials():
 
 
 def test_genfunc_partial_sums():
-    lad = pq_ladder(25)
     t, z = -0.5, 1.0
-    xi_sum = sum(t ** k / math.factorial(k) * _polyval(lad[k].P, z)
+    xi_sum = sum(t ** k / math.factorial(k) * _polyval(pq_row(k).P, z)
                  for k in range(26))
-    lam_sum = sum(t ** k / math.factorial(k) * _polyval(lad[k].Q, z)
+    lam_sum = sum(t ** k / math.factorial(k) * _polyval(pq_row(k).Q, z)
                   for k in range(26))
     assert abs(xi_sum - float(genfunc_xi(t, z))) < 1e-10
     assert abs(lam_sum - float(genfunc_lambda(t, z))) < 1e-10
@@ -89,7 +86,7 @@ def test_genfunc_partial_sums():
 
 def test_xi_lambda_derivs_low_orders():
     a = 1.3
-    xs, ls = xi_lambda_derivs(3, a)
+    xs, ls = xi_lambda_derivs(a)
     st = airy(-a)
     jm = math.sqrt(3) * float(st.ai) - float(st.bi)
     jp = math.sqrt(3) * float(st.ai) + float(st.bi)
@@ -106,7 +103,7 @@ def test_xi_lambda_derivs_low_orders():
 
 
 def test_amatrix_rows_and_first_column():
-    rows = amatrix(12)
+    rows = [amatrix_row(k) for k in range(13)]
     printed = [
         (0, 1), (3,), (0, 0, 1), (0, 3), (6, 0, 0, 1), (0, 0, 5),
         (0, 16, 0, 0, 1), (30, 0, 0, 9), (0, 0, 40, 0, 0, 1),
@@ -250,7 +247,7 @@ def test_differentiation_consistency():
 
 
 def test_moments_match_oracle_and_macdonald_form():
-    for m, mine in enumerate(_ai_moments(7)):
+    for m, mine in enumerate(_ai_moments()[:7]):
         orc = oracle_mellin("Ai", m, 0.0).value
         assert abs(mine - orc) <= 1e-11 * max(1.0, abs(mine))
         gamma_form = (math.gamma(m + 1)

@@ -8,6 +8,7 @@ import pytest
 from airylog.airy import airy
 from airylog.errors import DomainError, RangeError
 from airylog.kernel import AI0, AIP0
+from airylog.mellin1 import pq_row
 from airylog.mellin2 import (
     A2,
     AAP,
@@ -19,33 +20,42 @@ from airylog.mellin2 import (
     genfunc2,
     irreducible_neg1,
     mellin2,
-    pqr2_ladder,
-    pqr_ladder,
+    pqr2_row,
+    pqr_row,
     xi2_derivs,
 )
 from airylog.oracle import oracle_mellin, oracle_stieltjes
 
 
 def test_table7_rows():
-    lad = pqr_ladder(5)
-    assert lad[0].p == (Fr(-1, 2),)
-    assert lad[1].q == (Fr(-1, 2),)
-    assert lad[2].p == (0, 0, Fr(-1, 6)) and lad[2].r == (Fr(1, 3),)
-    assert lad[3].p == (Fr(-3, 10), 0, 0, Fr(-1, 5))
-    assert lad[3].q == (0, 0, Fr(-3, 10)) and lad[3].r == (0, Fr(3, 5))
-    assert lad[4].p == (0, 0, 0, 0, Fr(-3, 14))
-    assert lad[4].q == (Fr(-6, 7), 0, 0, Fr(-2, 7)) and lad[4].r == (0, 0, Fr(6, 7))
-    assert lad[5].p == (0, 0, Fr(-5, 9), 0, 0, Fr(-2, 9))
-    assert lad[5].q == (0, Fr(-10, 9), 0, 0, Fr(-5, 18))
-    assert lad[5].r == (Fr(10, 9), 0, 0, Fr(10, 9))
+    assert pqr_row(0).p == (Fr(-1, 2),)
+    assert pqr_row(1).q == (Fr(-1, 2),)
+    assert pqr_row(2).p == (0, 0, Fr(-1, 6)) and pqr_row(2).r == (Fr(1, 3),)
+    assert pqr_row(3).p == (Fr(-3, 10), 0, 0, Fr(-1, 5))
+    assert pqr_row(3).q == (0, 0, Fr(-3, 10)) and pqr_row(3).r == (0, Fr(3, 5))
+    assert pqr_row(4).p == (0, 0, 0, 0, Fr(-3, 14))
+    assert pqr_row(4).q == (Fr(-6, 7), 0, 0, Fr(-2, 7))
+    assert pqr_row(4).r == (0, 0, Fr(6, 7))
+    assert pqr_row(5).p == (0, 0, Fr(-5, 9), 0, 0, Fr(-2, 9))
+    assert pqr_row(5).q == (0, Fr(-10, 9), 0, 0, Fr(-5, 18))
+    assert pqr_row(5).r == (Fr(10, 9), 0, 0, Fr(10, 9))
+
+
+@pytest.mark.parametrize("row, cap", [(pq_row, 120), (pqr_row, 60),
+                                      (pqr2_row, 80)])
+def test_each_exact_row_function_keeps_its_range(row, cap):
+    row(0)
+    row(cap)
+    for index in (-1, cap + 1):
+        with pytest.raises(DomainError):
+            row(index)
 
 
 def test_pqr_recurrence_identity():
-    lad = pqr_ladder(14)
     for n in range(3, 13):
         for field, rhs_coeff in (("p", -(n - 1)), ("q", -n), ("r", n * (n - 1))):
-            cur = list(getattr(lad[n], field))
-            prev = list(getattr(lad[n - 3], field))
+            cur = list(getattr(pqr_row(n), field))
+            prev = list(getattr(pqr_row(n - 3), field))
             power = {"p": n, "q": n - 1, "r": n - 2}[field]
             lhs = [2 * (2 * n - 1) * c for c in cur]
             while len(lhs) <= max(power, len(prev) - 1):
@@ -57,7 +67,6 @@ def test_pqr_recurrence_identity():
 
 
 def test_table4_rows():
-    lad = pqr2_ladder(8)
     rows = {
         1: ((0,), (0,), (2,)),
         2: ((0, 2), (2,), (0,)),
@@ -69,16 +78,16 @@ def test_table4_rows():
         8: ((0, 728, 0, 0, 128), (440, 0, 0, 128), (0, 0, 1344)),
     }
     for i, (P, Q, R) in rows.items():
-        assert lad[i].P == P and lad[i].Q == Q and lad[i].R == R, i
+        row = pqr2_row(i)
+        assert row.P == P and row.Q == Q and row.R == R, i
 
 
 def test_pqr2_three_term_recurrence():
-    lad = pqr2_ladder(23)
     for j in range(0, 20):
         for field in ("P", "Q", "R"):
-            nxt = list(getattr(lad[j + 3], field))
-            mid = getattr(lad[j + 1], field)
-            cur = getattr(lad[j], field)
+            nxt = list(getattr(pqr2_row(j + 3), field))
+            mid = getattr(pqr2_row(j + 1), field)
+            cur = getattr(pqr2_row(j), field)
             width = max(len(nxt), len(mid) + 1, len(cur))
             nxt += [0] * (width - len(nxt))
             # subtract 4x*mid + (4j+2)*cur
@@ -91,7 +100,6 @@ def test_pqr2_three_term_recurrence():
 
 def test_derivative_identity_numeric():
     # d^j Ai^2 = P_j Ai^2 + Q_j Ai'^2 + R_j AiAi' via the t-Taylor series
-    lad = pqr2_ladder(40)
     for x in (0.5, 1.0):
         st = airy(x)
         ai2, aip2, cross = (float(st.ai) ** 2, float(st.aip) ** 2,
@@ -99,8 +107,8 @@ def test_derivative_identity_numeric():
         for t in (-0.3, 0.25):
             total = sum(
                 t ** j / math.factorial(j)
-                * (_pv(lad[j].P, x) * ai2 + _pv(lad[j].Q, x) * aip2
-                   + _pv(lad[j].R, x) * cross)
+                * (_pv(pqr2_row(j).P, x) * ai2 + _pv(pqr2_row(j).Q, x) * aip2
+                   + _pv(pqr2_row(j).R, x) * cross)
                 for j in range(40)
             )
             ref = float(airy(x + t).ai) ** 2
@@ -119,9 +127,8 @@ def test_genfunc2_trivials_and_partial_sums():
     assert abs(float(xi2) - 1.0) < 1e-14
     assert abs(float(lam2)) < 1e-14
     assert abs(float(rho)) < 1e-14
-    lad = pqr2_ladder(21)
     t, x = -0.5, 1.0
-    lam_sum = sum(t ** j / math.factorial(j) * _pv(lad[j].Q, x)
+    lam_sum = sum(t ** j / math.factorial(j) * _pv(pqr2_row(j).Q, x)
                   for j in range(21))
     _, lam_closed, _ = genfunc2(t, x)
     assert abs(lam_sum - float(lam_closed)) < 1e-9
@@ -129,7 +136,7 @@ def test_genfunc2_trivials_and_partial_sums():
 
 def test_xi2_derivs_match_printed_low_orders():
     a = 1.1
-    Xi, Lam, Rho = xi2_derivs(2, a)
+    Xi, Lam, Rho = xi2_derivs(a)
     st = airy(-a)
     jm = math.sqrt(3) * float(st.ai) - float(st.bi)
     jp = math.sqrt(3) * float(st.ai) + float(st.bi)
@@ -476,10 +483,10 @@ def test_bform_equals_pqr_exactly_in_rational_arithmetic():
                 t *= (Fr(l) + Fr(1, 2)) * 12 * Fr(1, (3 * l + 1) * (3 * l + 2) * (3 * l + 3))
         return p, q, r
 
-    lad = pqr_ladder(17)
     for n in range(0, 17):
         bp, bq, br = bform_coeffs(n)
-        for d, poly in ((bp, lad[n].p), (bq, lad[n].q), (br, lad[n].r)):
+        row = pqr_row(n)
+        for d, poly in ((bp, row.p), (bq, row.q), (br, row.r)):
             ref = {i: c for i, c in enumerate(poly) if c}
             assert {k_: v for k_, v in d.items() if v} == ref, n
 

@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 from airylog import roots as roots_module
-from airylog import stieltjes1, stieltjes2, zeta
+from airylog import mellin1, stieltjes1, stieltjes2, zeta
 from airylog.ddreal import XReal
 from airylog.errors import AccuracyWarning
 from airylog.results import TruncationConfig
@@ -49,9 +49,12 @@ def _pair(x):
 
 
 def _clear_memos(monkeypatch):
-    """Start from an empty process: every per-point and per-root memo,
-    and the root table, are emptied for the rest of the test.  The memos
-    keep values only at the roots of a table taken after this."""
+    """Start from an empty process: every exact-row cache, every per-point
+    and per-root memo, and the root table, are emptied for the rest of the
+    test.  The memos keep values only at the roots of a table taken after
+    this."""
+    for row in (mellin1.pq_row, mellin2.pqr_row, mellin2.pqr2_row):
+        row.cache_clear()
     stieltjes1._closed_anchor.cache_clear()
     stieltjes1._smalla_data.cache_clear()
     mellin2._J_smalla_data.cache_clear()
@@ -164,6 +167,19 @@ def test_each_root_is_computed_once_per_request(monkeypatch, roots):
     assert request() is sol
     J1Solution.build(float(roots[1]), seed_source="small_a")
     assert counts == {}
+
+
+def test_a_small_a_build_computes_each_product_row_once(monkeypatch, roots):
+    # the three small-a seeds at a0 read calI_m for m <= 34, each from
+    # its exact p/q/r row; rows used to be cached by ladder length, so a
+    # first build rebuilt the ladder for every new length
+    _clear_memos(monkeypatch)
+    J1Solution.build(float(roots[1]), seed_source="small_a")
+    info = mellin2.pqr_row.cache_info()
+    assert info.misses == info.currsize == 35
+    for n in range(35):
+        mellin2.pqr_row(n)
+    assert mellin2.pqr_row.cache_info().misses == 35
 
 
 def test_values_off_the_roots_are_not_kept(monkeypatch, roots):
