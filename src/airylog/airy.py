@@ -12,7 +12,10 @@ x > 9.5 on the positive axis.  Negative-argument oscillatory asymptotics
 are not implemented; every consumer stays within the series range on the
 negative side.
 
-All functions are pure; no shared mutable state.
+Every function is a function of its arguments alone.  :func:`airy` is
+evaluated once per point within a request scope
+(:func:`airylog.results.request_scope`), which shares the
+:class:`AiryState` it returns; outside a scope it computes on every call.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .ddreal import (
 )
 from .errors import RangeError
 from .kernel import AI0, AIP0, BI0, BIP0
+from .results import per_request
 
 #: switch from Maclaurin series to asymptotic expansion on the positive
 #: axis; above this the Ai-side cancellation (e^{(4/3)x^{3/2}}) outruns the
@@ -79,6 +83,13 @@ class JPair:
     jplus: XReal
     jminus_prime: XReal
     jplus_prime: XReal
+
+    @staticmethod
+    def of(st: AiryState) -> "JPair":
+        """The combinations at a from the Airy values ``st`` at -a."""
+        sa = SQRT3 * st.ai
+        sap = SQRT3 * st.aip
+        return JPair(sa - st.bi, sa + st.bi, sap - st.bip, sap + st.bip)
 
 
 def _fg_series(xp):
@@ -160,8 +171,10 @@ def _airy_asym_pos(x: float) -> AiryState:
     )
 
 
+@per_request
 def airy(x: float) -> AiryState:
-    """All four Airy values at a real point, computed in double-double.
+    """All four Airy values at a real point, computed in double-double,
+    once per point within a request scope.
 
     Supported range: -16 <= x <= 30 (Maclaurin series on [-16, 9.5],
     exponential asymptotics beyond ``X_SWITCH`` = 9.5).  Relative accuracy is
@@ -192,10 +205,7 @@ def jpair(a: float) -> JPair:
     """sqrt(3)Ai(-a) -/+ Bi(-a) and the primed counterparts, |a| <= 15."""
     if abs(a) > 15.0:
         raise RangeError(f"jpair argument {a} outside [-15, 15]")
-    st = airy(-a)
-    sa = SQRT3 * st.ai
-    sap = SQRT3 * st.aip
-    return JPair(sa - st.bi, sa + st.bi, sap - st.bip, sap + st.bip)
+    return JPair.of(airy(-a))
 
 
 #: Gi(0) = Bi(0)/3 and Gi'(0) = Bi'(0)/3

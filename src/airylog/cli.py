@@ -20,7 +20,7 @@ from .errors import (AccuracyError, ConvergenceError, DependencyError,
 from .mellin1 import mellin_closed, mellin_family, mellin_prime
 from .mellin2 import Jn_smalla, calI, calI_bform, mellin2
 from .oracle import oracle_mellin, oracle_stieltjes
-from .results import Record, TruncationConfig
+from .results import Record, TruncationConfig, request_scope
 from .roots import NEWTON_TOL, roots_upto
 from .stieltjes1 import (
     CLOSED_MAX,
@@ -294,7 +294,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with request_scope():
+            return args.func(args)
     except (DependencyError, DomainError, RangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -54,7 +54,7 @@ from .kernel import (
     poly_scale,
     poly_shift,
 )
-from .results import TransformResult
+from .results import TransformResult, per_request
 
 _F13 = Fraction(1, 3)
 _F23 = Fraction(2, 3)
@@ -370,6 +370,13 @@ class BaseValues:
         return acc
 
 
+@per_request
+def base_values(a: float, tol: float) -> BaseValues:
+    """:class:`BaseValues` at a with its I_0, I_{-1}, I_{-2} summed to
+    ``tol``, built once per point and tolerance within a request scope."""
+    return BaseValues(a, tol)
+
+
 # -- the public transform operations ----------------------------------------
 
 def _family_In(n: int, base: BaseValues) -> XReal:
@@ -449,7 +456,7 @@ def _base(name: str, n: int, a: float) -> BaseValues:
         raise DomainError(f"{name} supports -60 <= n <= 80")
     if not a > 0.0:
         raise DomainError(f"{name} needs a > 0")
-    return BaseValues(a, 1e-18)
+    return base_values(a, 1e-18)
 
 
 def mellin_closed(n: int, a: float) -> TransformResult:

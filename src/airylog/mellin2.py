@@ -57,7 +57,7 @@ from .kernel import (
     smalla_sum,
 )
 from .mellin1 import genfunc_lambda, genfunc_xi, xi_lambda_derivs
-from .results import TransformResult
+from .results import TransformResult, per_request
 
 # squared constants (dd)
 A2 = AI0 * AI0
@@ -358,6 +358,12 @@ class Ai2Base:
                         float(m * (m + 1) * (m + 2)))
 
 
+@per_request
+def _ai2_base(a: float) -> Ai2Base:
+    """:class:`Ai2Base` at a, built once per point within a request scope."""
+    return Ai2Base(a)
+
+
 # -- public operations ---------------------------------------------------------
 
 def _bsums(k: int, mu: int, base: Ai2Base):
@@ -436,7 +442,7 @@ def calI(n: int, a: float) -> TransformResult:
     err_est, and raise RangeError beyond.
     """
     _check_range("calI", n, a)
-    val = XReal.from_pair(Ai2Base(a).calI(n))
+    val = XReal.from_pair(_ai2_base(a).calI(n))
     return TransformResult(val, "ladder", 1e-13 * max(1.0, abs(float(val))))
 
 
@@ -447,7 +453,7 @@ def calI_bform(n: int, a: float) -> TransformResult:
     if n < 0:
         raise DomainError("calI_bform supports n >= 0")
     _check_range("calI_bform", n, a)
-    base = Ai2Base(a)
+    base = _ai2_base(a)
     k, mu = divmod(n, 3)
     s0, s1, s2 = _bsums(k, mu, base)
     # G(k + mu/3 + 5/6) / G(mu/3 + 5/6)
@@ -463,7 +469,7 @@ def mellin2(n: int, a: float, primed: bool = False) -> TransformResult:
     """i_n(a) (Ai^2 weight) or i'_n(a) (Ai'^2 weight), with the ranges and
     err_est of :func:`calI`."""
     _check_range("mellin2", n, a)
-    base = Ai2Base(a)
+    base = _ai2_base(a)
     pair = base.ip_n(n) if primed else base.i_n(n)
     val = XReal.from_pair(pair)
     return TransformResult(val, "vallee", 1e-13 * max(1.0, abs(float(val))))
@@ -473,7 +479,7 @@ def mellin2(n: int, a: float, primed: bool = False) -> TransformResult:
 def _J_smalla_data(a: float) -> tuple:
     """The squared ladders and :class:`Ai2Base` at a, kept per process and
     point and shared by J_n for every n in [1, 6]."""
-    return xi2_derivs(a), Ai2Base(a)
+    return xi2_derivs(a), _ai2_base(a)
 
 
 def Jn_smalla(n: int, a: float) -> TransformResult:

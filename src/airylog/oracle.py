@@ -14,7 +14,11 @@ scipy is imported on the first quadrature, not with this module: no other
 part of airylog needs it, so the analytic commands never load it, and
 without it a quadrature raises :class:`DependencyError`.
 
-Everything here is pure; results are deterministic for fixed inputs.
+Results are deterministic for fixed inputs.  Within a request scope
+(:func:`airylog.results.request_scope`) scipy's Airy tuple is evaluated
+once per node and the same object is handed to every quadrature that
+visits the node, so the integrands' arithmetic is unchanged; outside a
+scope every node is evaluated on every visit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable
 
 from .errors import AccuracyError, DependencyError, DomainError
 from .ddreal import XReal
-from .results import TransformResult
+from .results import TransformResult, per_request
 
 DEFAULT_SPLIT = 20.0
 DEFAULT_TOL = 1e-12
@@ -34,7 +38,8 @@ _QUAD_LIMIT = 2000
 
 @lru_cache(maxsize=None)
 def _scipy() -> tuple:
-    """(scipy.integrate.quad, scipy.special.airy), imported on first use."""
+    """(scipy.integrate.quad, scipy.special.airy), imported on first use;
+    the Airy function is evaluated once per node in a request scope."""
     try:
         from scipy.integrate import quad
         from scipy.special import airy
@@ -42,7 +47,7 @@ def _scipy() -> tuple:
         raise DependencyError("the quadrature oracle needs scipy "
                               "(pip install 'airylog[oracle]')") from exc
 
-    return quad, airy
+    return quad, per_request(airy)
 
 
 def integrate_halfline(

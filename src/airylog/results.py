@@ -1,5 +1,6 @@
 """The two shapes every number takes: a route's :class:`TransformResult`
-and the CLI's printed :class:`Record`.
+and the CLI's printed :class:`Record`; and the request scope, in which
+each per-point evaluation is made once.
 
 A route result holds a double-double value and has no id; a printed row
 holds a binary64 value plus its id and provenance.
@@ -7,6 +8,9 @@ holds a binary64 value plus its id and provenance.
 
 from __future__ import annotations
 
+import contextvars
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from .ddreal import XReal
@@ -68,3 +72,42 @@ class TruncationConfig:
     def __post_init__(self):
         if self.N < 1 or self.n < 0:
             raise DomainError("need N >= 1 and n >= 0")
+
+
+#: the memo of the request scope open in this thread, or None
+_SCOPE = contextvars.ContextVar("_SCOPE", default=None)
+
+
+@contextmanager
+def request_scope():
+    """Open a request scope in this thread; an opening inside an open scope
+    joins it.  While it is open, each :func:`per_request` function computes
+    once per argument tuple, and its memo is dropped when the outermost
+    opening closes, so nothing is kept from one request to the next."""
+    if _SCOPE.get() is not None:
+        yield
+        return
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def per_request(fn):
+    """``fn`` memoised by its positional arguments within the open request
+    scope, which shares the returned object; outside a scope it computes
+    on every call.  A call that raises stores nothing."""
+
+    @functools.wraps(fn)
+    def scoped(*args):
+        memo = _SCOPE.get()
+        if memo is None:
+            return fn(*args)
+        key = (fn, args)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = fn(*args)
+        return hit
+
+    return scoped

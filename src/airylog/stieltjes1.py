@@ -30,7 +30,7 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 
-from .airy import airy, jpair
+from .airy import JPair, airy, jpair
 from .ddreal import (
     XReal,
     dd_add,
@@ -46,7 +46,7 @@ from .ddreal import (
 from .errors import AccuracyWarning, DomainError, RangeError, StabilityError
 from .kernel import (AI0, AIP0, alternating_series, compensated_sum, hyp,
                      smalla_range_check, smalla_sum)
-from .mellin1 import BaseValues, xi_lambda_derivs
+from .mellin1 import base_values, xi_lambda_derivs
 from .results import TransformResult, TruncationConfig
 from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
@@ -183,8 +183,9 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
         raise DomainError("closed form supports a, a0 in (0, 13]")
     if a < CLOSED_MIN or a0 < CLOSED_MIN:
         raise RangeError(f"closed form supports only a, a0 >= {CLOSED_MIN:g}")
-    ja = jpair(a)
-    j0, Hp0, Hm0 = _closed_anchor(a0)
+    st = airy(-a)
+    ja = JPair.of(st)
+    j0, Hp0, Hm0, ln_a0 = _closed_anchor(a0)
     pref = PI / (2 * SQRT3)
     hom = pref * (
         XReal(float(I1_at_a0)) * (ja.jminus * j0.jplus_prime - ja.jplus * j0.jminus_prime)
@@ -192,8 +193,8 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     )
     dHp = _H_plus(a) - Hp0
     dHm = _H_minus(a) - Hm0
-    ai_ma = airy(-a).ai
-    dlog = XReal.from_pair(dd_sub(dd_ln((a, 0.0)), dd_ln((a0, 0.0))))
+    ai_ma = st.ai
+    dlog = XReal.from_pair(dd_sub(dd_ln((a, 0.0)), ln_a0))
     val = hom + ja.jplus * dHp + ja.jminus * dHm - ai_ma * dlog
     scale = max(abs(float(hom)), abs(float(ja.jplus * dHp)),
                 abs(float(ja.jminus * dHm)), abs(float(ai_ma * dlog)))
@@ -207,9 +208,10 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
 
 @lru_cache(maxsize=4)
 def _closed_anchor(a0: float) -> tuple:
-    """The closed form's data at a0: (jpair(a0), H+(a0), H-(a0)), computed
-    once per process and point (the pipelines anchor at |a_1'| only)."""
-    return jpair(a0), _H_plus(a0), _H_minus(a0)
+    """The closed form's data at a0: (jpair(a0), H+(a0), H-(a0), ln a0 as
+    a dd pair), computed once per process and point (the pipelines anchor
+    at |a_1'| only)."""
+    return jpair(a0), _H_plus(a0), _H_minus(a0), dd_ln((a0, 0.0))
 
 
 def bigI_relations(a: float, I3, I4):
@@ -247,7 +249,7 @@ def bigI3_from_I1(a: float, I1) -> XReal:
 def _smalla_data(a: float) -> tuple:
     """The xi/lambda ladders and :class:`BaseValues` at a, kept per process
     and point and shared by bigI_n for every n in [1, 6]."""
-    return xi_lambda_derivs(a), BaseValues(a)
+    return xi_lambda_derivs(a), base_values(a, 1e-28)
 
 
 def bigI_smalla(n: int, a: float) -> TransformResult:

@@ -174,7 +174,8 @@ _ORACLE_SEEDS = {1.018792971647471: (XReal(0.04826441032408527),
 
 @dataclass(frozen=True)
 class J1Solution:
-    """ODE solution data at anchor a0: constants, masters, seeds.
+    """ODE solution data at anchor a0: constants, masters, seeds, and ln a0
+    as a dd pair.
 
     :meth:`build` returns one solution per root magnitude a0 and seed
     source per process, which keeps the summand at each root magnitude, so
@@ -188,6 +189,7 @@ class J1Solution:
     J1_a0: XReal
     J2_a0: XReal
     J3_a0: XReal
+    ln_a0: tuple
     _summands: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -214,12 +216,12 @@ class J1Solution:
         else:
             raise DomainError(f"unknown seed source {seed_source!r}")
         c1, c2, c3 = constants_c(a0, *seeds)
-        sol = cls(float(a0), c1, c2, c3, _masters(a0), *seeds)
+        sol = cls(key[0], c1, c2, c3, _masters(a0), *seeds,
+                  dd_ln((key[0], 0.0)))
         return _SOLUTIONS.setdefault(key, sol) if is_root_magnitude(key[0]) else sol
 
     def deltas(self, a: float):
-        dlog = XReal.from_pair(dd_sub(dd_ln((float(a), 0.0)),
-                                      dd_ln((self.a0, 0.0))))
+        dlog = XReal.from_pair(dd_sub(dd_ln((float(a), 0.0)), self.ln_a0))
         return _delta_u(_masters(a), self.masters_a0, dlog)
 
     def summand(self, a: float) -> XReal:
@@ -299,7 +301,7 @@ def j_term_grouped(a: float, sol: J1Solution) -> XReal:
     b1, b2, b3 = _j_brackets(a)
     d1, d2, d3 = d_coefficients(a)
     ma = _masters(a)
-    dlog = XReal.from_pair(dd_sub(dd_ln((float(a), 0.0)), dd_ln((sol.a0, 0.0))))
+    dlog = XReal.from_pair(dd_sub(dd_ln((float(a), 0.0)), sol.ln_a0))
     dm = [x - y for x, y in zip(ma, sol.masters_a0)]
     return (b1 * sol.c1 + b2 * sol.c2 + b3 * sol.c3
             - d1 * dm[0] - d2 * dm[2] + d3 * dm[1]

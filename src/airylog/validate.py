@@ -27,7 +27,7 @@ from .oracle import (
     oracle_mellin,
     oracle_stieltjes,
 )
-from .results import Record, TruncationConfig
+from .results import Record, TruncationConfig, request_scope
 from .roots import T6_PAPER, T6_STANDARD, root_seed, roots_upto
 from .stieltjes1 import (
     CLOSED_MAX,
@@ -452,24 +452,30 @@ def _a_col(k: int) -> int:
 
 
 def run_validation():
-    """Full matrix; returns (records, discrepancies)."""
-    records: list = []
-    # the checks share Stieltjes quadratures (the same I_k and J_k at
-    # a = 1, 2): each is computed once per run
-    stieltjes = cache(oracle_stieltjes)
-    roots = roots_upto(100)
-    ctx = StieltjesContext(roots)
-    sol = J1Solution.build(float(roots[1]))
-    check_roots(records, roots)
-    check_zeta(records, roots)
-    oracle1 = oracle_integral1()
-    oracle2 = oracle_integral2()
-    check_headline_oracle(records, oracle1, oracle2)
-    check_series1(records, roots, ctx, float(oracle1))
-    check_smalla_values(records, ctx, stieltjes)
-    check_J_values(records, ctx.a0)
-    check_series2(records, roots, sol, float(oracle2))
-    check_cross_routes(records, ctx, sol, stieltjes)
-    check_residuals(records, ctx, sol, stieltjes)
-    check_polynomials(records)
-    return records, discrepancy_ledger()
+    """Full matrix; returns (records, discrepancies).
+
+    The run is one request scope: each Airy value, scipy Airy tuple at a
+    quadrature node and Mellin base is computed once in it and dropped
+    when it returns."""
+    with request_scope():
+        records: list = []
+        # whole quadratures the checks repeat (the same I_k and J_k at
+        # a = 1, 2) are kept for this run; the scope shares only the Airy
+        # tuples at the nodes between distinct quadratures
+        stieltjes = cache(oracle_stieltjes)
+        roots = roots_upto(100)
+        ctx = StieltjesContext(roots)
+        sol = J1Solution.build(float(roots[1]))
+        check_roots(records, roots)
+        check_zeta(records, roots)
+        oracle1 = oracle_integral1()
+        oracle2 = oracle_integral2()
+        check_headline_oracle(records, oracle1, oracle2)
+        check_series1(records, roots, ctx, float(oracle1))
+        check_smalla_values(records, ctx, stieltjes)
+        check_J_values(records, ctx.a0)
+        check_series2(records, roots, sol, float(oracle2))
+        check_cross_routes(records, ctx, sol, stieltjes)
+        check_residuals(records, ctx, sol, stieltjes)
+        check_polynomials(records)
+        return records, discrepancy_ledger()

@@ -3,17 +3,30 @@ only: a fresh interpreter that imports the CLI and runs the analytic
 commands never loads it, the first quadrature does, and without scipy
 the commands that integrate exit 2 with a configuration error.  A
 validation run pays for its closed-form anchor and each of its
-quadratures once."""
+quadratures once, and is one request scope: each Airy value, scipy Airy
+tuple and Mellin base is computed once per point in it, and none is
+kept past it."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import airylog
-from airylog import stieltjes1, validate
+from airylog import oracle, stieltjes1, validate
+from airylog.results import per_request, request_scope
 from airylog.validate import run_validation
+
+#: the modules; the package attributes of these names are functions
+airy_module = importlib.import_module("airylog.airy")
+mellin1 = importlib.import_module("airylog.mellin1")
+mellin2 = importlib.import_module("airylog.mellin2")
 
 SRC = Path(airylog.__file__).resolve().parent.parent
 
@@ -112,3 +125,101 @@ def test_validation_runs_each_oracle_quadrature_once(monkeypatch):
     repeated = sorted({c for c in calls if calls.count(c) > 1})
     assert not repeated, repeated
     assert len(calls) == 48
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every evaluation a run makes at a point, by kind: scipy's Airy tuple
+    (a counting stub behind ``oracle._scipy``), the ``airy`` series and
+    asymptotics, and each base object's construction."""
+    import scipy.special
+
+    seen = {"scipy": [], "airy": [], "BaseValues": [], "Ai2Base": []}
+
+    def wrap(owner, name, kind, key):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            seen[kind].append(key(*args))
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    wrap(scipy.special, "airy", "scipy", float)
+    wrap(airy_module, "_fg_series", "airy", lambda xp: xp[0])
+    wrap(airy_module, "_airy_asym_pos", "airy", float)
+    wrap(mellin1.BaseValues, "__init__", "BaseValues",
+         lambda self, a, tol=None: (a, tol))
+    wrap(mellin2.Ai2Base, "__init__", "Ai2Base", lambda self, a: a)
+    oracle._scipy.cache_clear()
+    yield seen
+    monkeypatch.undo()
+    oracle._scipy.cache_clear()
+
+
+def _counted_run(seen) -> dict:
+    """(evaluations, distinct points) of each kind in one validation run."""
+    for calls in seen.values():
+        calls.clear()
+    run_validation()
+    return {kind: (len(calls), len(set(calls))) for kind, calls in seen.items()}
+
+
+def test_validation_evaluates_each_point_once(evaluations):
+    run_validation()  # fills the per-process root and anchor memos
+    first = _counted_run(evaluations)
+    for kind, (count, distinct) in first.items():
+        assert count == distinct, (kind, Counter(evaluations[kind])
+                                   .most_common(3))
+    assert first["scipy"][0] > 500
+    assert all(count > 0 for count, _ in first.values()), first
+    # nothing outlives the request: the next run computes it all again
+    assert _counted_run(evaluations) == first
+
+
+def test_airy_computes_on_every_call_outside_a_scope(evaluations):
+    airy_module.airy(1.5)
+    airy_module.airy(1.5)
+    airy_module.airy(12.0)
+    airy_module.airy(12.0)
+    assert evaluations["airy"] == [1.5, 1.5, 12.0, 12.0]
+    with request_scope():
+        first = airy_module.airy(1.5)
+        with request_scope():  # a nested opening joins the open scope
+            assert airy_module.airy(1.5) is first
+    assert evaluations["airy"] == [1.5, 1.5, 12.0, 12.0, 1.5]
+
+
+def test_a_scoped_call_that_raises_stores_nothing():
+    calls = []
+
+    @per_request
+    def flaky(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise ArithmeticError("first call fails")
+        return [x]
+
+    with request_scope():
+        with pytest.raises(ArithmeticError):
+            flaky(2.0)
+        value = flaky(2.0)
+        assert flaky(2.0) is value
+    assert calls == [2.0, 2.0]
+
+
+def test_concurrent_validation_runs_keep_their_own_scopes():
+    frozen = (SRC.parent / "bench" / "expected" / "validate.json").read_text(
+        encoding="utf-8")
+    out = {}
+
+    def run(name):
+        records, _ = run_validation()
+        out[name] = json.dumps([r.row() for r in records], indent=2) + "\n"
+
+    threads = [threading.Thread(target=run, args=(n,)) for n in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert out == {0: frozen, 1: frozen}
