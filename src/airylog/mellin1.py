@@ -329,7 +329,7 @@ class BaseValues:
     each reduced transform I_m, I'_m, computed on first use and kept per
     instance; a <= 0 raises :class:`DomainError` (from :func:`Im1_hyp`)."""
 
-    def __init__(self, a: float, tol: float = 1e-28):
+    def __init__(self, a: float, tol: float):
         self.a = float(a)
         self.a_pair = (float(a), 0.0)
         st = airy(a)

@@ -149,7 +149,7 @@ def evaluations(monkeypatch):
     wrap(airy_module, "_fg_series", "airy", lambda xp: xp[0])
     wrap(airy_module, "_airy_asym_pos", "airy", float)
     wrap(mellin1.BaseValues, "__init__", "BaseValues",
-         lambda self, a, tol=None: (a, tol))
+         lambda self, a, tol: (a, tol))
     wrap(mellin2.Ai2Base, "__init__", "Ai2Base", lambda self, a: a)
     oracle._scipy.cache_clear()
     yield seen
