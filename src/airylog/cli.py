@@ -3,7 +3,8 @@ values, run the validation matrix, and emit machine-readable reports.
 
 Exit codes: 0 success, 1 validation failure (including logged
 discrepancies), 2 configuration error (including a quadrature without
-scipy installed), 3 internal numerical failure.
+scipy installed and an --out path that cannot be written), 3 internal
+numerical failure.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def main(argv=None) -> int:
     try:
         with request_scope():
             return args.func(args)
-    except (DependencyError, DomainError, RangeError) as exc:
+    except (DependencyError, DomainError, RangeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, ConvergenceError, IterationError,

@@ -17,8 +17,9 @@ without it a quadrature raises :class:`DependencyError`.
 Results are deterministic for fixed inputs.  Within a request scope
 (:func:`airylog.results.request_scope`) scipy's Airy tuple is evaluated
 once per node and the same object is handed to every quadrature that
-visits the node, so the integrands' arithmetic is unchanged; outside a
-scope every node is evaluated on every visit.
+visits the node, so the integrands' arithmetic is unchanged; each
+distinct :func:`oracle_stieltjes` call is integrated once.  Outside a
+scope everything is evaluated on every call.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ _STIELTJES_WEIGHTS = {
 }
 
 
+@per_request
 def oracle_stieltjes(kind: str, k: int, a: float,
                      tol: float = DEFAULT_TOL) -> TransformResult:
     """integral_0^inf w(x)/(x+a)^k dx for w in {Ai, Ai2, AiP2, AiAiP}."""

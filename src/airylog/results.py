@@ -2,8 +2,8 @@
 and the CLI's printed :class:`Record`; and the request scope, in which
 each per-point evaluation is made once.
 
-A route result holds a double-double value and has no id; a printed row
-holds a binary64 value plus its id and provenance.
+A route result holds a double-double value and its route's warnings; a
+printed row holds a binary64 value plus its id and provenance.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .errors import DomainError
 @dataclass(frozen=True)
 class TransformResult:
     """A computed integral value plus method tag and error estimate; a
-    quadrature also reports how many subintervals it used.
+    quadrature also reports how many subintervals it used, and a route
+    the AccuracyWarnings it raised computing the value.
 
     Any two methods for the same quantity must agree within the sum of
     their err_est fields; the validation matrix enforces this.
@@ -30,6 +31,7 @@ class TransformResult:
     method: str
     err_est: float
     subdivisions: int | None = None
+    warnings: tuple = ()
 
     def __float__(self):
         return float(self.value)
@@ -95,19 +97,20 @@ def request_scope():
 
 
 def per_request(fn):
-    """``fn`` memoised by its positional arguments within the open request
-    scope, which shares the returned object; outside a scope it computes
-    on every call.  A call that raises stores nothing."""
+    """``fn`` memoised by its arguments, keywords included, within the open
+    request scope, which shares the returned object; outside a scope it
+    computes on every call.  A call that raises stores nothing."""
 
     @functools.wraps(fn)
-    def scoped(*args):
+    def scoped(*args, **kwargs):
         memo = _SCOPE.get()
         if memo is None:
-            return fn(*args)
-        key = (fn, args)
+            return fn(*args, **kwargs)
+        # no frozenset on the keyword-free calls (thousands per request)
+        key = (fn, args, frozenset(kwargs.items())) if kwargs else (fn, args)
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = fn(*args)
+            hit = memo[key] = fn(*args, **kwargs)
         return hit
 
     return scoped

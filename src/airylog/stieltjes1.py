@@ -24,7 +24,6 @@ oracle in the validation matrix.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import warnings
 from fractions import Fraction
@@ -47,7 +46,7 @@ from .errors import AccuracyWarning, DomainError, RangeError, StabilityError
 from .kernel import (AI0, AIP0, alternating_series, compensated_sum, hyp,
                      smalla_range_check, smalla_sum)
 from .mellin1 import base_values, xi_lambda_derivs
-from .results import TransformResult, TruncationConfig
+from .results import TransformResult, TruncationConfig, per_request
 from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
 
@@ -113,14 +112,10 @@ def bigI_recurrence(k: int, a: float, seeds) -> TransformResult:
         raise DomainError("bigI_recurrence needs k >= 0")
     if not a > 0.0:
         raise DomainError("bigI_recurrence needs a > 0")
-    if k == 0:
-        return TransformResult(XReal(1.0 / 3.0), "recurrence", 0.0)
     vals = {0: XReal(1.0 / 3.0), 1: XReal(seeds[0]), 2: XReal(seeds[1])}
     errs = {0: 0.0, 1: 1e-15 * abs(float(seeds[0])), 2: 1e-15 * abs(float(seeds[1]))}
     A0f, AP0f = float(AI0), float(AIP0)
     for j in range(0, k - 2):
-        if j + 3 in vals:
-            continue
         rhs = -AP0f / a ** (j + 1) - (j + 1) * A0f / a ** (j + 2)
         nxt = (vals[j] - a * vals[j + 1] - rhs) / ((j + 1) * (j + 2))
         vals[j + 3] = nxt
@@ -172,12 +167,14 @@ def _H_minus(a: float) -> XReal:
     return XReal.from_pair(dd_add(dd_sub(t2, t1), t3))
 
 
+@per_request
 def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     """bigI_1(a) from initial data (bigI_1, bigI_2) at a0, by the
     variation-of-parameters solution of the inhomogeneous Airy ODE.
 
-    Double-double throughout; a cancellation warning is emitted when the
-    result is smaller than 1e-6 of the largest intermediate.
+    Double-double throughout; below 1e-6 of the largest intermediate the
+    result raises a cancellation warning and keeps it.  Within a request
+    scope each argument tuple is evaluated, and warns, once.
     """
     if not (0.0 < a <= CLOSED_MAX and 0.0 < a0 <= CLOSED_MAX):
         raise DomainError("closed form supports a, a0 in (0, 13]")
@@ -201,9 +198,11 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     # cancellation floor: pFq headroom ~ e^{(2/3)a^{3/2}} over 1e-32
     headroom = math.exp((2.0 / 3.0) * max(a, a0) ** 1.5)
     err = max(scale, headroom * 0.02) * 2e-31 + 1e-16 * abs(float(val))
+    warned = ()
     if abs(float(val)) < 1e-6 * scale:
-        _warn_accuracy("bigI1_closed lost more than six digits to cancellation")
-    return TransformResult(val, "closed_form", err)
+        warned = _warn_accuracy(
+            "bigI1_closed lost more than six digits to cancellation")
+    return TransformResult(val, "closed_form", err, warnings=warned)
 
 
 @lru_cache(maxsize=4)
@@ -260,7 +259,7 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
     Designed for n in [1, 6] and a <= 4, where ten triples already give
     ~1e-12.  The ladders, base values and reduced transforms at a are
     built once per process (:func:`_smalla_data`); the sum and its
-    AccuracyWarning are redone on every call.
+    AccuracyWarning, also kept in the result, are redone per call.
     """
     if n < 1 or n > 6:
         raise DomainError("bigI_smalla supports n in [1, 6]")
@@ -271,27 +270,26 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
     total, tail = smalla_sum((xs, ls), (base.I, base.Iprime), n)
     err = 10.0 * tail + 1e-15 * abs(total[0])
     val = XReal.from_pair(total)
+    warned = ()
     if err > 1e-6 * max(1.0, abs(float(val))):
-        _warn_accuracy(f"bigI_smalla truncation estimate {err:.2e} is large")
-    return TransformResult(val, "small_a", err)
+        warned = _warn_accuracy(
+            f"bigI_smalla truncation estimate {err:.2e} is large")
+    return TransformResult(val, "small_a", err, warnings=warned)
 
 
 # -- route dispatch and the series pipelines ----------------------------------
 
-#: (value, AccuracyWarning messages of its route) of each per-root value
-#: read in the process, by (a0, k, root magnitude); the first stored wins
+#: the TransformResult of each per-root value read in the process, by
+#: (a0, k, root magnitude); the first stored wins
 _VALUES: dict = {}
-#: the messages of the memo entry that this thread computes, or None
-_RECORDING = contextvars.ContextVar("_RECORDING", default=None)
 
 
-def _warn_accuracy(message: str) -> None:
-    """Raise an AccuracyWarning, or keep it with the memo entry that this
-    thread computes: the routes report through this, per thread."""
-    if _RECORDING.get() is None:
+def _warn_accuracy(*messages: str) -> tuple:
+    """Raise an AccuracyWarning for each message, and return the messages
+    for the result that the warning is about."""
+    for message in messages:
         warnings.warn(message, AccuracyWarning, stacklevel=2)
-    else:
-        _RECORDING.get().append(message)
+    return messages
 
 
 class StieltjesContext:
@@ -301,10 +299,11 @@ class StieltjesContext:
     through bigI_3, bigI_4 and the exact ladder relations, so the whole
     pipeline stays analytic.
 
-    Every value at a root magnitude is kept per process (:data:`_VALUES`),
+    Every result at a root magnitude is kept per process (:data:`_VALUES`),
     as are the routes' data at a point, so a second context on the same
-    roots computes nothing again.  A route's AccuracyWarnings are kept
-    with its value and raised again on each context's first read of it.
+    roots computes nothing again.  A route raises its AccuracyWarnings as
+    it computes and keeps them in the result's ``warnings``, which each
+    other context raises again on its first read of a kept result.
     """
 
     def __init__(self, roots: RootTable):
@@ -315,31 +314,28 @@ class StieltjesContext:
         self.I1_a0, self.I2_a0 = bigI_relations(self.a0, self.I3_a0,
                                                 self.I4_a0)
 
-    def _bigI(self, k, a: float):
-        """bigI_k(a) by :meth:`_route`, kept if a is a root magnitude; its
-        route's AccuracyWarnings are raised on this context's first read."""
+    def _bigI(self, k, a: float) -> TransformResult:
+        """bigI_k(a) by :meth:`_route`, kept if a is a root magnitude; a
+        kept result's warnings are raised on this context's first read."""
         key = (self.a0, k, a)
         hit = _VALUES.get(key)
         if hit is None:
-            token = _RECORDING.set([])
-            try:
-                hit = (self._route(k, a), tuple(_RECORDING.get()))
-            finally:
-                _RECORDING.reset(token)
+            hit = self._route(k, a)  # the route raises its own warnings
             if is_root_magnitude(a):
                 hit = _VALUES.setdefault(key, hit)
-        if key not in self._warned or _RECORDING.get() is not None:
+                self._warned.add(key)
+        elif key not in self._warned:
             self._warned.add(key)
-            for message in hit[1]:
-                _warn_accuracy(message)
-        return hit[0]
+            _warn_accuracy(*hit.warnings)
+        return hit
 
-    def _route(self, k, a: float):
+    def _route(self, k, a: float) -> TransformResult:
         """bigI_k(a) by the route for a: small_a up to SMALLA_MAX, the
         closed form for k in {1, 3} up to CLOSED_MAX, asymptotic beyond;
         for k = "eq8", 1/(3a) - bigI_1(a) without its leading term."""
         if k == "eq8":
-            return alternating_series(_ai_moments()[1:], a, 2)[0]
+            val, err = alternating_series(_ai_moments()[1:], a, 2)
+            return TransformResult(val, "asymptotic", err)
         if a <= SMALLA_MAX:
             return bigI_smalla(k, a)
         if a <= CLOSED_MAX and k == 1:
@@ -347,7 +343,7 @@ class StieltjesContext:
         if a <= CLOSED_MAX:  # k == 3, from bigI_1 by the ladder
             r = self._bigI(1, a)
             return TransformResult(bigI3_from_I1(a, r.value), "closed_form",
-                                   r.err_est * a)
+                                   r.err_est * a, warnings=r.warnings)
         return bigI_asym(k, a)
 
     def bigI1_closed(self, a: float) -> TransformResult:
@@ -362,7 +358,7 @@ class StieltjesContext:
 
     def eq8_term(self, a: float) -> XReal:
         if a > CLOSED_MAX:
-            return self._bigI("eq8", a)
+            return self._bigI("eq8", a).value
         i1 = self.bigI1(a).value  # raises DomainError for a <= 0
         return XReal(1.0 / (3.0 * a)) - i1
 

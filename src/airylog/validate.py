@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .airy import airy
 from .kernel import AI0, AIP0, ETA
@@ -286,7 +285,7 @@ def check_series1(records: list, roots, ctx, oracle: float) -> None:
                         else "fail"))
 
 
-def check_smalla_values(records: list, ctx, stieltjes) -> None:
+def check_smalla_values(records: list, ctx) -> None:
     a0 = ctx.a0
     records.append(_rec("stieltjes1.I3.first_root", "small_a",
                         float(ctx.I3_a0), 0.1045955174, 1e-9,
@@ -294,8 +293,8 @@ def check_smalla_values(records: list, ctx, stieltjes) -> None:
     records.append(_rec("stieltjes1.I4.first_root", "small_a",
                         float(ctx.I4_a0), 0.08085800094, 1e-9,
                         "ten-decimal print"))
-    i1o = stieltjes("Ai", 1, a0).value
-    i2o = stieltjes("Ai", 2, a0).value
+    i1o = oracle_stieltjes("Ai", 1, a0).value
+    i2o = oracle_stieltjes("Ai", 2, a0).value
     records.append(_rec("stieltjes1.I1.first_root", "relations",
                         float(ctx.I1_a0), i1o, 2e-9, "oracle"))
     records.append(_rec("stieltjes1.I2.first_root", "relations",
@@ -321,13 +320,13 @@ def check_series2(records: list, roots, sol, oracle: float) -> None:
                         acc, oracle, 2e-8, "oracle"))
 
 
-def check_cross_routes(records: list, ctx, sol, stieltjes) -> None:
+def check_cross_routes(records: list, ctx, sol) -> None:
     """Acceptance grid: every analytic route vs the oracle, 1e-7."""
     grid_I = [(1, 0.5), (1, 2.0), (1, 5.0), (2, 1.0), (2, 5.0),
               (3, ctx.a0), (3, 2.0), (3, 5.0), (4, ctx.a0), (4, 1.0),
               (5, 2.0), (6, 1.0)]
     for k, a in grid_I:
-        orc = stieltjes("Ai", k, a).value
+        orc = oracle_stieltjes("Ai", k, a).value
         routes = {}
         if a <= SMALLA_MAX:
             routes["small_a"] = float(bigI_smalla(k, a).value)
@@ -355,7 +354,7 @@ def check_cross_routes(records: list, ctx, sol, stieltjes) -> None:
     for a in (0.5, 2.0, 5.0, 9.0):
         records.append(_rec(f"J1.route.closed.a{a:g}", "closed_form",
                             float(solve_J1(a, sol).value),
-                            stieltjes("Ai2", 1, a).value, 1e-7,
+                            oracle_stieltjes("Ai2", 1, a).value, 1e-7,
                             "oracle"))
     # closed-form vs moment-series overlap for the summand
     for a in (9.5354490524, 10.5276603970):
@@ -365,10 +364,10 @@ def check_cross_routes(records: list, ctx, sol, stieltjes) -> None:
                             c, m, 1e-9, "route agreement"))
 
 
-def check_residuals(records: list, ctx, sol, stieltjes) -> None:
+def check_residuals(records: list, ctx, sol) -> None:
     # Stieltjes three-term ladder with oracle values
     for k, a in [(1, 1.0), (2, 2.0)]:
-        vals = [stieltjes("Ai", j, a).value for j in (k, k + 1, k + 3)]
+        vals = [oracle_stieltjes("Ai", j, a).value for j in (k, k + 1, k + 3)]
         res = ladder_residual(k, a, *vals)
         records.append(_rec(f"residual.stieltjes_ladder.k{k}.a{a:g}", "oracle-values", res,
                             0.0, 1e-9, "three-term ladder"))
@@ -385,8 +384,8 @@ def check_residuals(records: list, ctx, sol, stieltjes) -> None:
                             res / scale, 0.0, 1e-9, "Mellin ladder"))
     # integration-by-parts relations with oracle values
     for n, a in [(1, 1.0), (2, 2.0)]:
-        J = {m: float(stieltjes("Ai2", m, a)) for m in range(max(0, n - 1), n + 4)}
-        Jp = {m: float(stieltjes("AiP2", m, a)) for m in range(n, n + 2)}
+        J = {m: float(oracle_stieltjes("Ai2", m, a)) for m in range(max(0, n - 1), n + 4)}
+        Jp = {m: float(oracle_stieltjes("AiP2", m, a)) for m in range(n, n + 2)}
         res = J_recurrences(n, a, J, Jp)
         for name, r in res.items():
             records.append(_rec(f"residual.{name}.n{n}.a{a:g}",
@@ -455,14 +454,10 @@ def run_validation():
     """Full matrix; returns (records, discrepancies).
 
     The run is one request scope: each Airy value, scipy Airy tuple at a
-    quadrature node and Mellin base is computed once in it and dropped
-    when it returns."""
+    quadrature node, Mellin base, off-root closed form and Stieltjes
+    quadrature is computed once in it and dropped when it returns."""
     with request_scope():
         records: list = []
-        # whole quadratures the checks repeat (the same I_k and J_k at
-        # a = 1, 2) are kept for this run; the scope shares only the Airy
-        # tuples at the nodes between distinct quadratures
-        stieltjes = cache(oracle_stieltjes)
         roots = roots_upto(100)
         ctx = StieltjesContext(roots)
         sol = J1Solution.build(float(roots[1]))
@@ -472,10 +467,10 @@ def run_validation():
         oracle2 = oracle_integral2()
         check_headline_oracle(records, oracle1, oracle2)
         check_series1(records, roots, ctx, float(oracle1))
-        check_smalla_values(records, ctx, stieltjes)
+        check_smalla_values(records, ctx)
         check_J_values(records, ctx.a0)
         check_series2(records, roots, sol, float(oracle2))
-        check_cross_routes(records, ctx, sol, stieltjes)
-        check_residuals(records, ctx, sol, stieltjes)
+        check_cross_routes(records, ctx, sol)
+        check_residuals(records, ctx, sol)
         check_polynomials(records)
         return records, discrepancy_ledger()

@@ -147,6 +147,16 @@ def test_iteration_failure_maps_to_numerical_exit(capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_unwritable_out_is_a_config_error(capsys, tmp_path):
+    # a missing directory and a directory ended in a traceback with exit 1,
+    # the validation-failure code
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code = main(["roots", "--N", "3", "--out", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), path
+        assert err.startswith("configuration error: "), err
+
+
 def test_dead_flags_are_rejected(capsys):
     # --tol only sets the oracle tolerance of transform; --precision is gone
     assert run(["roots", "--tol", "1e-9"], capsys)[0] == 2

@@ -2,10 +2,10 @@
 only: a fresh interpreter that imports the CLI and runs the analytic
 commands never loads it, the first quadrature does, and without scipy
 the commands that integrate exit 2 with a configuration error.  A
-validation run pays for its closed-form anchor and each of its
-quadratures once, and is one request scope: each Airy value, scipy Airy
-tuple and Mellin base is computed once per point in it, and none is
-kept past it."""
+validation run pays for its closed-form anchor, each off-root closed
+form and each of its quadratures once, and is one request scope: each
+Airy value, scipy Airy tuple and Mellin base is computed once per point
+in it, and none is kept past it."""
 
 import importlib
 import json
@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 
 import airylog
 from airylog import oracle, stieltjes1, validate
+from airylog.errors import AccuracyWarning
 from airylog.results import per_request, request_scope
 from airylog.validate import run_validation
 
@@ -113,7 +115,9 @@ def test_validation_computes_the_closed_form_anchor_once():
 
 
 def test_validation_runs_each_oracle_quadrature_once(monkeypatch):
-    calls = []
+    # the checks repeat some oracle calls; every quadrature goes through
+    # integrate_halfline, which runs once per distinct call
+    calls, quadratures = [], []
     for name in ("oracle_integral1", "oracle_integral2", "oracle_mellin",
                  "oracle_stieltjes"):
         def counted(*args, _name=name, _oracle=getattr(validate, name)):
@@ -121,10 +125,43 @@ def test_validation_runs_each_oracle_quadrature_once(monkeypatch):
             return _oracle(*args)
 
         monkeypatch.setattr(validate, name, counted)
+    halfline = oracle.integrate_halfline
+
+    def integrate(*args, **kwargs):
+        quadratures.append(args)
+        return halfline(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate_halfline", integrate)
     run_validation()
-    repeated = sorted({c for c in calls if calls.count(c) > 1})
-    assert not repeated, repeated
-    assert len(calls) == 48
+    assert len(quadratures) == len(set(calls)) == 48
+
+
+def test_a_warm_validation_evaluates_each_closed_form_once(monkeypatch):
+    # _closed_anchor holds H+(a0) after the first run; each off-root closed
+    # form is computed once per run, although bigI_1 at a = 5 is read by
+    # its own record, by the k = 3 recurrence and through bigI_3
+    run_validation()
+    points = []
+    h_plus = stieltjes1._H_plus
+
+    def counted(a):
+        points.append(a)
+        return h_plus(a)
+
+    monkeypatch.setattr(stieltjes1, "_H_plus", counted)
+    run_validation()
+    assert 5.0 in points
+    assert len(points) == len(set(points)), Counter(points).most_common(3)
+
+
+def test_small_a_warning_is_raised_once_and_kept_in_the_result():
+    message = "bigI_smalla truncation estimate 4.20e-02 is large"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = stieltjes1.bigI_smalla(1, 12.0)
+    assert [(w.category, str(w.message)) for w in seen] == [
+        (AccuracyWarning, message)]
+    assert result.warnings == (message,)
 
 
 @pytest.fixture
@@ -206,6 +243,27 @@ def test_a_scoped_call_that_raises_stores_nothing():
         value = flaky(2.0)
         assert flaky(2.0) is value
     assert calls == [2.0, 2.0]
+
+
+def test_a_scoped_call_is_keyed_by_its_keywords():
+    calls = []
+
+    @per_request
+    def integrate(x, tol=1e-12):
+        calls.append((x, tol))
+        if len(calls) == 1:
+            raise ArithmeticError("first call fails")
+        return [x, tol]
+
+    with request_scope():
+        with pytest.raises(ArithmeticError):
+            integrate(2.0, tol=1e-9)
+        value = integrate(2.0, tol=1e-9)
+        assert integrate(2.0, tol=1e-9) is value
+        assert integrate(2.0, tol=1e-6) == [2.0, 1e-6]
+        assert integrate(2.0) == [2.0, 1e-12]
+        assert integrate(2.0) is integrate(2.0)
+    assert calls == [(2.0, 1e-9), (2.0, 1e-9), (2.0, 1e-6), (2.0, 1e-12)]
 
 
 def test_concurrent_validation_runs_keep_their_own_scopes():

@@ -5,6 +5,7 @@ root, whatever the thread, only root magnitudes are kept, and a route's
 AccuracyWarning still reaches every context that reads the root, and no
 other warning is taken for it."""
 
+import dataclasses
 import importlib
 import sys
 import threading
@@ -220,8 +221,8 @@ def test_route_warning_reaches_the_caller_once_per_context(monkeypatch):
 
     def warning_asym(k, a):
         calls.append(a)
-        stieltjes1._warn_accuracy(f"test warning at a={a}")
-        return asym(k, a)
+        warned = stieltjes1._warn_accuracy(f"test warning at a={a}")
+        return dataclasses.replace(asym(k, a), warnings=warned)
 
     _clear_memos(monkeypatch)
     monkeypatch.setattr(stieltjes1, "bigI_asym", warning_asym)
@@ -250,11 +251,11 @@ def test_warnings_of_other_threads_stay_with_their_callers(monkeypatch):
     inside, outside_done = threading.Event(), threading.Event()
 
     def warning_asym(k, a):
-        stieltjes1._warn_accuracy(f"route warning at a={a}")
+        warned = stieltjes1._warn_accuracy(f"route warning at a={a}")
         if threading.current_thread() is filler:
             inside.set()
             assert outside_done.wait(timeout=60)
-        return asym(k, a)
+        return dataclasses.replace(asym(k, a), warnings=warned)
 
     _clear_memos(monkeypatch)
     monkeypatch.setattr(stieltjes1, "bigI_asym", warning_asym)
@@ -276,7 +277,7 @@ def test_warnings_of_other_threads_stay_with_their_callers(monkeypatch):
     assert sorted(str(w.message) for w in seen) == sorted(
         ["route warning at a=20.0", "elsewhere", f"route warning at a={a}"])
     entry = stieltjes1._VALUES[float(roots[1]), 3, a]
-    assert entry[1] == (f"route warning at a={a}",)
+    assert entry.warnings == (f"route warning at a={a}",)
     with warnings.catch_warnings(record=True) as replay:
         warnings.simplefilter("always")
         StieltjesContext(roots).bigI3(a)
