@@ -31,7 +31,7 @@ from .kernel import (
     pochhammer,
     smalla_sum,
 )
-from .airy import AiryState, JPair, airy, jpair, scorer_gi
+from .airy import AiryState, JPair, airy, scorer_gi
 from .roots import RootTable, refine_root, root_seed, roots_upto
 from .zeta import zeta_closed, zeta_eta_poly, zeta_incomplete, zeta_tail
 from .oracle import (

@@ -201,13 +201,6 @@ def airy(x: float) -> AiryState:
     )
 
 
-def jpair(a: float) -> JPair:
-    """sqrt(3)Ai(-a) -/+ Bi(-a) and the primed counterparts, |a| <= 15."""
-    if abs(a) > 15.0:
-        raise RangeError(f"jpair argument {a} outside [-15, 15]")
-    return JPair.of(airy(-a))
-
-
 #: Gi(0) = Bi(0)/3 and Gi'(0) = Bi'(0)/3
 GI0 = BI0 / 3
 GIP0 = BIP0 / 3

@@ -171,6 +171,9 @@ def dd_from_str(s: str):
 _LN2 = dd_from_str(
     "0.69314718055994530941723212145817656807550013436025525412068"
 )
+#: ln2 in three parts (Cody-Waite): k times a 42-bit head is exact, |k| < 2**11
+_LN2_CW = tuple(map(float.fromhex, ("0x1.62e42fefa38p-1", "0x1.ef35793c768p-45",
+                                    "-0x1.9ff0342542fc3p-90")))
 _EXP_COEFFS = 26  # Taylor terms after range reduction; |r| <= ln2/2
 #: below this, 2**k < 2**-968 puts the low part of exp(a) among the
 #: subnormals, whose spacing 2**-1074 is then coarser than 2**-106 of it
@@ -184,7 +187,8 @@ def dd_exp(a):
         raise RangeError(f"dd_exp keeps double-double accuracy only for "
                          f"a >= {_EXP_MIN:g}")
     k = round((a[0] + a[1]) / _LN2[0])
-    r = dd_sub(a, dd_mul_f(_LN2, float(k)))
+    r = dd_add_f(dd_add_f(a, -k * _LN2_CW[0]), -k * _LN2_CW[1])
+    r = dd_sub(r, dd_mul_f((_LN2_CW[2], 0.0), float(k)))
     # Taylor sum of exp(r), |r| <= ~0.347
     term = (1.0, 0.0)
     total = (1.0, 0.0)

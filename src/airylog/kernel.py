@@ -245,11 +245,8 @@ class HypSeries:
             raise DomainError("p > q + 1 series diverge for z != 0")
 
 
-def hyp_pfq(
-    series: HypSeries,
-    tol: float = 1e-16,
-    max_terms: int | None = None,
-) -> XReal:
+def hyp_pfq(series: HypSeries, tol: float,
+            max_terms: int | None = None) -> XReal:
     """Sum the generalized hypergeometric series by term recursion in
     double-double.
 
@@ -305,7 +302,7 @@ def hyp_pfq(
     )
 
 
-def hyp(a_params, b_params, z, tol: float = 1e-16) -> XReal:
+def hyp(a_params, b_params, z, tol: float) -> XReal:
     """Convenience wrapper: hyp((1,3),(2,3,...),z) with Fraction coercion."""
     return hyp_pfq(
         HypSeries(tuple(Fraction(x) for x in a_params),

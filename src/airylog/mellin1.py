@@ -162,7 +162,7 @@ def xi_lambda_derivs(a: float):
 
 # -- irreducible base transforms ---------------------------------------------
 
-def I0_hyp(a: float, tol: float = 1e-30) -> XReal:
+def I0_hyp(a: float, tol: float) -> XReal:
     """I_0(a) = int_a^inf Ai = 1/3 - Ai(0) a 1F2(1/3;2/3,4/3;a^3/9)
     - Ai'(0) (a^2/2) 1F2(2/3;4/3,5/3;a^3/9)."""
     ap = (float(a), 0.0)
@@ -182,7 +182,7 @@ def I0_scorer(a: float) -> XReal:
     return PI * (st.ai * gip - st.aip * gi)
 
 
-def Im1_hyp(a: float, tol: float = 1e-28) -> XReal:
+def Im1_hyp(a: float, tol: float) -> XReal:
     """I_{-1}(a) = int_a^inf Ai/z dz.
 
     -Ai'(0) a 1F2(1/3;4/3,4/3;.) - (Ai(0)/18) a^3 2F3(1,1;2,2,5/3;.)
@@ -205,7 +205,7 @@ def Im1_hyp(a: float, tol: float = 1e-28) -> XReal:
     return XReal.from_pair(dd_sub(dd_sub(dd_mul_f(t1, -1.0), t2), t3))
 
 
-def Im2_hyp(a: float, tol: float = 1e-28) -> XReal:
+def Im2_hyp(a: float, tol: float) -> XReal:
     """I_{-2}(a) = int_a^inf Ai/z^2 dz.
 
     (Ai(0)/a) 1F2(-1/3;2/3,2/3;.) - (Ai'(0)/36) a^3 2F3(1,1;2,2,7/3;.)

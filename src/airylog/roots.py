@@ -103,11 +103,14 @@ class RootTable:
     """
 
     roots: tuple
-    refined_upto: int
 
     @property
     def n_max(self) -> int:
         return len(self.roots)
+
+    @property
+    def refined_upto(self) -> int:
+        return min(self.n_max, REFINED_UPTO)
 
     def __getitem__(self, n: int) -> XReal:
         """1-based access: table[n] is |a_n'|."""
@@ -148,7 +151,7 @@ def roots_upto(N: int) -> RootTable:
             if len(roots) < N:
                 roots += tuple(_root(n) for n in range(len(roots) + 1, N + 1))
                 _ROOTS = roots
-    return RootTable(roots[:N], min(N, REFINED_UPTO))
+    return RootTable(roots[:N])
 
 
 def is_root_magnitude(a: float) -> bool:

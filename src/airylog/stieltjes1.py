@@ -29,7 +29,7 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 
-from .airy import JPair, airy, jpair
+from .airy import JPair, airy
 from .ddreal import (
     XReal,
     dd_add,
@@ -207,10 +207,10 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
 
 @lru_cache(maxsize=4)
 def _closed_anchor(a0: float) -> tuple:
-    """The closed form's data at a0: (jpair(a0), H+(a0), H-(a0), ln a0 as
-    a dd pair), computed once per process and point (the pipelines anchor
-    at |a_1'| only)."""
-    return jpair(a0), _H_plus(a0), _H_minus(a0), dd_ln((a0, 0.0))
+    """The closed form's data at a0: (the JPair at a0, H+(a0), H-(a0),
+    ln a0 as a dd pair), computed once per process and point (the
+    pipelines anchor at |a_1'| only)."""
+    return JPair.of(airy(-a0)), _H_plus(a0), _H_minus(a0), dd_ln((a0, 0.0))
 
 
 def bigI_relations(a: float, I3, I4):
@@ -297,7 +297,7 @@ class StieltjesContext:
 
     Seeds bigI_1, bigI_2 at a0 = |a_1'| come from the small-a route
     through bigI_3, bigI_4 and the exact ladder relations, so the whole
-    pipeline stays analytic.
+    pipeline stays analytic; roots[1] above SMALLA_MAX raises DomainError.
 
     Every result at a root magnitude is kept per process (:data:`_VALUES`),
     as are the routes' data at a point, so a second context on the same
@@ -308,6 +308,8 @@ class StieltjesContext:
 
     def __init__(self, roots: RootTable):
         self.a0 = float(roots[1])
+        if not self.a0 <= SMALLA_MAX:
+            raise DomainError(f"the seeds need roots[1] <= {SMALLA_MAX:g}")
         self._warned = set()
         self.I3_a0 = self._bigI(3, self.a0).value
         self.I4_a0 = self._bigI(4, self.a0).value
@@ -331,20 +333,22 @@ class StieltjesContext:
 
     def _route(self, k, a: float) -> TransformResult:
         """bigI_k(a) by the route for a: small_a up to SMALLA_MAX, the
-        closed form for k in {1, 3} up to CLOSED_MAX, asymptotic beyond;
+        closed form for k in {1, 3} only up to CLOSED_MAX, asymptotic beyond;
         for k = "eq8", 1/(3a) - bigI_1(a) without its leading term."""
         if k == "eq8":
             val, err = alternating_series(_ai_moments()[1:], a, 2)
             return TransformResult(val, "asymptotic", err)
         if a <= SMALLA_MAX:
             return bigI_smalla(k, a)
-        if a <= CLOSED_MAX and k == 1:
+        if a > CLOSED_MAX:
+            return bigI_asym(k, a)
+        if k == 1:
             return self.bigI1_closed(a)
-        if a <= CLOSED_MAX:  # k == 3, from bigI_1 by the ladder
-            r = self._bigI(1, a)
-            return TransformResult(bigI3_from_I1(a, r.value), "closed_form",
-                                   r.err_est * a, warnings=r.warnings)
-        return bigI_asym(k, a)
+        if k != 3:
+            raise DomainError(f"no route for bigI_{k} at a = {a}")
+        r = self._bigI(1, a)  # bigI_3 from bigI_1 by the ladder
+        return TransformResult(bigI3_from_I1(a, r.value), "closed_form",
+                               r.err_est * a, warnings=r.warnings)
 
     def bigI1_closed(self, a: float) -> TransformResult:
         """bigI_1(a) by the closed form from this context's seeds at a0."""

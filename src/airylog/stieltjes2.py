@@ -46,7 +46,6 @@ from .ddreal import (
 from .errors import DomainError
 from .kernel import alternating_series, compensated_sum, hyp
 from .mellin2 import A2, AAP, AP2, Jn_smalla
-from .oracle import oracle_stieltjes
 from .results import TransformResult, TruncationConfig
 from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
@@ -196,21 +195,18 @@ class J1Solution:
     @classmethod
     def build(cls, a0: float, seed_source: str = "oracle") -> "J1Solution":
         """The solution anchored at a0, seeded with (J_1, J_2, J_3) at a0
-        from ``seed_source``: "oracle" (quadrature) or "small_a".
-
-        At the anchor every pipeline uses, a0 = float(|a_1'|), the oracle
-        seeds are the constants ``_ORACLE_SEEDS``: bit for bit what
-        ``oracle_stieltjes("Ai2", n, a0).value`` returns there (scipy 1.17.1
-        QUADPACK at the default tolerance 1e-12), which a test recomputes by
-        quadrature.  So the analytic commands need no scipy; any other
-        anchor still integrates."""
+        from ``seed_source``: "small_a", or "oracle" at the pipelines' anchor
+        a0 = float(|a_1'|) only.  The oracle seeds are ``_ORACLE_SEEDS``, bit
+        for bit ``oracle_stieltjes("Ai2", n, a0).value`` there (scipy 1.17.1
+        QUADPACK at 1e-12), which a test recomputes by quadrature."""
         key = (float(a0), seed_source)
         if key in _SOLUTIONS:
             return _SOLUTIONS[key]
         if seed_source == "oracle":
             seeds = _ORACLE_SEEDS.get(key[0])
             if seeds is None:
-                seeds = [oracle_stieltjes("Ai2", n, a0).value for n in (1, 2, 3)]
+                raise DomainError(f"no oracle seeds at a0 = {a0!r}; use "
+                                  "seed_source='small_a'")
         elif seed_source == "small_a":
             seeds = [Jn_smalla(n, a0).value for n in (1, 2, 3)]
         else:

@@ -332,3 +332,39 @@ def test_no_module_level_scipy_or_numpy_import():
     eager = [e for p in modules
              for e in _eager_imports(p.read_text(encoding="utf-8"), p.name)]
     assert not eager, eager
+
+
+def _package_imports(source: str) -> set:
+    """Modules of the package that ``source`` imports, at any depth of its
+    tree: ``from .m import x`` and ``from . import m`` both name m."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= ({node.module.split(".")[0]} if node.module
+                    else {alias.name for alias in node.names})
+    return out
+
+
+#: the analytic layers, which the oracle certifies and so must not reach
+ANALYTIC = ("ddreal", "errors", "results", "kernel", "airy", "roots", "zeta",
+            "mellin1", "mellin2", "stieltjes1", "stieltjes2")
+
+
+def test_the_analytic_layers_do_not_reach_the_oracle():
+    # the oracle shares no code with what it certifies, and an analytic
+    # call never loads scipy through it
+    assert _package_imports("from . import roots as r\nfrom .airy import x\n"
+                            "def f():\n    from .oracle import y\n"
+                            "import math\nfrom math import pi\n") == {
+        "roots", "airy", "oracle"}
+    graph = {p.stem: _package_imports(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    assert set(ANALYTIC) <= set(graph)
+    for module in ANALYTIC:
+        reached, todo = set(), [module]
+        while todo:
+            new = graph[todo.pop()] - reached
+            reached |= new
+            todo.extend(new)
+        assert not reached & {"oracle", "validate", "cli"}, (module, reached)
+    assert graph["oracle"] <= {"errors", "ddreal", "results"}, graph["oracle"]

@@ -195,7 +195,8 @@ def test_values_off_the_roots_are_not_kept(monkeypatch, roots):
     points = [float(table[n]) * 1.001 for n in range(1, 13)] + [20.5]
     first = [(_pair(ctx.bigI1(a).value), _pair(ctx.bigI3(a).value),
               _pair(ctx.eq8_term(a)), _pair(sol.summand(a))) for a in points]
-    assert J1Solution.build(1.5) is not J1Solution.build(1.5)
+    assert (J1Solution.build(1.5, seed_source="small_a")
+            is not J1Solution.build(1.5, seed_source="small_a"))
     assert (stieltjes1._VALUES, stieltjes2._SOLUTIONS, sol._summands) == kept
     assert [(_pair(ctx.bigI1(a).value), _pair(ctx.bigI3(a).value),
              _pair(ctx.eq8_term(a)), _pair(sol.summand(a)))
@@ -209,7 +210,7 @@ def test_a_hand_built_table_leaves_the_zeta_memo_alone(monkeypatch):
     alone = _pair(zeta.zeta_incomplete(4, 20, roots_upto(20)))
     _clear_memos(monkeypatch)
     scaled = RootTable(tuple(XReal(1.01 * float(r))
-                             for r in roots_upto(20).roots), 13)
+                             for r in roots_upto(20).roots))
     assert zeta.zeta_incomplete(4, 20, scaled) < 0.91
     assert _pair(zeta.zeta_incomplete(4, 20, roots_upto(20))) == alone
     assert alone[0] == pytest.approx(0.94074, abs=1e-5)

@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from airylog.airy import airy, jpair, scorer_gi
+from airylog.airy import JPair, airy, scorer_gi
 from airylog.errors import DomainError, RangeError
 from airylog.kernel import compensated_sum, pochhammer
 from airylog.mellin1 import mellin_closed, mellin_prime
 from airylog.mellin2 import Jn_smalla, irreducible_neg1
 from airylog.oracle import oracle_mellin, oracle_stieltjes
-from airylog.stieltjes1 import bigI3_from_I1, bigI_asym, bigI_smalla
+from airylog.results import TransformResult
+from airylog.stieltjes1 import (StieltjesContext, bigI3_from_I1, bigI_asym,
+                                bigI_smalla)
 from airylog.stieltjes2 import bigJ_asym, bigJ_closed, j_term, j_term_grouped
 from airylog.zeta import zeta_closed, zeta_incomplete
 from airylog.roots import roots_upto
@@ -40,7 +42,7 @@ def test_wronskian_everywhere(x):
 @given(st.floats(min_value=0.05, max_value=14.9, allow_nan=False))
 @settings(max_examples=25, deadline=None)
 def test_jpair_reconstruction(a):
-    jp = jpair(a)
+    jp = JPair.of(airy(-a))
     st_ = airy(-a)
     assert abs(float(jp.jplus + jp.jminus) / 2
                - math.sqrt(3) * float(st_.ai)) <= 4 * math.ulp(1.0)
@@ -117,9 +119,59 @@ def test_summand_brackets_need_a_finite_positive_a(name, a):
         NAN_ROUTES[name](a)
 
 
-@pytest.mark.parametrize("evaluate", [airy, jpair, scorer_gi],
-                         ids=["airy", "jpair", "scorer_gi"])
+@pytest.mark.parametrize("evaluate", [airy, scorer_gi],
+                         ids=["airy", "scorer_gi"])
 def test_nan_argument_raises_range_error(evaluate):
     # the Airy evaluator's range check is written so that NaN fails it
     with pytest.raises(RangeError):
         evaluate(math.nan)
+
+
+CTX = StieltjesContext(ROOTS)
+
+
+def _agree(x: TransformResult, y: TransformResult) -> bool:
+    """The TransformResult contract: two routes differ by at most the sum
+    of their err_est."""
+    return abs(float(x.value - y.value)) <= x.err_est + y.err_est
+
+
+def _eq8_closed(a):
+    i1 = CTX.bigI1(a)
+    return TransformResult(CTX.eq8_term(a), i1.method, i1.err_est)
+
+
+#: the I_1 route switches: the interval of a around each, and the two
+#: routes that meet there (on a 41-point grid the largest |x - y| is 0.41
+#: to 0.51 of err_x + err_y)
+SWITCHES = {
+    "I1 small_a / closed_form": ((3.5, 4.5), lambda a: bigI_smalla(1, a),
+                                 CTX.bigI1_closed),
+    "I1 closed_form / asymptotic": ((12.5, 13.0), CTX.bigI1_closed,
+                                    lambda a: bigI_asym(1, a)),
+    "I3 ladder / asymptotic": ((12.5, 13.0), CTX.bigI3,
+                               lambda a: bigI_asym(3, a)),
+    "eq8 closed_form / moment series": ((12.5, 13.0), _eq8_closed,
+                                        lambda a: CTX._route("eq8", a)),
+}
+
+
+@pytest.mark.parametrize("switch", sorted(SWITCHES))
+@given(st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_routes_agree_within_their_errors_across_a_switch(switch, t):
+    (lo, hi), left, right = SWITCHES[switch]
+    a = lo + t * (hi - lo)
+    assert _agree(left(a), right(a)), a
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "bigI_3 by the ladder from the closed form leaves its seeds' error out "
+    "of err_est: at a = 3.5 it is 6.49e-17 off 40-digit mpmath with err_est "
+    "2.79e-17, small_a 4.8e-28 off with err_est 4.8e-18"))
+def test_I3_small_a_and_ladder_agree_within_their_errors():
+    # a fixed grid, not a search, so that the known failure is not written
+    # out as a failing example on every run: 10 of these 25 points fail
+    points = [4.0 + 0.02 * i for i in range(1, 26)]
+    assert [a for a in points
+            if not _agree(bigI_smalla(3, a), CTX.bigI3(a))] == []

@@ -5,12 +5,13 @@ import math
 
 import pytest
 
+from airylog.ddreal import XReal
 from airylog.errors import DomainError, RangeError, StabilityError
 from airylog.kernel import AI0, AIP0
 from airylog.mellin2 import Jn_smalla
 from airylog.oracle import oracle_integral1, oracle_stieltjes
 from airylog.results import TruncationConfig
-from airylog.roots import roots_upto
+from airylog.roots import RootTable, roots_upto
 from airylog.stieltjes1 import (
     CLOSED_MIN,
     StieltjesContext,
@@ -240,3 +241,20 @@ def test_context_routes_reject_nonpositive_a(ctx, a):
     for route in (ctx.bigI1, ctx.bigI3, ctx.eq8_term):
         with pytest.raises(DomainError):
             route(a)
+
+
+def test_a_first_root_past_the_small_a_route_gives_no_seeds():
+    # the seeds at a0 = 5 asked the closed form for bigI_3, and the closed
+    # form read the seeds still being built: AttributeError
+    with pytest.raises(DomainError):
+        StieltjesContext(RootTable((XReal(5.0),)))
+
+
+def test_the_closed_form_range_serves_only_k_1_and_3(ctx):
+    # every other k on (4, 13] returned the bigI_3 ladder value
+    assert ctx._bigI(3, 5.0).method == "closed_form"
+    for k in (2, 4, 5, 6):
+        assert ctx._bigI(k, 3.0).method == "small_a"
+        assert ctx._bigI(k, 14.0).method == "asymptotic"
+        with pytest.raises(DomainError):
+            ctx._bigI(k, 5.0)

@@ -52,7 +52,6 @@ def test_root1_oracle_seeds_are_the_quadrature_values(monkeypatch):
             == [(q.hi.hex(), q.lo.hex()) for q in quad])
     # and the build at that anchor reads them without a quadrature
     monkeypatch.setattr(stieltjes2, "_SOLUTIONS", {})
-    monkeypatch.setattr(stieltjes2, "oracle_stieltjes", None)
     sol = J1Solution.build(a0)
     assert (sol.J1_a0, sol.J2_a0, sol.J3_a0) == seeds
 
@@ -240,3 +239,11 @@ def test_series_needs_enough_roots(sol):
     for N in (20, 0, -5):
         with pytest.raises(DomainError):
             integral2_series(N, roots_upto(10), sol)
+
+
+def test_oracle_seeds_exist_only_at_the_anchor():
+    # off the anchor the build integrated with QUADPACK, so an analytic
+    # call loaded scipy; it now names the analytic seed source instead
+    with pytest.raises(DomainError, match="small_a"):
+        J1Solution.build(1.5)
+    assert J1Solution.build(1.5, seed_source="small_a").a0 == 1.5
