@@ -31,10 +31,12 @@ from .ddreal import (
     dd_mul,
     dd_mul_f,
     dd_neg,
+    dd_split,
     dd_sqrt,
     dd_sub,
     PI,
     SQRT3,
+    SPLITTER,
     SQRT_PI,
 )
 from .errors import RangeError
@@ -93,29 +95,81 @@ class JPair:
 
 
 def _fg_series(xp):
-    """f, g, f', g' of the Airy Maclaurin basis at a dd argument."""
-    x3 = dd_mul(dd_mul(xp, xp), xp)
-    tf = (1.0, 0.0)
-    tg = xp
-    f = tf
-    g = tg
-    fp_acc = (0.0, 0.0)  # sum of 3k * tf     -> f' = fp_acc / x
-    gp_acc = tg          # sum of (3k+1) * tg -> g' = gp_acc / x
+    """f, g, f', g' of the Airy Maclaurin basis at a dd argument.
+
+    Each of the two lanes, f (i = 0) and g (i = 1), sums the terms
+    t_{k+1} = t_k x^3 / (j (j + 1)), j = 3k + 2 + i, and t_{k+1} (j + 1),
+    whose sum is x f' or x g'.  A lane step writes dd_mul, dd_div_f, dd_add
+    and dd_mul_f out with their operations in their order (see ``ddreal``):
+    x^3's split is hoisted, and a term's split serves its dd_mul_f and the
+    next dd_mul.  The integer factors, below 2**26, split into themselves
+    and 0.0, so the two-product terms with that 0.0 are left out: they add
+    a zero to a sum that is never -0.0, which leaves it as it is.
+    """
+    x0, x1 = dd_mul(dd_mul(xp, xp), xp)
+    xh, xl = dd_split(x0)
+    # per lane: the term, its sum and the derivative sum, then the term's split
+    lanes = [(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, *dd_split(1.0)),
+             (*xp, *xp, *xp, *dd_split(xp[0]))]
     peak = 1.0
     for k in range(_SERIES_CAP):
-        tf = dd_div_f(dd_mul(tf, x3), float((3 * k + 2) * (3 * k + 3)))
-        tg = dd_div_f(dd_mul(tg, x3), float((3 * k + 3) * (3 * k + 4)))
-        f = dd_add(f, tf)
-        g = dd_add(g, tg)
-        fp_acc = dd_add(fp_acc, dd_mul_f(tf, float(3 * k + 3)))
-        gp_acc = dd_add(gp_acc, dd_mul_f(tg, float(3 * k + 4)))
-        m = max(abs(tf[0]), abs(tg[0]))
+        for i, (t0, t1, s0, s1, d0, d1, hi, lo) in enumerate(lanes):
+            w = 3.0 * k + 3.0 + i
+            n = (w - 1.0) * w
+            # dd_mul(t, x^3)
+            p = t0 * x0
+            e = ((hi * xh - p) + hi * xl + lo * xh) + lo * xl + (t0 * x1 + t1 * x0)
+            t0 = p + e
+            t1 = e - (t0 - p)
+            # dd_div_f(t, n): q = t0 / n, then dd_add(t, -q n) / n
+            q = t0 / n
+            p = q * n
+            c = SPLITTER * q
+            hi = c - (c - q)
+            lo = q - hi
+            e = (hi * n - p) + lo * n
+            a, b = t0 - p, t1 - e
+            ba, bb = a - t0, b - t1
+            f = (t1 - (b - bb)) + (-e - bb)
+            e = (t0 - (a - ba)) + (-p - ba) + b
+            u = a + e
+            e = e - (u - a) + f
+            a = u + e
+            r = (a + (e - (a - u))) / n
+            t0 = q + r
+            t1 = r - (t0 - q)
+            # dd_add(sum, t)
+            a, b = s0 + t0, s1 + t1
+            ba, bb = a - s0, b - s1
+            e = (s0 - (a - ba)) + (t0 - ba) + b
+            u = a + e
+            e = e - (u - a) + ((s1 - (b - bb)) + (t1 - bb))
+            s0 = u + e
+            s1 = e - (s0 - u)
+            # dd_add(derivative sum, dd_mul_f(t, w))
+            c = SPLITTER * t0
+            hi = c - (c - t0)
+            lo = t0 - hi
+            p = t0 * w
+            e = ((hi * w - p) + lo * w) + t1 * w
+            m0 = p + e
+            m1 = e - (m0 - p)
+            a, b = d0 + m0, d1 + m1
+            ba, bb = a - d0, b - d1
+            e = (d0 - (a - ba)) + (m0 - ba) + b
+            u = a + e
+            e = e - (u - a) + ((d1 - (b - bb)) + (m1 - bb))
+            d0 = u + e
+            d1 = e - (d0 - u)
+            lanes[i] = (t0, t1, s0, s1, d0, d1, hi, lo)
+        m = max(abs(lanes[0][0]), abs(lanes[1][0]))
         peak = max(peak, m)
         if m < 1e-38 * peak:
             break
+    (_, _, f0, f1, fp0, fp1, _, _), (_, _, g0, g1, gp0, gp1, _, _) = lanes
     if xp[0] == 0.0:
-        return f, g, (0.0, 0.0), (1.0, 0.0)
-    return f, g, dd_div(fp_acc, xp), dd_div(gp_acc, xp)
+        return (f0, f1), (g0, g1), (0.0, 0.0), (1.0, 0.0)
+    return (f0, f1), (g0, g1), dd_div((fp0, fp1), xp), dd_div((gp0, gp1), xp)
 
 
 def _asym_uv(zeta):

@@ -7,7 +7,10 @@ classical ones; see Dekker (1971) and the QD library of Hida, Li & Bailey.
 The hot primitives (``dd_add``, ``dd_mul``, ``dd_mul_f``, ``dd_div_f``,
 ``dd_sqr``) write these transforms out in their bodies, with the same IEEE
 operations in the same order, so no intermediate tuple is built; the
-``_two_sum`` / ``_quick_two_sum`` helpers serve the cold paths only.
+``_two_sum`` / ``_quick_two_sum`` helpers serve the cold paths only.  The
+loop bodies of ``kernel.hyp_pfq`` and ``airy._fg_series`` in turn write
+these primitives out, with the same operations, and hoist the
+:func:`dd_split` of a factor that the loop keeps.
 
 Two layers are exposed:
 
@@ -26,7 +29,7 @@ from typing import Union
 
 from .errors import RangeError
 
-_SPLITTER = 134217729.0  # 2**27 + 1
+SPLITTER = 134217729.0  # 2**27 + 1
 
 
 def _two_sum(a: float, b: float):
@@ -74,16 +77,24 @@ def dd_sub(a, b):
 
 
 # In the products below, ``c - (c - x)`` is the high half of x by Dekker's
-# split (c = _SPLITTER * x) and the parenthesised error term is two_prod's.
+# split (c = SPLITTER * x) and the parenthesised error term is two_prod's.
+
+def dd_split(x: float):
+    """Dekker's split x = hi + lo into 26-bit halves, as the products below
+    form it inline."""
+    c = SPLITTER * x
+    hi = c - (c - x)
+    return hi, x - hi
+
 
 def dd_mul(a, b):
     a0, a1 = a
     b0, b1 = b
     p = a0 * b0
-    c = _SPLITTER * a0
+    c = SPLITTER * a0
     ahi = c - (c - a0)
     alo = a0 - ahi
-    c = _SPLITTER * b0
+    c = SPLITTER * b0
     bhi = c - (c - b0)
     blo = b0 - bhi
     e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
@@ -95,10 +106,10 @@ def dd_mul(a, b):
 def dd_mul_f(a, b: float):
     a0, a1 = a
     p = a0 * b
-    c = _SPLITTER * a0
+    c = SPLITTER * a0
     ahi = c - (c - a0)
     alo = a0 - ahi
-    c = _SPLITTER * b
+    c = SPLITTER * b
     bhi = c - (c - b)
     blo = b - bhi
     e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
@@ -117,10 +128,10 @@ def dd_div(a, b):
 def dd_div_f(a, b: float):
     q1 = a[0] / b
     p = q1 * b
-    c = _SPLITTER * q1
+    c = SPLITTER * q1
     qhi = c - (c - q1)
     qlo = q1 - qhi
-    c = _SPLITTER * b
+    c = SPLITTER * b
     bhi = c - (c - b)
     blo = b - bhi
     e = ((qhi * bhi - p) + qhi * blo + qlo * bhi) + qlo * blo
@@ -133,7 +144,7 @@ def dd_div_f(a, b: float):
 def dd_sqr(a):
     a0, a1 = a
     p = a0 * a0
-    c = _SPLITTER * a0
+    c = SPLITTER * a0
     ahi = c - (c - a0)
     alo = a0 - ahi
     e = ((ahi * ahi - p) + ahi * alo + alo * ahi) + alo * alo

@@ -8,8 +8,13 @@ series is summed in double-double by forward term-ratio recursion
 
     t_{k+1} = t_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1),
 
-with parameters kept as exact rationals so each ratio is applied as an
-integer multiply / integer divide on the double-double accumulator.  The
+with the parameters exact rationals, so each ratio is an integer numerator
+over an integer denominator.  Each parameter set is converted and checked
+once and cached, with these integers as rows of binary64 values and their
+Dekker splits.  One loop body applies a row as dd_mul by z,
+dd_mul_f by the numerator and dd_div_f by the denominator, then dd_add to
+the total, each written out with the operations of ``ddreal`` in their
+order; a row beyond 2**53 is applied by the exact dd products instead.  The
 alternating series in scope have non-monotone term magnitudes, so
 termination requires three consecutive terms below tolerance.
 
@@ -26,8 +31,10 @@ against incomplete Mellin transforms) through :func:`smalla_sum`.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .ddreal import (
@@ -36,9 +43,12 @@ from .ddreal import (
     dd_div,
     dd_div_f,
     dd_exp,
+    dd_from_fraction,
     dd_ln,
     dd_mul,
     dd_mul_f,
+    dd_split,
+    SPLITTER,
     SQRT3,
 )
 from .errors import ConvergenceError, DomainError, RangeError
@@ -224,12 +234,61 @@ def poly_eval_dd(p, x_pair):
     return acc
 
 
+class _Ratios:
+    """A pFq parameter set, converted and checked once, and the ratios
+    t_{k+1} / (t_k z) = num_k / den_k of its terms as rows built on demand:
+    num_k = prod(n_i + k d_i) prod(d_j) over the a_i = n_i/d_i and the b_j,
+    den_k = (k + 1) prod(d_i) prod(n_j + k d_j).  Row k holds float(num_k),
+    float(den_k) and their :func:`dd_split` halves, or (num_k, None, None,
+    den_k, None, None) when either is above 2**53.  Rows are appended only.
+    """
+
+    def __init__(self, a_params: tuple, b_params: tuple):
+        a = [Fraction(x) for x in a_params]
+        b = [Fraction(x) for x in b_params]
+        for f in b:
+            if f <= 0 and f.denominator == 1:
+                raise DomainError(f"denominator parameter {f} is a non-positive integer")
+        if len(a) > len(b) + 1:
+            raise DomainError("p > q + 1 series diverge for z != 0")
+        #: p = q + 1 and no numerator parameter ends the series
+        self.unit_radius = len(a) == len(b) + 1 and not any(
+            f <= 0 and f.denominator == 1 for f in a)
+        self._a = [(f.numerator, f.denominator) for f in a]
+        self._b = [(f.numerator, f.denominator) for f in b]
+        self.rows = []
+
+    def extend(self, k: int) -> None:
+        """Append the rows up to row k."""
+        with _EXTEND:
+            for j in range(len(self.rows), k + 1):
+                num = math.prod(d for _, d in self._b)
+                den = (j + 1) * math.prod(d for _, d in self._a)
+                for n, d in self._a:
+                    num *= n + j * d
+                for n, d in self._b:
+                    den *= n + j * d
+                if abs(num) > 2**53 or abs(den) > 2**53:
+                    self.rows.append((num, None, None, den, None, None))
+                else:
+                    self.rows.append((float(num), *dd_split(float(num)),
+                                      float(den), *dd_split(float(den))))
+
+
+_ratios = lru_cache(_Ratios)
+_EXTEND = threading.Lock()
+
+
 @dataclass(frozen=True)
 class HypSeries:
     """A pFq specification: numerator/denominator parameters and argument.
 
-    Denominator parameters must avoid non-positive integers; only p <= q+1
-    occurs in this package (1F2, 2F3, 3F4), for which the series is entire.
+    Denominator parameters must avoid non-positive integers.  The series is
+    entire for p <= q, the only case in this package (1F2, 2F3, 3F4).  For
+    p = q + 1 it converges only for |z| < 1, unless a non-positive integer
+    numerator parameter ends it; p > q + 1 diverges at every z != 0.
+    Construction raises DomainError for a p = q + 1 series at |z| >= 1 and
+    for every p > q + 1 series.
     """
 
     a_params: tuple
@@ -237,12 +296,21 @@ class HypSeries:
     z: Union[float, XReal]
 
     def __post_init__(self):
-        for b in self.b_params:
-            bf = Fraction(b)
-            if bf <= 0 and bf.denominator == 1:
-                raise DomainError(f"denominator parameter {b} is a non-positive integer")
-        if len(self.a_params) > len(self.b_params) + 1:
-            raise DomainError("p > q + 1 series diverge for z != 0")
+        # shared by every series of this parameter set in the process
+        ratios = _ratios(self.a_params, self.b_params)
+        if ratios.unit_radius and abs(self.z) >= 1:
+            raise DomainError("p = q + 1 series diverge for |z| >= 1")
+        object.__setattr__(self, "_ratios", ratios)
+
+
+def _exact_ratio(term, num: int, den: int):
+    """term * num / den for a row beyond 2**53: a factor up to 2**53 by
+    dd_mul_f or dd_div_f, a larger one by dd_mul or dd_div of its
+    double-double rounding."""
+    term = dd_mul_f(term, float(num)) if abs(num) <= 2**53 else dd_mul(
+        term, dd_from_fraction(Fraction(num)))
+    return dd_div_f(term, float(den)) if abs(den) <= 2**53 else dd_div(
+        term, dd_from_fraction(Fraction(den)))
 
 
 def hyp_pfq(series: HypSeries, tol: float,
@@ -256,59 +324,81 @@ def hyp_pfq(series: HypSeries, tol: float,
     :class:`ConvergenceError` with the partial sum when the cap
     (``max_terms``, default 10000 terms) is hit.
     """
-    # each ratio is num/den with num = prod(n_i + k d_i) * prod(d_j) over
-    # the a_i = n_i/d_i and b_j, den = (k + 1) prod(d_i) prod(n_j + k d_j)
-    a = [(f.numerator, f.denominator) for f in map(Fraction, series.a_params)]
-    b = [(f.numerator, f.denominator) for f in map(Fraction, series.b_params)]
-    num0 = math.prod(d for _, d in b)
-    den0 = math.prod(d for _, d in a)
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
-
-    if isinstance(series.z, XReal):
-        zp = series.z.pair
-    else:
-        zp = (float(series.z), 0.0)
-    if zp[0] == 0.0 and zp[1] == 0.0:
+    z0, z1 = series.z.pair if isinstance(series.z, XReal) else (float(series.z), 0.0)
+    if z0 == 0.0 and z1 == 0.0:
         return XReal(1.0)
-
-    term = (1.0, 0.0)
-    total = (1.0, 0.0)
+    zh, zl = dd_split(z0)
+    ratios = series._ratios
+    rows = ratios.rows
+    t0, t1 = 1.0, 0.0  # the term
+    s0, s1 = 1.0, 0.0  # the total
     small = 0
     for k in range(cap):
-        num = num0
-        for n, d in a:
-            num *= n + k * d
-        den = (k + 1) * den0
-        for n, d in b:
-            den *= n + k * d
-        term = dd_mul(term, zp)
-        term = dd_mul_f(term, float(num)) if abs(num) <= 2**53 else dd_mul(
-            term, XReal.from_fraction(Fraction(num)).pair
-        )
-        term = dd_div_f(term, float(den)) if abs(den) <= 2**53 else dd_div(
-            term, XReal.from_fraction(Fraction(den)).pair
-        )
-        total = dd_add(total, term)
-        if abs(term[0]) < tol * abs(total[0]) + 1e-300:
+        if k >= len(rows):
+            ratios.extend(k)
+        num, nh, nl, den, dh, dl = rows[k]
+        if nh is None:
+            t0, t1 = _exact_ratio(dd_mul((t0, t1), (z0, z1)), num, den)
+        else:
+            # dd_mul(term, z)
+            p = t0 * z0
+            c = SPLITTER * t0
+            hi = c - (c - t0)
+            lo = t0 - hi
+            e = ((hi * zh - p) + hi * zl + lo * zh) + lo * zl + (t0 * z1 + t1 * z0)
+            t0 = p + e
+            t1 = e - (t0 - p)
+            # dd_mul_f(term, num)
+            p = t0 * num
+            c = SPLITTER * t0
+            hi = c - (c - t0)
+            lo = t0 - hi
+            e = ((hi * nh - p) + hi * nl + lo * nh) + lo * nl + t1 * num
+            t0 = p + e
+            t1 = e - (t0 - p)
+            # dd_div_f(term, den): q = t0 / den, then dd_add(term, -q den) / den
+            q = t0 / den
+            p = q * den
+            c = SPLITTER * q
+            hi = c - (c - q)
+            lo = q - hi
+            e = ((hi * dh - p) + hi * dl + lo * dh) + lo * dl
+            a, b = t0 - p, t1 - e
+            ba, bb = a - t0, b - t1
+            f = (t1 - (b - bb)) + (-e - bb)
+            e = (t0 - (a - ba)) + (-p - ba) + b
+            u = a + e
+            e = e - (u - a) + f
+            a = u + e
+            r = (a + (e - (a - u))) / den
+            t0 = q + r
+            t1 = r - (t0 - q)
+        # dd_add(total, term)
+        a, b = s0 + t0, s1 + t1
+        ba, bb = a - s0, b - s1
+        e = (s0 - (a - ba)) + (t0 - ba) + b
+        u = a + e
+        e = e - (u - a) + ((s1 - (b - bb)) + (t1 - bb))
+        s0 = u + e
+        s1 = e - (s0 - u)
+        if abs(t0) < tol * abs(s0) + 1e-300:
             small += 1
             if small >= 3:
-                return XReal.from_pair(total)
+                return XReal(s0, s1)
         else:
             small = 0
     raise ConvergenceError(
         f"pFq did not converge in {cap} terms",
-        partial=XReal.from_pair(total),
+        partial=XReal(s0, s1),
         terms=cap,
     )
 
 
 def hyp(a_params, b_params, z, tol: float) -> XReal:
-    """Convenience wrapper: hyp((1,3),(2,3,...),z) with Fraction coercion."""
-    return hyp_pfq(
-        HypSeries(tuple(Fraction(x) for x in a_params),
-                  tuple(Fraction(x) for x in b_params), z),
-        tol=tol,
-    )
+    """Convenience wrapper: hyp((1,3),(2,3,...),z), the parameters as any
+    rationals (converted once per parameter set)."""
+    return hyp_pfq(HypSeries(tuple(a_params), tuple(b_params), z), tol=tol)
 
 
 # -- shared high-precision constants ----------------------------------------

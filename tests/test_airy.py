@@ -9,9 +9,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import airy as scipy_airy
 
-from airylog.airy import JPair, airy, scorer_gi
+from airylog.airy import _SERIES_CAP, JPair, _fg_series, airy, scorer_gi
+from airylog.ddreal import dd_add, dd_div, dd_div_f, dd_mul, dd_mul_f
 from airylog.errors import RangeError
 from airylog.kernel import BI0
 from airylog.mellin1 import I0_hyp, I0_scorer
@@ -61,7 +63,7 @@ def test_series_asymptotic_crossvalidation_band():
     # both representations hold ~1e-13 on [8.5, 9.5] around the switch;
     # they must agree to 1e-11 there (the series loses its footing above
     # 10 on the positive side, where Ai cancels e^{(4/3)x^{3/2}})
-    from airylog.airy import _airy_asym_pos, _fg_series
+    from airylog.airy import _airy_asym_pos
     from airylog.kernel import AI0 as A0, AIP0 as AP0
 
     from airylog.ddreal import dd_add, dd_mul
@@ -72,6 +74,49 @@ def test_series_asymptotic_crossvalidation_band():
         series_ai = pair[0] + pair[1]
         asym_ai = float(_airy_asym_pos(x).ai)
         assert abs(series_ai - asym_ai) <= 1e-11 * abs(asym_ai)
+
+
+def _fg_series_reference(xp):
+    """_fg_series as one ddreal primitive per operation."""
+    x3 = dd_mul(dd_mul(xp, xp), xp)
+    tf, tg = (1.0, 0.0), xp
+    f, g = tf, tg
+    fp_acc, gp_acc = (0.0, 0.0), tg
+    peak = 1.0
+    for k in range(_SERIES_CAP):
+        tf = dd_div_f(dd_mul(tf, x3), float((3 * k + 2) * (3 * k + 3)))
+        tg = dd_div_f(dd_mul(tg, x3), float((3 * k + 3) * (3 * k + 4)))
+        f = dd_add(f, tf)
+        g = dd_add(g, tg)
+        fp_acc = dd_add(fp_acc, dd_mul_f(tf, float(3 * k + 3)))
+        gp_acc = dd_add(gp_acc, dd_mul_f(tg, float(3 * k + 4)))
+        m = max(abs(tf[0]), abs(tg[0]))
+        peak = max(peak, m)
+        if m < 1e-38 * peak:
+            break
+    if xp[0] == 0.0:
+        return f, g, (0.0, 0.0), (1.0, 0.0)
+    return f, g, dd_div(fp_acc, xp), dd_div(gp_acc, xp)
+
+
+def _pair_bits(pairs):
+    """Each component's hex, which carries the sign of a zero."""
+    return [(hi.hex(), lo.hex()) for hi, lo in pairs]
+
+
+@given(st.floats(-16.0, 9.5),
+       st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
+@settings(max_examples=300, deadline=None)
+@example(0.0, 0.0)
+@example(-0.0, 0.0)
+@example(-0.0, -0.0)
+@example(-16.0, 0.0)
+@example(9.5, 0.0)
+def test_fg_series_matches_the_primitive_loop_bitwise(x, lo_ulps):
+    # the series' arguments are binary64; a low part of up to half an ulp
+    # checks the dd argument the signature allows
+    xp = (x, lo_ulps * math.ulp(x))
+    assert _pair_bits(_fg_series(xp)) == _pair_bits(_fg_series_reference(xp))
 
 
 def test_range_errors():

@@ -2,11 +2,14 @@
 moment series, pFq engine."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from airylog import kernel
 from airylog.errors import ConvergenceError, DomainError
 from airylog.kernel import (
     GAMMA_1_3,
@@ -20,10 +23,13 @@ from airylog.kernel import (
     SMALLA_PAST_N,
     smalla_sum,
 )
-from airylog.ddreal import SQRT3, TWO_PI, XReal
+from airylog.ddreal import (SQRT3, TWO_PI, XReal, dd_add, dd_div, dd_div_f,
+                            dd_mul, dd_mul_f)
+from airylog.mellin1 import I0_hyp, Im1_hyp, Im2_hyp
 from airylog.roots import roots_upto
-from airylog.stieltjes1 import _ai_moments, _bigI_asym_coeffs, bigI_asym
-from airylog.stieltjes2 import _bigJ_asym_coeffs, bigJ_asym
+from airylog.stieltjes1 import (_H_minus, _H_plus, _ai_moments,
+                                _bigI_asym_coeffs, bigI_asym)
+from airylog.stieltjes2 import _bigJ_asym_coeffs, _masters, bigJ_asym
 
 
 #: Gamma(1/3) and Gamma(2/3) to 40 digits (mpmath 1.3.0, mp.dps = 40)
@@ -232,6 +238,175 @@ def test_hypseries_validation():
         HypSeries((Fraction(1),), (Fraction(0),), 1.0)
     with pytest.raises(DomainError):
         HypSeries((Fraction(1), Fraction(1), Fraction(1)), (Fraction(2),), 1.0)
+    # the checks are cached per parameter set, and still raise every time
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            HypSeries((1,), (Fraction(-2),), 0.5)
+
+
+def test_a_divergent_series_is_refused_at_construction():
+    # 2F1(1, 1; 2; z) = -ln(1 - z) / z converges only for |z| < 1
+    for z in (2.0, -1.0, 1.0, XReal(1.0, 1e-20), XReal(-1.0, -1e-20)):
+        with pytest.raises(DomainError):
+            hyp((1, 1), (2,), z, tol=1e-20)
+    value = hyp((1, 1), (2,), 0.5, tol=1e-20)
+    assert abs(float(value) - 2.0 * math.log(2.0)) <= 4e-16
+    # a non-positive integer numerator parameter ends the series:
+    # 2F1(-2, 1; 2; 3) = 1 - 3 + 3
+    assert float(hyp((-2, 1), (2,), 3.0, tol=1e-20)) == 1.0
+
+
+def _hyp_pfq_reference(series, tol, max_terms=None):
+    """hyp_pfq as one ddreal primitive per operation: each term's ratio
+    integers formed anew, each applied by dd_mul_f / dd_div_f, or by
+    dd_mul / dd_div of its double-double rounding beyond 2**53."""
+    a = [(f.numerator, f.denominator) for f in map(Fraction, series.a_params)]
+    b = [(f.numerator, f.denominator) for f in map(Fraction, series.b_params)]
+    num0 = math.prod(d for _, d in b)
+    den0 = math.prod(d for _, d in a)
+    cap = max_terms if max_terms is not None else 10_000
+    zp = series.z.pair if isinstance(series.z, XReal) else (float(series.z), 0.0)
+    if zp == (0.0, 0.0):
+        return XReal(1.0)
+    term = total = (1.0, 0.0)
+    small = 0
+    for k in range(cap):
+        num = num0
+        for n, d in a:
+            num *= n + k * d
+        den = (k + 1) * den0
+        for n, d in b:
+            den *= n + k * d
+        term = dd_mul(term, zp)
+        term = dd_mul_f(term, float(num)) if abs(num) <= 2**53 else dd_mul(
+            term, XReal.from_fraction(Fraction(num)).pair)
+        term = dd_div_f(term, float(den)) if abs(den) <= 2**53 else dd_div(
+            term, XReal.from_fraction(Fraction(den)).pair)
+        total = dd_add(total, term)
+        if abs(term[0]) < tol * abs(total[0]) + 1e-300:
+            small += 1
+            if small >= 3:
+                return XReal.from_pair(total)
+        else:
+            small = 0
+    raise ConvergenceError("reference cap", partial=XReal.from_pair(total),
+                           terms=cap)
+
+
+def _pfq_bits(series, tol, max_terms, fn):
+    """Bits of the value, or of the ConvergenceError's partial and terms."""
+    try:
+        value, terms = fn(series, tol, max_terms), None
+    except ConvergenceError as exc:
+        value, terms = exc.partial, exc.terms
+    return _hex(value), terms
+
+
+_F = Fraction
+#: the parameter sets of the package's pFq series, in mellin1, stieltjes1
+#: and stieltjes2
+_PFQ_SETS = (
+    ((_F(1, 3),), (_F(2, 3), _F(4, 3))),
+    ((_F(2, 3),), (_F(4, 3), _F(5, 3))),
+    ((_F(1, 3),), (_F(4, 3), _F(4, 3))),
+    ((_F(-1, 3),), (_F(2, 3), _F(2, 3))),
+    ((1, 1), (2, 2, _F(5, 3))),
+    ((1, 1), (2, 2, _F(7, 3))),
+    ((1, 1, _F(7, 6)), (_F(4, 3), _F(5, 3), 2, 2)),
+    ((1, 1, _F(3, 2)), (2, 2, _F(5, 3), _F(7, 3))),
+    ((1, 1, _F(11, 6)), (2, 2, _F(7, 3), _F(8, 3))),
+    ((_F(-1, 3), _F(1, 6)), (_F(1, 3), _F(2, 3), _F(2, 3))),
+    ((_F(-2, 3), _F(1, 6)), (_F(1, 3), _F(1, 3), _F(2, 3))),
+    ((_F(1, 3), _F(1, 2)), (_F(2, 3), _F(4, 3), _F(4, 3))),
+    ((_F(-1, 3), _F(1, 2)), (_F(2, 3), _F(2, 3), _F(4, 3))),
+    ((_F(2, 3), _F(5, 6)), (_F(4, 3), _F(5, 3), _F(5, 3))),
+    ((_F(1, 3), _F(5, 6)), (_F(4, 3), _F(4, 3), _F(5, 3))),
+)
+#: (a, b, scale of z): series whose ratio integers pass 2**53.  In the
+#: first, rows 0-6 are within 2**53, from row 7 the denominator is beyond
+#: and from row 57 the numerator too; in the second, every numerator is
+#: beyond and no denominator, at z scaled down so that its terms still fall
+_PFQ_BEYOND_2_53 = (
+    ((_F(1, 3), 2**44), (2**44 + 1, _F(5, 3)), 1.0),
+    ((2**30, 2**30 + 1), (3, _F(1, 3), _F(7, 2)), 2.0 ** -60),
+)
+
+
+def test_every_package_parameter_set_is_covered():
+    seen = set()
+    real = kernel.hyp_pfq
+
+    def record(series, tol, max_terms=None):
+        seen.add((tuple(series.a_params), tuple(series.b_params)))
+        return real(series, tol, max_terms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "hyp_pfq", record)
+        for fn in (I0_hyp, Im1_hyp, Im2_hyp):
+            fn(2.0, 1e-20)
+        _H_plus(2.0), _H_minus(2.0), _masters(2.0)
+    assert seen == set(_PFQ_SETS), seen
+
+
+def _z(draw, scale):
+    """A binary64 z, or an XReal z with a nonzero low part, |z| <= 1000."""
+    hi = draw(st.floats(-1000.0, 1000.0)) * scale
+    if hi == 0.0 or not draw(st.booleans()):
+        return hi
+    lo = draw(st.floats(0.01, 0.5)) * math.ulp(hi) * draw(st.sampled_from((-1, 1)))
+    return XReal(hi, lo) if lo else hi
+
+
+@st.composite
+def _pfq_cases(draw):
+    a, b, scale = draw(st.sampled_from(
+        [(a, b, 1.0) for a, b in _PFQ_SETS] + list(_PFQ_BEYOND_2_53)))
+    return (HypSeries(a, b, _z(draw, scale)),
+            draw(st.sampled_from((1e-18, 1e-20, 1e-28))),
+            draw(st.one_of(st.none(), st.integers(0, 5))))
+
+
+@given(_pfq_cases())
+@settings(max_examples=300, deadline=None)
+def test_hyp_pfq_matches_the_primitive_loop_bitwise(case):
+    series, tol, max_terms = case
+    assert _pfq_bits(series, tol, max_terms, hyp_pfq) == _pfq_bits(
+        series, tol, max_terms, _hyp_pfq_reference)
+
+
+def test_rows_extended_by_many_threads_are_the_rows_of_one():
+    # eight threads at a time sum one series of a parameter set that no
+    # other test uses, so that they extend its rows together; a lost or
+    # repeated row would put a wrong ratio at some k
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for j in range(6):
+            a, b = (_F(1, 7 + j), _F(2, 9)), (_F(3, 11), _F(5, 13), _F(6, 17))
+            want = _hex(_hyp_pfq_reference(HypSeries(a, b, -250.0), 1e-28))
+            got = []
+            threads = [threading.Thread(target=lambda: got.append(
+                _hex(hyp_pfq(HypSeries(a, b, -250.0), 1e-28)))) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 8, j
+            rows = HypSeries(a, b, 0.0)._ratios.rows
+            fresh = kernel._Ratios(a, b)
+            fresh.extend(len(rows) - 1)
+            assert rows == fresh.rows, j
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("a, b, scale", _PFQ_BEYOND_2_53)
+def test_the_rows_beyond_2_53_take_the_exact_products(a, b, scale):
+    series = HypSeries(a, b, -37.5 * scale)
+    value = hyp_pfq(series, tol=1e-28)
+    assert any(row[1] is None for row in series._ratios.rows)
+    assert _hex(value) == _hex(_hyp_pfq_reference(series, 1e-28))
 
 
 #: 30-digit references, from mpmath 1.3.0 at mp.dps = 40:
