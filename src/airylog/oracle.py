@@ -14,12 +14,11 @@ scipy is imported on the first quadrature, not with this module: no other
 part of airylog needs it, so the analytic commands never load it, and
 without it a quadrature raises :class:`DependencyError`.
 
-Results are deterministic for fixed inputs.  Within a request scope
-(:func:`airylog.results.request_scope`) scipy's Airy tuple is evaluated
-once per node and the same object is handed to every quadrature that
-visits the node, so the integrands' arithmetic is unchanged; each
-distinct :func:`oracle_stieltjes` call is integrated once.  Outside a
-scope everything is evaluated on every call.
+Results are deterministic for fixed inputs.  Each integrand reads its
+Airy weights, Python floats, from one dict of nodes: within a request
+scope (:func:`airylog.results.request_scope`) scipy's Airy tuple is
+evaluated once per node, and each distinct :func:`oracle_stieltjes` call
+is integrated once; outside a scope, once per node of each quadrature.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable
 
 from .errors import AccuracyError, DependencyError, DomainError
 from .ddreal import XReal
-from .results import TransformResult, per_request
+from .results import TransformResult, per_request, scope_dict
 
 DEFAULT_SPLIT = 20.0
 DEFAULT_TOL = 1e-12
@@ -39,8 +38,7 @@ _QUAD_LIMIT = 2000
 
 @lru_cache(maxsize=None)
 def _scipy() -> tuple:
-    """(scipy.integrate.quad, scipy.special.airy), imported on first use;
-    the Airy function is evaluated once per node in a request scope."""
+    """(scipy.integrate.quad, scipy.special.airy), imported on first use."""
     try:
         from scipy.integrate import quad
         from scipy.special import airy
@@ -48,7 +46,29 @@ def _scipy() -> tuple:
         raise DependencyError("the quadrature oracle needs scipy "
                               "(pip install 'airylog[oracle]')") from exc
 
-    return quad, per_request(airy)
+    return quad, airy
+
+
+#: position in a node's weight tuple of each weight an integrand names
+_STIELTJES_WEIGHTS = {"Ai": 0, "Ai2": 2, "AiP2": 3, "AiAiP": 4}
+_MELLIN_WEIGHTS = dict(_STIELTJES_WEIGHTS, AiP=1)
+
+
+def _node_reader() -> Callable[[float], tuple]:
+    """x -> (Ai, Ai', Ai**2, Ai'**2, Ai Ai') at x as Python floats, from
+    scipy's Airy tuple once per node (see the module docstring)."""
+    airy = _scipy()[1]
+    nodes = scope_dict(_node_reader)
+
+    def node(x: float) -> tuple:
+        w = nodes.get(x)
+        if w is None:
+            s = airy(x)
+            ai, aip = float(s[0]), float(s[1])
+            w = nodes[x] = (ai, aip, ai ** 2, aip ** 2, ai * aip)
+        return w
+
+    return node
 
 
 def integrate_halfline(
@@ -95,45 +115,31 @@ def integrate_halfline(
     return TransformResult(XReal(total), "oracle", err, neval)
 
 
-def oracle_integral1() -> TransformResult:
-    """First log-Airy integral by direct quadrature.
-
-    Integrand (Ai'(x)/Ai'(0)) * ln(Ai'(x)/Ai'(0)); the ratio is positive
-    on [0, inf) because Ai' < 0 there, and the integrand vanishes at 0.
-    """
-    airy = _scipy()[1]
-    aip0 = airy(0.0)[1]
+def _log_airy_integral(squared: bool) -> TransformResult:
+    """integral_0^inf r^p ln r dx for r = Ai'(x)/Ai'(0), p = 1 or 2; the
+    ratio is positive on [0, inf) because Ai' < 0 there, and the integrand
+    vanishes at 0."""
+    node = _node_reader()
+    aip0 = node(0.0)[1]
 
     def f(x: float) -> float:
-        r = airy(x)[1] / aip0
+        r = node(x)[1] / aip0
         if r <= 0.0:
             return 0.0
-        return r * math.log(r)
+        return (r * r if squared else r) * math.log(r)
 
     return integrate_halfline(f, split=25.0, breakpoints=(1.0, 5.0, 12.0))
+
+
+def oracle_integral1() -> TransformResult:
+    """First log-Airy integral by direct quadrature: integrand
+    (Ai'(x)/Ai'(0)) * ln(Ai'(x)/Ai'(0))."""
+    return _log_airy_integral(False)
 
 
 def oracle_integral2() -> TransformResult:
     """Second log-Airy integral (squared ratio weight)."""
-    airy = _scipy()[1]
-    aip0 = airy(0.0)[1]
-
-    def f(x: float) -> float:
-        r = airy(x)[1] / aip0
-        if r <= 0.0:
-            return 0.0
-        return r * r * math.log(r)
-
-    return integrate_halfline(f, split=25.0, breakpoints=(1.0, 5.0, 12.0))
-
-
-# weights as functions of scipy's (Ai, Ai', Bi, Bi') tuple
-_STIELTJES_WEIGHTS = {
-    "Ai": lambda s: s[0],
-    "Ai2": lambda s: s[0] ** 2,
-    "AiP2": lambda s: s[1] ** 2,
-    "AiAiP": lambda s: s[0] * s[1],
-}
+    return _log_airy_integral(True)
 
 
 @per_request
@@ -145,13 +151,10 @@ def oracle_stieltjes(kind: str, k: int, a: float,
     if k < 0:
         raise DomainError("oracle_stieltjes needs k >= 0")
     w = _STIELTJES_WEIGHTS[kind]
-    airy = _scipy()[1]
-    f = lambda x: w(airy(x)) / (x + a) ** k
+    node = _node_reader()
+    f = lambda x: node(x)[w] / (x + a) ** k
     # subdivide at x = a so each panel sees bounded derivatives
     return integrate_halfline(f, tol=tol, breakpoints=(min(a, 19.0), 1.0, 5.0))
-
-
-_MELLIN_WEIGHTS = dict(_STIELTJES_WEIGHTS, AiP=lambda s: s[1])
 
 
 def oracle_mellin(kind: str, n: int, a: float,
@@ -161,14 +164,18 @@ def oracle_mellin(kind: str, n: int, a: float,
         raise DomainError("oracle_mellin needs a finite a >= 0, and a > 0 "
                           "for n <= -1 (the integrand is singular at 0)")
     w = _MELLIN_WEIGHTS[kind]
-    airy = _scipy()[1]
-    f = lambda x: (x ** n * w(airy(x)) if x > 0.0
-                   else (w(airy(0.0)) if n == 0 else 0.0))
+    node = _node_reader()
+
+    # shifted so the panel starts at the lower limit a
+    def f(t: float) -> float:
+        x = a + t
+        if x > 0.0:
+            return x ** n * node(x)[w]
+        return node(0.0)[w] if n == 0 else 0.0
+
     split = max(DEFAULT_SPLIT, a + 10.0)
-    # shift so the panel starts at the lower limit a
-    g = lambda t: f(a + t)
     pts = tuple(p - a for p in (1.0, 5.0, 12.0) if p > a)
-    return integrate_halfline(g, split=split - a, tol=tol, breakpoints=pts)
+    return integrate_halfline(f, split=split - a, tol=tol, breakpoints=pts)
 
 
 def oracle_j_summand(a: float) -> TransformResult:
@@ -178,10 +185,10 @@ def oracle_j_summand(a: float) -> TransformResult:
     """
     if not a > 0.0:
         raise DomainError("oracle_j_summand needs a > 0")
-    airy = _scipy()[1]
+    node = _node_reader()
 
     def f(x: float) -> float:
-        ai, aip, _, _ = airy(x)
+        ai, aip = node(x)[:2]
         return (x / (x + a)) * (2.0 * ai * aip + x * aip * aip
                                 - x * x * ai * ai) / a
 

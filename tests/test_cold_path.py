@@ -22,7 +22,7 @@ import pytest
 import airylog
 from airylog import oracle, stieltjes1, validate
 from airylog.errors import AccuracyWarning
-from airylog.results import per_request, request_scope
+from airylog.results import per_request, request_scope, scope_dict
 from airylog.validate import run_validation
 
 #: the modules; the package attributes of these names are functions
@@ -202,16 +202,34 @@ def _counted_run(seen) -> dict:
     return {kind: (len(calls), len(set(calls))) for kind, calls in seen.items()}
 
 
-def test_validation_evaluates_each_point_once(evaluations):
+def test_validation_evaluates_each_point_once(evaluations, monkeypatch):
     run_validation()  # fills the per-process root and anchor memos
+    opened = []  # (node dict, its size) each time an oracle call takes it
+    scope_dict = oracle.scope_dict
+
+    def recorded(key):
+        nodes = scope_dict(key)
+        opened.append((nodes, len(nodes)))
+        return nodes
+
+    monkeypatch.setattr(oracle, "scope_dict", recorded)
     first = _counted_run(evaluations)
     for kind, (count, distinct) in first.items():
         assert count == distinct, (kind, Counter(evaluations[kind])
                                    .most_common(3))
     assert first["scipy"][0] > 500
     assert all(count > 0 for count, _ in first.values()), first
-    # nothing outlives the request: the next run computes it all again
+    # every oracle call of the request reads one node dict, which starts
+    # empty and holds Python floats, one entry per scipy evaluation
+    nodes = opened[0][0]
+    assert opened[0][1] == 0 and all(d is nodes for d, _ in opened)
+    assert len(nodes) == first["scipy"][0]
+    assert all(type(w) is float for weights in nodes.values() for w in weights)
+    # nothing outlives the request: the next run computes it all again,
+    # into a new node dict
+    opened.clear()
     assert _counted_run(evaluations) == first
+    assert opened[0][0] is not nodes and opened[0][1] == 0
 
 
 def test_airy_computes_on_every_call_outside_a_scope(evaluations):
@@ -225,6 +243,18 @@ def test_airy_computes_on_every_call_outside_a_scope(evaluations):
         with request_scope():  # a nested opening joins the open scope
             assert airy_module.airy(1.5) is first
     assert evaluations["airy"] == [1.5, 1.5, 12.0, 12.0, 1.5]
+
+
+def test_a_scope_dict_is_shared_within_a_scope_only():
+    assert scope_dict("k") is not scope_dict("k")
+    with request_scope():
+        shared = scope_dict("k")
+        shared[1.0] = (1.0,)
+        with request_scope():  # a nested opening joins the open scope
+            assert scope_dict("k") is shared
+        assert scope_dict("other") == {}
+    with request_scope():
+        assert scope_dict("k") == {}
 
 
 def test_a_scoped_call_that_raises_stores_nothing():

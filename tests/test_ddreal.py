@@ -7,15 +7,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from airylog.errors import RangeError
+from airylog import ddreal
 from airylog.ddreal import (
     XReal,
     dd_add,
+    dd_add_f,
     dd_div,
     dd_div_f,
     dd_exp,
     dd_ln,
     dd_mul,
     dd_mul_f,
+    dd_neg,
     dd_powi,
     dd_sqr,
     dd_sqrt,
@@ -315,3 +318,105 @@ def test_powi_matches_textbook_loop_bitwise(mag, negative, lo_ulps, n):
     hi = -mag if negative else mag
     a = (hi, lo_ulps * math.ulp(hi))
     assert _bits(dd_powi(a, n)) == _bits(_ref_powi(a, n)), (a, n)
+
+
+def _ref_reduce(a):
+    """dd_exp's range reduction: (k, r) with a = k ln2 + r."""
+    ln2, cw = ddreal._LN2, ddreal._LN2_CW
+    k = round((a[0] + a[1]) / ln2[0])
+    r = dd_add_f(dd_add_f(a, -k * cw[0]), -k * cw[1])
+    return k, dd_sub(r, dd_mul_f((cw[2], 0.0), float(k)))
+
+
+def _ref_taylor(r):
+    """dd_exp's Taylor loop as one ddreal primitive per operation, term <-
+    dd_div_f(dd_mul(term, r), i) and total <- dd_add(total, term): the
+    total and the number of terms summed."""
+    term = (1.0, 0.0)
+    total = (1.0, 0.0)
+    for i in range(1, ddreal._EXP_COEFFS):
+        term = dd_div_f(dd_mul(term, r), float(i))
+        total = dd_add(total, term)
+        if abs(term[0]) < 1e-36 * abs(total[0]):
+            break
+    return total, i
+
+
+def _ref_exp(a):
+    """dd_exp on :func:`_ref_taylor`."""
+    if a[0] > 709.0:
+        raise OverflowError("dd_exp overflow")
+    if a[0] < ddreal._EXP_MIN:
+        raise RangeError("below _EXP_MIN")
+    k, r = _ref_reduce(a)
+    total = _ref_taylor(r)[0]
+    if k > 996:
+        return math.ldexp(total[0], k), math.ldexp(total[1], k)
+    return dd_mul_f(total, math.ldexp(1.0, k))
+
+
+def _ref_ln(a):
+    """dd_ln with its Newton steps on :func:`_ref_exp`."""
+    e = math.frexp(a[0])[1]
+    if not -960 <= e <= 960:
+        return dd_add(_ref_ln((math.ldexp(a[0], -e), math.ldexp(a[1], -e))),
+                      dd_mul_f(ddreal._LN2, float(e)))
+    y = (math.log(a[0]), 0.0)
+    for _ in range(2):
+        ey = _ref_exp(dd_neg(y))
+        y = dd_add(y, dd_add_f(dd_mul(a, ey), -1.0))
+    return y
+
+
+@st.composite
+def exp_arguments(draw):
+    """a = k ln2 + r with |r| up to ln2/2 (a few ulps past it, where the
+    rounding of k ln2 leaves r), over every k of dd_exp's range, so that
+    2**k is past 2**996 for k > 996; r also tiny, where the loop breaks
+    after a term or two.  The low part is up to half an ulp of the high."""
+    k = draw(st.integers(min_value=-968, max_value=1022))
+    r = draw(st.one_of(
+        st.floats(min_value=-0.5, max_value=0.5),
+        st.floats(min_value=-1.0, max_value=1.0).map(
+            lambda u: u * 2.0 ** -40)))
+    hi = (k + r) * math.log(2.0)
+    hi = min(max(hi, ddreal._EXP_MIN), 709.0)
+    return hi, draw(st.floats(min_value=-0.5, max_value=0.5)) * math.ulp(hi)
+
+
+def test_exp_arguments_reach_every_path_of_the_taylor_loop():
+    # the early break after a few terms, the full loop at |r| near ln2/2
+    # and the scaling of each part past 2**996
+    terms = lambda x: _ref_taylor(_ref_reduce((x, 0.0))[1])[1]
+    assert terms(1e-20) == 2
+    assert terms(0.5 * math.log(2.0) - 1e-12) == ddreal._EXP_COEFFS - 1
+    assert _ref_reduce((700.0, 0.0))[0] > 996
+
+
+@given(exp_arguments())
+@settings(max_examples=300)
+@example((1e-20, 0.0))
+@example((0.5 * math.log(2.0) - 1e-12, 0.0))
+@example((-0.5 * math.log(2.0) + 1e-12, 1e-29))
+@example((700.0, 3e-14))
+@example((709.0, 0.0))
+@example((-671.0, 0.0))
+def test_exp_matches_the_primitive_taylor_loop_bitwise(a):
+    assert _bits(dd_exp(a)) == _bits(_ref_exp(a)), a
+
+
+@given(st.integers(min_value=-1073, max_value=1023),
+       st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+       st.floats(min_value=-0.5, max_value=0.5))
+@settings(max_examples=200)
+@example(-991, 1.5, 0.0)
+@example(991, 1.5, 0.25)
+@example(0, 1.0, 0.0)
+def test_ln_matches_the_primitive_taylor_loop_bitwise(e, m, lo_ulps):
+    # a = m 2**e over every binary exponent, the scaled ones past +-960
+    # and the subnormals included
+    hi = math.ldexp(m, e)
+    if hi == 0.0:
+        hi = 5e-324
+    a = (hi, lo_ulps * math.ulp(hi))
+    assert _bits(dd_ln(a)) == _bits(_ref_ln(a)), a

@@ -119,3 +119,30 @@ def test_nan_integrand_fails_the_accuracy_gate():
 
     with pytest.raises(AccuracyError):
         integrate_halfline(lambda x: math.nan)
+
+
+#: (value, err_est, subdivisions) of four oracle calls as ``float.hex``:
+#: a Mellin transform through its x <= 0 branch (a = 0, n = 0), one with a
+#: negative power, a squared-weight Stieltjes transform and the J summand.
+#: The integrand arithmetic is the same binary64 operations in the same
+#: order however the nodes are read, so these bits must not move.
+_PINNED = {
+    ("mellin", "Ai", 0, 0.0):
+        ("0x1.5555555555554p-2", "0x1.6ee8ba78d4b98p-48", 5),
+    ("mellin", "Ai", -1, 1.0):
+        ("0x1.0b706ab89cfa1p-4", "0x1.56e70fe12e79ep-45", 5),
+    ("stieltjes", "AiP2", 2, 1.0):
+        ("0x1.e0934c9d65c08p-6", "0x1.3fc7072eb805ap-49", 6),
+    ("j_summand", 2.0):
+        ("-0x1.4ff96ec923dffp-7", "0x1.2947bfb4779d2p-43", 6),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_PINNED, key=repr))
+def test_oracle_values_keep_their_bits(call):
+    fn = {"mellin": oracle_mellin, "stieltjes": oracle_stieltjes,
+          "j_summand": oracle_j_summand}[call[0]]
+    res = fn(*call[1:])
+    assert (res.value.hi.hex(), res.err_est.hex(), res.subdivisions) \
+        == _PINNED[call]
+    assert res.value.lo == 0.0
