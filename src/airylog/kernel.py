@@ -9,14 +9,15 @@ series is summed in double-double by forward term-ratio recursion
     t_{k+1} = t_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1),
 
 with the parameters exact rationals, so each ratio is an integer numerator
-over an integer denominator.  Each parameter set is converted and checked
-once and cached, with these integers as rows of binary64 values and their
-Dekker splits.  One loop body applies a row as dd_mul by z,
-dd_mul_f by the numerator and dd_div_f by the denominator, then dd_add to
-the total, each written out with the operations of ``ddreal`` in their
-order; a row beyond 2**53 is applied by the exact dd products instead.  The
-alternating series in scope have non-monotone term magnitudes, so
-termination requires three consecutive terms below tolerance.
+over an integer denominator, kept as rows of binary64 values and their
+Dekker splits.  Each of the package's parameter sets is converted, checked
+and bound once, at import (:func:`hyp_params`); :func:`hyp` sums it at a
+call's z.  One loop body applies a row as dd_mul by z, dd_mul_f by the
+numerator and dd_div_f by the denominator, then dd_add to the total, each
+written out with the operations of ``ddreal`` in their order; a row beyond
+2**53 is applied by the exact dd products instead.  The alternating series
+in scope have non-monotone term magnitudes, so termination requires three
+consecutive terms below tolerance.
 
 Each of these exists once: every compensated binary64 sum goes
 through :func:`compensated_sum` (or, for the moment series, the same
@@ -52,6 +53,7 @@ from .ddreal import (
     SQRT3,
 )
 from .errors import ConvergenceError, DomainError, RangeError
+from .results import per_request
 
 DEFAULT_MAX_TERMS = 10_000
 
@@ -322,7 +324,8 @@ class HypSeries:
     p = q + 1 it converges only for |z| < 1, unless a non-positive integer
     numerator parameter ends it; p > q + 1 diverges at every z != 0.
     Construction raises DomainError for a p = q + 1 series at |z| >= 1 and
-    for every p > q + 1 series.
+    for every p > q + 1 series.  The constructor looks its ratio rows up
+    by the parameters' hash, in a per-process cache; :meth:`at` shares them.
     """
 
     a_params: tuple
@@ -335,6 +338,22 @@ class HypSeries:
         if ratios.unit_radius and abs(self.z) >= 1:
             raise DomainError("p = q + 1 series diverge for |z| >= 1")
         object.__setattr__(self, "_ratios", ratios)
+
+    def at(self, z) -> "HypSeries":
+        """This parameter set's series at z, checked as the constructor
+        checks it, but with no parameter converted or hashed."""
+        if self._ratios.unit_radius and abs(z) >= 1:
+            raise DomainError("p = q + 1 series diverge for |z| >= 1")
+        series = object.__new__(HypSeries)
+        series.__dict__.update(self.__dict__, z=z)
+        return series
+
+
+def hyp_params(a: str, b: str) -> HypSeries:
+    """A parameter set bound once, from its parameters written as rationals
+    ("1 1 7/6", "4/3 5/3 2 2"): a series at z = 0 that :func:`hyp` sums."""
+    return HypSeries(tuple(map(Fraction, a.split())),
+                     tuple(map(Fraction, b.split())), 0.0)
 
 
 def _exact_ratio(term, num: int, den: int):
@@ -429,10 +448,16 @@ def hyp_pfq(series: HypSeries, tol: float,
     )
 
 
-def hyp(a_params, b_params, z, tol: float) -> XReal:
-    """Convenience wrapper: hyp((1,3),(2,3,...),z), the parameters as any
-    rationals (converted once per parameter set)."""
-    return hyp_pfq(HypSeries(tuple(a_params), tuple(b_params), z), tol=tol)
+def hyp(params: HypSeries, z, tol: float) -> XReal:
+    """The series of a bound parameter set at z (:meth:`HypSeries.at`),
+    summed by :func:`hyp_pfq` to ``tol``."""
+    return hyp_pfq(params.at(z), tol=tol)
+
+
+@per_request
+def ln_point(a: float) -> tuple:
+    """ln a as a dd pair, once per binary64 a > 0 within a request scope."""
+    return dd_ln((a, 0.0))
 
 
 # -- shared high-precision constants ----------------------------------------

@@ -30,7 +30,6 @@ from .ddreal import (
     dd_add,
     dd_div,
     dd_div_f,
-    dd_ln,
     dd_mul,
     dd_mul_f,
     dd_powi,
@@ -48,6 +47,8 @@ from .kernel import (
     GAMMA_2_3,
     SMALLA_PAST_N,
     hyp,
+    hyp_params,
+    ln_point,
     poly_add,
     poly_deriv,
     poly_eval_dd,
@@ -56,11 +57,11 @@ from .kernel import (
 )
 from .results import TransformResult, per_request
 
-_F13 = Fraction(1, 3)
-_F23 = Fraction(2, 3)
-_F43 = Fraction(4, 3)
-_F53 = Fraction(5, 3)
-_F73 = Fraction(7, 3)
+#: the 1F2 and 2F3 parameter sets of I_0, I_-1 and I_-2 (summed at a^3/9),
+#: bound once; the closed form of bigI_1 sums the same six at -a^3/9
+PFQ_I0 = (hyp_params("1/3", "2/3 4/3"), hyp_params("2/3", "4/3 5/3"))
+PFQ_IM1 = (hyp_params("1/3", "4/3 4/3"), hyp_params("1 1", "2 2 5/3"))
+PFQ_IM2 = (hyp_params("-1/3", "2/3 2/3"), hyp_params("1 1", "2 2 7/3"))
 
 
 # -- polynomial ladders ------------------------------------------------------
@@ -167,8 +168,7 @@ def I0_hyp(a: float, tol: float) -> XReal:
     - Ai'(0) (a^2/2) 1F2(2/3;4/3,5/3;a^3/9)."""
     ap = (float(a), 0.0)
     z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
-    h1 = hyp((_F13,), (_F23, _F43), z3, tol=tol)
-    h2 = hyp((_F23,), (_F43, _F53), z3, tol=tol)
+    h1, h2 = (hyp(params, z3, tol=tol) for params in PFQ_I0)
     t1 = dd_mul(dd_mul(AI0.pair, ap), h1.pair)
     t2 = dd_mul_f(dd_mul(dd_mul(AIP0.pair, dd_powi(ap, 2)), h2.pair), 0.5)
     third = dd_div_f((1.0, 0.0), 3.0)
@@ -192,10 +192,9 @@ def Im1_hyp(a: float, tol: float) -> XReal:
         raise DomainError("I_{-1} needs a > 0")
     ap = (float(a), 0.0)
     z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
-    h1 = hyp((_F13,), (_F43, _F43), z3, tol=tol)
-    h2 = hyp((1, 1), (2, 2, _F53), z3, tol=tol)
+    h1, h2 = (hyp(params, z3, tol=tol) for params in PFQ_IM1)
     const = dd_add(
-        dd_sub(dd_mul_f(dd_ln(ap), 6.0), LN3.pair),
+        dd_sub(dd_mul_f(ln_point(ap[0]), 6.0), LN3.pair),
         dd_add(dd_mul_f(EULER_GAMMA.pair, 4.0),
                dd_div_f(dd_mul(SQRT3.pair, PI.pair), 3.0)),
     )
@@ -215,10 +214,9 @@ def Im2_hyp(a: float, tol: float) -> XReal:
         raise DomainError("I_{-2} needs a > 0")
     ap = (float(a), 0.0)
     z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
-    h1 = hyp((Fraction(-1, 3),), (_F23, _F23), z3, tol=tol)
-    h2 = hyp((1, 1), (2, 2, _F73), z3, tol=tol)
+    h1, h2 = (hyp(params, z3, tol=tol) for params in PFQ_IM2)
     const = dd_add(
-        dd_sub(dd_mul_f(dd_ln(ap), 6.0), LN3.pair),
+        dd_sub(dd_mul_f(ln_point(ap[0]), 6.0), LN3.pair),
         dd_sub(dd_mul_f(EULER_GAMMA.pair, 4.0),
                dd_add((6.0, 0.0), dd_div_f(dd_mul(SQRT3.pair, PI.pair), 3.0))),
     )

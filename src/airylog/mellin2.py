@@ -32,7 +32,6 @@ from .ddreal import (
     XReal,
     dd_add,
     dd_div_f,
-    dd_ln,
     dd_mul,
     dd_mul_f,
     dd_neg,
@@ -47,6 +46,7 @@ from .errors import DomainError, RangeError
 from .kernel import (
     AI0,
     AIP0,
+    ln_point,
     pochhammer,
     poly_add,
     poly_deriv,
@@ -161,9 +161,10 @@ def xi2_derivs(a: float):
 
 # -- irreducible 1/x transforms ----------------------------------------------
 
-def _ai2_class_chains(a3_pair, terms: int):
+@per_request
+def _ai2_class_chains(a3_pair, terms: int) -> tuple:
     """Per-class coefficient chains of the Taylor series of Ai(x)^2 times
-    a^{3n}: c_n (A^2 class), d_n (2AiAi' class), e_n (2Ai'^2 class)."""
+    a^{3n}: c_n (A^2), d_n (2AiAi'), e_n (2Ai'^2), tuples once per request."""
     cs, ds, es = [(1.0, 0.0)], [(1.0, 0.0)], [(0.5, 0.0)]
     for n in range(terms - 1):
         cs.append(dd_div_f(dd_mul_f(dd_mul(cs[-1], a3_pair), float(12 * n + 2)),
@@ -172,7 +173,7 @@ def _ai2_class_chains(a3_pair, terms: int):
                            float((3 * n + 2) * (3 * n + 3) * (3 * n + 4))))
         es.append(dd_div_f(dd_mul_f(dd_mul(es[-1], a3_pair), float(12 * n + 10)),
                            float((3 * n + 3) * (3 * n + 4) * (3 * n + 5))))
-    return cs, ds, es
+    return tuple(cs), tuple(ds), tuple(es)
 
 
 def _series_terms_for(a: float) -> int:
@@ -217,7 +218,7 @@ def irreducible_neg1(a: float, which: str) -> XReal:
     ap = (float(a), 0.0)
     a3 = dd_powi(ap, 3)
     cs, ds, es = _ai2_class_chains(a3, nterms + 2)
-    ln_a = dd_ln(ap)
+    ln_a = ln_point(ap[0])
     a2_, aap_, ap2_ = A2.pair, AAP.pair, AP2.pair
     if which == "i":
         # sum tau_m a^m / m over the three classes, m >= 1

@@ -54,21 +54,20 @@ _STIELTJES_WEIGHTS = {"Ai": 0, "Ai2": 2, "AiP2": 3, "AiAiP": 4}
 _MELLIN_WEIGHTS = dict(_STIELTJES_WEIGHTS, AiP=1)
 
 
-def _node_reader() -> Callable[[float], tuple]:
-    """x -> (Ai, Ai', Ai**2, Ai'**2, Ai Ai') at x as Python floats, from
-    scipy's Airy tuple once per node (see the module docstring)."""
+def _nodes() -> tuple:
+    """(nodes, fill): x -> (Ai, Ai', Ai**2, Ai'**2, Ai Ai') at x as floats,
+    and fill(x), which adds x from scipy's Airy tuple; an integrand reads a
+    node as ``nodes.get(x) or fill(x)``, since no weight tuple is empty."""
     airy = _scipy()[1]
-    nodes = scope_dict(_node_reader)
+    nodes = scope_dict(_nodes)
 
-    def node(x: float) -> tuple:
-        w = nodes.get(x)
-        if w is None:
-            s = airy(x)
-            ai, aip = float(s[0]), float(s[1])
-            w = nodes[x] = (ai, aip, ai ** 2, aip ** 2, ai * aip)
+    def fill(x: float) -> tuple:
+        s = airy(x)
+        ai, aip = float(s[0]), float(s[1])
+        w = nodes[x] = (ai, aip, ai ** 2, aip ** 2, ai * aip)
         return w
 
-    return node
+    return nodes, fill
 
 
 def integrate_halfline(
@@ -119,11 +118,11 @@ def _log_airy_integral(squared: bool) -> TransformResult:
     """integral_0^inf r^p ln r dx for r = Ai'(x)/Ai'(0), p = 1 or 2; the
     ratio is positive on [0, inf) because Ai' < 0 there, and the integrand
     vanishes at 0."""
-    node = _node_reader()
-    aip0 = node(0.0)[1]
+    nodes, fill = _nodes()
+    aip0 = (nodes.get(0.0) or fill(0.0))[1]
 
     def f(x: float) -> float:
-        r = node(x)[1] / aip0
+        r = (nodes.get(x) or fill(x))[1] / aip0
         if r <= 0.0:
             return 0.0
         return (r * r if squared else r) * math.log(r)
@@ -151,8 +150,8 @@ def oracle_stieltjes(kind: str, k: int, a: float,
     if k < 0:
         raise DomainError("oracle_stieltjes needs k >= 0")
     w = _STIELTJES_WEIGHTS[kind]
-    node = _node_reader()
-    f = lambda x: node(x)[w] / (x + a) ** k
+    nodes, fill = _nodes()
+    f = lambda x: (nodes.get(x) or fill(x))[w] / (x + a) ** k
     # subdivide at x = a so each panel sees bounded derivatives
     return integrate_halfline(f, tol=tol, breakpoints=(min(a, 19.0), 1.0, 5.0))
 
@@ -164,14 +163,14 @@ def oracle_mellin(kind: str, n: int, a: float,
         raise DomainError("oracle_mellin needs a finite a >= 0, and a > 0 "
                           "for n <= -1 (the integrand is singular at 0)")
     w = _MELLIN_WEIGHTS[kind]
-    node = _node_reader()
+    nodes, fill = _nodes()
 
     # shifted so the panel starts at the lower limit a
     def f(t: float) -> float:
         x = a + t
         if x > 0.0:
-            return x ** n * node(x)[w]
-        return node(0.0)[w] if n == 0 else 0.0
+            return x ** n * (nodes.get(x) or fill(x))[w]
+        return (nodes.get(0.0) or fill(0.0))[w] if n == 0 else 0.0
 
     split = max(DEFAULT_SPLIT, a + 10.0)
     pts = tuple(p - a for p in (1.0, 5.0, 12.0) if p > a)
@@ -185,10 +184,10 @@ def oracle_j_summand(a: float) -> TransformResult:
     """
     if not a > 0.0:
         raise DomainError("oracle_j_summand needs a > 0")
-    node = _node_reader()
+    nodes, fill = _nodes()
 
     def f(x: float) -> float:
-        ai, aip = node(x)[:2]
+        ai, aip = (nodes.get(x) or fill(x))[:2]
         return (x / (x + a)) * (2.0 * ai * aip + x * aip * aip
                                 - x * x * ai * ai) / a
 

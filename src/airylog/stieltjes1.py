@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 
 from .airy import JPair, airy
@@ -35,7 +34,6 @@ from .ddreal import (
     dd_add,
     dd_div,
     dd_div_f,
-    dd_ln,
     dd_mul,
     dd_powi,
     dd_sub,
@@ -44,18 +42,11 @@ from .ddreal import (
 )
 from .errors import AccuracyWarning, DomainError, RangeError, StabilityError
 from .kernel import (AI0, AIP0, alternating_series, compensated_sum, hyp,
-                     smalla_range_check, smalla_sum)
-from .mellin1 import base_values, xi_lambda_derivs
+                     ln_point, smalla_range_check, smalla_sum)
+from .mellin1 import PFQ_I0, PFQ_IM1, PFQ_IM2, base_values, xi_lambda_derivs
 from .results import TransformResult, TruncationConfig, per_request
 from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
-
-_F13 = Fraction(1, 3)
-_F23 = Fraction(2, 3)
-_F43 = Fraction(4, 3)
-_F53 = Fraction(5, 3)
-_F73 = Fraction(7, 3)
-_FM13 = Fraction(-1, 3)
 
 #: route boundaries in a; below CLOSED_MIN the closed form's J_- dH_-
 #: term cancels to about 1e-32/a, past its err_est
@@ -142,12 +133,10 @@ def ladder_residual(k: int, a: float, Ik, Ik1, Ik3) -> float:
 # -- closed-form ODE route ----------------------------------------------------
 
 def _H_plus(a: float) -> XReal:
-    tol = 1e-20
     ap = (float(a), 0.0)
     z = XReal.from_pair(dd_div_f(dd_powi(ap, 3), -9.0))
-    f1 = hyp((_F13,), (_F43, _F43), z, tol=tol)
-    f2 = hyp((_F23,), (_F43, _F53), z, tol=tol)
-    f3 = hyp((1, 1), (2, 2, _F73), z, tol=tol)
+    f1, f2, f3 = (hyp(params, z, tol=1e-20)
+                  for params in (PFQ_IM1[0], PFQ_I0[1], PFQ_IM2[1]))
     t1 = dd_mul(dd_mul(dd_mul(PI.pair, dd_powi(AIP0.pair, 2)), ap), f1.pair)
     t2 = dd_div_f(dd_mul(dd_mul(dd_mul(PI.pair, AIP0.pair), dd_powi(ap, 2)), f2.pair), 6.0)
     t3 = dd_div_f(dd_mul(dd_mul(SQRT3.pair, dd_powi(ap, 3)), f3.pair), 216.0)
@@ -155,12 +144,10 @@ def _H_plus(a: float) -> XReal:
 
 
 def _H_minus(a: float) -> XReal:
-    tol = 1e-20
     ap = (float(a), 0.0)
     z = XReal.from_pair(dd_div_f(dd_powi(ap, 3), -9.0))
-    f1 = hyp((_FM13,), (_F23, _F23), z, tol=tol)
-    f2 = hyp((_F13,), (_F23, _F43), z, tol=tol)
-    f3 = hyp((1, 1), (2, 2, _F53), z, tol=tol)
+    f1, f2, f3 = (hyp(params, z, tol=1e-20)
+                  for params in (PFQ_IM2[0], PFQ_I0[0], PFQ_IM1[1]))
     t1 = dd_div(dd_mul(dd_mul(PI.pair, dd_powi(AI0.pair, 2)), f1.pair), ap)
     t2 = dd_div_f(dd_mul(dd_mul(dd_mul(PI.pair, AI0.pair), ap), f2.pair), 3.0)
     t3 = dd_div_f(dd_mul(dd_mul(SQRT3.pair, dd_powi(ap, 3)), f3.pair), 108.0)
@@ -191,7 +178,7 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     dHp = _H_plus(a) - Hp0
     dHm = _H_minus(a) - Hm0
     ai_ma = st.ai
-    dlog = XReal.from_pair(dd_sub(dd_ln((a, 0.0)), ln_a0))
+    dlog = XReal.from_pair(dd_sub(ln_point(a), ln_a0))
     val = hom + ja.jplus * dHp + ja.jminus * dHm - ai_ma * dlog
     scale = max(abs(float(hom)), abs(float(ja.jplus * dHp)),
                 abs(float(ja.jminus * dHm)), abs(float(ai_ma * dlog)))
@@ -210,7 +197,7 @@ def _closed_anchor(a0: float) -> tuple:
     """The closed form's data at a0: (the JPair at a0, H+(a0), H-(a0),
     ln a0 as a dd pair), computed once per process and point (the
     pipelines anchor at |a_1'| only)."""
-    return JPair.of(airy(-a0)), _H_plus(a0), _H_minus(a0), dd_ln((a0, 0.0))
+    return JPair.of(airy(-a0)), _H_plus(a0), _H_minus(a0), ln_point(a0)
 
 
 def bigI_relations(a: float, I3, I4):
@@ -251,6 +238,7 @@ def _smalla_data(a: float) -> tuple:
     return xi_lambda_derivs(a), base_values(a, 1e-28)
 
 
+@per_request
 def bigI_smalla(n: int, a: float) -> TransformResult:
     """bigI_n(a) assembled from I_0, I_-1, I_-2, Ai, Ai' with the
     xi/lambda derivative ladders, truncated at i = n +
@@ -258,8 +246,8 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
 
     Designed for n in [1, 6] and a <= 4, where ten triples already give
     ~1e-12.  The ladders, base values and reduced transforms at a are
-    built once per process (:func:`_smalla_data`); the sum and its
-    AccuracyWarning, also kept in the result, are redone per call.
+    built once per process (:func:`_smalla_data`); the sum and its warning
+    (kept in the result) once per request scope, and per call outside one.
     """
     if n < 1 or n > 6:
         raise DomainError("bigI_smalla supports n in [1, 6]")

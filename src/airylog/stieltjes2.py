@@ -34,7 +34,6 @@ from .airy import airy
 from .ddreal import (
     XReal,
     dd_add,
-    dd_ln,
     dd_mul,
     dd_mul_f,
     dd_powi,
@@ -44,26 +43,12 @@ from .ddreal import (
     SQRT_PI,
 )
 from .errors import DomainError
-from .kernel import alternating_series, compensated_sum, hyp
+from .kernel import (alternating_series, compensated_sum, hyp, hyp_params,
+                     ln_point)
 from .mellin2 import A2, AAP, AP2, Jn_smalla
 from .results import TransformResult, TruncationConfig
 from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
-
-_F13 = Fraction(1, 3)
-_F16 = Fraction(1, 6)
-_F12 = Fraction(1, 2)
-_F23 = Fraction(2, 3)
-_F43 = Fraction(4, 3)
-_F53 = Fraction(5, 3)
-_F56 = Fraction(5, 6)
-_F73 = Fraction(7, 3)
-_F76 = Fraction(7, 6)
-_F83 = Fraction(8, 3)
-_F32 = Fraction(3, 2)
-_F116 = Fraction(11, 6)
-_FM13 = Fraction(-1, 3)
-_FM23 = Fraction(-2, 3)
 
 #: closed-form route used for root magnitudes up to this; moment series beyond
 J_CLOSED_MAX = 11.0
@@ -73,45 +58,44 @@ SOLVE_J1_A = (0.2, 13.0)
 
 # -- hypergeometric antiderivative masters ------------------------------------
 
+#: G1, G2, G3 of each master (box, I, II) as (power of a, binary64 factor
+#: or None, pFq parameter set bound once): Gj = a^power F(z) factor
+_G_TERMS = (
+    ((3, -1.0 / 9.0, hyp_params("1 1 7/6", "4/3 5/3 2 2")),
+     (-1, -1.0, hyp_params("-1/3 1/6", "1/3 2/3 2/3")),
+     (-2, -0.5, hyp_params("-2/3 1/6", "1/3 1/3 2/3"))),
+    ((1, None, hyp_params("1/3 1/2", "2/3 4/3 4/3")),
+     (3, -1.0 / 12.0, hyp_params("1 1 3/2", "2 2 5/3 7/3")),
+     (-1, -1.0, hyp_params("-1/3 1/2", "2/3 2/3 4/3"))),
+    ((2, 0.5, hyp_params("2/3 5/6", "4/3 5/3 5/3")),
+     (1, None, hyp_params("1/3 5/6", "4/3 4/3 5/3")),
+     (3, -1.0 / 18.0, hyp_params("1 1 11/6", "2 2 7/3 8/3"))),
+)
+
+
 def _masters(a: float):
     """Log-free parts of the three master antiderivative combinations
 
         M_mu(a) = Ai'(0)^2 G1_mu + Ai(0)Ai'(0) G2_mu + Ai(0)^2 G3_mu,
 
     where Gj_mu is the antiderivative of (mu component of the Airy
-    products at -z) / z^j.  Returned in the order (box, I, II); the
-    omitted logarithms carry coefficients (Ai'(0)^2, Ai(0)Ai'(0), Ai(0)^2)
-    respectively.
+    products at -z) / z^j, a pFq series at z = -4a^3/9 (``_G_TERMS``).
+    Returned in the order (box, I, II); the omitted logarithms carry
+    coefficients (Ai'(0)^2, Ai(0)Ai'(0), Ai(0)^2) respectively.
     """
-    tol = 1e-20
     ap = (float(a), 0.0)
     z = XReal.from_pair(dd_mul_f(dd_powi(ap, 3), -4.0 / 9.0))
-    a2_, aap_, ap2_ = A2.pair, AAP.pair, AP2.pair
-    a1 = ap
-    a2p = dd_powi(ap, 2)
-    a3 = dd_powi(ap, 3)
-    inv_a = dd_powi(ap, -1)
-    inv_a2 = dd_powi(ap, -2)
-
-    # box components
-    g1 = dd_mul_f(dd_mul(a3, hyp((1, 1, _F76), (_F43, _F53, 2, 2), z, tol=tol).pair), -1.0 / 9.0)
-    g2 = dd_mul_f(dd_mul(inv_a, hyp((_FM13, _F16), (_F13, _F23, _F23), z, tol=tol).pair), -1.0)
-    g3 = dd_mul_f(dd_mul(inv_a2, hyp((_FM23, _F16), (_F13, _F13, _F23), z, tol=tol).pair), -0.5)
-    m_box = dd_add(dd_add(dd_mul(ap2_, g1), dd_mul(aap_, g2)), dd_mul(a2_, g3))
-
-    # I components
-    g1 = dd_mul(a1, hyp((_F13, _F12), (_F23, _F43, _F43), z, tol=tol).pair)
-    g2 = dd_mul_f(dd_mul(a3, hyp((1, 1, _F32), (2, 2, _F53, _F73), z, tol=tol).pair), -1.0 / 12.0)
-    g3 = dd_mul_f(dd_mul(inv_a, hyp((_FM13, _F12), (_F23, _F23, _F43), z, tol=tol).pair), -1.0)
-    m_i = dd_add(dd_add(dd_mul(ap2_, g1), dd_mul(aap_, g2)), dd_mul(a2_, g3))
-
-    # II components
-    g1 = dd_mul_f(dd_mul(a2p, hyp((_F23, _F56), (_F43, _F53, _F53), z, tol=tol).pair), 0.5)
-    g2 = dd_mul(a1, hyp((_F13, _F56), (_F43, _F43, _F53), z, tol=tol).pair)
-    g3 = dd_mul_f(dd_mul(a3, hyp((1, 1, _F116), (2, 2, _F73, _F83), z, tol=tol).pair), -1.0 / 18.0)
-    m_ii = dd_add(dd_add(dd_mul(ap2_, g1), dd_mul(aap_, g2)), dd_mul(a2_, g3))
-
-    return (XReal.from_pair(m_box), XReal.from_pair(m_i), XReal.from_pair(m_ii))
+    powers = {k: ap if k == 1 else dd_powi(ap, k) for k in (1, 2, 3, -1, -2)}
+    out = []
+    for terms in _G_TERMS:
+        g = []
+        for k, factor, params in terms:
+            term = dd_mul(powers[k], hyp(params, z, tol=1e-20).pair)
+            g.append(term if factor is None else dd_mul_f(term, factor))
+        g1, g2, g3 = g
+        out.append(XReal.from_pair(dd_add(dd_add(
+            dd_mul(AP2.pair, g1), dd_mul(AAP.pair, g2)), dd_mul(A2.pair, g3))))
+    return tuple(out)
 
 
 #: product weights (box, I, II) for the three Airy products at -z
@@ -213,11 +197,11 @@ class J1Solution:
             raise DomainError(f"unknown seed source {seed_source!r}")
         c1, c2, c3 = constants_c(a0, *seeds)
         sol = cls(key[0], c1, c2, c3, _masters(a0), *seeds,
-                  dd_ln((key[0], 0.0)))
+                  ln_point(key[0]))
         return _SOLUTIONS.setdefault(key, sol) if is_root_magnitude(key[0]) else sol
 
     def deltas(self, a: float):
-        dlog = XReal.from_pair(dd_sub(dd_ln((float(a), 0.0)), self.ln_a0))
+        dlog = XReal.from_pair(dd_sub(ln_point(float(a)), self.ln_a0))
         return _delta_u(_masters(a), self.masters_a0, dlog)
 
     def summand(self, a: float) -> XReal:
@@ -297,7 +281,7 @@ def j_term_grouped(a: float, sol: J1Solution) -> XReal:
     b1, b2, b3 = _j_brackets(a)
     d1, d2, d3 = d_coefficients(a)
     ma = _masters(a)
-    dlog = XReal.from_pair(dd_sub(dd_ln((float(a), 0.0)), sol.ln_a0))
+    dlog = XReal.from_pair(dd_sub(ln_point(float(a)), sol.ln_a0))
     dm = [x - y for x, y in zip(ma, sol.masters_a0)]
     return (b1 * sol.c1 + b2 * sol.c2 + b3 * sol.c3
             - d1 * dm[0] - d2 * dm[2] + d3 * dm[1]

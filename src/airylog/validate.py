@@ -453,9 +453,9 @@ def _a_col(k: int) -> int:
 def run_validation():
     """Full matrix; returns (records, discrepancies).
 
-    The run is one request scope: each Airy value, scipy Airy tuple at a
-    quadrature node, Mellin base, off-root closed form and Stieltjes
-    quadrature is computed once in it and dropped when it returns."""
+    The run is one request scope: each per-request value (an Airy value, a
+    quadrature node, a Mellin base, a small-a sum, a point's ln, a closed
+    form, a quadrature) is computed once in it and dropped when it ends."""
     with request_scope():
         records: list = []
         roots = roots_upto(100)

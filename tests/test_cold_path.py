@@ -5,7 +5,8 @@ the commands that integrate exit 2 with a configuration error.  A
 validation run pays for its closed-form anchor, each off-root closed
 form and each of its quadratures once, and is one request scope: each
 Airy value, scipy Airy tuple and Mellin base is computed once per point
-in it, and none is kept past it."""
+in it, as are each small-a sum, Ai^2 class chain and point logarithm, and
+none is kept past it."""
 
 import importlib
 import json
@@ -162,6 +163,61 @@ def test_small_a_warning_is_raised_once_and_kept_in_the_result():
     assert [(w.category, str(w.message)) for w in seen] == [
         (AccuracyWarning, message)]
     assert result.warnings == (message,)
+
+
+def test_small_a_warns_once_per_request_and_on_every_call_outside_one():
+    message = "bigI_smalla truncation estimate 4.20e-02 is large"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with request_scope():
+            first = stieltjes1.bigI_smalla(1, 12.0)
+            assert stieltjes1.bigI_smalla(1, 12.0) is first
+        assert first.warnings == (message,)
+        assert [str(w.message) for w in seen] == [message]
+        with request_scope():  # the next request computes, and warns, again
+            again = stieltjes1.bigI_smalla(1, 12.0)
+        assert again is not first and again.warnings == (message,)
+        assert [str(w.message) for w in seen] == [message] * 2
+        outside = [stieltjes1.bigI_smalla(1, 12.0) for _ in range(2)]
+    assert outside[0] is not outside[1]
+    assert all(r.warnings == (message,) for r in outside)
+    assert [(w.category, str(w.message)) for w in seen] == [
+        (AccuracyWarning, message)] * 4
+
+
+def test_a_warm_validation_computes_each_route_input_once(monkeypatch):
+    # bigI_smalla's sum, the Ai^2 class chains and the dd log of a point
+    # are made once per distinct argument in a request, and every pFq
+    # series comes from a parameter set bound at import
+    kernel = importlib.import_module("airylog.kernel")
+    run_validation()
+    sums, lns, chains, built, pfq = [], [], [], [], []
+
+    def spy(owner, name, log, record):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            log.append(record(args, out))
+            return out
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(stieltjes1, "smalla_sum", sums, lambda args, out: args[2])
+    spy(kernel, "dd_ln", lns, lambda args, out: args[0])
+    # a memo hands each caller its one object: distinct objects are
+    # computations (all stay alive in the log, so ids are not reused)
+    spy(mellin2, "_ai2_class_chains", chains, lambda args, out: (args, out))
+    spy(kernel, "hyp_pfq", pfq, lambda args, out: args[0])
+    spy(kernel._Ratios, "__init__", built, lambda args, out: args[1:])
+    run_validation()
+    assert len(sums) == 12
+    assert len(lns) == len(set(lns)) == 22
+    assert len(chains) == 4
+    assert len({args for args, _ in chains}) == 2
+    assert len({id(out) for _, out in chains}) == 2
+    assert all(type(c) is tuple for _, out in chains for c in out)
+    assert len(pfq) == 285 and built == []
 
 
 @pytest.fixture

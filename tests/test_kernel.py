@@ -274,8 +274,8 @@ def test_alternating_series_matches_reference_at_every_seed_only_root(name):
 
 
 def test_hyp_z_zero():
-    assert float(hyp((Fraction(1, 3),), (Fraction(2, 3), Fraction(4, 3)), 0.0,
-                     tol=1e-16)) == 1.0
+    params = HypSeries((Fraction(1, 3),), (Fraction(2, 3), Fraction(4, 3)), 0.0)
+    assert float(hyp(params, 0.0, tol=1e-16)) == 1.0
 
 
 def _rational_pfq_partial(a_params, b_params, z: Fraction, terms: int) -> Fraction:
@@ -299,15 +299,16 @@ def test_hyp_vs_exact_rational_oracle():
     b = (Fraction(2, 3), Fraction(4, 3))
     z = Fraction(-1, 9)  # -z^3/9 at z = 1
     oracle = _rational_pfq_partial(a, b, z, 60)
-    mine = hyp(a, b, XReal.from_fraction(z), tol=1e-25)
+    mine = hyp(HypSeries(a, b, 0.0), XReal.from_fraction(z), tol=1e-25)
     assert abs(float(mine) - float(oracle)) < 1e-15
 
 
 def test_hyp_error_estimate_scales_with_tol():
     a = (Fraction(1, 3),)
     b = (Fraction(2, 3), Fraction(4, 3))
-    tight = float(hyp(a, b, -100.0, tol=1e-22))
-    loose = float(hyp(a, b, -100.0, tol=1e-10))
+    params = HypSeries(a, b, 0.0)
+    tight = float(hyp(params, -100.0, tol=1e-22))
+    loose = float(hyp(params, -100.0, tol=1e-10))
     assert abs(tight - loose) <= 10 * 1e-10 * abs(tight) + 1e-18
 
 
@@ -331,14 +332,44 @@ def test_hypseries_validation():
 
 def test_a_divergent_series_is_refused_at_construction():
     # 2F1(1, 1; 2; z) = -ln(1 - z) / z converges only for |z| < 1
+    params = HypSeries((1, 1), (2,), 0.0)
     for z in (2.0, -1.0, 1.0, XReal(1.0, 1e-20), XReal(-1.0, -1e-20)):
         with pytest.raises(DomainError):
-            hyp((1, 1), (2,), z, tol=1e-20)
-    value = hyp((1, 1), (2,), 0.5, tol=1e-20)
+            HypSeries((1, 1), (2,), z)
+        with pytest.raises(DomainError):
+            hyp(params, z, tol=1e-20)
+    value = hyp(params, 0.5, tol=1e-20)
     assert abs(float(value) - 2.0 * math.log(2.0)) <= 4e-16
     # a non-positive integer numerator parameter ends the series:
     # 2F1(-2, 1; 2; 3) = 1 - 3 + 3
-    assert float(hyp((-2, 1), (2,), 3.0, tol=1e-20)) == 1.0
+    assert float(hyp(HypSeries((-2, 1), (2,), 0.0), 3.0, tol=1e-20)) == 1.0
+
+
+def test_a_bound_set_derives_its_series_without_hashing_its_parameters():
+    # the series at z is the constructor's series, equal and of equal hash,
+    # with the bound set's parameter tuples and rows; the parameters'
+    # hashes are never asked for
+    class Unhashed(Fraction):
+        def __hash__(self):
+            raise AssertionError("hashed")
+
+    params = kernel.hyp_params("1 1 7/6", "4/3 5/3 2 2")
+    assert params.a_params == (1, 1, Fraction(7, 6)) and params.z == 0.0
+    assert all(type(x) is Fraction for x in params.a_params + params.b_params)
+    z = XReal(-2.5, 1e-17)
+    series = params.at(z)
+    built = HypSeries(params.a_params, params.b_params, z)
+    assert series == built and hash(series) == hash(built)
+    assert series.a_params is params.a_params
+    assert series.b_params is params.b_params
+    assert series._ratios is params._ratios is built._ratios
+    assert _hex(hyp(params, z, tol=1e-28)) == _hex(hyp_pfq(built, tol=1e-28))
+    plain = HypSeries((1, 1), (2,), 0.0)
+    unhashed = HypSeries((1, 1), (2,), 0.0)
+    object.__setattr__(unhashed, "a_params", (Unhashed(1), Unhashed(1)))
+    assert _hex(hyp(unhashed, 0.5, tol=1e-20)) == _hex(hyp(plain, 0.5, tol=1e-20))
+    with pytest.raises(AssertionError, match="hashed"):
+        HypSeries(unhashed.a_params, (2,), 0.0)
 
 
 def _hyp_pfq_reference(series, tol, max_terms=None):
