@@ -177,97 +177,31 @@ def _asym_uv(zeta):
     """sum (-1)^k u_k zeta^-k and the v-analogue (plus the unsigned sums)
     for the exponential Airy asymptotics; truncated at the smallest term.
 
-    A step's dd_div by zeta, dd_mul_f and dd_div_f to u_k and v_k, dd_mul
-    by zeta^-k and dd_add to the sums are written out with the operations
-    of ``ddreal`` in their order; as in :func:`_fg_series`, the integer
-    factors' zero low halves are left out.  dd_mul_f of a normalised pair
-    (hi, lo) by a sign s is exactly (s hi, 0.0 + s lo).
+    Unlike :func:`_fg_series`, one ddreal primitive per operation: only
+    transforms at large a reach it, once per point above ``X_SWITCH``.
     """
-    z0, z1 = zeta
-    zh, zl = dd_split(z0)
-    u0, u1 = w0, w1 = 1.0, 0.0  # u_k and zeta^-k
-    sums = [(1.0, 0.0)] * 4  # su_alt, sv_alt, su, sv
+    uk = (1.0, 0.0)
+    su_alt = sv_alt = su = sv = zpow = (1.0, 0.0)
     best = float("inf")
     for k in range(1, 60):
-        # dd_div(zeta^-(k-1), zeta): q = w0 / z0, then dd_sub(w, zeta q) / z0
-        q = w0 / z0
-        p = z0 * q
-        c = SPLITTER * q
-        hi = c - (c - q)
-        lo = q - hi
-        e = ((zh * hi - p) + zh * lo + zl * hi) + zl * lo + z1 * q
-        m0 = p + e
-        m1 = e - (m0 - p)
-        a, b = w0 - m0, w1 - m1
-        ba, bb = a - w0, b - w1
-        f = (w1 - (b - bb)) + (-m1 - bb)
-        e = (w0 - (a - ba)) + (-m0 - ba) + b
-        u = a + e
-        e = e - (u - a) + f
-        a = u + e
-        r = (a + (e - (a - u))) / z0
-        w0 = q + r
-        w1 = r - (w0 - q)
-        c = SPLITTER * w0
-        wh = c - (c - w0)
-        wl = w0 - wh
-        terms = []  # u_k zeta^-k, v_k zeta^-k
-        t0, t1 = u0, u1
-        for num, den in (((6 * k - 5) * (6 * k - 3) * (6 * k - 1),
-                          (2 * k - 1) * 216 * k), (6 * k + 1, 1 - 6 * k)):
-            num, den = float(num), float(den)
-            # dd_mul_f(t, num)
-            p = t0 * num
-            c = SPLITTER * t0
-            hi = c - (c - t0)
-            e = ((hi * num - p) + (t0 - hi) * num) + t1 * num
-            t0 = p + e
-            t1 = e - (t0 - p)
-            # dd_div_f(t, den): q = t0 / den, then dd_add(t, -q den) / den
-            q = t0 / den
-            p = q * den
-            c = SPLITTER * q
-            hi = c - (c - q)
-            e = (hi * den - p) + (q - hi) * den
-            a, b = t0 - p, t1 - e
-            ba, bb = a - t0, b - t1
-            f = (t1 - (b - bb)) + (-e - bb)
-            e = (t0 - (a - ba)) + (-p - ba) + b
-            u = a + e
-            e = e - (u - a) + f
-            a = u + e
-            r = (a + (e - (a - u))) / den
-            t0 = q + r
-            t1 = r - (t0 - q)
-            if not terms:
-                u0, u1 = t0, t1
-            # dd_mul(t, zeta^-k)
-            p = t0 * w0
-            c = SPLITTER * t0
-            hi = c - (c - t0)
-            lo = t0 - hi
-            e = ((hi * wh - p) + hi * wl + lo * wh) + lo * wl + (t0 * w1 + t1 * w0)
-            m0 = p + e
-            terms.append((m0, e - (m0 - p)))
-        if abs(terms[0][0]) > best:
+        num = (6 * k - 5) * (6 * k - 3) * (6 * k - 1)
+        den = (2 * k - 1) * 216 * k
+        uk = dd_div_f(dd_mul_f(uk, float(num)), float(den))
+        vk = dd_div_f(dd_mul_f(uk, float(6 * k + 1)), float(1 - 6 * k))
+        zpow = dd_div(zpow, zeta)
+        tu = dd_mul(uk, zpow)
+        tv = dd_mul(vk, zpow)
+        if abs(tu[0]) > best:
             break
-        best = abs(terms[0][0])
+        best = abs(tu[0])
         sign = -1.0 if k % 2 else 1.0
-        for j, (t0, t1) in enumerate(terms * 2):
-            if j < 2:  # dd_mul_f(t, sign)
-                t0, t1 = sign * t0, 0.0 + sign * t1
-            # dd_add(sum, t)
-            s0, s1 = sums[j]
-            a, b = s0 + t0, s1 + t1
-            ba, bb = a - s0, b - s1
-            e = (s0 - (a - ba)) + (t0 - ba) + b
-            u = a + e
-            e = e - (u - a) + ((s1 - (b - bb)) + (t1 - bb))
-            s0 = u + e
-            sums[j] = (s0, e - (s0 - u))
+        su_alt = dd_add(su_alt, dd_mul_f(tu, sign))
+        sv_alt = dd_add(sv_alt, dd_mul_f(tv, sign))
+        su = dd_add(su, tu)
+        sv = dd_add(sv, tv)
         if best < 1e-35:
             break
-    return tuple(sums)
+    return su_alt, sv_alt, su, sv
 
 
 def _airy_asym_pos(x: float) -> AiryState:

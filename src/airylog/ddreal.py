@@ -8,9 +8,10 @@ The hot primitives (``dd_add``, ``dd_mul``, ``dd_mul_f``, ``dd_div_f``,
 ``dd_sqr``) write these transforms out in their bodies, with the same IEEE
 operations in the same order, so no intermediate tuple is built; the
 ``_two_sum`` / ``_quick_two_sum`` helpers serve the cold paths only.  The
-loops of :func:`dd_exp`, ``kernel.hyp_pfq``, ``kernel.smalla_sum`` and
-``airy._fg_series`` in turn write these primitives out, with the same
-operations, and hoist the :func:`dd_split` of a factor the loop keeps.
+loops of :func:`dd_exp`, ``kernel.hyp_pfq`` (its rows split by
+``kernel._Ratios.extend``) and ``airy._fg_series``, which hold most of a
+request's time, write these primitives out with the same operations and
+hoist the :func:`dd_split` of a factor the loop keeps; no other loop does.
 
 Two layers are exposed:
 
@@ -24,12 +25,14 @@ All operations are pure; instances are immutable.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
 from .errors import RangeError
 
 SPLITTER = 134217729.0  # 2**27 + 1
+_HASH_P = sys.hash_info.modulus  # a rational hashes as its residue modulo P
 
 
 def _two_sum(a: float, b: float):
@@ -393,9 +396,16 @@ class XReal:
 
     def __hash__(self):
         # Python's numeric hash of the exact value, so an XReal hashes as
-        # the equal float, int or Fraction; a NaN by its own hi
-        v = _exact(self)
-        return hash(v) if v == v else hash(self.hi)
+        # the equal float, int or Fraction; a NaN by its own hi.  With finite
+        # parts and lo != 0: their residues (hash(abs(part))) summed, signed
+        # as the value; Python turns a -1 returned into -2, as for -1 itself
+        hi, lo = self.hi, self.lo
+        if lo == 0.0 or not (math.isfinite(hi) and math.isfinite(lo)):
+            v = _exact(self)
+            return hash(v) if v == v else hash(hi)
+        r = (hash(hi) if hi >= 0 else -hash(-hi)) + (
+            hash(lo) if lo >= 0 else -hash(-lo))
+        return r % _HASH_P if hi + lo > 0 else -(-r % _HASH_P)
 
     def __float__(self):
         return self.hi + self.lo
@@ -409,7 +419,6 @@ class XReal:
 
 # Trusted literal constants (40 digits).
 PI = XReal.parse("3.141592653589793238462643383279502884197169399375105820975")
-TWO_PI = XReal.from_pair(dd_mul_f(PI.pair, 2.0))
 SQRT3 = XReal.from_pair(dd_sqrt((3.0, 0.0)))
 SQRT_PI = XReal.from_pair(dd_sqrt(PI.pair))
 EULER_GAMMA = XReal.parse(

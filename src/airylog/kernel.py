@@ -14,7 +14,8 @@ Dekker splits.  Each of the package's parameter sets is converted, checked
 and bound once, at import (:func:`hyp_params`); :func:`hyp` sums it at a
 call's z.  One loop body applies a row as dd_mul by z, dd_mul_f by the
 numerator and dd_div_f by the denominator, then dd_add to the total, each
-written out with the operations of ``ddreal`` in their order; a row beyond
+written out (as no other loop here is) with the operations of ``ddreal``
+in their order: these sums hold most of a request's time.  A row beyond
 2**53 is applied by the exact dd products instead.  The alternating series
 in scope have non-monotone term magnitudes, so termination requires three
 consecutive terms below tolerance.
@@ -158,58 +159,25 @@ def smalla_sum(ladders, transforms, n: int) -> tuple:
 
     The i! is a running binary64 product.  Returns ``(total, tail)``: the
     dd pair and the largest |term| among the last three terms, the
-    truncation estimate.  The dd_mul of each pair, the dd_add of the parts
-    (the first part starts the term) and the dd_add to the total are
-    written out with the operations of ``ddreal`` in their order.
+    truncation estimate.  One ``ddreal`` primitive per operation: unlike
+    :func:`hyp_pfq`'s, this loop is a small share of a request.
     """
     last = n + SMALLA_PAST_N
-    pairs = tuple(zip(ladders, transforms))
-    s0 = s1 = 0.0  # the total
+    total = (0.0, 0.0)
     tail = 0.0
     fact = 1.0
     for i in range(last + 1):
         if i > 0:
             fact *= i
-        t0 = None  # the term
-        for ladder, transform in pairs:
-            x = ladder[i]
-            a0, a1 = x.hi, x.lo
-            b0, b1 = transform(i - n)
-            # dd_mul(ladder[i], transform(i - n))
-            p = a0 * b0
-            c = SPLITTER * a0
-            ahi = c - (c - a0)
-            alo = a0 - ahi
-            c = SPLITTER * b0
-            bhi = c - (c - b0)
-            blo = b0 - bhi
-            e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-            e += a0 * b1 + a1 * b0
-            m0 = p + e
-            m1 = e - (m0 - p)
-            if t0 is None:
-                t0, t1 = m0, m1
-                continue
-            # dd_add(term, part)
-            a, b = t0 + m0, t1 + m1
-            ba, bb = a - t0, b - t1
-            e = (t0 - (a - ba)) + (m0 - ba) + b
-            u = a + e
-            e = e - (u - a) + ((t1 - (b - bb)) + (m1 - bb))
-            t0 = u + e
-            t1 = e - (t0 - u)
-        t0, t1 = dd_div_f((t0, t1), fact)
-        # dd_add(total, term)
-        a, b = s0 + t0, s1 + t1
-        ba, bb = a - s0, b - s1
-        e = (s0 - (a - ba)) + (t0 - ba) + b
-        u = a + e
-        e = e - (u - a) + ((s1 - (b - bb)) + (t1 - bb))
-        s0 = u + e
-        s1 = e - (s0 - u)
+        term = None
+        for ladder, transform in zip(ladders, transforms):
+            part = dd_mul(ladder[i].pair, transform(i - n))
+            term = part if term is None else dd_add(term, part)
+        term = dd_div_f(term, fact)
+        total = dd_add(total, term)
         if i > last - 3:
-            tail = max(tail, abs(t0))
-    return (s0, s1), tail
+            tail = max(tail, abs(term[0]))
+    return total, tail
 
 
 # -- exact polynomials (coefficient tuples, low power first) ----------------

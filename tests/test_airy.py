@@ -12,8 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import airy as scipy_airy
 
-from airylog.airy import (_SERIES_CAP, JPair, _asym_uv, _fg_series, airy,
-                          scorer_gi)
+from airylog.airy import _SERIES_CAP, JPair, _fg_series, airy, scorer_gi
 from airylog.ddreal import dd_add, dd_div, dd_div_f, dd_mul, dd_mul_f
 from airylog.errors import RangeError
 from airylog.kernel import BI0
@@ -118,43 +117,6 @@ def test_fg_series_matches_the_primitive_loop_bitwise(x, lo_ulps):
     # checks the dd argument the signature allows
     xp = (x, lo_ulps * math.ulp(x))
     assert _pair_bits(_fg_series(xp)) == _pair_bits(_fg_series_reference(xp))
-
-
-def _asym_uv_reference(zeta):
-    """_asym_uv as one ddreal primitive per operation."""
-    uk = (1.0, 0.0)
-    su_alt = sv_alt = su = sv = zpow = (1.0, 0.0)
-    best = float("inf")
-    for k in range(1, 60):
-        num = (6 * k - 5) * (6 * k - 3) * (6 * k - 1)
-        den = (2 * k - 1) * 216 * k
-        uk = dd_div_f(dd_mul_f(uk, float(num)), float(den))
-        vk = dd_div_f(dd_mul_f(uk, float(6 * k + 1)), float(1 - 6 * k))
-        zpow = dd_div(zpow, zeta)
-        tu = dd_mul(uk, zpow)
-        tv = dd_mul(vk, zpow)
-        if abs(tu[0]) > best:
-            break
-        best = abs(tu[0])
-        sign = -1.0 if k % 2 else 1.0
-        su_alt = dd_add(su_alt, dd_mul_f(tu, sign))
-        sv_alt = dd_add(sv_alt, dd_mul_f(tv, sign))
-        su = dd_add(su, tu)
-        sv = dd_add(sv, tv)
-        if abs(tu[0]) < 1e-35:
-            break
-    return su_alt, sv_alt, su, sv
-
-
-@given(st.floats(0.5, 200.0), st.one_of(st.just(0.0), st.floats(-0.5, 0.5)))
-@settings(max_examples=300, deadline=None)
-@example(2.0 / 3.0 * 9.5 ** 1.5, 0.0)
-@example(2.0 / 3.0 * 30.0 ** 1.5, 0.0)
-def test_asym_uv_matches_the_primitive_loop_bitwise(zeta, lo_ulps):
-    # zeta = (2/3) x^{3/2} is about 19.5 to 110 on (9.5, 30]; smaller zeta
-    # stops at the smallest term, larger at the 1e-35 floor
-    zp = (zeta, lo_ulps * math.ulp(zeta))
-    assert _pair_bits(_asym_uv(zp)) == _pair_bits(_asym_uv_reference(zp))
 
 
 def test_range_errors():

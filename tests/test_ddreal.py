@@ -177,6 +177,22 @@ def test_xreal_orders_and_hashes_by_its_exact_value(a, b, c, d):
         assert x == float(ex) and hash(x) == hash(float(ex))
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_FINITE, _FINITE, st.floats(-0.5, 0.5))
+@example(-2.0 ** 62, 1.0, 0.0)  # -(2**62 - 1) hashes to -1, so to -2
+@example(2.0 ** -1000, 5e-324, 0.5)  # a subnormal lo, and 2**-1053
+@example(-3.0, 3.0, -0.5)  # a zero value from nonzero parts
+@example(1.7e308, 1.7e308, 0.0)  # parts whose float sum overflows
+def test_xreal_hashes_as_the_fraction_of_its_parts(hi, lo, frac):
+    # every exponent and sign of each part, and a low part within half an
+    # ulp of hi, which is subnormal below 2**-969
+    for x in (XReal(hi, lo), XReal(hi, frac * math.ulp(hi))):
+        assert hash(x) == hash(Fraction(x.hi) + Fraction(x.lo))
+    assert hash(XReal(-2.0 ** 62, 1.0)) == -2
+
+
 # -- the primitives against the textbook compositions ------------------------
 #
 # The primitives write the error-free transforms out inline; these are the

@@ -160,7 +160,6 @@ UNREACHED_ALLOWED = {
                 "against",
     "oracle_j_summand": "quadrature reference for the per-root J summand",
     "AiryState.wronskian": "Wronskian identity that tests check airy with",
-    "TWO_PI": "constant of the Gamma reflection identity that tests check",
     "j_term_grouped": "second route for the summand bracket j(a), through "
                       "the d_i regrouping, that tests compare j_term with",
     "constants_c_at_root": "at-root forms of the J_1 constants that tests "
@@ -291,6 +290,46 @@ def test_value_carrying_dataclasses_live_in_results():
              for c in _value_dataclasses(p.read_text(encoding="utf-8"), p.name)]
     assert found
     assert all(c.startswith("results.py:") for c in found), found
+
+
+#: the loops outside ``ddreal`` that write its error-free transforms out,
+#: which the pFq and Maclaurin sums' share of a request's time pays for;
+#: another write-out comes with its own end-to-end gain
+WRITTEN_OUT = ("kernel.hyp_pfq", "kernel._Ratios.extend", "airy._fg_series")
+#: the names a written-out dd step uses
+DD_STEPS = ("SPLITTER", "dd_split")
+
+
+def _dd_step_uses(source: str, name: str) -> list:
+    """Functions and methods of ``source`` (qualified by the module
+    ``name``) that mention a DD_STEPS name, as a name or an attribute; an
+    import mentions nothing, a module-level use counts as the module's."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, (ast.Name, ast.Attribute)) and getattr(
+                    child, "id", getattr(child, "attr", None)) in DD_STEPS:
+                out.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), name)
+    return sorted(out)
+
+
+def test_only_the_hot_loops_write_dd_steps_out():
+    sample = ("from .ddreal import SPLITTER, dd_split\nX = dd_split(1.0)\n"
+              "class C:\n    def f(self, x):\n        return SPLITTER * x\n"
+              "def g(x):\n    def h():\n        return ddreal.dd_split(x)\n"
+              "    return h()\n"
+              "def k(x):\n    '''no dd_split here'''\n    return x\n")
+    assert _dd_step_uses(sample, "m") == ["m", "m.C.f", "m.g.h"]
+    found = [u for p in sorted(SRC.glob("*.py")) if p.name != "ddreal.py"
+             for u in _dd_step_uses(p.read_text(encoding="utf-8"), p.stem)]
+    assert sorted(found) == sorted(WRITTEN_OUT), found
 
 
 #: packages only the oracle's quadrature needs, imported inside functions

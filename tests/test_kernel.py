@@ -2,7 +2,6 @@
 moment series, pFq engine."""
 
 import math
-import random
 import sys
 import threading
 from fractions import Fraction
@@ -24,7 +23,7 @@ from airylog.kernel import (
     SMALLA_PAST_N,
     smalla_sum,
 )
-from airylog.ddreal import (SQRT3, TWO_PI, XReal, dd_add, dd_div, dd_div_f,
+from airylog.ddreal import (PI, SQRT3, XReal, dd_add, dd_div, dd_div_f,
                             dd_mul, dd_mul_f)
 from airylog.mellin1 import I0_hyp, Im1_hyp, Im2_hyp
 from airylog.roots import roots_upto
@@ -46,7 +45,7 @@ def test_gamma_constants_match_40_digit_references():
 
 def test_gamma_reflection_oracle():
     # Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3)
-    assert abs(float(GAMMA_1_3 * GAMMA_2_3 - TWO_PI / SQRT3)) <= 1e-28
+    assert abs(float(GAMMA_1_3 * GAMMA_2_3 - 2 * PI / SQRT3)) <= 1e-28
 
 
 def test_pochhammer_vs_gamma():
@@ -94,72 +93,6 @@ def test_smalla_sum_of_reciprocal_factorials():
     at_zero = lambda m: (1.0, 0.0) if m == 0 else (0.0, 0.0)
     total, tail = smalla_sum((ones, ones), (at_zero, unit), 3)
     assert abs(exact(total) - (expect + Fraction(1, 6))) < Fraction(1, 2 ** 100)
-
-
-def _smalla_sum_reference(ladders, transforms, n):
-    """smalla_sum as one ddreal primitive per operation: each ladder pair
-    by dd_mul, the parts by dd_add (the first part starts the term), the
-    term by dd_div_f of the running i!, the total by dd_add."""
-    last = n + SMALLA_PAST_N
-    total = (0.0, 0.0)
-    tail = 0.0
-    fact = 1.0
-    for i in range(last + 1):
-        if i > 0:
-            fact *= i
-        term = None
-        for ladder, transform in zip(ladders, transforms):
-            part = dd_mul(ladder[i].pair, transform(i - n))
-            term = part if term is None else dd_add(term, part)
-        term = dd_div_f(term, fact)
-        total = dd_add(total, term)
-        if i > last - 3:
-            tail = max(tail, abs(term[0]))
-    return total, tail
-
-
-def _smalla_case(rng):
-    """(ladders, transforms, n): one to three ladders of XReals and as many
-    transforms, each read at i - n for i = 0 .. n + SMALLA_PAST_N, as
-    tables of dd pairs.  A value is m 2**e with |m| < 1 and a low part up
-    to half an ulp, or (one in ten) zero.  Its exponent is mostly within 4
-    of the case's own, else anywhere in [-200, 200]; in most cases the
-    ladders grow like i!, as z-derivatives do, so that the terms and parts
-    added are of one size and the error terms of the sums are not zero."""
-    n = rng.randint(0, 6)
-    size = n + SMALLA_PAST_N + 1
-    base = rng.randint(-100, 100)
-    grow = rng.choice((0, 1, 1, 1))
-
-    def pair(e):
-        if rng.random() < 0.1:
-            return 0.0, 0.0
-        near = rng.random() < 0.8
-        e += rng.randint(-4, 4) if near else rng.randint(-200, 200)
-        hi = math.ldexp(rng.uniform(-1.0, 1.0), e)
-        return hi, rng.uniform(-0.5, 0.5) * math.ulp(hi)
-
-    ladders, transforms = [], []
-    for _ in range(rng.randint(1, 3)):
-        ladders.append([XReal(*pair(base + grow * round(
-            math.log2(math.factorial(i))))) for i in range(size)])
-        table = [pair(0) for _ in range(size)]
-        transforms.append(lambda m, table=table, n=n: table[m + n])
-    return ladders, transforms, n
-
-
-@given(st.integers(0, 2 ** 64))
-@settings(max_examples=200, deadline=None)
-def test_smalla_sum_matches_the_primitive_loop_bitwise(seed):
-    # five cases per draw, for more of the rare roundings at which two
-    # orders of the same additions differ (the test below holds one)
-    rng = random.Random(seed)
-    for _ in range(5):
-        case = _smalla_case(rng)
-        total, tail = smalla_sum(*case)
-        want, want_tail = _smalla_sum_reference(*case)
-        assert (total[0].hex(), total[1].hex(), tail.hex()) == (
-            want[0].hex(), want[1].hex(), want_tail.hex())
 
 
 def test_smalla_sum_adds_in_the_order_of_dd_add():
