@@ -17,6 +17,7 @@ import threading
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,6 +44,14 @@ ANALYTIC = [["roots", "--N", "5"], ["zeta", "--N", "20", "--k", "4"],
             ["transform", "--kind", "stieltjes-ai2", "--k", "1", "--a", "3.75",
              "--method", "closed_form"]]
 
+#: commands that integrate; the oracle loads only the two extension
+#: modules it calls, not the scipy packages that hold them
+ORACLE = [["validate"], ["transform", "--kind", "mellin-ai", "--n", "0",
+                         "--a", "3.75"]]
+LOADED = ["scipy.integrate._quadpack", "scipy.special._special_ufuncs"]
+UNLOADED = ["scipy.integrate", "scipy.optimize", "scipy.sparse",
+            "scipy.special"]
+
 COLD = """
 import contextlib, io, json, sys
 from airylog.cli import main
@@ -54,11 +63,17 @@ for argv in %r:
     state[" ".join(argv)] = [code, bool(out.getvalue()),
                              sorted({"scipy", "numpy"} & set(sys.modules))]
 
-from airylog.oracle import oracle_mellin
+from airylog.oracle import _scipy, oracle_mellin
 value = float(oracle_mellin("AiAiP", -1, 1.0))
 state["oracle_mellin"] = [repr(value), "scipy" in sys.modules]
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+state["oracle modules"] = sorted(set(%r) & set(sys.modules))
+import scipy.integrate, scipy.special
+state["airy is scipy.special.airy"] = _scipy()[1] is scipy.special.airy
 print(json.dumps(state))
-""" % (ANALYTIC,)
+""" % (ANALYTIC, ORACLE, LOADED + UNLOADED)
 
 #: each command's exit code, stdout and stderr with scipy unimportable
 NO_SCIPY = """
@@ -91,6 +106,10 @@ def test_analytic_commands_never_import_scipy():
         assert state[command] == [0, True, []], (command, state[command])
     # the first quadrature loads scipy and gives the eager import's value
     assert state["oracle_mellin"] == ["-0.0069664329596629245", True]
+    # validate and a transform leave scipy's package initialisers unrun;
+    # scipy.special, imported after, reuses the loaded airy ufunc
+    assert state["oracle modules"] == LOADED
+    assert state["airy is scipy.special.airy"] is True
 
 
 def test_without_scipy_the_oracle_commands_exit_2():
@@ -223,10 +242,10 @@ def test_a_warm_validation_computes_each_route_input_once(monkeypatch):
 @pytest.fixture
 def evaluations(monkeypatch):
     """Every evaluation a run makes at a point, by kind: scipy's Airy tuple
-    (a counting stub behind ``oracle._scipy``), the ``airy`` series and
-    asymptotics, and each base object's construction."""
-    import scipy.special
-
+    (a counting stub for the ufunc ``oracle._scipy`` binds), the ``airy``
+    series and asymptotics, and each base object's construction."""
+    qagse, airy = oracle._scipy()
+    bound = SimpleNamespace(airy=airy)
     seen = {"scipy": [], "airy": [], "BaseValues": [], "Ai2Base": []}
 
     def wrap(owner, name, kind, key):
@@ -238,16 +257,15 @@ def evaluations(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    wrap(scipy.special, "airy", "scipy", float)
+    wrap(bound, "airy", "scipy", float)
+    monkeypatch.setattr(oracle, "_scipy", lambda: (qagse, bound.airy))
     wrap(airy_module, "_fg_series", "airy", lambda xp: xp[0])
     wrap(airy_module, "_airy_asym_pos", "airy", float)
     wrap(mellin1.BaseValues, "__init__", "BaseValues",
          lambda self, a, tol: (a, tol))
     wrap(mellin2.Ai2Base, "__init__", "Ai2Base", lambda self, a: a)
-    oracle._scipy.cache_clear()
     yield seen
     monkeypatch.undo()
-    oracle._scipy.cache_clear()
 
 
 def _counted_run(seen) -> dict:

@@ -1,10 +1,12 @@
 """The quadrature oracle: anchors, linearity, tail independence."""
 
 import math
+import warnings
 
 import pytest
 from scipy.special import airy as scipy_airy
 
+from airylog import oracle
 from airylog.oracle import (
     integrate_halfline,
     oracle_integral1,
@@ -146,3 +148,69 @@ def test_oracle_values_keep_their_bits(call):
     assert (res.value.hi.hex(), res.err_est.hex(), res.subdivisions) \
         == _PINNED[call]
     assert res.value.lo == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: oracle_stieltjes("Ai", 3, 2.0),
+    lambda: oracle_mellin("AiAiP", -1, 1.0),
+    oracle_integral2,
+], ids=["stieltjes-Ai-3-2", "mellin-AiAiP--1-1", "integral2"])
+def test_loaded_extensions_are_scipys_quad_and_airy(call, monkeypatch):
+    # the oracle loads QUADPACK's QAGSE and the airy ufunc from their
+    # extension files; scipy's packages, imported after, hold the same
+    # objects, and each panel gives quad's value, abserr and subdivisions
+    call()
+    import scipy.integrate
+    import scipy.special
+
+    qagse, airy = oracle._scipy()
+    assert airy is scipy.special.airy
+    panels = []
+
+    def recorded(g, a, b, *args):
+        out = qagse(g, a, b, *args)
+        panels.append((g, a, b, out))
+        return out
+
+    monkeypatch.setattr(oracle, "_scipy", lambda: (recorded, airy))
+    call()
+    assert len(panels) >= 2
+    for g, a, b, (v, e, info, _) in panels:
+        qv, qe, qinfo = scipy.integrate.quad(
+            g, a, b, epsabs=1e-12 / 4, epsrel=1e-12, limit=2000,
+            full_output=True)[:3]
+        assert (v.hex(), e.hex(), info["last"]) \
+            == (qv.hex(), qe.hex(), qinfo["last"]), (a, b)
+
+
+def test_loaded_airy_is_the_public_airy_without_warnings():
+    airy = oracle._scipy()[1]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for x in (0.0, -16.0, 25.0, 1e3, 8.1e4):
+            ours, theirs = airy(x), scipy_airy(x)
+            assert [float(w).hex() for w in ours] \
+                == [float(w).hex() for w in theirs], x
+            if x >= 1e3:
+                assert float(ours[0]) == float(ours[1]) == 0.0
+    assert seen == []
+
+
+def test_a_scipy_without_the_modules_names_the_floor(monkeypatch):
+    # a scipy older than the floor in pyproject.toml lacks the modules or
+    # keeps airy elsewhere; the loader names what it needs, and that floor
+    import sys
+    from pathlib import Path
+    from types import SimpleNamespace
+
+    from airylog.errors import DependencyError
+
+    pyproject = (Path(oracle.__file__).resolve().parents[2]
+                 / "pyproject.toml").read_text(encoding="utf-8")
+    assert pyproject.count('"scipy>=1.14"') == 2
+    monkeypatch.setitem(sys.modules, "scipy.special._special_ufuncs",
+                        SimpleNamespace())
+    with pytest.raises(DependencyError,
+                       match=r"scipy\.special\._special_ufuncs\.airy, "
+                             r"which scipy>=1\.14 has"):
+        oracle._scipy.__wrapped__()
