@@ -10,7 +10,6 @@ certifies every route against adaptive quadrature.
 from .ddreal import XReal
 from .errors import (
     AccuracyError,
-    AccuracyWarning,
     ConvergenceError,
     DependencyError,
     DomainError,

@@ -44,7 +44,3 @@ class IterationError(RuntimeError):
 
 class StabilityError(RuntimeError):
     """A recurrence was requested in a numerically unstable direction."""
-
-
-class AccuracyWarning(UserWarning):
-    """Emitted when cancellation or truncation erodes the usual accuracy."""

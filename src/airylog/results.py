@@ -2,7 +2,7 @@
 and the CLI's printed :class:`Record`; and the request scope, in which
 each per-point evaluation is made once.
 
-A route result holds a double-double value and its route's warnings; a
+A route result holds a double-double value and its error estimate; a
 printed row holds a binary64 value plus its id and provenance.
 """
 
@@ -19,19 +19,16 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class TransformResult:
-    """A computed integral value plus method tag and error estimate; a
-    quadrature also reports how many subintervals it used, and a route
-    the AccuracyWarnings it raised computing the value.
-
-    Any two methods for the same quantity must agree within the sum of
-    their err_est fields; the validation matrix enforces this.
-    """
+    """A computed integral value plus method tag and absolute error
+    estimate; a quadrature also reports how many subintervals it used.
+    A route whose estimate exceeds its bound raises AccuracyError instead.
+    The validation matrix checks each record against a fixed tolerance,
+    not err_est (0.0 on all but the two oracle headline records)."""
 
     value: XReal
     method: str
     err_est: float
     subdivisions: int | None = None
-    warnings: tuple = ()
 
     def __float__(self):
         return float(self.value)

@@ -6,7 +6,8 @@ Routes implemented for bigI_k(a) = int_0^inf Ai(x)/(x+a)^k dx:
 * ``small_a``  -- the generating-function expansion: bigI_n(a) =
   sum_i xi^(i)/i! I_{i-n}(a) + lambda^(i)/i! I'_{i-n}(a), with every
   incomplete Mellin transform reduced exactly onto {I_0, I_-1, I_-2,
-  Ai, Ai'}.  Excellent for a <= 4, still ~1e-10 at a ~ 12.
+  Ai, Ai'}.  err_est <= 1.0e-15 relative on (0, 4.5] for n = 1..6; 4.2e-2
+  at a = 12 (n = 1), whose value 0.02463 is 6% off the closed form's 0.02616.
 * ``closed_form`` -- the second-order ODE solution for bigI_1 propagated
   from initial data at a0, with the H+/H- hypergeometric antiderivatives
   (double-double mandatory: the homogeneous/particular split cancels
@@ -25,7 +26,6 @@ oracle in the validation matrix.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 
 from .airy import JPair, airy
@@ -40,7 +40,7 @@ from .ddreal import (
     PI,
     SQRT3,
 )
-from .errors import AccuracyWarning, DomainError, RangeError, StabilityError
+from .errors import AccuracyError, DomainError, RangeError, StabilityError
 from .kernel import (AI0, AIP0, alternating_series, compensated_sum, hyp,
                      ln_point, smalla_range_check, smalla_sum)
 from .mellin1 import PFQ_I0, PFQ_IM1, PFQ_IM2, base_values, xi_lambda_derivs
@@ -159,9 +159,9 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     """bigI_1(a) from initial data (bigI_1, bigI_2) at a0, by the
     variation-of-parameters solution of the inhomogeneous Airy ODE.
 
-    Double-double throughout; below 1e-6 of the largest intermediate the
-    result raises a cancellation warning and keeps it.  Within a request
-    scope each argument tuple is evaluated, and warns, once.
+    Double-double throughout; a value below 1e-6 of the largest
+    intermediate raises :class:`AccuracyError`.  Within a request scope
+    each argument tuple is evaluated once.
     """
     if not (0.0 < a <= CLOSED_MAX and 0.0 < a0 <= CLOSED_MAX):
         raise DomainError("closed form supports a, a0 in (0, 13]")
@@ -185,11 +185,11 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     # cancellation floor: pFq headroom ~ e^{(2/3)a^{3/2}} over 1e-32
     headroom = math.exp((2.0 / 3.0) * max(a, a0) ** 1.5)
     err = max(scale, headroom * 0.02) * 2e-31 + 1e-16 * abs(float(val))
-    warned = ()
     if abs(float(val)) < 1e-6 * scale:
-        warned = _warn_accuracy(
-            "bigI1_closed lost more than six digits to cancellation")
-    return TransformResult(val, "closed_form", err, warnings=warned)
+        raise AccuracyError(
+            "bigI1_closed lost more than six digits to cancellation",
+            best=val, err_est=err)
+    return TransformResult(val, "closed_form", err)
 
 
 @lru_cache(maxsize=4)
@@ -244,10 +244,11 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
     xi/lambda derivative ladders, truncated at i = n +
     :data:`~airylog.kernel.SMALLA_PAST_N` (ten triples past i = n).
 
-    Designed for n in [1, 6] and a <= 4, where ten triples already give
-    ~1e-12.  The ladders, base values and reduced transforms at a are
-    built once per process (:func:`_smalla_data`); the sum and its warning
-    (kept in the result) once per request scope, and per call outside one.
+    Designed for n in [1, 6] and a <= 4; err_est <= 1.0e-15 relative on
+    (0, 4.5], and one above 1e-6 |value| (from a = 8.5 for n = 1) raises
+    :class:`AccuracyError`.  The ladders, base values and reduced transforms
+    at a are built once per process (:func:`_smalla_data`); the sum once
+    per request scope, and per call outside one.
     """
     if n < 1 or n > 6:
         raise DomainError("bigI_smalla supports n in [1, 6]")
@@ -258,11 +259,11 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
     total, tail = smalla_sum((xs, ls), (base.I, base.Iprime), n)
     err = 10.0 * tail + 1e-15 * abs(total[0])
     val = XReal.from_pair(total)
-    warned = ()
-    if err > 1e-6 * max(1.0, abs(float(val))):
-        warned = _warn_accuracy(
-            f"bigI_smalla truncation estimate {err:.2e} is large")
-    return TransformResult(val, "small_a", err, warnings=warned)
+    if err > 1e-6 * abs(float(val)):
+        raise AccuracyError(
+            f"bigI_smalla truncation estimate {err:.2e} is large",
+            best=val, err_est=err)
+    return TransformResult(val, "small_a", err)
 
 
 # -- route dispatch and the series pipelines ----------------------------------
@@ -270,14 +271,6 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
 #: the TransformResult of each per-root value read in the process, by
 #: (a0, k, root magnitude); the first stored wins
 _VALUES: dict = {}
-
-
-def _warn_accuracy(*messages: str) -> tuple:
-    """Raise an AccuracyWarning for each message, and return the messages
-    for the result that the warning is about."""
-    for message in messages:
-        warnings.warn(message, AccuracyWarning, stacklevel=2)
-    return messages
 
 
 class StieltjesContext:
@@ -289,34 +282,27 @@ class StieltjesContext:
 
     Every result at a root magnitude is kept per process (:data:`_VALUES`),
     as are the routes' data at a point, so a second context on the same
-    roots computes nothing again.  A route raises its AccuracyWarnings as
-    it computes and keeps them in the result's ``warnings``, which each
-    other context raises again on its first read of a kept result.
+    roots computes nothing again.  A route that loses accuracy raises
+    :class:`AccuracyError`, so the memo holds only values.
     """
 
     def __init__(self, roots: RootTable):
         self.a0 = float(roots[1])
         if not self.a0 <= SMALLA_MAX:
             raise DomainError(f"the seeds need roots[1] <= {SMALLA_MAX:g}")
-        self._warned = set()
         self.I3_a0 = self._bigI(3, self.a0).value
         self.I4_a0 = self._bigI(4, self.a0).value
         self.I1_a0, self.I2_a0 = bigI_relations(self.a0, self.I3_a0,
                                                 self.I4_a0)
 
     def _bigI(self, k, a: float) -> TransformResult:
-        """bigI_k(a) by :meth:`_route`, kept if a is a root magnitude; a
-        kept result's warnings are raised on this context's first read."""
+        """bigI_k(a) by :meth:`_route`, kept if a is a root magnitude."""
         key = (self.a0, k, a)
         hit = _VALUES.get(key)
         if hit is None:
-            hit = self._route(k, a)  # the route raises its own warnings
+            hit = self._route(k, a)
             if is_root_magnitude(a):
                 hit = _VALUES.setdefault(key, hit)
-                self._warned.add(key)
-        elif key not in self._warned:
-            self._warned.add(key)
-            _warn_accuracy(*hit.warnings)
         return hit
 
     def _route(self, k, a: float) -> TransformResult:
@@ -336,7 +322,7 @@ class StieltjesContext:
             raise DomainError(f"no route for bigI_{k} at a = {a}")
         r = self._bigI(1, a)  # bigI_3 from bigI_1 by the ladder
         return TransformResult(bigI3_from_I1(a, r.value), "closed_form",
-                               r.err_est * a, warnings=r.warnings)
+                               r.err_est * a)
 
     def bigI1_closed(self, a: float) -> TransformResult:
         """bigI_1(a) by the closed form from this context's seeds at a0."""

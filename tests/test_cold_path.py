@@ -14,7 +14,6 @@ import os
 import subprocess
 import sys
 import threading
-import warnings
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,7 +22,7 @@ import pytest
 
 import airylog
 from airylog import oracle, stieltjes1, validate
-from airylog.errors import AccuracyWarning
+from airylog.errors import AccuracyError
 from airylog.results import per_request, request_scope, scope_dict
 from airylog.validate import run_validation
 
@@ -174,34 +173,23 @@ def test_a_warm_validation_evaluates_each_closed_form_once(monkeypatch):
     assert len(points) == len(set(points)), Counter(points).most_common(3)
 
 
-def test_small_a_warning_is_raised_once_and_kept_in_the_result():
-    message = "bigI_smalla truncation estimate 4.20e-02 is large"
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        result = stieltjes1.bigI_smalla(1, 12.0)
-    assert [(w.category, str(w.message)) for w in seen] == [
-        (AccuracyWarning, message)]
-    assert result.warnings == (message,)
+def test_a_small_a_sum_that_raises_is_computed_again_in_its_scope(
+        monkeypatch):
+    # a call that fails its accuracy check stores nothing: a repeat in the
+    # same request computes the sum and raises again
+    orders = []
+    real = stieltjes1.smalla_sum
 
+    def counted(*args):
+        orders.append(args[2])
+        return real(*args)
 
-def test_small_a_warns_once_per_request_and_on_every_call_outside_one():
-    message = "bigI_smalla truncation estimate 4.20e-02 is large"
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        with request_scope():
-            first = stieltjes1.bigI_smalla(1, 12.0)
-            assert stieltjes1.bigI_smalla(1, 12.0) is first
-        assert first.warnings == (message,)
-        assert [str(w.message) for w in seen] == [message]
-        with request_scope():  # the next request computes, and warns, again
-            again = stieltjes1.bigI_smalla(1, 12.0)
-        assert again is not first and again.warnings == (message,)
-        assert [str(w.message) for w in seen] == [message] * 2
-        outside = [stieltjes1.bigI_smalla(1, 12.0) for _ in range(2)]
-    assert outside[0] is not outside[1]
-    assert all(r.warnings == (message,) for r in outside)
-    assert [(w.category, str(w.message)) for w in seen] == [
-        (AccuracyWarning, message)] * 4
+    monkeypatch.setattr(stieltjes1, "smalla_sum", counted)
+    with request_scope():
+        for _ in range(2):
+            with pytest.raises(AccuracyError):
+                stieltjes1.bigI_smalla(1, 12.0)
+    assert orders == [1, 1]
 
 
 def test_a_warm_validation_computes_each_route_input_once(monkeypatch):

@@ -1,22 +1,18 @@
 """Each process computes every per-root quantity once: the pipelines that
 share a StieltjesContext or a J1Solution give the same numbers as with
 every memo cleared, the expensive per-root layers run once per distinct
-root, whatever the thread, only root magnitudes are kept, and a route's
-AccuracyWarning still reaches every context that reads the root, and no
-other warning is taken for it."""
+root, whatever the thread, and only root magnitudes are kept."""
 
-import dataclasses
 import importlib
 import sys
 import threading
-import warnings
 
 import pytest
 
 from airylog import roots as roots_module
 from airylog import mellin1, stieltjes1, stieltjes2, zeta
 from airylog.ddreal import XReal
-from airylog.errors import AccuracyWarning
+from airylog.errors import AccuracyError
 from airylog.results import TruncationConfig
 from airylog.roots import RootTable, roots_upto
 from airylog.stieltjes1 import (
@@ -216,73 +212,31 @@ def test_a_hand_built_table_leaves_the_zeta_memo_alone(monkeypatch):
     assert alone[0] == pytest.approx(0.94074, abs=1e-5)
 
 
-def test_route_warning_reaches_the_caller_once_per_context(monkeypatch):
+def test_a_route_that_raises_keeps_no_value(monkeypatch):
+    # an AccuracyError from the route at a root past CLOSED_MAX reaches
+    # the caller and leaves no _VALUES entry: the next read routes again
     asym = stieltjes1.bigI_asym
     calls = []
 
-    def warning_asym(k, a):
-        calls.append(a)
-        warned = stieltjes1._warn_accuracy(f"test warning at a={a}")
-        return dataclasses.replace(asym(k, a), warnings=warned)
+    def failing_asym(k, a):
+        calls.append((k, a))
+        raise AccuracyError(f"test failure at a={a}", best=XReal(0.0),
+                            err_est=1.0)
 
     _clear_memos(monkeypatch)
-    monkeypatch.setattr(stieltjes1, "bigI_asym", warning_asym)
-    roots = roots_upto(12)
-    ctx = StieltjesContext(roots)
-    with pytest.warns(AccuracyWarning):
-        first = integral1_series("eq3", 12, roots, ctx)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        again = integral1_series("eq3", 12, roots, ctx)
-    assert _pair(again) == _pair(first)
-    with pytest.warns(AccuracyWarning) as record:
-        integral1_series("eq3", 12, roots, StieltjesContext(roots))
-    # the second context is warned from the memo: the route ran once per root
-    deep = [float(roots[k]) for k in range(1, 13) if float(roots[k]) > CLOSED_MAX]
-    assert deep and calls == deep
-    assert [str(w.message) for w in record] == [f"test warning at a={a}"
-                                                for a in deep]
-
-
-def test_warnings_of_other_threads_stay_with_their_callers(monkeypatch):
-    # while one thread computes a memo entry, the warnings of another
-    # thread, from a direct route call or from elsewhere, reach that
-    # thread's caller; they are neither kept with the entry nor replayed
-    asym = stieltjes1.bigI_asym
-    inside, outside_done = threading.Event(), threading.Event()
-
-    def warning_asym(k, a):
-        warned = stieltjes1._warn_accuracy(f"route warning at a={a}")
-        if threading.current_thread() is filler:
-            inside.set()
-            assert outside_done.wait(timeout=60)
-        return dataclasses.replace(asym(k, a), warnings=warned)
-
-    _clear_memos(monkeypatch)
-    monkeypatch.setattr(stieltjes1, "bigI_asym", warning_asym)
+    monkeypatch.setattr(stieltjes1, "bigI_asym", failing_asym)
     roots = roots_upto(11)
     a = float(roots[11])
     assert a > CLOSED_MAX
-    filler = threading.Thread(target=lambda: StieltjesContext(roots).bigI3(a))
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        filler.start()
-        try:
-            assert inside.wait(timeout=60)
-            stieltjes1.bigI_asym(3, 20.0)
-            warnings.warn("elsewhere", RuntimeWarning)
-        finally:
-            outside_done.set()
-            filler.join(timeout=60)
-    assert not filler.is_alive()
-    assert sorted(str(w.message) for w in seen) == sorted(
-        ["route warning at a=20.0", "elsewhere", f"route warning at a={a}"])
-    entry = stieltjes1._VALUES[float(roots[1]), 3, a]
-    assert entry.warnings == (f"route warning at a={a}",)
-    with warnings.catch_warnings(record=True) as replay:
-        warnings.simplefilter("always")
-        StieltjesContext(roots).bigI3(a)
-    assert [str(w.message) for w in replay] == [f"route warning at a={a}"]
+    ctx = StieltjesContext(roots)
+    for _ in range(2):
+        with pytest.raises(AccuracyError):
+            ctx.bigI3(a)
+    assert calls == [(3, a)] * 2
+    assert (ctx.a0, 3, a) not in stieltjes1._VALUES
+    monkeypatch.setattr(stieltjes1, "bigI_asym", asym)
+    kept = ctx.bigI3(a)
+    assert stieltjes1._VALUES[ctx.a0, 3, a] is kept
 
 
 def test_small_a_seeds_evaluate_each_product_transform_once(monkeypatch):

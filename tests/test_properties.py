@@ -101,6 +101,19 @@ NAN_ROUTES = {
 }
 
 
+@given(st.integers(min_value=1, max_value=6),
+       st.floats(min_value=0.0, max_value=4.5, exclude_min=True))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_smalla_passes_its_accuracy_check_on_its_range(n, a):
+    # the check raises AccuracyError above 1e-6 relative; the estimate
+    # itself stays near 1e-15 relative up to a = 4.5
+    try:
+        r = bigI_smalla(n, a)
+    except RangeError:  # a power of a would leave the dd range
+        return
+    assert r.err_est <= 1e-14 * abs(float(r.value))
+
+
 @pytest.mark.parametrize("name", sorted(NAN_ROUTES))
 def test_nan_argument_raises_domain_error(name):
     # a NaN fails every comparison, so a check written as a <= 0 let it

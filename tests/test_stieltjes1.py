@@ -6,7 +6,7 @@ import math
 import pytest
 
 from airylog.ddreal import XReal
-from airylog.errors import DomainError, RangeError, StabilityError
+from airylog.errors import AccuracyError, DomainError, RangeError, StabilityError
 from airylog.kernel import AI0, AIP0
 from airylog.mellin2 import Jn_smalla
 from airylog.oracle import oracle_integral1, oracle_stieltjes
@@ -40,6 +40,29 @@ def ctx(roots):
 def test_smalla_ten_decimal_values(ctx):
     assert abs(float(ctx.I3_a0) - 0.1045955174) <= 1e-9
     assert abs(float(ctx.I4_a0) - 0.08085800094) <= 1e-9
+
+
+@pytest.mark.parametrize("n, a", [(1, 12.0), (6, 15.0)])
+def test_smalla_raises_past_its_range(n, a):
+    # the truncation check is relative: at (6, 15) the sum is -1.6e-8
+    # with err_est 5.1e-8, although every bigI_n(a) is positive
+    with pytest.raises(AccuracyError) as info:
+        bigI_smalla(n, a)
+    best, err = info.value.best, info.value.err_est
+    assert isinstance(best, XReal)
+    assert err > 1e-6 * abs(float(best)) > 0.0
+
+
+def test_closed_form_raises_on_cancellation(ctx, roots):
+    # the closed form is linear in the seed bigI_1(a0); the seed at which
+    # it vanishes at a = 8 leaves a value of about 6e-18
+    a0, I2 = float(roots[1]), ctx.I2_a0
+    v0, v1 = (float(bigI1_closed(8.0, a0, t, I2).value) for t in (0.0, 1.0))
+    with pytest.raises(AccuracyError) as info:
+        bigI1_closed(8.0, a0, -v0 / (v1 - v0), I2)
+    best, err = info.value.best, info.value.err_est
+    assert isinstance(best, XReal) and abs(float(best)) < 1e-15
+    assert err > 0.0
 
 
 def test_smalla_vs_oracle():
