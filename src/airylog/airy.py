@@ -20,7 +20,7 @@ evaluated once per point within a request scope
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ddreal import (
     XReal,
@@ -56,8 +56,7 @@ ASYM_MAX = 30.0
 _SERIES_CAP = 400
 
 
-@dataclass(frozen=True)
-class AiryState:
+class AiryState(NamedTuple):
     """Ai, Ai', Bi, Bi' bundled at a point.
 
     Wronskian identity: ai*bip - aip*bi = 1/pi, held to <= 1e-12 relative
@@ -73,8 +72,7 @@ class AiryState:
         return self.ai * self.bip - self.aip * self.bi
 
 
-@dataclass(frozen=True)
-class JPair:
+class JPair(NamedTuple):
     """The combinations sqrt(3)*Ai(-a) -/+ Bi(-a) and their derivatives.
 
     ``jminus/jplus`` hold sqrt(3)Ai(-a) -+ Bi(-a); the primed fields hold

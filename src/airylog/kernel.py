@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence, Union
 
 from .ddreal import (
@@ -54,7 +54,7 @@ from .ddreal import (
     SQRT3,
 )
 from .errors import ConvergenceError, DomainError, RangeError
-from .results import per_request
+from .results import frozen, per_request
 
 DEFAULT_MAX_TERMS = 10_000
 
@@ -283,7 +283,6 @@ _ratios = lru_cache(_Ratios)
 _EXTEND = threading.Lock()
 
 
-@dataclass(frozen=True)
 class HypSeries:
     """A pFq specification: numerator/denominator parameters and argument.
 
@@ -296,16 +295,29 @@ class HypSeries:
     by the parameters' hash, in a per-process cache; :meth:`at` shares them.
     """
 
-    a_params: tuple
-    b_params: tuple
-    z: Union[float, XReal]
+    __slots__ = ("a_params", "b_params", "z", "_ratios")
+    __setattr__ = __delattr__ = frozen
+    _key = property(attrgetter("a_params", "b_params", "z"))
 
-    def __post_init__(self):
+    def __init__(self, a_params: tuple, b_params: tuple,
+                 z: Union[float, XReal]):
         # shared by every series of this parameter set in the process
-        ratios = _ratios(self.a_params, self.b_params)
-        if ratios.unit_radius and abs(self.z) >= 1:
+        ratios = _ratios(a_params, b_params)
+        if ratios.unit_radius and abs(z) >= 1:
             raise DomainError("p = q + 1 series diverge for |z| >= 1")
-        object.__setattr__(self, "_ratios", ratios)
+        set_field = object.__setattr__
+        set_field(self, "a_params", a_params)
+        set_field(self, "b_params", b_params)
+        set_field(self, "z", z)
+        set_field(self, "_ratios", ratios)
+
+    def __eq__(self, other):
+        if type(other) is not HypSeries:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def at(self, z) -> "HypSeries":
         """This parameter set's series at z, checked as the constructor
@@ -313,7 +325,11 @@ class HypSeries:
         if self._ratios.unit_radius and abs(z) >= 1:
             raise DomainError("p = q + 1 series diverge for |z| >= 1")
         series = object.__new__(HypSeries)
-        series.__dict__.update(self.__dict__, z=z)
+        set_field = object.__setattr__
+        set_field(series, "a_params", self.a_params)
+        set_field(series, "b_params", self.b_params)
+        set_field(series, "z", z)
+        set_field(series, "_ratios", self._ratios)
         return series
 
 

@@ -20,9 +20,9 @@ Empty-sum convention: any family sum with a negative upper limit is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .airy import airy, scorer_gi
 from .ddreal import (
@@ -66,8 +66,7 @@ PFQ_IM2 = (hyp_params("-1/3", "2/3 2/3"), hyp_params("1 1", "2 2 7/3"))
 
 # -- polynomial ladders ------------------------------------------------------
 
-@dataclass(frozen=True)
-class PQPoly:
+class PQPoly(NamedTuple):
     """P_k, Q_k as integer coefficient lists (low power first)."""
 
     P: tuple
@@ -228,8 +227,7 @@ def Im2_hyp(a: float, tol: float) -> XReal:
 
 # -- exact reduction to the base set ----------------------------------------
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """I_m(a) = alpha I_0 + beta I_{-1} + gamma I_{-2} + u(a) Ai + v(a) Ai'
     with exact rational Laurent coefficients u, v (dicts power -> Fraction).
     """

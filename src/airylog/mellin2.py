@@ -23,9 +23,9 @@ adjudicates, see the discrepancy report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .airy import airy
 from .ddreal import (
@@ -73,8 +73,7 @@ L_CAL = -AAP * (Fraction(2, 3) * EULER_GAMMA + LN3 / 3)
 
 # -- polynomial ladders -------------------------------------------------------
 
-@dataclass(frozen=True)
-class PqrPoly:
+class PqrPoly(NamedTuple):
     """calI_n = p_n Ai^2 + q_n Ai'^2 + r_n Ai Ai' (Fraction coefficients)."""
 
     p: tuple
@@ -104,8 +103,7 @@ def pqr_row(n: int) -> PqrPoly:
     return PqrPoly(p, q, r)
 
 
-@dataclass(frozen=True)
-class PQRPoly2:
+class PQRPoly2(NamedTuple):
     """d^j Ai^2/dx^j = P_j Ai^2 + Q_j Ai'^2 + R_j Ai Ai' (integer polys)."""
 
     P: tuple

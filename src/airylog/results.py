@@ -11,13 +11,20 @@ from __future__ import annotations
 import contextvars
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 from .ddreal import XReal
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+def frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the slotted record types, whose
+    fields are set once, in ``__init__``: the per-process memos hand one
+    object to every caller."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class TransformResult:
     """A computed integral value plus method tag and absolute error
     estimate; a quadrature also reports how many subintervals it used.
@@ -25,17 +32,34 @@ class TransformResult:
     The validation matrix checks each record against a fixed tolerance,
     not err_est (0.0 on all but the two oracle headline records)."""
 
-    value: XReal
-    method: str
-    err_est: float
-    subdivisions: int | None = None
+    __slots__ = ("value", "method", "err_est", "subdivisions")
+    __setattr__ = __delattr__ = frozen
+    _key = property(attrgetter(*__slots__))
+
+    def __init__(self, value: XReal, method: str, err_est: float,
+                 subdivisions: int | None = None):
+        set_field = object.__setattr__
+        set_field(self, "value", value)
+        set_field(self, "method", method)
+        set_field(self, "err_est", err_est)
+        set_field(self, "subdivisions", subdivisions)
+
+    def __eq__(self, other):
+        if type(other) is not TransformResult:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "TransformResult(%r, %r, %r, %r)" % self._key
 
     def __float__(self):
         return float(self.value)
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One printed row: a binary64 value with its id, reference value,
     deviation from it and provenance.  Validation rows also carry a
     status and the tolerance that decided it."""
@@ -53,24 +77,35 @@ class Record:
     def row(self) -> dict:
         """The printed fields in order: all but ``tol``, and ``status``
         only when it is set."""
-        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row = self._asdict()
         del row["tol"]
         if self.status is None:
             del row["status"]
         return row
 
 
-@dataclass(frozen=True)
 class TruncationConfig:
     """Truncation orders for the accelerated pipelines: N explicit roots,
-    n terms of the tail power series."""
+    n terms of the tail power series, both integers."""
 
-    N: int
-    n: int
+    __slots__ = ("N", "n")
+    __setattr__ = __delattr__ = frozen
+    _key = property(attrgetter(*__slots__))
 
-    def __post_init__(self):
-        if self.N < 1 or self.n < 0:
-            raise DomainError("need N >= 1 and n >= 0")
+    def __init__(self, N: int, n: int):
+        if not (isinstance(N, int) and isinstance(n, int) and N >= 1
+                and n >= 0):
+            raise DomainError("need integers N >= 1 and n >= 0")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if type(other) is not TruncationConfig:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
 
 #: the memo of the request scope open in this thread, or None

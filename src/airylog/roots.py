@@ -25,12 +25,12 @@ import itertools
 import math
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .airy import airy, SERIES_MAX
 from .ddreal import XReal
 from .errors import DomainError, IterationError
+from .results import frozen
 
 #: t^-6 seed coefficient as printed in the source table ("paper" variant).
 T6_PAPER = Fraction(181228, 207360)
@@ -91,7 +91,6 @@ def refine_root(seed: float) -> XReal:
     return r
 
 
-@dataclass(frozen=True)
 class RootTable:
     """Ordered magnitudes of the zeros of Ai' with refinement metadata.
 
@@ -102,7 +101,19 @@ class RootTable:
     with every other table and must not be mutated.
     """
 
-    roots: tuple
+    __slots__ = ("roots",)
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, roots: tuple):
+        object.__setattr__(self, "roots", roots)
+
+    def __eq__(self, other):
+        if type(other) is not RootTable:
+            return NotImplemented
+        return self.roots == other.roots
+
+    def __hash__(self):
+        return hash(self.roots)
 
     @property
     def n_max(self) -> int:

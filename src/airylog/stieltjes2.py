@@ -26,9 +26,9 @@ agreement is part of the validation matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from .airy import airy
 from .ddreal import (
@@ -46,7 +46,7 @@ from .errors import DomainError
 from .kernel import (alternating_series, compensated_sum, hyp, hyp_params,
                      ln_point)
 from .mellin2 import A2, AAP, AP2, Jn_smalla
-from .results import TransformResult, TruncationConfig
+from .results import TransformResult, TruncationConfig, frozen
 from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
 
@@ -155,7 +155,6 @@ _ORACLE_SEEDS = {1.018792971647471: (XReal(0.04826441032408527),
                                      XReal(0.02879280176458774))}
 
 
-@dataclass(frozen=True)
 class J1Solution:
     """ODE solution data at anchor a0: constants, masters, seeds, and ln a0
     as a dd pair.
@@ -164,17 +163,26 @@ class J1Solution:
     source per process, which keeps the summand at each root magnitude, so
     each is computed once per process (at other points, on every call)."""
 
-    a0: float
-    c1: XReal
-    c2: XReal
-    c3: XReal
-    masters_a0: tuple
-    J1_a0: XReal
-    J2_a0: XReal
-    J3_a0: XReal
-    ln_a0: tuple
-    _summands: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    __slots__ = ("a0", "c1", "c2", "c3", "masters_a0", "J1_a0", "J2_a0",
+                 "J3_a0", "ln_a0", "_summands")
+    __setattr__ = __delattr__ = frozen
+    #: the summand memo is no part of a solution's value
+    _key = property(attrgetter(*__slots__[:-1]))
+
+    def __init__(self, a0: float, c1: XReal, c2: XReal, c3: XReal,
+                 masters_a0: tuple, J1_a0: XReal, J2_a0: XReal, J3_a0: XReal,
+                 ln_a0: tuple):
+        for name, value in zip(self.__slots__, (
+                a0, c1, c2, c3, masters_a0, J1_a0, J2_a0, J3_a0, ln_a0, {})):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not J1Solution:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @classmethod
     def build(cls, a0: float, seed_source: str = "oracle") -> "J1Solution":

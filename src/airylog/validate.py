@@ -13,8 +13,8 @@ nonzero so the condition is visible).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .airy import airy
 from .kernel import AI0, AIP0, ETA
@@ -58,8 +58,7 @@ TABLE1 = (
 )
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     id: str
     location: str
     printed: str

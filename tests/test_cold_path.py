@@ -53,6 +53,7 @@ UNLOADED = ["scipy.integrate", "scipy.optimize", "scipy.sparse",
 
 COLD = """
 import contextlib, io, json, sys
+before = set(sys.modules)  # site may have loaded modules of its own
 from airylog.cli import main
 
 state = {}
@@ -61,6 +62,8 @@ for argv in %r:
         code = main(argv)
     state[" ".join(argv)] = [code, bool(out.getvalue()),
                              sorted({"scipy", "numpy"} & set(sys.modules))]
+state["record machinery"] = sorted({"dataclasses", "inspect"}
+                                   & (set(sys.modules) - before))
 
 from airylog.oracle import _scipy, oracle_mellin
 value = float(oracle_mellin("AiAiP", -1, 1.0))
@@ -103,6 +106,9 @@ def test_analytic_commands_never_import_scipy():
     for argv in ANALYTIC:
         command = " ".join(argv)
         assert state[command] == [0, True, []], (command, state[command])
+    # the record types are declared without dataclasses, which would load
+    # inspect, ast, dis and tokenize into every cold command
+    assert state["record machinery"] == []
     # the first quadrature loads scipy and gives the eager import's value
     assert state["oracle_mellin"] == ["-0.0069664329596629245", True]
     # validate and a transform leave scipy's package initialisers unrun;

@@ -262,19 +262,24 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     assert not unset, unset
 
 
-def _value_dataclasses(source: str, name: str) -> list:
-    """Classes decorated with ``dataclass`` that declare a ``value``
-    field."""
+def _value_classes(source: str, name: str) -> list:
+    """Classes that declare a ``value`` field: by an annotation in the
+    class body (a dataclass or ``NamedTuple`` field) or in ``__slots__``."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
             continue
-        decorators = {getattr(getattr(d, "func", d), "id", None)
-                      for d in node.decorator_list}
-        fields = {stmt.target.id for stmt in node.body
-                  if isinstance(stmt, ast.AnnAssign)
-                  and isinstance(stmt.target, ast.Name)}
-        if "dataclass" in decorators and "value" in fields:
+        fields = set()
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
+                                                              ast.Name):
+                fields.add(stmt.target.id)
+            elif isinstance(stmt, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__"
+                    for t in stmt.targets):
+                fields |= {c.value for c in ast.walk(stmt.value)
+                           if isinstance(c, ast.Constant)}
+        if "value" in fields:
             out.append(f"{name}:{node.lineno} {node.name}")
     return out
 
@@ -284,10 +289,15 @@ def test_value_carrying_dataclasses_live_in_results():
     # Record; a new result shape belongs beside them or not at all
     sample = ("@dataclass(frozen=True)\nclass A:\n    value: float\n"
               "@dataclass\nclass B:\n    k: int\n"
-              "class C:\n    value: float\n")
-    assert _value_dataclasses(sample, "s") == ["s:2 A"]
+              "class C:\n    value: float\n"
+              "class D(NamedTuple):\n    id: str\n    value: float\n"
+              "class E:\n    __slots__ = ('value', 'err_est')\n"
+              "class F:\n    __slots__ = ('values',)\n"
+              "    value = property(lambda self: self.values[0])\n")
+    assert _value_classes(sample, "s") == [
+        "s:2 A", "s:7 C", "s:9 D", "s:12 E"]
     found = [c for p in sorted(SRC.glob("*.py"))
-             for c in _value_dataclasses(p.read_text(encoding="utf-8"), p.name)]
+             for c in _value_classes(p.read_text(encoding="utf-8"), p.name)]
     assert found
     assert all(c.startswith("results.py:") for c in found), found
 

@@ -4,16 +4,21 @@ every memo cleared, the expensive per-root layers run once per distinct
 root, whatever the thread, and only root magnitudes are kept."""
 
 import importlib
+import inspect
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
 from airylog import roots as roots_module
 from airylog import mellin1, stieltjes1, stieltjes2, zeta
+from airylog.airy import AiryState, JPair
 from airylog.ddreal import XReal
 from airylog.errors import AccuracyError
-from airylog.results import TruncationConfig
+from airylog.kernel import HypSeries, hyp_params
+from airylog.mellin1 import PQPoly, Reduction
+from airylog.results import Record, TransformResult, TruncationConfig
 from airylog.roots import RootTable, roots_upto
 from airylog.stieltjes1 import (
     CLOSED_MAX,
@@ -28,6 +33,7 @@ from airylog.stieltjes2 import (
     integral2_accelerated,
     integral2_series,
 )
+from airylog.validate import Discrepancy
 
 #: the module; the package attribute of the same name is its function
 mellin2 = importlib.import_module("airylog.mellin2")
@@ -310,3 +316,53 @@ def test_threads_share_the_memos(monkeypatch):
     assert results == [serial] * 4
     # the memos the threads left behind give the serial values too
     assert {req: _request(*req) for req in reqs} == serial
+
+
+def _x(*values):
+    return tuple(map(XReal, values))
+
+
+#: each record type with two argument tuples that differ in one field; the
+#: memos hand one object to every caller, so none may be changed in place
+RECORDS = [
+    (AiryState, _x(1.0, 2.0, 3.0, 4.0), _x(1.0, 2.0, 3.0, 5.0)),
+    (JPair, _x(1.0, 2.0, 3.0, 4.0), _x(0.5, 2.0, 3.0, 4.0)),
+    (HypSeries, ((Fraction(1),), (Fraction(2), Fraction(3)), 0.5),
+     ((Fraction(1),), (Fraction(2), Fraction(3)), 0.25)),
+    (PQPoly, ((0, 1), (1,)), ((0, 1), (2,))),
+    (Reduction, (Fraction(2), Fraction(0), Fraction(1), {0: Fraction(4)}, {}),
+     (Fraction(2), Fraction(0), Fraction(1), {0: Fraction(3)}, {})),
+    (mellin2.PqrPoly, ((Fraction(-1, 2),), (0,), (0,)),
+     ((Fraction(1, 2),), (0,), (0,))),
+    (mellin2.PQRPoly2, ((1,), (0,), (0,)), ((1,), (0,), (1,))),
+    (TransformResult, (XReal(0.5), "closed_form", 1e-30),
+     (XReal(0.5), "closed_form", 1e-30, 7)),
+    (Record, ("root.1", "newton", 1.0), ("root.1", "newton", 1.0, 0.0)),
+    (TruncationConfig, (10, 3), (10, 4)),
+    (RootTable, (_x(1.0, 3.0),), (_x(1.0),)),
+    (J1Solution, (1.0, *_x(1.0, 2.0, 3.0), ((1.0, 0.0),), *_x(4.0, 5.0, 6.0),
+                  (0.0, 0.0)),
+     (1.0, *_x(1.0, 2.0, 3.0), ((1.0, 0.0),), *_x(4.0, 5.0, 6.5),
+      (0.0, 0.0))),
+    (Discrepancy, ("id", "here", "printed", "adjudicated", "resolution"),
+     ("id", "here", "printed", "adjudicated", "resolved")),
+]
+
+
+@pytest.mark.parametrize("cls, args, other", RECORDS,
+                         ids=[case[0].__name__ for case in RECORDS])
+def test_records_are_immutable_values(cls, args, other):
+    first, second = cls(*args), cls(*args)
+    for name in inspect.signature(cls).parameters:
+        with pytest.raises(AttributeError):
+            setattr(first, name, getattr(second, name))
+        with pytest.raises(AttributeError):
+            delattr(first, name)
+    assert first == second and first != cls(*other)
+    if cls is not Reduction:  # its Laurent coefficients are dicts
+        assert hash(first) == hash(second)
+    if cls is J1Solution:  # the summand memo is no part of the value
+        first._summands[1.0] = XReal(0.25)
+        assert first == second and hash(first) == hash(second)
+    if cls is HypSeries:  # a series re-pointed at z equals one built there
+        assert hyp_params("1", "2 3").at(0.5) == first

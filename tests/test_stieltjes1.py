@@ -257,6 +257,13 @@ def test_domain_errors(ctx, roots):
         TruncationConfig(0, 3)
 
 
+@pytest.mark.parametrize("N, n", [(10.5, 3), (math.nan, 3), (10, 2.5)])
+def test_truncation_orders_must_be_integers(ctx, roots, N, n):
+    # these passed the range check and died in zeta_incomplete's range()
+    with pytest.raises(DomainError):
+        integral1_accelerated(TruncationConfig(N, n), roots, ctx)
+
+
 @pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
 def test_context_routes_reject_nonpositive_a(ctx, a):
     # 0 and -1 reached the small-a route's base values with I_{-1}, I_{-2}
