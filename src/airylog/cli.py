@@ -19,7 +19,7 @@ import sys
 from .errors import (AccuracyError, ConvergenceError, DependencyError,
                      DomainError, IterationError, RangeError, StabilityError)
 from .mellin1 import mellin_closed, mellin_family, mellin_prime
-from .mellin2 import Jn_smalla, calI, calI_bform, mellin2
+from .mellin2 import J_SMALLA_A_MAX, Jn_smalla, calI, calI_bform, mellin2
 from .oracle import oracle_mellin, oracle_stieltjes
 from .results import Record, TruncationConfig, request_scope
 from .roots import NEWTON_TOL, roots_upto
@@ -142,7 +142,7 @@ def cmd_transform(args) -> int:
                 and SOLVE_J1_A[0] <= a <= SOLVE_J1_A[1]:
             sol = J1Solution.build(float(roots_upto(1)[1]))
             add(solve_J1(a, sol))
-        if weight == "Ai2" and 1 <= idx <= 6 and a <= SMALLA_MAX \
+        if weight == "Ai2" and 1 <= idx <= 6 and a <= J_SMALLA_A_MAX[idx] \
                 and methods in ("all", "small_a"):
             add(Jn_smalla(idx, a))
     else:

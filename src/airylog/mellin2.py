@@ -186,6 +186,10 @@ NEG_A_MAX = 4.75
 
 _IRREDUCIBLE_A_MAX = {"i": 8.0, "iprime": NEG_A_MAX, "calI": 8.0}
 
+#: largest a of Jn_smalla by order n: up to it the error stays below half
+#: of err_est (30-digit quadrature), except n = 1's, 2.0 err_est at 3.75
+J_SMALLA_A_MAX = {1: 4.0, 2: 2.15, 3: 2.2, 4: 1.8, 5: 1.65, 6: 1.85}
+
 
 def irreducible_neg1(a: float, which: str) -> XReal:
     """The three irreducible 1/x transforms:
@@ -489,15 +493,17 @@ def Jn_smalla(n: int, a: float) -> TransformResult:
         J_n = sum_{i>=0} [Xi^(i) i_{i-n} + Lam^(i) i'_{i-n}
                           + rho^(i) calI_{i-n}]/i!
 
-    Designed for n in [1, 6], a <= 4; the sum runs to i = n +
-    :data:`~airylog.kernel.SMALLA_PAST_N` (ten triples past i = n).  The
-    ladders and base values at a are built once per process
-    (:func:`_J_smalla_data`); the sum is redone on every call.
+    For n in [1, 6] up to a = J_SMALLA_A_MAX[n], and RangeError beyond;
+    the sum runs to i = n + :data:`~airylog.kernel.SMALLA_PAST_N` (ten
+    triples past i = n).  The ladders and base values at a are built once
+    per process (:func:`_J_smalla_data`); the sum is redone on every call.
     """
     if not 1 <= n <= 6:
         raise DomainError("Jn_smalla supports n in [1, 6]")
     if not a > 0.0:
         raise DomainError("Jn_smalla needs a > 0")
+    if a > J_SMALLA_A_MAX[n]:
+        raise RangeError(f"Jn_smalla({n}, a) needs a <= {J_SMALLA_A_MAX[n]}")
     smalla_range_check("Jn_smalla", n, a)
     (Xi, Lam, Rho), base = _J_smalla_data(float(a))
     total, tail = smalla_sum((Xi, Lam, Rho),

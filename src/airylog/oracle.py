@@ -12,9 +12,9 @@ cross-checked against scipy directly in the test suite).
 
 scipy is loaded on the first quadrature, not with this module: no other
 part of airylog needs it, so the analytic commands never load it, and
-without it a quadrature raises :class:`DependencyError`.  Only the two
-extension modules holding QAGSE and ``airy`` are loaded: 0.13 s in a fresh
-process, where importing scipy.integrate and scipy.special took 0.63 s.
+without it a quadrature raises :class:`DependencyError`.  It loads scipy,
+numpy and the two extension modules holding QAGSE and ``airy``: 0.09 s in
+a fresh process with one BLAS thread (0.15 s with a thread per core).
 
 Results are deterministic for fixed inputs.  Each integrand reads its
 Airy weights, Python floats, from one dict of nodes: within a request
@@ -42,25 +42,31 @@ _QUAD_LIMIT = 2000
 def _scipy() -> tuple:
     """(QUADPACK's ``_qagse``, the ``airy`` ufunc) from scipy's extension
     files, or from ``sys.modules`` where scipy has loaded them already;
-    ``scipy.special.airy`` is this ufunc."""
+    ``scipy.special.airy`` is this ufunc.  Neither calls BLAS, so a numpy
+    first loaded here starts OpenBLAS with one thread for the process,
+    unless a thread count is set; ``os.environ`` is restored after."""
     import os
     import sys
-    from importlib.machinery import EXTENSION_SUFFIXES
-    from importlib.util import module_from_spec, spec_from_file_location
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec
+    if single := "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS",
+            "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import scipy
     except ImportError as exc:
         raise DependencyError("the quadrature oracle needs scipy "
                               "(pip install 'airylog[oracle]')") from exc
+    finally:
+        if single:  # another thread's first call may have removed it
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
     found = []
     for name, attr in (("scipy.integrate._quadpack", "_qagse"),
                        ("scipy.special._special_ufuncs", "airy")):
         module = sys.modules.get(name)
-        stem = os.path.join(scipy.__path__[0], *name.split(".")[1:])
-        paths = [stem + suffix for suffix in EXTENSION_SUFFIXES
-                 if os.path.isfile(stem + suffix)]
-        if module is None and paths:
-            spec = spec_from_file_location(name, paths[0])
+        spec = PathFinder.find_spec(name, [os.path.join(
+            scipy.__path__[0], name.split(".")[1])])
+        if module is None and spec is not None:
             module = sys.modules[name] = module_from_spec(spec)
             spec.loader.exec_module(module)
         if not hasattr(module, attr):

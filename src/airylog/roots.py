@@ -125,9 +125,12 @@ class RootTable:
 
     def __getitem__(self, n: int) -> XReal:
         """1-based access: table[n] is |a_n'|."""
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"root index {n} outside 1..{self.n_max}")
-        return self.roots[n - 1]
+        try:
+            if 1 <= n <= self.n_max:
+                return self.roots[n - 1]
+        except TypeError:  # n is not an integer
+            raise DomainError(f"root index {n!r} is not an integer") from None
+        raise IndexError(f"root index {n} outside 1..{self.n_max}")
 
 
 #: Every root magnitude computed so far in this process, |a_n'| at index
@@ -153,8 +156,8 @@ def roots_upto(N: int) -> RootTable:
     """Table of the first N root magnitudes, 1 <= N <= 500, sliced from
     the process-wide table (extended first if it holds fewer than N)."""
     global _ROOTS
-    if not 1 <= N <= 500:
-        raise DomainError("roots_upto supports 1 <= N <= 500")
+    if not (isinstance(N, int) and 1 <= N <= 500):
+        raise DomainError("roots_upto supports integers 1 <= N <= 500")
     roots = _ROOTS
     if len(roots) < N:
         with _EXTEND:

@@ -93,10 +93,10 @@ def zeta_incomplete(k: int, N: int, roots: RootTable) -> XReal:
     the process-wide table (tables from :func:`roots_upto` share its
     objects, which the tuple comparison matches by identity); any other
     table is raised to -k on every call."""
-    if k < 2:
-        raise DomainError("zeta sums need k >= 2")
-    if N < 0:
-        raise DomainError("N must be >= 0")
+    if not (isinstance(k, int) and k >= 2):
+        raise DomainError("zeta sums need an integer k >= 2")
+    if not (isinstance(N, int) and N >= 0):
+        raise DomainError("N must be an integer >= 0")
     if N > roots.n_max:
         raise DomainError(f"root table holds {roots.n_max} roots, need {N}")
     table = roots.roots[:N]

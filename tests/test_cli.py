@@ -130,6 +130,20 @@ def test_a_below_a_routes_range_is_a_config_error(capsys):
     assert (code, capsys.readouterr().out) == (2, "")
 
 
+def test_stieltjes_ai2_prints_small_a_only_inside_its_range(capsys):
+    # past J_SMALLA_A_MAX[6] = 1.85 the small-a row printed 9.77418234053e-06
+    # with err_est 9.8e-20 beside the oracle's 9.77418233685e-06
+    def methods(k, a, method):
+        code, out = run(["transform", "--kind", "stieltjes-ai2", "--k", k,
+                         "--a", a, "--method", method, "--format", "json"],
+                        capsys)
+        return code, [row["method"] for row in json.loads(out or "[]")]
+
+    assert methods("6", "4.0", "all") == (0, ["oracle"])
+    assert methods("6", "4.0", "small_a") == (2, [])
+    assert methods("6", "1.85", "small_a") == (0, ["small_a"])
+
+
 def test_nonpositive_root_count_is_a_config_error(capsys):
     # these printed value 0 and exited 0
     for args in (["--route", "eq3", "--N", "-5"], ["--route", "eq8", "--N", "0"]):

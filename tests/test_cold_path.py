@@ -74,6 +74,14 @@ for argv in %r:
 state["oracle modules"] = sorted(set(%r) & set(sys.modules))
 import scipy.integrate, scipy.special
 state["airy is scipy.special.airy"] = _scipy()[1] is scipy.special.airy
+# the first panel of oracle_stieltjes("Ai", 1, 1.0), as quad and the oracle
+# integrate it
+f = lambda x: float(scipy.special.airy(x)[0]) / (x + 1.0)
+v, e, info = scipy.integrate.quad(f, 0.0, 1.0, epsabs=1e-12 / 4, epsrel=1e-12,
+                                  limit=2000, full_output=True)
+panel = _scipy()[0](f, 0.0, 1.0, (), 1, 1e-12 / 4, 1e-12, 2000)
+state["quad panel"] = [v.hex(), e.hex(), info["last"]]
+state["oracle panel"] = [panel[0].hex(), panel[1].hex(), panel[2]["last"]]
 print(json.dumps(state))
 """ % (ANALYTIC, ORACLE, LOADED + UNLOADED)
 
@@ -93,8 +101,40 @@ print(json.dumps(state))
 """
 
 
-def _run(script, *args):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+#: the variables by which OpenBLAS takes its thread count
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+#: one oracle transform after importing the modules named in argv, with
+#: every write of a BLAS_THREADS variable to the process environment
+#: recorded (numpy's import writes OPENBLAS_MAIN_FREE of its own)
+ORACLE_ENV = """
+import contextlib, io, json, os, sys
+for name in sys.argv[1:]:
+    __import__(name)
+written = []
+for fn in ("putenv", "unsetenv"):
+    def spy(key, *value, _real=getattr(os, fn)):
+        if os.fsdecode(key) in %r:
+            written.append(os.fsdecode(key))
+        _real(key, *value)
+    setattr(os, fn, spy)
+before = dict(os.environ)
+from airylog.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(%r)
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as status:
+        threads = int(status.read().split("Threads:")[1].split()[0])
+print(json.dumps({"code": code, "written": written, "threads": threads,
+                  "environ unchanged": dict(os.environ) == before,
+                  "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "modules": sorted(set(%r) & set(sys.modules))}))
+""" % (BLAS_THREADS, ORACLE[1] + ["--method", "oracle"], LOADED + UNLOADED)
+
+
+def _run(script, *args, env=None):
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -115,6 +155,44 @@ def test_analytic_commands_never_import_scipy():
     # scipy.special, imported after, reuses the loaded airy ufunc
     assert state["oracle modules"] == LOADED
     assert state["airy is scipy.special.airy"] is True
+    # scipy.integrate.quad, imported after, reproduces an oracle panel
+    assert state["quad panel"] == state["oracle panel"]
+
+
+def _oracle_transform(*preload, **blas_threads):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    return _run(ORACLE_ENV, *preload, env=dict(env, **blas_threads))
+
+
+def test_the_oracle_loads_numpy_with_one_blas_thread():
+    state = _oracle_transform()
+    assert state["code"] == 0
+    # set for the load and removed after it, so the caller's environment
+    # and its child processes see no change
+    assert state["written"] == ["OPENBLAS_NUM_THREADS"] * 2
+    assert state["environ unchanged"] is True
+    assert state["OPENBLAS_NUM_THREADS"] is None
+    assert state["modules"] == LOADED
+    if not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2:
+        pytest.skip("counts OpenBLAS threads on Linux with 2 or more cores")
+    assert state["threads"] == 1  # 2 when OpenBLAS started its pool
+
+
+@pytest.mark.parametrize("name", BLAS_THREADS)
+def test_a_blas_thread_count_the_caller_set_is_kept(name):
+    state = _oracle_transform(**{name: "2"})
+    assert state["code"] == 0
+    assert state["written"] == []
+    assert state["environ unchanged"] is True
+    assert state["OPENBLAS_NUM_THREADS"] == ("2" if name == BLAS_THREADS[0]
+                                             else None)
+
+
+def test_the_oracle_leaves_the_environment_alone_after_numpy():
+    state = _oracle_transform("numpy")
+    assert state["code"] == 0
+    assert state["written"] == []
+    assert state["environ unchanged"] is True
 
 
 def test_without_scipy_the_oracle_commands_exit_2():

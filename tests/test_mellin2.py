@@ -13,6 +13,7 @@ from airylog.mellin2 import (
     A2,
     AAP,
     AP2,
+    J_SMALLA_A_MAX,
     NEG_A_MAX,
     Jn_smalla,
     calI,
@@ -350,6 +351,38 @@ def test_Jn_smalla_vs_oracle_elsewhere():
         mine = float(Jn_smalla(n, a).value)
         orc = oracle_stieltjes("Ai2", n, a).value
         assert abs(mine - orc) <= 1e-9 * max(1.0, abs(orc))
+
+
+#: (n, a, 30-digit mpmath 1.3.0 quadrature of J_n(a) at mp.dps = 60,
+#:   mp.quad(lambda x: airyai(x)**2 / (x + a)**n,
+#:           [0, 0.5, 2, 4, 8, 15, 30, mp.inf]),
+#: measured error / err_est): inside the range and at each order's limit
+J_REFS = (
+    (4, 1.0, "0.0249316185374472882710101799974", 0.0054),
+    (4, 1.8, "0.00326412236060745048096835690301", 0.36),
+    (5, 0.5, "0.404606199721275142716488501148", 1.1e-5),
+    (5, 1.65, "0.00235529504229926267460206763144", 0.43),
+    (6, 1.0, "0.0182925621254941421372403596472", 0.0019),
+    (6, 1.85, "0.000683408040005086244577049075152", 0.38),
+)
+
+
+def test_Jn_smalla_meets_its_err_est_up_to_its_limit():
+    for n, a, ref, measured in J_REFS:
+        r = Jn_smalla(n, a)
+        ratio = abs(Fr(r.value.hi) + Fr(r.value.lo) - Fr(ref)) / Fr(r.err_est)
+        assert ratio <= 1.1 * measured, (n, a, float(ratio))
+        assert a <= J_SMALLA_A_MAX[n]
+
+
+def test_Jn_smalla_raises_past_its_limit():
+    # these returned values 19 to 5.6e5 times their err_est off a 30-digit
+    # quadrature, e.g. (6, 4.0) 3.8e-10 relative with err_est 1e-14
+    for n, a in ((6, 4.0), (4, 4.5), (6, 3.0), (5, 2.0), (4, 1.85),
+                 (5, 1.7), (6, 1.9), (3, 2.25), (2, 2.2), (1, 4.05)):
+        assert a > J_SMALLA_A_MAX[n]
+        with pytest.raises(RangeError):
+            Jn_smalla(n, a)
 
 
 def test_domain_errors():

@@ -88,6 +88,18 @@ def test_domain_errors():
         roots_upto(501)
 
 
+def test_a_non_integer_root_count_or_index_is_a_domain_error():
+    # these raised a bare TypeError from the tuple index or slice
+    with pytest.raises(DomainError):
+        roots_upto(2.5)
+    table = roots_upto(5)
+    for n in (2.0, 2.5, "2"):
+        with pytest.raises(DomainError):
+            table[n]
+    with pytest.raises(IndexError):
+        table[6.0]
+
+
 def _pairs(roots):
     return [(r.hi, r.lo) for r in roots]
 

@@ -79,6 +79,15 @@ def test_domain_errors(roots):
         zeta_incomplete(3, 101, roots)
 
 
+def test_non_integer_orders_are_domain_errors(roots):
+    # N = 3.5 raised a bare TypeError from the slice; k = 4.0 read the
+    # memoised powers of k = 4, or raised one from dd_powi
+    zeta_incomplete(4, 3, roots)
+    for k, N in ((4, 3.5), (4.0, 3), (4.5, 3)):
+        with pytest.raises(DomainError):
+            zeta_incomplete(k, N, roots)
+
+
 def test_zeta_tail_is_the_compensated_sum_of_the_gaps(roots):
     coeffs = [1.5, -0.25, 3.0]
     gaps = [c * (zeta_closed(4 + k) - zeta_incomplete(4 + k, 37, roots))
