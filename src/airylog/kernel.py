@@ -36,7 +36,6 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 from typing import Sequence, Union
 
 from .ddreal import (
@@ -54,7 +53,7 @@ from .ddreal import (
     SQRT3,
 )
 from .errors import ConvergenceError, DomainError, RangeError
-from .results import frozen, per_request
+from .results import Frozen, per_request
 
 DEFAULT_MAX_TERMS = 10_000
 
@@ -108,9 +107,13 @@ def alternating_series(coeffs: Sequence[float], a: float,
     such a term rounds each of the three back to itself, and every later
     kept term is no larger, so the full list would give the same bits.
     Such a term is below 2^-54 times the magnitude total, so ``err`` is
-    then 2^-52 times that total either way.
+    then 2^-52 times that total either way.  Raises RangeError where
+    a^-p overflows.
     """
-    apow = a ** float(-p)
+    try:
+        apow = a ** float(-p)
+    except OverflowError:
+        raise RangeError(f"a^{-p} overflows binary64 at a = {a!r}") from None
     best = math.inf
     s = comp = magnitude = 0.0
     sign = 1.0
@@ -135,12 +138,13 @@ def alternating_series(coeffs: Sequence[float], a: float,
     return XReal(s, comp), max(best, 2.0 ** -52 * magnitude)
 
 
-def smalla_range_check(name: str, n: int, a: float) -> None:
-    """Raise RangeError where the small-a expansion of order n would leave
-    the double-double range: it forms powers of a down to a^-(n-1) (a^-1
-    for n = 1), and the Dekker split of a product overflows past 2^996.
-    So a^(n-1) (a for n = 1) must be at least 2^-960."""
-    floor = 2.0 ** (-960.0 / max(n - 1, 1))
+def power_range_check(name: str, n: int, a: float, power: int) -> None:
+    """Raise RangeError where a route of order n that forms powers of a down
+    to a^-power (none for power <= 0) would leave the double-double range:
+    a Dekker split overflows past 2^996, so a^power must be >= 2^-960.  The
+    small-a expansions form powers down to a^-(n-1) (a^-1 for n = 1), the
+    Mellin reductions of order n < 0 down to a^(n+1), held to a^|n|."""
+    floor = 2.0 ** (-960.0 / power) if power > 0 else 0.0
     if a < floor:
         raise RangeError(f"{name} of order {n} supports only a >= {floor:.3g}")
 
@@ -283,7 +287,7 @@ _ratios = lru_cache(_Ratios)
 _EXTEND = threading.Lock()
 
 
-class HypSeries:
+class HypSeries(Frozen):
     """A pFq specification: numerator/denominator parameters and argument.
 
     Denominator parameters must avoid non-positive integers.  The series is
@@ -296,8 +300,6 @@ class HypSeries:
     """
 
     __slots__ = ("a_params", "b_params", "z", "_ratios")
-    __setattr__ = __delattr__ = frozen
-    _key = property(attrgetter("a_params", "b_params", "z"))
 
     def __init__(self, a_params: tuple, b_params: tuple,
                  z: Union[float, XReal]):
@@ -305,19 +307,7 @@ class HypSeries:
         ratios = _ratios(a_params, b_params)
         if ratios.unit_radius and abs(z) >= 1:
             raise DomainError("p = q + 1 series diverge for |z| >= 1")
-        set_field = object.__setattr__
-        set_field(self, "a_params", a_params)
-        set_field(self, "b_params", b_params)
-        set_field(self, "z", z)
-        set_field(self, "_ratios", ratios)
-
-    def __eq__(self, other):
-        if type(other) is not HypSeries:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        super().__init__(a_params, b_params, z, ratios)
 
     def at(self, z) -> "HypSeries":
         """This parameter set's series at z, checked as the constructor
@@ -325,11 +315,7 @@ class HypSeries:
         if self._ratios.unit_radius and abs(z) >= 1:
             raise DomainError("p = q + 1 series diverge for |z| >= 1")
         series = object.__new__(HypSeries)
-        set_field = object.__setattr__
-        set_field(series, "a_params", self.a_params)
-        set_field(series, "b_params", self.b_params)
-        set_field(series, "z", z)
-        set_field(series, "_ratios", self._ratios)
+        Frozen.__init__(series, self.a_params, self.b_params, z, self._ratios)
         return series
 
 

@@ -54,6 +54,7 @@ from .kernel import (
     poly_eval_dd,
     poly_scale,
     poly_shift,
+    power_range_check,
 )
 from .results import TransformResult, per_request
 
@@ -452,6 +453,7 @@ def _base(name: str, n: int, a: float) -> BaseValues:
         raise DomainError(f"{name} supports -60 <= n <= 80")
     if not a > 0.0:
         raise DomainError(f"{name} needs a > 0")
+    power_range_check(name, n, a, -n)
     return base_values(a, 1e-18)
 
 

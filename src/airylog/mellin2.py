@@ -53,7 +53,7 @@ from .kernel import (
     poly_eval_dd,
     poly_scale,
     poly_shift,
-    smalla_range_check,
+    power_range_check,
     smalla_sum,
 )
 from .mellin1 import genfunc_lambda, genfunc_xi, xi_lambda_derivs
@@ -432,6 +432,7 @@ def _check_range(name: str, n: int, a: float) -> None:
         raise DomainError(f"{name} supports 0 < a <= 13")
     if n < 0 and a > NEG_A_MAX:
         raise RangeError(f"{name} with n < 0 supports only a <= {NEG_A_MAX}")
+    power_range_check(name, n, a, -n)
 
 
 def calI(n: int, a: float) -> TransformResult:
@@ -504,7 +505,7 @@ def Jn_smalla(n: int, a: float) -> TransformResult:
         raise DomainError("Jn_smalla needs a > 0")
     if a > J_SMALLA_A_MAX[n]:
         raise RangeError(f"Jn_smalla({n}, a) needs a <= {J_SMALLA_A_MAX[n]}")
-    smalla_range_check("Jn_smalla", n, a)
+    power_range_check("Jn_smalla", n, a, max(n - 1, 1))
     (Xi, Lam, Rho), base = _J_smalla_data(float(a))
     total, tail = smalla_sum((Xi, Lam, Rho),
                              (base.i_n, base.ip_n, base.calI), n)

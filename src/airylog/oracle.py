@@ -29,7 +29,7 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from .errors import AccuracyError, DependencyError, DomainError
+from .errors import AccuracyError, DependencyError, DomainError, RangeError
 from .ddreal import XReal
 from .results import TransformResult, per_request, scope_dict
 
@@ -108,9 +108,10 @@ def integrate_halfline(
 
     Requires the integrand to decay at least like a negative power past
     ``split``; Airy-weighted integrands decay exponentially and the tail
-    panel converges in a handful of subdivisions.  Raises
-    :class:`AccuracyError` if the combined error estimate exceeds ``tol``
-    by more than two orders of magnitude, or is NaN.  The result's
+    panel converges in a handful of subdivisions.  Raises RangeError if
+    the integrand overflows or divides by zero or the total is infinite,
+    and AccuracyError if the combined error estimate exceeds ``tol`` by
+    more than two orders of magnitude, or is NaN.  The result's
     ``subdivisions`` counts the subintervals of all panels.
     """
     qagse = _scipy()[0]
@@ -118,22 +119,28 @@ def integrate_halfline(
     edges = [0.0] + pts + [split]
     # tail: x = split + sinh(u); du-integrand decays at least as fast as f
     tail = lambda u: f(split + math.sinh(u)) * math.cosh(u)
-    upper = 1.0
-    while upper < 12.0 and abs(tail(upper)) > 1e-18:
-        upper += 1.0
     total = 0.0
     err = 0.0
     neval = 0
     panels = [(f, a, b) for a, b in zip(edges[:-1], edges[1:])]
-    for g, a, b in panels + [(tail, 0.0, upper)]:
-        # as scipy.integrate.quad(g, a, b, epsabs=tol / 4, epsrel=tol,
-        # limit=_QUAD_LIMIT, full_output=True) calls it
-        v, e, info, ier = qagse(g, a, b, (), 1, tol / 4, tol, _QUAD_LIMIT)
-        if ier == 6:
-            raise ValueError(f"QUADPACK rejected tol={tol!r}")
-        total += v
-        err += e
-        neval += info["last"]
+    try:
+        upper = 1.0
+        while upper < 12.0 and abs(tail(upper)) > 1e-18:
+            upper += 1.0
+        for g, a, b in panels + [(tail, 0.0, upper)]:
+            # as scipy.integrate.quad(g, a, b, epsabs=tol / 4, epsrel=tol,
+            # limit=_QUAD_LIMIT, full_output=True) calls it
+            v, e, info, ier = qagse(g, a, b, (), 1, tol / 4, tol, _QUAD_LIMIT)
+            if ier == 6:
+                raise ValueError(f"QUADPACK rejected tol={tol!r}")
+            total += v
+            err += e
+            neval += info["last"]
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise RangeError("the integrand leaves the binary64 range "
+                         f"({type(exc).__name__})") from exc
+    if abs(total) == math.inf:
+        raise RangeError("the integral exceeds the binary64 range")
     if not err <= 100.0 * tol * max(1.0, abs(total)):
         raise AccuracyError("halfline quadrature missed tolerance",
                             best=total, err_est=err)

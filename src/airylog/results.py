@@ -1,6 +1,7 @@
 """The two shapes every number takes: a route's :class:`TransformResult`
-and the CLI's printed :class:`Record`; and the request scope, in which
-each per-point evaluation is made once.
+and the CLI's printed :class:`Record`; :class:`Frozen`, the base of the
+slotted value types; and the request scope, in which each per-point
+evaluation is made once.
 
 A route result holds a double-double value and its error estimate; a
 printed row holds a binary64 value plus its id and provenance.
@@ -11,21 +12,45 @@ from __future__ import annotations
 import contextvars
 import functools
 from contextlib import contextmanager
-from operator import attrgetter
 from typing import NamedTuple
 
 from .ddreal import XReal
 from .errors import DomainError
 
 
-def frozen(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of the slotted record types, whose
-    fields are set once, in ``__init__``: the per-process memos hand one
-    object to every caller."""
-    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+class Frozen:
+    """Base of the slotted value types: each subclass's ``__init__`` sets
+    its fields once, through this one, as the per-process memos hand one
+    object to every caller.  A value compares, hashes and prints by its
+    fields; a slot named ``_...`` holds a cache, no part of the value."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__slots__ if n[0] != "_")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
 
 
-class TransformResult:
+class TransformResult(Frozen):
     """A computed integral value plus method tag and absolute error
     estimate; a quadrature also reports how many subintervals it used.
     A route whose estimate exceeds its bound raises AccuracyError instead.
@@ -33,27 +58,10 @@ class TransformResult:
     not err_est (0.0 on all but the two oracle headline records)."""
 
     __slots__ = ("value", "method", "err_est", "subdivisions")
-    __setattr__ = __delattr__ = frozen
-    _key = property(attrgetter(*__slots__))
 
     def __init__(self, value: XReal, method: str, err_est: float,
                  subdivisions: int | None = None):
-        set_field = object.__setattr__
-        set_field(self, "value", value)
-        set_field(self, "method", method)
-        set_field(self, "err_est", err_est)
-        set_field(self, "subdivisions", subdivisions)
-
-    def __eq__(self, other):
-        if type(other) is not TransformResult:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return "TransformResult(%r, %r, %r, %r)" % self._key
+        super().__init__(value, method, err_est, subdivisions)
 
     def __float__(self):
         return float(self.value)
@@ -84,28 +92,17 @@ class Record(NamedTuple):
         return row
 
 
-class TruncationConfig:
+class TruncationConfig(Frozen):
     """Truncation orders for the accelerated pipelines: N explicit roots,
     n terms of the tail power series, both integers."""
 
     __slots__ = ("N", "n")
-    __setattr__ = __delattr__ = frozen
-    _key = property(attrgetter(*__slots__))
 
     def __init__(self, N: int, n: int):
         if not (isinstance(N, int) and isinstance(n, int) and N >= 1
                 and n >= 0):
             raise DomainError("need integers N >= 1 and n >= 0")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        if type(other) is not TruncationConfig:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        super().__init__(N, n)
 
 
 #: the memo of the request scope open in this thread, or None

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .airy import airy, SERIES_MAX
 from .ddreal import XReal
 from .errors import DomainError, IterationError
-from .results import frozen
+from .results import Frozen
 
 #: t^-6 seed coefficient as printed in the source table ("paper" variant).
 T6_PAPER = Fraction(181228, 207360)
@@ -91,7 +91,7 @@ def refine_root(seed: float) -> XReal:
     return r
 
 
-class RootTable:
+class RootTable(Frozen):
     """Ordered magnitudes of the zeros of Ai' with refinement metadata.
 
     Roots 1..``refined_upto`` lie inside the Airy series range and are
@@ -102,18 +102,9 @@ class RootTable:
     """
 
     __slots__ = ("roots",)
-    __setattr__ = __delattr__ = frozen
 
     def __init__(self, roots: tuple):
-        object.__setattr__(self, "roots", roots)
-
-    def __eq__(self, other):
-        if type(other) is not RootTable:
-            return NotImplemented
-        return self.roots == other.roots
-
-    def __hash__(self):
-        return hash(self.roots)
+        super().__init__(roots)
 
     @property
     def n_max(self) -> int:

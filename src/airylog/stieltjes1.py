@@ -42,7 +42,7 @@ from .ddreal import (
 )
 from .errors import AccuracyError, DomainError, RangeError, StabilityError
 from .kernel import (AI0, AIP0, alternating_series, compensated_sum, hyp,
-                     ln_point, smalla_range_check, smalla_sum)
+                     ln_point, power_range_check, smalla_sum)
 from .mellin1 import PFQ_I0, PFQ_IM1, PFQ_IM2, base_values, xi_lambda_derivs
 from .results import TransformResult, TruncationConfig, per_request
 from .roots import RootTable, is_root_magnitude
@@ -254,7 +254,7 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
         raise DomainError("bigI_smalla supports n in [1, 6]")
     if not a > 0.0:
         raise DomainError("bigI_smalla needs a > 0")
-    smalla_range_check("bigI_smalla", n, a)
+    power_range_check("bigI_smalla", n, a, max(n - 1, 1))
     (xs, ls), base = _smalla_data(float(a))
     total, tail = smalla_sum((xs, ls), (base.I, base.Iprime), n)
     err = 10.0 * tail + 1e-15 * abs(total[0])

@@ -19,8 +19,11 @@ term of the mixed j-bracket, the asymptotic summand coefficient -6/7 vs
 -3/7) are catalogued in the discrepancy report.
 
 Per-root evaluation switches from the closed form to the moment
-(asymptotic) series at a = 11, where both routes hold ~1e-11; the overlap
-agreement is part of the validation matrix.
+(asymptotic) series at a = 11.  Against 40-digit quadrature, with the
+oracle seeds, the closed form's relative error at roots 6 to 9 (a = 8.49,
+9.54, 10.53, 11.48) is 1.3e-12, 1.9e-12, 3.2e-12 and 1.9e-10, the moment
+series' 2.0e-13, 1.8e-15, 1.3e-16 and 1.6e-16.  The overlap agreement is
+part of the validation matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 
 from .airy import airy
 from .ddreal import (
@@ -46,7 +48,7 @@ from .errors import DomainError
 from .kernel import (alternating_series, compensated_sum, hyp, hyp_params,
                      ln_point)
 from .mellin2 import A2, AAP, AP2, Jn_smalla
-from .results import TransformResult, TruncationConfig, frozen
+from .results import Frozen, TransformResult, TruncationConfig
 from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
 
@@ -155,7 +157,7 @@ _ORACLE_SEEDS = {1.018792971647471: (XReal(0.04826441032408527),
                                      XReal(0.02879280176458774))}
 
 
-class J1Solution:
+class J1Solution(Frozen):
     """ODE solution data at anchor a0: constants, masters, seeds, and ln a0
     as a dd pair.
 
@@ -165,24 +167,13 @@ class J1Solution:
 
     __slots__ = ("a0", "c1", "c2", "c3", "masters_a0", "J1_a0", "J2_a0",
                  "J3_a0", "ln_a0", "_summands")
-    __setattr__ = __delattr__ = frozen
-    #: the summand memo is no part of a solution's value
-    _key = property(attrgetter(*__slots__[:-1]))
 
     def __init__(self, a0: float, c1: XReal, c2: XReal, c3: XReal,
                  masters_a0: tuple, J1_a0: XReal, J2_a0: XReal, J3_a0: XReal,
                  ln_a0: tuple):
-        for name, value in zip(self.__slots__, (
-                a0, c1, c2, c3, masters_a0, J1_a0, J2_a0, J3_a0, ln_a0, {})):
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if type(other) is not J1Solution:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        # _summands starts empty: the summand memo, no part of the value
+        super().__init__(a0, c1, c2, c3, masters_a0, J1_a0, J2_a0, J3_a0,
+                         ln_a0, {})
 
     @classmethod
     def build(cls, a0: float, seed_source: str = "oracle") -> "J1Solution":
@@ -328,8 +319,8 @@ def _bigJ_asym_coeffs() -> tuple:
 
 def bigJ_asym(a: float) -> TransformResult:
     """Summand by the moment series
-    sum_j (-1)^j [j(j+1)/2 mu_j - 2 mu_{j+3}] a^{-2-j}; ~1e-12 relative
-    already at a ~ 8 and machine-level beyond 12 (see
+    sum_j (-1)^j [j(j+1)/2 mu_j - 2 mu_{j+3}] a^{-2-j}; 2.0e-13 relative
+    at a = 8.49, 1.8e-15 at 9.54 and 1.3e-16 at 10.53 (see
     :func:`alternating_series` for the error estimate)."""
     if not a > 0.0:
         raise DomainError("bigJ_asym needs a > 0")
@@ -359,8 +350,8 @@ def J_recurrences(n: int, a: float, J, Jp) -> dict:
 # -- pipeline --------------------------------------------------------------------
 
 def bigJ_term(k: int, roots: RootTable, sol: J1Solution) -> XReal:
-    """Summand at the k-th root; closed form for magnitudes <= 11,
-    moment series beyond (both ~1e-11 in the overlap)."""
+    """Summand at the k-th root; closed form for magnitudes <= 11 (3.2e-12
+    relative at root 8), moment series beyond (1.6e-16 at root 9)."""
     return sol.summand(float(roots[k]))
 
 

@@ -302,6 +302,46 @@ def test_value_carrying_dataclasses_live_in_results():
     assert all(c.startswith("results.py:") for c in found), found
 
 
+#: the methods that make a class a value: set once, compared and hashed by
+#: its fields; :class:`airylog.results.Frozen` defines them for every value
+#: type, which subclasses it
+VALUE_METHODS = ("__setattr__", "__delattr__", "__eq__", "__hash__")
+#: classes outside results.py that define a VALUE_METHODS name, and why
+VALUE_METHODS_ALLOWED = {
+    "ddreal.py XReal": "a number, not a record: it compares and hashes by "
+                       "the exact value it represents, as the equal float, "
+                       "int or Fraction does",
+}
+
+
+def _value_method_classes(source: str, name: str) -> list:
+    """Classes of ``source`` that define a VALUE_METHODS name in their
+    body, by ``def`` or by assignment."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            defined = [getattr(t, "id", None)
+                       for t in getattr(stmt, "targets", ())]
+            defined.append(getattr(stmt, "name", None))
+            if set(defined) & set(VALUE_METHODS):
+                out.add(f"{name} {node.name}")
+    return sorted(out)
+
+
+def test_value_methods_live_in_results():
+    sample = ("class A:\n    def __eq__(self, o):\n        return True\n"
+              "class B:\n    __setattr__ = __delattr__ = f\n"
+              "class C(A):\n    def __repr__(self):\n        return 'c'\n"
+              "class D:\n    __slots__ = ('x',)\n")
+    assert _value_method_classes(sample, "s") == ["s A", "s B"]
+    found = {c for p in sorted(SRC.glob("*.py")) if p.name != "results.py"
+             for c in _value_method_classes(p.read_text(encoding="utf-8"),
+                                            p.name)}
+    assert found == set(VALUE_METHODS_ALLOWED), found
+
+
 #: the loops outside ``ddreal`` that write its error-free transforms out,
 #: which the pFq and Maclaurin sums' share of a request's time pays for;
 #: another write-out comes with its own end-to-end gain

@@ -123,6 +123,43 @@ def test_nan_integrand_fails_the_accuracy_gate():
         integrate_halfline(lambda x: math.nan)
 
 
+@pytest.mark.parametrize("f", [
+    lambda x: math.exp(1e3 - x),
+    lambda x: 1.0 / (x - x),
+    lambda x: math.inf,
+], ids=["OverflowError", "ZeroDivisionError", "infinite-total"])
+def test_a_range_failure_of_the_integrand_raises_range_error(f):
+    # QUADPACK passes the exception a callback raises back to the caller
+    from airylog.errors import RangeError
+
+    with pytest.raises(RangeError):
+        integrate_halfline(f)
+
+
+#: transform commands whose oracle integrand leaves the binary64 range, by
+#: an exception (the first five) or with an infinite total (the last two)
+RANGE_FAILURES = [
+    "--kind mellin-ai --n 140 --a 1",
+    "--kind stieltjes-ai --k 200 --a 0.001",
+    "--kind stieltjes-ai2 --k 400 --a 0.5",
+    "--kind stieltjes-ai --k 2 --a 1e200",
+    "--kind mellin-aip --n -300 --a 0.01",
+    "--kind stieltjes-ai2 --k 31 --a 1e-10",
+    "--kind stieltjes-aip2 --k 9 --a 1e-35",
+]
+
+
+@pytest.mark.parametrize("args", RANGE_FAILURES)
+def test_an_oracle_range_failure_is_a_configuration_error(args, capsys):
+    from airylog.cli import main
+
+    argv = ["transform", *args.split(), "--method", "oracle",
+            "--format", "json"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error:")
+
+
 #: (value, err_est, subdivisions) of four oracle calls as ``float.hex``:
 #: a Mellin transform through its x <= 0 branch (a = 0, n = 0), one with a
 #: negative power, a squared-weight Stieltjes transform and the J summand.

@@ -1,12 +1,16 @@
 """Property-based checks across modules."""
 
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from airylog.airy import JPair, airy, scorer_gi
+from airylog.cli import _TRANSFORMS, main
 from airylog.errors import DomainError, RangeError
 from airylog.kernel import compensated_sum, pochhammer
 from airylog.mellin1 import mellin_closed, mellin_prime
@@ -188,3 +192,23 @@ def test_I3_small_a_and_ladder_agree_within_their_errors():
     points = [4.0 + 0.02 * i for i in range(1, 26)]
     assert [a for a in points
             if not _agree(bigI_smalla(3, a), CTX.bigI3(a))] == []
+
+
+@given(st.sampled_from(sorted(_TRANSFORMS)), st.integers(-70, 130),
+       st.sampled_from((1.0, -1.0)), st.floats(-322.0, 300.0),
+       st.sampled_from(("closed_form", "small_a", "asymptotic")))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_transform_exits_with_a_code_and_finite_values(kind, order, sign, u,
+                                                       method):
+    # routes once returned NaN with exit 0, or crashed with a bare
+    # OverflowError or ZeroDivisionError, at the edges of the binary64 range
+    flag = "--k" if kind.startswith("stieltjes") else "--n"
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["transform", "--kind", kind, flag, str(order),
+                     "--a", repr(sign * 10.0 ** u), "--method", method,
+                     "--format", "json"])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert all(math.isfinite(row["value"])
+                   for row in json.loads(out.getvalue()))
