@@ -8,10 +8,10 @@ The hot primitives (``dd_add``, ``dd_mul``, ``dd_mul_f``, ``dd_div_f``,
 ``dd_sqr``) write these transforms out in their bodies, with the same IEEE
 operations in the same order, so no intermediate tuple is built; the
 ``_two_sum`` / ``_quick_two_sum`` helpers serve the cold paths only.  The
-loops of :func:`dd_exp`, ``kernel.hyp_pfq`` (its rows split by
-``kernel._Ratios.extend``) and ``airy._fg_series``, which hold most of a
-request's time, write these primitives out with the same operations and
-hoist the :func:`dd_split` of a factor the loop keeps; no other loop does.
+pFq and Maclaurin sums (``kernel.hyp_pfq``, its rows split by
+``kernel._Ratios.extend``, and ``airy._fg_series``), a request's largest dd
+cost, write these primitives out with the same operations and hoist the
+:func:`dd_split` of a factor the loop keeps; every other loop calls them.
 
 Two layers are exposed:
 
@@ -192,9 +192,6 @@ _EXP_COEFFS = 26  # Taylor terms after range reduction; |r| <= ln2/2
 #: below this, 2**k < 2**-968 puts the low part of exp(a) among the
 #: subnormals, whose spacing 2**-1074 is then coarser than 2**-106 of it
 _EXP_MIN = -671.0
-#: the Taylor divisors i = 1 .. _EXP_COEFFS - 1 with their Dekker splits
-_EXP_DIVISORS = tuple((float(i), *dd_split(float(i)))
-                      for i in range(1, _EXP_COEFFS))
 
 
 def dd_exp(a):
@@ -205,51 +202,17 @@ def dd_exp(a):
                          f"a >= {_EXP_MIN:g}")
     k = round((a[0] + a[1]) / _LN2[0])
     r = dd_add_f(dd_add_f(a, -k * _LN2_CW[0]), -k * _LN2_CW[1])
-    r0, r1 = dd_sub(r, dd_mul_f((_LN2_CW[2], 0.0), float(k)))
-    # Taylor sum of exp(r), |r| <= ~0.347: term <- dd_div_f(dd_mul(term, r),
-    # i), total <- dd_add(total, term), written out with r's split hoisted
-    rh, rl = dd_split(r0)
-    t0, t1 = 1.0, 0.0  # the term
-    s0, s1 = 1.0, 0.0  # the total
-    for d, dh, dl in _EXP_DIVISORS:
-        # dd_mul(term, r)
-        p = t0 * r0
-        c = SPLITTER * t0
-        hi = c - (c - t0)
-        lo = t0 - hi
-        e = ((hi * rh - p) + hi * rl + lo * rh) + lo * rl + (t0 * r1 + t1 * r0)
-        t0 = p + e
-        t1 = e - (t0 - p)
-        # dd_div_f(term, d): q = t0 / d, then dd_add(term, -q d) / d
-        q = t0 / d
-        p = q * d
-        c = SPLITTER * q
-        hi = c - (c - q)
-        lo = q - hi
-        e = ((hi * dh - p) + hi * dl + lo * dh) + lo * dl
-        x, y = t0 - p, t1 - e
-        bx, by = x - t0, y - t1
-        f = (t1 - (y - by)) + (-e - by)
-        e = (t0 - (x - bx)) + (-p - bx) + y
-        u = x + e
-        e = e - (u - x) + f
-        x = u + e
-        q2 = (x + (e - (x - u))) / d
-        t0 = q + q2
-        t1 = q2 - (t0 - q)
-        # dd_add(total, term)
-        x, y = s0 + t0, s1 + t1
-        bx, by = x - s0, y - s1
-        e = (s0 - (x - bx)) + (t0 - bx) + y
-        u = x + e
-        e = e - (u - x) + ((s1 - (y - by)) + (t1 - by))
-        s0 = u + e
-        s1 = e - (s0 - u)
-        if abs(t0) < 1e-36 * abs(s0):
+    r = dd_sub(r, dd_mul_f((_LN2_CW[2], 0.0), float(k)))
+    # Taylor sum of exp(r), |r| <= ~0.347
+    term = total = (1.0, 0.0)
+    for i in range(1, _EXP_COEFFS):
+        term = dd_div_f(dd_mul(term, r), float(i))
+        total = dd_add(total, term)
+        if abs(term[0]) < 1e-36 * abs(total[0]):
             break
     if k > 996:  # dd_mul_f would overflow splitting 2**k: scale each part
-        return math.ldexp(s0, k), math.ldexp(s1, k)
-    return dd_mul_f((s0, s1), math.ldexp(1.0, k))  # scaling by 2**k is exact
+        return math.ldexp(total[0], k), math.ldexp(total[1], k)
+    return dd_mul_f(total, math.ldexp(1.0, k))  # scaling by 2**k is exact
 
 
 def dd_ln(a):

@@ -75,19 +75,12 @@ def compensated_sum(terms: Sequence) -> XReal:
     Error <= 2 ulp of the exact sum for up to 1e6 terms; XReal inputs
     contribute both components, high first.
     """
-    s = 0.0
-    comp = 0.0
+    s = comp = 0.0
     for t in terms:
-        if isinstance(t, XReal):
-            for x in (t.hi, t.lo):
-                total = s + x
-                comp += (s - total) + x if abs(s) >= abs(x) else (x - total) + s
-                s = total
-            continue
-        x = float(t)
-        total = s + x
-        comp += (s - total) + x if abs(s) >= abs(x) else (x - total) + s
-        s = total
+        for x in (t.hi, t.lo) if isinstance(t, XReal) else (float(t),):
+            total = s + x
+            comp += (s - total) + x if abs(s) >= abs(x) else (x - total) + s
+            s = total
     return XReal(s, comp)
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 
 from .errors import AccuracyError, DependencyError, DomainError, RangeError
 from .ddreal import XReal
-from .results import TransformResult, per_request, scope_dict
+from .results import TransformResult, per_request
 
 DEFAULT_SPLIT = 20.0
 DEFAULT_TOL = 1e-12
@@ -81,12 +81,14 @@ _STIELTJES_WEIGHTS = {"Ai": 0, "Ai2": 2, "AiP2": 3, "AiAiP": 4}
 _MELLIN_WEIGHTS = dict(_STIELTJES_WEIGHTS, AiP=1)
 
 
+@per_request
 def _nodes() -> tuple:
-    """(nodes, fill): x -> (Ai, Ai', Ai**2, Ai'**2, Ai Ai') at x as floats,
-    and fill(x), which adds x from scipy's Airy tuple; an integrand reads a
-    node as ``nodes.get(x) or fill(x)``, since no weight tuple is empty."""
+    """(nodes, fill), made once per request scope: x -> (Ai, Ai', Ai**2,
+    Ai'**2, Ai Ai') at x as floats, and fill(x), which adds x from scipy's
+    Airy tuple; integrands read ``nodes.get(x) or fill(x)``, as no weight
+    tuple is empty."""
     airy = _scipy()[1]
-    nodes = scope_dict(_nodes)
+    nodes = {}
 
     def fill(x: float) -> tuple:
         s = airy(x)

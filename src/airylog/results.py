@@ -144,9 +144,3 @@ def per_request(fn):
 
     return scoped
 
-
-def scope_dict(key) -> dict:
-    """The open request scope's dict for ``key`` (made on first use and
-    dropped with the scope), or a fresh dict outside a scope."""
-    memo = _SCOPE.get()
-    return {} if memo is None else memo.setdefault(key, {})

@@ -23,7 +23,7 @@ import pytest
 import airylog
 from airylog import oracle, stieltjes1, validate
 from airylog.errors import AccuracyError
-from airylog.results import per_request, request_scope, scope_dict
+from airylog.results import per_request, request_scope
 from airylog.validate import run_validation
 
 #: the modules; the package attributes of these names are functions
@@ -351,14 +351,14 @@ def _counted_run(seen) -> dict:
 def test_validation_evaluates_each_point_once(evaluations, monkeypatch):
     run_validation()  # fills the per-process root and anchor memos
     opened = []  # (node dict, its size) each time an oracle call takes it
-    scope_dict = oracle.scope_dict
+    nodes_of = oracle._nodes
 
-    def recorded(key):
-        nodes = scope_dict(key)
+    def recorded():
+        nodes, fill = nodes_of()
         opened.append((nodes, len(nodes)))
-        return nodes
+        return nodes, fill
 
-    monkeypatch.setattr(oracle, "scope_dict", recorded)
+    monkeypatch.setattr(oracle, "_nodes", recorded)
     first = _counted_run(evaluations)
     for kind, (count, distinct) in first.items():
         assert count == distinct, (kind, Counter(evaluations[kind])
@@ -391,16 +391,15 @@ def test_airy_computes_on_every_call_outside_a_scope(evaluations):
     assert evaluations["airy"] == [1.5, 1.5, 12.0, 12.0, 1.5]
 
 
-def test_a_scope_dict_is_shared_within_a_scope_only():
-    assert scope_dict("k") is not scope_dict("k")
-    with request_scope():
-        shared = scope_dict("k")
-        shared[1.0] = (1.0,)
+def test_the_oracle_nodes_are_shared_within_a_scope_only():
+    assert oracle._nodes()[0] is not oracle._nodes()[0]
+    with request_scope():  # one node dict and one fill per scope
+        pair = oracle._nodes()
+        pair[1](1.0)
         with request_scope():  # a nested opening joins the open scope
-            assert scope_dict("k") is shared
-        assert scope_dict("other") == {}
+            assert oracle._nodes() is pair and 1.0 in pair[0]
     with request_scope():
-        assert scope_dict("k") == {}
+        assert oracle._nodes()[0] == {}
 
 
 def test_a_scoped_call_that_raises_stores_nothing():

@@ -346,14 +346,19 @@ def test_value_methods_live_in_results():
 #: which the pFq and Maclaurin sums' share of a request's time pays for;
 #: another write-out comes with its own end-to-end gain
 WRITTEN_OUT = ("kernel.hyp_pfq", "kernel._Ratios.extend", "airy._fg_series")
+#: the ``ddreal`` primitives, the only functions there that split a float;
+#: every other one, ``dd_exp``'s Taylor loop included, calls them
+PRIMITIVES = ("ddreal.dd_split", "ddreal.dd_mul", "ddreal.dd_mul_f",
+              "ddreal.dd_div_f", "ddreal.dd_sqr")
 #: the names a written-out dd step uses
 DD_STEPS = ("SPLITTER", "dd_split")
 
 
 def _dd_step_uses(source: str, name: str) -> list:
     """Functions and methods of ``source`` (qualified by the module
-    ``name``) that mention a DD_STEPS name, as a name or an attribute; an
-    import mentions nothing, a module-level use counts as the module's."""
+    ``name``) that read a DD_STEPS name, as a name or an attribute; an
+    import or an assignment reads nothing, a module-level read counts as
+    the module's."""
     out = set()
 
     def visit(node, scope):
@@ -361,7 +366,8 @@ def _dd_step_uses(source: str, name: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, (ast.Name, ast.Attribute)) and getattr(
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(
+                    child.ctx, ast.Load) and getattr(
                     child, "id", getattr(child, "attr", None)) in DD_STEPS:
                 out.add(scope)
             visit(child, scope)
@@ -377,9 +383,10 @@ def test_only_the_hot_loops_write_dd_steps_out():
               "    return h()\n"
               "def k(x):\n    '''no dd_split here'''\n    return x\n")
     assert _dd_step_uses(sample, "m") == ["m", "m.C.f", "m.g.h"]
-    found = [u for p in sorted(SRC.glob("*.py")) if p.name != "ddreal.py"
+    assert _dd_step_uses("SPLITTER = 2.0 ** 27 + 1\n", "m") == []
+    found = [u for p in sorted(SRC.glob("*.py"))
              for u in _dd_step_uses(p.read_text(encoding="utf-8"), p.stem)]
-    assert sorted(found) == sorted(WRITTEN_OUT), found
+    assert sorted(found) == sorted(WRITTEN_OUT + PRIMITIVES), found
 
 
 #: packages only the oracle's quadrature needs, imported inside functions
