@@ -19,14 +19,14 @@ import sys
 from .errors import (AccuracyError, ConvergenceError, DependencyError,
                      DomainError, IterationError, RangeError, StabilityError)
 from .mellin1 import mellin_closed, mellin_family, mellin_prime
-from .mellin2 import J_SMALLA_A_MAX, Jn_smalla, calI, calI_bform, mellin2
+from .mellin2 import J_SMALLA, Jn_smalla, calI, calI_bform, mellin2
 from .oracle import oracle_mellin, oracle_stieltjes
-from .results import Record, TruncationConfig, request_scope
+from .results import Domain, Record, TruncationConfig, request_scope
 from .roots import NEWTON_TOL, roots_upto
 from .stieltjes1 import (
-    CLOSED_MAX,
-    CLOSED_MIN,
-    SMALLA_MAX,
+    ASYMPTOTIC,
+    CLOSED,
+    SMALLA,
     StieltjesContext,
     bigI_asym,
     bigI_smalla,
@@ -34,7 +34,7 @@ from .stieltjes1 import (
     integral1_series,
 )
 from .stieltjes2 import (
-    SOLVE_J1_A,
+    J1_CLOSED,
     J1Solution,
     integral2_accelerated,
     integral2_series,
@@ -97,15 +97,28 @@ def cmd_zeta(args) -> int:
     return 0
 
 
+#: each kind's weight, family and routes in print order, as (``--method``
+#: name, domain, route(index, a)); a Mellin route refuses what it does not
+#: take, and "family" and "bform" print only with ``--method all``
 _TRANSFORMS = {
-    "stieltjes-ai": ("Ai", "stieltjes"),
-    "stieltjes-ai2": ("Ai2", "stieltjes"),
-    "stieltjes-aip2": ("AiP2", "stieltjes"),
-    "mellin-ai": ("Ai", "mellin"),
-    "mellin-aip": ("AiP", "mellin"),
-    "mellin-ai2": ("Ai2", "mellin"),
-    "mellin-aip2": ("AiP2", "mellin"),
-    "mellin-aiaip": ("AiAiP", "mellin"),
+    "stieltjes-ai": ("Ai", "stieltjes", (
+        ("small_a", SMALLA, bigI_smalla),
+        ("closed_form", CLOSED,
+         lambda k, a: StieltjesContext(roots_upto(1)).bigI1_closed(a)),
+        ("asymptotic", ASYMPTOTIC, bigI_asym))),
+    "stieltjes-ai2": ("Ai2", "stieltjes", (
+        ("closed_form", J1_CLOSED,
+         lambda k, a: solve_J1(a, J1Solution.build(float(roots_upto(1)[1])))),
+        ("small_a", J_SMALLA, Jn_smalla))),
+    "stieltjes-aip2": ("AiP2", "stieltjes", ()),
+    "mellin-ai": ("Ai", "mellin", (("closed_form", Domain(), mellin_closed),
+                                   ("family", Domain(k_lo=0), mellin_family))),
+    "mellin-aip": ("AiP", "mellin", (("closed_form", Domain(), mellin_prime),)),
+    "mellin-ai2": ("Ai2", "mellin", (("closed_form", Domain(), mellin2),)),
+    "mellin-aip2": ("AiP2", "mellin", (
+        ("closed_form", Domain(), lambda n, a: mellin2(n, a, primed=True)),)),
+    "mellin-aiaip": ("AiAiP", "mellin", (("closed_form", Domain(), calI),
+                                         ("bform", Domain(k_lo=0), calI_bform))),
 }
 
 
@@ -116,7 +129,7 @@ def cmd_transform(args) -> int:
     if not math.isfinite(args.a):
         print("--a must be finite", file=sys.stderr)
         return 2
-    weight, family = _TRANSFORMS[args.kind]
+    weight, family, routes = _TRANSFORMS[args.kind]
     flag, other = ("k", "n") if family == "stieltjes" else ("n", "k")
     idx = getattr(args, flag)
     if idx is None or getattr(args, other) is not None:
@@ -124,43 +137,12 @@ def cmd_transform(args) -> int:
         return 2
     a = args.a
     results = []
-    add = results.append
-
-    methods = args.method
-    if family == "stieltjes":
-        if methods in ("all", "oracle"):
-            add(oracle_stieltjes(weight, idx, a, tol=args.tol))
-        if weight == "Ai":
-            if methods in ("all", "small_a") and a <= SMALLA_MAX and 1 <= idx <= 6:
-                add(bigI_smalla(idx, a))
-            if methods in ("all", "closed_form") and idx == 1 \
-                    and CLOSED_MIN <= a <= CLOSED_MAX:
-                add(StieltjesContext(roots_upto(1)).bigI1_closed(a))
-            if methods in ("all", "asymptotic") and a > 8.0:
-                add(bigI_asym(idx, a))
-        elif weight == "Ai2" and idx == 1 and methods in ("all", "closed_form") \
-                and SOLVE_J1_A[0] <= a <= SOLVE_J1_A[1]:
-            sol = J1Solution.build(float(roots_upto(1)[1]))
-            add(solve_J1(a, sol))
-        if weight == "Ai2" and 1 <= idx <= 6 and a <= J_SMALLA_A_MAX[idx] \
-                and methods in ("all", "small_a"):
-            add(Jn_smalla(idx, a))
-    else:
-        if methods in ("all", "oracle"):
-            add(oracle_mellin(weight, idx, a, tol=args.tol))
-        if methods in ("all", "closed_form"):
-            if weight == "Ai":
-                add(mellin_closed(idx, a))
-                if idx >= 0 and methods == "all":
-                    add(mellin_family(idx, a))
-            elif weight == "AiP":
-                add(mellin_prime(idx, a))
-            elif weight == "AiAiP":
-                add(calI(idx, a))
-                if idx >= 0 and methods == "all":
-                    add(calI_bform(idx, a))
-            else:
-                add(mellin2(idx, a, primed=(weight == "AiP2")))
+    if args.method in ("all", "oracle"):
+        results.append(oracle_stieltjes(weight, idx, a, tol=args.tol)
+                       if family == "stieltjes"
+                       else oracle_mellin(weight, idx, a, tol=args.tol))
+    results += [route(idx, a) for method, domain, route in routes
+                if args.method in ("all", method) and domain.holds(idx, a)]
     if not results:
         print("no route available for this argument range", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """The two shapes every number takes: a route's :class:`TransformResult`
 and the CLI's printed :class:`Record`; :class:`Frozen`, the base of the
-slotted value types; and the request scope, in which each per-point
-evaluation is made once.
+slotted value types; a route's :class:`Domain`; and the request scope, in
+which each per-point evaluation is made once.
 
 A route result holds a double-double value and its error estimate; a
 printed row holds a binary64 value plus its id and provenance.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import math
 from contextlib import contextmanager
 from typing import NamedTuple
 
@@ -90,6 +91,21 @@ class Record(NamedTuple):
         if self.status is None:
             del row["status"]
         return row
+
+
+class Domain(NamedTuple):
+    """Where a route applies: lo <= a <= hi and k_lo <= k <= k_hi (k is n
+    for a Mellin transform), bounds inclusive; ``hi`` may be a dict by k.
+    The route's own guards refuse what its domain leaves open (a <= 0)."""
+
+    lo: float = -math.inf
+    hi: float | dict = math.inf
+    k_lo: float = -math.inf
+    k_hi: float = math.inf
+
+    def holds(self, k: int, a: float) -> bool:
+        return self.k_lo <= k <= self.k_hi and self.lo <= a <= (
+            self.hi[k] if isinstance(self.hi, dict) else self.hi)
 
 
 class TruncationConfig(Frozen):

@@ -6,8 +6,8 @@ Routes implemented for bigI_k(a) = int_0^inf Ai(x)/(x+a)^k dx:
 * ``small_a``  -- the generating-function expansion: bigI_n(a) =
   sum_i xi^(i)/i! I_{i-n}(a) + lambda^(i)/i! I'_{i-n}(a), with every
   incomplete Mellin transform reduced exactly onto {I_0, I_-1, I_-2,
-  Ai, Ai'}.  err_est <= 1.0e-15 relative on (0, 4.5] for n = 1..6; 4.2e-2
-  at a = 12 (n = 1), whose value 0.02463 is 6% off the closed form's 0.02616.
+  Ai, Ai'}.  err_est <= 1.0e-15 relative on (0, 4.5] for n = 1..6, 5.3e-8
+  at a = 8 (n = 1); above 1e-6 (from a = 8.5) it raises AccuracyError.
 * ``closed_form`` -- the second-order ODE solution for bigI_1 propagated
   from initial data at a0, with the H+/H- hypergeometric antiderivatives
   (double-double mandatory: the homogeneous/particular split cancels
@@ -18,9 +18,9 @@ Routes implemented for bigI_k(a) = int_0^inf Ai(x)/(x+a)^k dx:
 * ``asymptotic`` -- the moment series in 1/a, near machine accuracy for
   a >= 13 (used for the deep roots of the N = 100 sums).
 
-The pipelines select routes by a: small_a below 4, closed_form on
-(4, 13], asymptotic beyond -- each certified against the quadrature
-oracle in the validation matrix.
+The pipelines select routes by a: small_a on SMALLA (a <= 4), closed_form
+up to CLOSED.hi = 13, asymptotic beyond -- each certified against the
+quadrature oracle in the validation matrix.
 """
 
 from __future__ import annotations
@@ -44,15 +44,16 @@ from .errors import AccuracyError, DomainError, RangeError, StabilityError
 from .kernel import (AI0, AIP0, alternating_series, compensated_sum, hyp,
                      ln_point, power_range_check, smalla_sum)
 from .mellin1 import PFQ_I0, PFQ_IM1, PFQ_IM2, base_values, xi_lambda_derivs
-from .results import TransformResult, TruncationConfig, per_request
+from .results import Domain, TransformResult, TruncationConfig, per_request
 from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
 
-#: route boundaries in a; below CLOSED_MIN the closed form's J_- dH_-
-#: term cancels to about 1e-32/a, past its err_est
-SMALLA_MAX = 4.0
-CLOSED_MIN = 1e-15
-CLOSED_MAX = 13.0
+#: the routes' domains; below CLOSED.lo the closed form's J_- dH_- term
+#: cancels to about 1e-32/a, past its err_est.  ``transform`` prints the
+#: moment series from a > 8, the pipelines use it only past CLOSED.hi
+SMALLA = Domain(hi=4.0, k_lo=1, k_hi=6)
+CLOSED = Domain(1e-15, 13.0, k_lo=1, k_hi=1)
+ASYMPTOTIC = Domain(math.nextafter(8.0, math.inf))
 
 
 # -- moments of Ai (exact chain) ---------------------------------------------
@@ -163,10 +164,10 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     intermediate raises :class:`AccuracyError`.  Within a request scope
     each argument tuple is evaluated once.
     """
-    if not (0.0 < a <= CLOSED_MAX and 0.0 < a0 <= CLOSED_MAX):
-        raise DomainError("closed form supports a, a0 in (0, 13]")
-    if a < CLOSED_MIN or a0 < CLOSED_MIN:
-        raise RangeError(f"closed form supports only a, a0 >= {CLOSED_MIN:g}")
+    if not (0.0 < a <= CLOSED.hi and 0.0 < a0 <= CLOSED.hi):
+        raise DomainError(f"closed form supports a, a0 in (0, {CLOSED.hi:g}]")
+    if a < CLOSED.lo or a0 < CLOSED.lo:
+        raise RangeError(f"closed form supports only a, a0 >= {CLOSED.lo:g}")
     st = airy(-a)
     ja = JPair.of(st)
     j0, Hp0, Hm0, ln_a0 = _closed_anchor(a0)
@@ -250,8 +251,8 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
     at a are built once per process (:func:`_smalla_data`); the sum once
     per request scope, and per call outside one.
     """
-    if n < 1 or n > 6:
-        raise DomainError("bigI_smalla supports n in [1, 6]")
+    if not SMALLA.k_lo <= n <= SMALLA.k_hi:
+        raise DomainError(f"bigI_smalla supports n in [{SMALLA.k_lo}, {SMALLA.k_hi}]")
     if not a > 0.0:
         raise DomainError("bigI_smalla needs a > 0")
     power_range_check("bigI_smalla", n, a, max(n - 1, 1))
@@ -278,7 +279,7 @@ class StieltjesContext:
 
     Seeds bigI_1, bigI_2 at a0 = |a_1'| come from the small-a route
     through bigI_3, bigI_4 and the exact ladder relations, so the whole
-    pipeline stays analytic; roots[1] above SMALLA_MAX raises DomainError.
+    pipeline stays analytic; roots[1] above SMALLA.hi raises DomainError.
 
     Every result at a root magnitude is kept per process (:data:`_VALUES`),
     as are the routes' data at a point, so a second context on the same
@@ -288,8 +289,8 @@ class StieltjesContext:
 
     def __init__(self, roots: RootTable):
         self.a0 = float(roots[1])
-        if not self.a0 <= SMALLA_MAX:
-            raise DomainError(f"the seeds need roots[1] <= {SMALLA_MAX:g}")
+        if not self.a0 <= SMALLA.hi:
+            raise DomainError(f"the seeds need roots[1] <= {SMALLA.hi:g}")
         self.I3_a0 = self._bigI(3, self.a0).value
         self.I4_a0 = self._bigI(4, self.a0).value
         self.I1_a0, self.I2_a0 = bigI_relations(self.a0, self.I3_a0,
@@ -306,15 +307,15 @@ class StieltjesContext:
         return hit
 
     def _route(self, k, a: float) -> TransformResult:
-        """bigI_k(a) by the route for a: small_a up to SMALLA_MAX, the
-        closed form for k in {1, 3} only up to CLOSED_MAX, asymptotic beyond;
+        """bigI_k(a) by the route for a: small_a on SMALLA, the closed form
+        for k in {1, 3} only up to CLOSED.hi, asymptotic beyond;
         for k = "eq8", 1/(3a) - bigI_1(a) without its leading term."""
         if k == "eq8":
             val, err = alternating_series(_ai_moments()[1:], a, 2)
             return TransformResult(val, "asymptotic", err)
-        if a <= SMALLA_MAX:
+        if SMALLA.holds(k, a):
             return bigI_smalla(k, a)
-        if a > CLOSED_MAX:
+        if a > CLOSED.hi:
             return bigI_asym(k, a)
         if k == 1:
             return self.bigI1_closed(a)
@@ -335,7 +336,7 @@ class StieltjesContext:
         return self._bigI(3, a)
 
     def eq8_term(self, a: float) -> XReal:
-        if a > CLOSED_MAX:
+        if a > CLOSED.hi:
             return self._bigI("eq8", a).value
         i1 = self.bigI1(a).value  # raises DomainError for a <= 0
         return XReal(1.0 / (3.0 * a)) - i1

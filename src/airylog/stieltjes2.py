@@ -18,10 +18,10 @@ print discrepancies that surfaced (swapped/scaled u-list, the a^2 Ai Bi
 term of the mixed j-bracket, the asymptotic summand coefficient -6/7 vs
 -3/7) are catalogued in the discrepancy report.
 
-Per-root evaluation switches from the closed form to the moment
-(asymptotic) series at a = 11.  Against 40-digit quadrature, with the
-oracle seeds, the closed form's relative error at roots 6 to 9 (a = 8.49,
-9.54, 10.53, 11.48) is 1.3e-12, 1.9e-12, 3.2e-12 and 1.9e-10, the moment
+Per-root evaluation switches from the closed form to the moment series
+past SUMMAND_CLOSED.hi = 11.  Against 40-digit quadrature, with the oracle
+seeds, the closed form's relative error at roots 6 to 9 (a = 8.49, 9.54,
+10.53, 11.48) is 1.3e-12, 1.9e-12, 3.2e-12 and 1.9e-10, the moment
 series' 2.0e-13, 1.8e-15, 1.3e-16 and 1.6e-16.  The overlap agreement is
 part of the validation matrix.
 """
@@ -48,14 +48,14 @@ from .errors import DomainError
 from .kernel import (alternating_series, compensated_sum, hyp, hyp_params,
                      ln_point)
 from .mellin2 import A2, AAP, AP2, Jn_smalla
-from .results import Frozen, TransformResult, TruncationConfig
+from .results import Domain, Frozen, TransformResult, TruncationConfig
 from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
 
-#: closed-form route used for root magnitudes up to this; moment series beyond
-J_CLOSED_MAX = 11.0
-#: the interval of a on which :func:`solve_J1` is supported
-SOLVE_J1_A = (0.2, 13.0)
+#: the domains of :func:`solve_J1`, which ``transform`` prints, and of the
+#: summand's closed form, which the pipelines use up to its hi
+J1_CLOSED = Domain(0.2, 13.0, k_lo=1, k_hi=1)
+SUMMAND_CLOSED = Domain(hi=11.0)
 
 
 # -- hypergeometric antiderivative masters ------------------------------------
@@ -205,20 +205,19 @@ class J1Solution(Frozen):
 
     def summand(self, a: float) -> XReal:
         """The summand at root magnitude a: closed form up to
-        J_CLOSED_MAX, moment series beyond."""
+        SUMMAND_CLOSED.hi, moment series beyond."""
         hit = self._summands.get(a)
         if hit is None:
-            hit = bigJ_closed(a, self) if a <= J_CLOSED_MAX else bigJ_asym(a).value
+            hit = bigJ_closed(a, self) if a <= SUMMAND_CLOSED.hi else bigJ_asym(a).value
             if is_root_magnitude(a):
                 self._summands[a] = hit
         return hit
 
 
 def solve_J1(a: float, sol: J1Solution) -> TransformResult:
-    """J_1(a) from the closed-form ODE solution, a in SOLVE_J1_A."""
-    lo, hi = SOLVE_J1_A
-    if not lo <= a <= hi:
-        raise DomainError(f"solve_J1 supports a in [{lo:g}, {hi:g}]")
+    """J_1(a) from the closed-form ODE solution, a in J1_CLOSED."""
+    if not J1_CLOSED.holds(1, a):
+        raise DomainError(f"solve_J1 supports a in [{J1_CLOSED.lo:g}, {J1_CLOSED.hi:g}]")
     du1, du2, du3 = sol.deltas(a)
     st = airy(-a)
     val = PI * PI * (st.ai * st.ai * (sol.c1 - du1)
@@ -350,7 +349,7 @@ def J_recurrences(n: int, a: float, J, Jp) -> dict:
 # -- pipeline --------------------------------------------------------------------
 
 def bigJ_term(k: int, roots: RootTable, sol: J1Solution) -> XReal:
-    """Summand at the k-th root; closed form for magnitudes <= 11 (3.2e-12
+    """Summand at the k-th root: closed form up to SUMMAND_CLOSED.hi (3.2e-12
     relative at root 8), moment series beyond (1.6e-16 at root 9)."""
     return sol.summand(float(roots[k]))
 

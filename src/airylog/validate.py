@@ -29,8 +29,8 @@ from .oracle import (
 from .results import Record, TruncationConfig, request_scope
 from .roots import T6_PAPER, T6_STANDARD, root_seed, roots_upto
 from .stieltjes1 import (
-    CLOSED_MAX,
-    SMALLA_MAX,
+    CLOSED,
+    SMALLA,
     StieltjesContext,
     bigI_asym,
     bigI_recurrence,
@@ -327,15 +327,15 @@ def check_cross_routes(records: list, ctx, sol) -> None:
     for k, a in grid_I:
         orc = oracle_stieltjes("Ai", k, a).value
         routes = {}
-        if a <= SMALLA_MAX:
+        if SMALLA.holds(k, a):
             routes["small_a"] = float(bigI_smalla(k, a).value)
-        if k == 1 and a <= CLOSED_MAX:
+        if CLOSED.holds(k, a):
             routes["closed_form"] = float(ctx.bigI1_closed(a).value)
         if k >= 3:
             i1 = ctx.bigI1(a).value
             i2 = bigI_relations(a, ctx.bigI3(a).value,
                                 bigI_smalla(4, a).value
-                                if a <= SMALLA_MAX else bigI_asym(4, a).value)[1]
+                                if SMALLA.holds(4, a) else bigI_asym(4, a).value)[1]
             routes["recurrence"] = float(
                 bigI_recurrence(k, a, (float(i1), float(i2))).value)
         for method, v in routes.items():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -131,7 +132,7 @@ def test_a_below_a_routes_range_is_a_config_error(capsys):
 
 
 def test_stieltjes_ai2_prints_small_a_only_inside_its_range(capsys):
-    # past J_SMALLA_A_MAX[6] = 1.85 the small-a row printed 9.77418234053e-06
+    # past J_SMALLA.hi[6] = 1.85 the small-a row printed 9.77418234053e-06
     # with err_est 9.8e-20 beside the oracle's 9.77418233685e-06
     def methods(k, a, method):
         code, out = run(["transform", "--kind", "stieltjes-ai2", "--k", k,
@@ -142,6 +143,42 @@ def test_stieltjes_ai2_prints_small_a_only_inside_its_range(capsys):
     assert methods("6", "4.0", "all") == (0, ["oracle"])
     assert methods("6", "4.0", "small_a") == (2, [])
     assert methods("6", "1.85", "small_a") == (0, ["small_a"])
+
+
+C, S, A = "closed_form", "small_a", "asymptotic"
+#: (kind, k, bound) of each Stieltjes route domain and the --method choices
+#: that print a row of their own name just below, at and just above it; the
+#: others exit 2 with no row (recorded before the domains were declared once)
+BOUNDARIES = (
+    ("stieltjes-ai", 1, 1e-15, (S,), (C, S), (C, S)),
+    ("stieltjes-ai", 1, 4.0, (C, S), (C, S), (C,)),
+    ("stieltjes-ai", 6, 4.0, (S,), (S,), ()),
+    ("stieltjes-ai", 1, 8.0, (C,), (C,), (C, A)),
+    ("stieltjes-ai", 1, 13.0, (C, A), (C, A), (A,)),
+    ("stieltjes-ai2", 1, 0.2, (S,), (C, S), (C, S)),
+    ("stieltjes-ai2", 5, 1.65, (S,), (S,), ()),
+    ("stieltjes-ai2", 4, 1.8, (S,), (S,), ()),
+    ("stieltjes-ai2", 6, 1.85, (S,), (S,), ()),
+    ("stieltjes-ai2", 2, 2.15, (S,), (S,), ()),
+    ("stieltjes-ai2", 3, 2.2, (S,), (S,), ()),
+    ("stieltjes-ai2", 1, 4.0, (C, S), (C, S), (C,)),
+    ("stieltjes-ai2", 1, 13.0, (C,), (C,), ()),
+)
+
+
+@pytest.mark.parametrize("kind, k, bound, below, at, above", BOUNDARIES)
+def test_each_stieltjes_route_prints_exactly_on_its_domain(
+        capsys, kind, k, bound, below, at, above):
+    points = (math.nextafter(bound, 0.0), bound,
+              math.nextafter(bound, math.inf))
+    for a, printing in zip(points, (below, at, above)):
+        for method in (C, S, A):
+            code, out = run(["transform", "--kind", kind, "--k", str(k),
+                             "--a", repr(a), "--method", method,
+                             "--format", "json"], capsys)
+            rows = [row["method"] for row in json.loads(out or "[]")]
+            want = (0, [method]) if method in printing else (2, [])
+            assert (code, rows) == want, (a, method)
 
 
 def test_nonpositive_root_count_is_a_config_error(capsys):

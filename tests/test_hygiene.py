@@ -464,3 +464,54 @@ def test_the_analytic_layers_do_not_reach_the_oracle():
             todo.extend(new)
         assert not reached & {"oracle", "validate", "cli"}, (module, reached)
     assert graph["oracle"] <= {"errors", "ddreal", "results"}, graph["oracle"]
+
+
+#: the modules that pick a route for an argument a, which they do through
+#: the routes' declared domains (``Domain.holds``), never by a bound of
+#: their own
+ROUTE_PICKERS = ("cli.py", "validate.py")
+#: the bound constants that the route domains replaced
+OLD_BOUNDS = ("SMALLA_MAX", "CLOSED_MIN", "CLOSED_MAX", "SOLVE_J1_A",
+              "J_SMALLA_A_MAX", "J_CLOSED_MAX")
+
+
+def _own_bounds(source: str, name: str) -> list:
+    """Comparisons of ``source`` that set ``a`` or ``args.a`` against a
+    number or an upper-case name (``X``, ``X.hi``, ``X[k]``)."""
+    def is_a(node):
+        return (isinstance(node, ast.Name) and node.id == "a"
+                or isinstance(node, ast.Attribute) and node.attr == "a"
+                and getattr(node.value, "id", None) == "args")
+
+    def is_bound(node):
+        return any(isinstance(n, ast.Constant) and type(n.value) in (int, float)
+                   or isinstance(n, ast.Name) and n.id.isupper()
+                   for n in ast.walk(node))
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_a, operands)) and any(
+                    is_bound(o) for o in operands if not is_a(o)):
+                out.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    return sorted(out)
+
+
+def test_routes_are_picked_by_their_declared_domains():
+    # the CLI once printed the moment series from its own a > 8.0
+    sample = ("if a > 8.0 and k == 1:\n    pass\n"
+              "if args.a <= CLOSED.hi or a < -1:\n    pass\n"
+              "x = a <= J_MAX[k]\ny = SMALLA.holds(k, a) and b > 2.0\n"
+              "z = args.tol <= 1e-6 and a == b\n")
+    assert _own_bounds(sample, "s") == [
+        "s:1 a > 8.0", "s:3 a < -1", "s:3 args.a <= CLOSED.hi",
+        "s:5 a <= J_MAX[k]"]
+    found = [b for module in ROUTE_PICKERS
+             for b in _own_bounds((SRC / module).read_text(encoding="utf-8"),
+                                  module)]
+    assert not found, found
+    names = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None)))
+             for p in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))}
+    assert not names & set(OLD_BOUNDS), names & set(OLD_BOUNDS)

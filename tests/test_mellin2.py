@@ -13,7 +13,7 @@ from airylog.mellin2 import (
     A2,
     AAP,
     AP2,
-    J_SMALLA_A_MAX,
+    J_SMALLA,
     NEG_A_MAX,
     Jn_smalla,
     calI,
@@ -372,7 +372,7 @@ def test_Jn_smalla_meets_its_err_est_up_to_its_limit():
         r = Jn_smalla(n, a)
         ratio = abs(Fr(r.value.hi) + Fr(r.value.lo) - Fr(ref)) / Fr(r.err_est)
         assert ratio <= 1.1 * measured, (n, a, float(ratio))
-        assert a <= J_SMALLA_A_MAX[n]
+        assert J_SMALLA.holds(n, a)
 
 
 def test_Jn_smalla_raises_past_its_limit():
@@ -380,7 +380,7 @@ def test_Jn_smalla_raises_past_its_limit():
     # quadrature, e.g. (6, 4.0) 3.8e-10 relative with err_est 1e-14
     for n, a in ((6, 4.0), (4, 4.5), (6, 3.0), (5, 2.0), (4, 1.85),
                  (5, 1.7), (6, 1.9), (3, 2.25), (2, 2.2), (1, 4.05)):
-        assert a > J_SMALLA_A_MAX[n]
+        assert not J_SMALLA.holds(n, a)
         with pytest.raises(RangeError):
             Jn_smalla(n, a)
 

@@ -21,14 +21,14 @@ from airylog.mellin1 import PQPoly, Reduction
 from airylog.results import Record, TransformResult, TruncationConfig
 from airylog.roots import RootTable, roots_upto
 from airylog.stieltjes1 import (
-    CLOSED_MAX,
-    SMALLA_MAX,
+    CLOSED,
+    SMALLA,
     StieltjesContext,
     integral1_accelerated,
     integral1_series,
 )
 from airylog.stieltjes2 import (
-    J_CLOSED_MAX,
+    SUMMAND_CLOSED,
     J1Solution,
     integral2_accelerated,
     integral2_series,
@@ -147,11 +147,11 @@ def test_each_root_is_computed_once_per_request(monkeypatch, roots):
         return sol
 
     sol = request()
-    closed = sum(SMALLA_MAX < a <= CLOSED_MAX for a in mags)
-    small = sum(a <= SMALLA_MAX for a in mags)  # a0 is the first root
+    closed = sum(SMALLA.hi < a <= CLOSED.hi for a in mags)
+    small = sum(a <= SMALLA.hi for a in mags)  # a0 is the first root
     assert (closed, small) == (8, 2)
     assert counts == {"_H_plus": closed + 1, "xi_lambda_derivs": small,
-                      "_masters": sum(a <= J_CLOSED_MAX for a in mags) + 1}
+                      "_masters": sum(a <= SUMMAND_CLOSED.hi for a in mags) + 1}
 
     # the three small-a seeds at a0 share one squared ladder
     counts.clear()
@@ -219,7 +219,7 @@ def test_a_hand_built_table_leaves_the_zeta_memo_alone(monkeypatch):
 
 
 def test_a_route_that_raises_keeps_no_value(monkeypatch):
-    # an AccuracyError from the route at a root past CLOSED_MAX reaches
+    # an AccuracyError from the route at a root past CLOSED.hi reaches
     # the caller and leaves no _VALUES entry: the next read routes again
     asym = stieltjes1.bigI_asym
     calls = []
@@ -233,7 +233,7 @@ def test_a_route_that_raises_keeps_no_value(monkeypatch):
     monkeypatch.setattr(stieltjes1, "bigI_asym", failing_asym)
     roots = roots_upto(11)
     a = float(roots[11])
-    assert a > CLOSED_MAX
+    assert a > CLOSED.hi
     ctx = StieltjesContext(roots)
     for _ in range(2):
         with pytest.raises(AccuracyError):

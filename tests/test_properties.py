@@ -17,8 +17,8 @@ from airylog.mellin1 import mellin_closed, mellin_prime
 from airylog.mellin2 import Jn_smalla, irreducible_neg1
 from airylog.oracle import oracle_mellin, oracle_stieltjes
 from airylog.results import TransformResult
-from airylog.stieltjes1 import (StieltjesContext, bigI3_from_I1, bigI_asym,
-                                bigI_smalla)
+from airylog.stieltjes1 import (CLOSED, SMALLA, StieltjesContext,
+                                bigI3_from_I1, bigI_asym, bigI_smalla)
 from airylog.stieltjes2 import bigJ_asym, bigJ_closed, j_term, j_term_grouped
 from airylog.zeta import zeta_closed, zeta_incomplete
 from airylog.roots import roots_upto
@@ -158,17 +158,21 @@ def _eq8_closed(a):
     return TransformResult(CTX.eq8_term(a), i1.method, i1.err_est)
 
 
-#: the I_1 route switches: the interval of a around each, and the two
-#: routes that meet there (on a 41-point grid the largest |x - y| is 0.41
-#: to 0.51 of err_x + err_y)
+#: the I_1 route switches: the interval of a around each, read from the
+#: route domains so that it follows a moved bound, and the two routes that
+#: meet there (on a 41-point grid the largest |x - y| is 0.41 to 0.51 of
+#: err_x + err_y)
 SWITCHES = {
-    "I1 small_a / closed_form": ((3.5, 4.5), lambda a: bigI_smalla(1, a),
+    "I1 small_a / closed_form": ((SMALLA.hi - 0.5, SMALLA.hi + 0.5),
+                                 lambda a: bigI_smalla(1, a),
                                  CTX.bigI1_closed),
-    "I1 closed_form / asymptotic": ((12.5, 13.0), CTX.bigI1_closed,
+    "I1 closed_form / asymptotic": ((CLOSED.hi - 0.5, CLOSED.hi),
+                                    CTX.bigI1_closed,
                                     lambda a: bigI_asym(1, a)),
-    "I3 ladder / asymptotic": ((12.5, 13.0), CTX.bigI3,
+    "I3 ladder / asymptotic": ((CLOSED.hi - 0.5, CLOSED.hi), CTX.bigI3,
                                lambda a: bigI_asym(3, a)),
-    "eq8 closed_form / moment series": ((12.5, 13.0), _eq8_closed,
+    "eq8 closed_form / moment series": ((CLOSED.hi - 0.5, CLOSED.hi),
+                                        _eq8_closed,
                                         lambda a: CTX._route("eq8", a)),
 }
 

@@ -13,7 +13,7 @@ from airylog.oracle import oracle_integral1, oracle_stieltjes
 from airylog.results import TruncationConfig
 from airylog.roots import RootTable, roots_upto
 from airylog.stieltjes1 import (
-    CLOSED_MIN,
+    CLOSED,
     StieltjesContext,
     bigI1_closed,
     bigI_asym,
@@ -237,9 +237,9 @@ def test_routes_stop_where_their_terms_leave_the_dd_range(ctx):
             assert math.isfinite(float(route(n, floor).value)), (route, n)
             with pytest.raises(RangeError):
                 route(n, 0.99 * floor)
-    assert math.isfinite(float(ctx.bigI1_closed(CLOSED_MIN).value))
+    assert math.isfinite(float(ctx.bigI1_closed(CLOSED.lo).value))
     with pytest.raises(RangeError):
-        ctx.bigI1_closed(0.99 * CLOSED_MIN)
+        ctx.bigI1_closed(0.99 * CLOSED.lo)
 
 
 def test_domain_errors(ctx, roots):
