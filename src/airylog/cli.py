@@ -18,10 +18,11 @@ import sys
 
 from .errors import (AccuracyError, ConvergenceError, DependencyError,
                      DomainError, IterationError, RangeError, StabilityError)
-from .mellin1 import mellin_closed, mellin_family, mellin_prime
-from .mellin2 import J_SMALLA, Jn_smalla, calI, calI_bform, mellin2
+from .mellin1 import FAMILY, MELLIN, mellin_closed, mellin_family, mellin_prime
+from .mellin2 import (BFORM, J_SMALLA, PRODUCT, Jn_smalla, calI, calI_bform,
+                      mellin2)
 from .oracle import oracle_mellin, oracle_stieltjes
-from .results import Domain, Record, TruncationConfig, request_scope
+from .results import Record, TruncationConfig, request_scope
 from .roots import NEWTON_TOL, roots_upto
 from .stieltjes1 import (
     ASYMPTOTIC,
@@ -97,9 +98,11 @@ def cmd_zeta(args) -> int:
     return 0
 
 
+#: the ``--method`` choices of ``transform`` besides "all"
+_METHODS = ("oracle", "closed_form", "small_a", "asymptotic")
 #: each kind's weight, family and routes in print order, as (``--method``
-#: name, domain, route(index, a)); a Mellin route refuses what it does not
-#: take, and "family" and "bform" print only with ``--method all``
+#: name, domain, route(index, a)); a route prints where its domain holds,
+#: and one named outside _METHODS only with ``--method all``
 _TRANSFORMS = {
     "stieltjes-ai": ("Ai", "stieltjes", (
         ("small_a", SMALLA, bigI_smalla),
@@ -111,14 +114,14 @@ _TRANSFORMS = {
          lambda k, a: solve_J1(a, J1Solution.build(float(roots_upto(1)[1])))),
         ("small_a", J_SMALLA, Jn_smalla))),
     "stieltjes-aip2": ("AiP2", "stieltjes", ()),
-    "mellin-ai": ("Ai", "mellin", (("closed_form", Domain(), mellin_closed),
-                                   ("family", Domain(k_lo=0), mellin_family))),
-    "mellin-aip": ("AiP", "mellin", (("closed_form", Domain(), mellin_prime),)),
-    "mellin-ai2": ("Ai2", "mellin", (("closed_form", Domain(), mellin2),)),
+    "mellin-ai": ("Ai", "mellin", (("closed_form", MELLIN, mellin_closed),
+                                   ("family", FAMILY, mellin_family))),
+    "mellin-aip": ("AiP", "mellin", (("closed_form", MELLIN, mellin_prime),)),
+    "mellin-ai2": ("Ai2", "mellin", (("closed_form", PRODUCT, mellin2),)),
     "mellin-aip2": ("AiP2", "mellin", (
-        ("closed_form", Domain(), lambda n, a: mellin2(n, a, primed=True)),)),
-    "mellin-aiaip": ("AiAiP", "mellin", (("closed_form", Domain(), calI),
-                                         ("bform", Domain(k_lo=0), calI_bform))),
+        ("closed_form", PRODUCT, lambda n, a: mellin2(n, a, primed=True)),)),
+    "mellin-aiaip": ("AiAiP", "mellin", (("closed_form", PRODUCT, calI),
+                                         ("bform", BFORM, calI_bform))),
 }
 
 
@@ -238,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--method", default="all",
-                    choices=("all", "oracle", "closed_form", "small_a",
-                             "asymptotic"))
+    sp.add_argument("--method", default="all", choices=("all", *_METHODS))
     sp.add_argument("--tol", type=float, default=1e-12,
                     help="oracle quadrature tolerance, in [1e-14, 1e-6]")
     common(sp)

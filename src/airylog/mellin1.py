@@ -56,13 +56,17 @@ from .kernel import (
     poly_shift,
     power_range_check,
 )
-from .results import TransformResult, per_request
+from .results import Domain, TransformResult, per_request
 
 #: the 1F2 and 2F3 parameter sets of I_0, I_-1 and I_-2 (summed at a^3/9),
 #: bound once; the closed form of bigI_1 sums the same six at -a^3/9
 PFQ_I0 = (hyp_params("1/3", "2/3 4/3"), hyp_params("2/3", "4/3 5/3"))
 PFQ_IM1 = (hyp_params("1/3", "4/3 4/3"), hyp_params("1 1", "2 2 5/3"))
 PFQ_IM2 = (hyp_params("-1/3", "2/3 2/3"), hyp_params("1 1", "2 2 7/3"))
+
+#: the domains of the recurrence routes and of the 3k-family formulas
+MELLIN = Domain(k_lo=-60, k_hi=80)
+FAMILY = Domain(k_lo=0, k_hi=80)
 
 
 # -- polynomial ladders ------------------------------------------------------
@@ -250,9 +254,9 @@ def _laurent_addto(d: dict, p: int, c: Fraction):
 
 @lru_cache(maxsize=None)
 def reduce_In(m: int) -> Reduction:
-    """Exact reduction of I_m, any -60 <= m <= 80."""
-    if m > 80 or m < -60:
-        raise DomainError("reduce_In supports -60 <= m <= 80")
+    """Exact reduction of I_m, any integer m in MELLIN's range."""
+    if not (isinstance(m, int) and MELLIN.k_lo <= m <= MELLIN.k_hi):
+        raise DomainError("reduce_In supports integers -60 <= m <= 80")
     if m == 0:
         return Reduction(Fraction(1), Fraction(0), Fraction(0), {}, {})
     if m == -1:
@@ -282,7 +286,7 @@ def reduce_In(m: int) -> Reduction:
 
 @lru_cache(maxsize=None)
 def reduce_Iprime(m: int) -> Reduction:
-    """Exact reduction of I'_m = int_a^inf z^m Ai' dz."""
+    """Exact reduction of I'_m = int_a^inf z^m Ai' dz, by reduce_In's rows."""
     if m == 0:
         return Reduction(Fraction(0), Fraction(0), Fraction(0),
                          {0: Fraction(-1)}, {})
@@ -447,19 +451,16 @@ def _family_In(n: int, base: BaseValues) -> XReal:
     return XReal.from_pair(dd_mul_f(dd_sub(part1, part2), pref))
 
 
-def _base(name: str, n: int, a: float) -> BaseValues:
-    """The base values at a, after the range checks every route shares."""
-    if not -60 <= n <= 80:
-        raise DomainError(f"{name} supports -60 <= n <= 80")
-    if not a > 0.0:
-        raise DomainError(f"{name} needs a > 0")
+def _base(name: str, domain: Domain, n: int, a: float) -> BaseValues:
+    """The base values at a, after the route's domain check."""
+    domain.check(name, n, a)
     power_range_check(name, n, a, -n)
     return base_values(a, 1e-18)
 
 
 def mellin_closed(n: int, a: float) -> TransformResult:
-    """I_n(a) for -60 <= n <= 80, a > 0, by the recurrence reduction, with
-    err_est = 1e-14 max(1, |value|).
+    """I_n(a) on MELLIN (-60 <= n <= 80, a > 0) by the recurrence
+    reduction, with err_est = 1e-14 max(1, |value|).
 
     Measured against 40-digit quadrature, n in [-3, 6]: the error stays
     below 5% of err_est up to a = 8.5.  Beyond, every n whose reduction
@@ -470,16 +471,14 @@ def mellin_closed(n: int, a: float) -> TransformResult:
     320 and 2.5e4).  n = 1, 2, 4, 5, ... reduce onto Ai and Ai' alone and
     stay far inside err_est.
     """
-    val = XReal.from_pair(_base("mellin_closed", n, a).I(n))
+    val = XReal.from_pair(_base("mellin_closed", MELLIN, n, a).I(n))
     return TransformResult(val, "recurrence", 1e-14 * max(1.0, abs(float(val))))
 
 
 def mellin_family(n: int, a: float) -> TransformResult:
-    """I_n(a) for 0 <= n <= 80, a > 0, by the explicit 3k-family formulas
-    (the second route), with err_est = 1e-13."""
-    if n < 0:
-        raise DomainError("mellin_family supports n >= 0")
-    return TransformResult(_family_In(n, _base("mellin_family", n, a)),
+    """I_n(a) on FAMILY (0 <= n <= 80, a > 0) by the explicit 3k-family
+    formulas (the second route), with err_est = 1e-13."""
+    return TransformResult(_family_In(n, _base("mellin_family", FAMILY, n, a)),
                            "family", 1e-13)
 
 
@@ -489,5 +488,5 @@ def mellin_prime(n: int, a: float) -> TransformResult:
     I_{n+2} (n <= -2) and carries its measured accuracy: for n = 1 and
     n = -2 (both through I_0) the error / err_est is 0.03 at a = 9, 0.75
     at a = 10 and 39 at a = 11."""
-    val = XReal.from_pair(_base("mellin_prime", n, a).Iprime(n))
+    val = XReal.from_pair(_base("mellin_prime", MELLIN, n, a).Iprime(n))
     return TransformResult(val, "recurrence", 1e-14 * max(1.0, abs(float(val))))

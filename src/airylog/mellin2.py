@@ -42,7 +42,7 @@ from .ddreal import (
     PI,
     SQRT3,
 )
-from .errors import DomainError, RangeError
+from .errors import DomainError
 from .kernel import (
     AI0,
     AIP0,
@@ -184,7 +184,14 @@ def _series_terms_for(a: float) -> int:
 #: error over n in [-30, -1] is half of err_est here and passes it near 4.9
 NEG_A_MAX = 4.75
 
-_IRREDUCIBLE_A_MAX = {"i": 8.0, "iprime": NEG_A_MAX, "calI": 8.0}
+#: the domains of the ladder routes (calI, mellin2), whose negative indices
+#: rest on the irreducible 1/x transforms, and of the B-form route
+PRODUCT = Domain(hi={n: NEG_A_MAX if n < 0 else 13.0 for n in range(-30, 41)},
+                 k_lo=-30, k_hi=40)
+BFORM = Domain(hi=13.0, k_lo=0, k_hi=40)
+#: the domain of each kind of irreducible 1/x transform (index -1)
+IRREDUCIBLE = {"i": Domain(hi=8.0), "iprime": Domain(hi=NEG_A_MAX),
+               "calI": Domain(hi=8.0)}
 
 #: the domain of Jn_smalla; up to each order's largest a the error stays below
 #: half of err_est (30-digit quadrature), except n = 1's, 2.0 err_est at 3.75
@@ -202,21 +209,17 @@ def irreducible_neg1(a: float, which: str) -> XReal:
     Summed from the exact Taylor classes of Ai(x)^2 in double-double; the
     additive constants are the regularised Mellin limits.  Relative
     accuracy degrades with the e^{(4/3)a^{3/2}} cancellation, so each kind
-    raises RangeError above its limit: a = 8 for 'i' and 'calI', NEG_A_MAX
-    = 4.75 for 'iprime'.  Largest relative error against 40-digit
+    raises RangeError past its IRREDUCIBLE hi: a = 8 for 'i' and 'calI',
+    NEG_A_MAX = 4.75 for 'iprime'.  Largest relative error against 40-digit
     quadrature, on grids no coarser than 0.5 below a = 6 and 0.1 above
     (0.05 or finer near each limit): 'i' and 'calI' 3e-15 up to a = 6 and
     3e-6 up to a = 8 (2e-11 at 7, over 1e-3 at 9); 'iprime' 5e-9 up to
     a = 4 and 6e-6 up to a = 4.75 (7e-5 at 5, 110% at 6).  :func:`calI`
     and :func:`mellin2` stop negative indices at NEG_A_MAX.
     """
-    if not a > 0.0:
-        raise DomainError("irreducible transforms need a > 0")
-    if which not in _IRREDUCIBLE_A_MAX:
+    if which not in IRREDUCIBLE:
         raise DomainError(f"unknown irreducible kind {which!r}")
-    if a > _IRREDUCIBLE_A_MAX[which]:
-        raise RangeError(f"irreducible transform {which!r} supports only "
-                         f"a <= {_IRREDUCIBLE_A_MAX[which]}")
+    IRREDUCIBLE[which].check(f"irreducible_neg1 {which!r}", -1, a)
     nterms = _series_terms_for(a)
     ap = (float(a), 0.0)
     a3 = dd_powi(ap, 3)
@@ -426,19 +429,16 @@ def _bsums(k: int, mu: int, base: Ai2Base):
     return s0, s1, s2
 
 
-def _check_range(name: str, n: int, a: float) -> None:
-    if not -30 <= n <= 40:
-        raise DomainError(f"{name} supports -30 <= n <= 40")
-    if not 0.0 < a <= 13.0:
-        raise DomainError(f"{name} supports 0 < a <= 13")
-    if n < 0 and a > NEG_A_MAX:
-        raise RangeError(f"{name} with n < 0 supports only a <= {NEG_A_MAX}")
+def _product_base(name: str, domain: Domain, n: int, a: float) -> Ai2Base:
+    """The :class:`Ai2Base` at a, after the route's domain check."""
+    domain.check(name, n, a)
     power_range_check(name, n, a, -n)
+    return _ai2_base(a)
 
 
 def calI(n: int, a: float) -> TransformResult:
-    """calI_n(a) = int_a^inf x^n Ai Ai' dx for -30 <= n <= 40, 0 < a <= 13,
-    by the ladder, with err_est = 1e-13 max(1, |value|).
+    """calI_n(a) = int_a^inf x^n Ai Ai' dx on PRODUCT (-30 <= n <= 40,
+    0 < a <= 13) by the ladder, with err_est = 1e-13 max(1, |value|).
 
     Checked against 40-digit quadrature at a = 0.05 ... 13: for n >= 0 the
     error stays below 4% of err_est.  Negative n rest on the irreducible
@@ -446,19 +446,15 @@ def calI(n: int, a: float) -> TransformResult:
     are accepted up to a = NEG_A_MAX, where the error is at most half of
     err_est, and raise RangeError beyond.
     """
-    _check_range("calI", n, a)
-    val = XReal.from_pair(_ai2_base(a).calI(n))
+    val = XReal.from_pair(_product_base("calI", PRODUCT, n, a).calI(n))
     return TransformResult(val, "ladder", 1e-13 * max(1.0, abs(float(val))))
 
 
 def calI_bform(n: int, a: float) -> TransformResult:
-    """calI_n(a) for 0 <= n <= 40, 0 < a <= 13, by the second route: the
-    closed-form solution of the three-term recurrence (Gamma-ratio
+    """calI_n(a) on BFORM (0 <= n <= 40, 0 < a <= 13) by the second route:
+    the closed-form solution of the three-term recurrence (Gamma-ratio
     coefficient sums), with the err_est of :func:`calI`."""
-    if n < 0:
-        raise DomainError("calI_bform supports n >= 0")
-    _check_range("calI_bform", n, a)
-    base = _ai2_base(a)
+    base = _product_base("calI_bform", BFORM, n, a)
     k, mu = divmod(n, 3)
     s0, s1, s2 = _bsums(k, mu, base)
     # G(k + mu/3 + 5/6) / G(mu/3 + 5/6)
@@ -473,8 +469,7 @@ def calI_bform(n: int, a: float) -> TransformResult:
 def mellin2(n: int, a: float, primed: bool = False) -> TransformResult:
     """i_n(a) (Ai^2 weight) or i'_n(a) (Ai'^2 weight), with the ranges and
     err_est of :func:`calI`."""
-    _check_range("mellin2", n, a)
-    base = _ai2_base(a)
+    base = _product_base("mellin2", PRODUCT, n, a)
     pair = base.ip_n(n) if primed else base.i_n(n)
     val = XReal.from_pair(pair)
     return TransformResult(val, "vallee", 1e-13 * max(1.0, abs(float(val))))
@@ -500,12 +495,7 @@ def Jn_smalla(n: int, a: float) -> TransformResult:
     triples past i = n).  The ladders and base values at a are built once
     per process (:func:`_J_smalla_data`); the sum is redone on every call.
     """
-    if not J_SMALLA.k_lo <= n <= J_SMALLA.k_hi:
-        raise DomainError(f"Jn_smalla supports n in [{J_SMALLA.k_lo}, {J_SMALLA.k_hi}]")
-    if not a > 0.0:
-        raise DomainError("Jn_smalla needs a > 0")
-    if a > J_SMALLA.hi[n]:
-        raise RangeError(f"Jn_smalla({n}, a) needs a <= {J_SMALLA.hi[n]}")
+    J_SMALLA.check("Jn_smalla", n, a)
     power_range_check("Jn_smalla", n, a, max(n - 1, 1))
     (Xi, Lam, Rho), base = _J_smalla_data(float(a))
     total, tail = smalla_sum((Xi, Lam, Rho),

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from .ddreal import XReal
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 
 class Frozen:
@@ -95,17 +95,30 @@ class Record(NamedTuple):
 
 class Domain(NamedTuple):
     """Where a route applies: lo <= a <= hi and k_lo <= k <= k_hi (k is n
-    for a Mellin transform), bounds inclusive; ``hi`` may be a dict by k.
-    The route's own guards refuse what its domain leaves open (a <= 0)."""
+    for a Mellin transform), bounds inclusive; ``hi`` may be a dict by k,
+    which holds for no a at a k it does not name.  A route that accepts
+    just its domain refuses the rest by :meth:`check` alone; two domains,
+    ``stieltjes1.SMALLA`` and ``ASYMPTOTIC``, only select routes."""
 
     lo: float = -math.inf
     hi: float | dict = math.inf
     k_lo: float = -math.inf
     k_hi: float = math.inf
 
+    def _hi(self, k) -> float:
+        return self.hi.get(k, -math.inf) if isinstance(self.hi, dict) else self.hi
+
     def holds(self, k: int, a: float) -> bool:
-        return self.k_lo <= k <= self.k_hi and self.lo <= a <= (
-            self.hi[k] if isinstance(self.hi, dict) else self.hi)
+        return self.k_lo <= k <= self.k_hi and self.lo <= a <= self._hi(k)
+
+    def check(self, name: str, k: int, a: float) -> None:
+        """Raise DomainError unless k is an integer in [k_lo, k_hi] and
+        a > 0 (NaN fails), then RangeError unless lo <= a <= hi."""
+        if not (isinstance(k, int) and self.k_lo <= k <= self.k_hi and a > 0.0):
+            raise DomainError(f"{name} needs an integer order in "
+                              f"[{self.k_lo:g}, {self.k_hi:g}] and a > 0")
+        if not self.holds(k, a):
+            raise RangeError(f"{name} of order {k} needs a in [{self.lo:g}, {self._hi(k):g}]")
 
 
 class TruncationConfig(Frozen):

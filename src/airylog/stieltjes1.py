@@ -40,7 +40,7 @@ from .ddreal import (
     PI,
     SQRT3,
 )
-from .errors import AccuracyError, DomainError, RangeError, StabilityError
+from .errors import AccuracyError, DomainError, StabilityError
 from .kernel import (AI0, AIP0, alternating_series, compensated_sum, hyp,
                      ln_point, power_range_check, smalla_sum)
 from .mellin1 import PFQ_I0, PFQ_IM1, PFQ_IM2, base_values, xi_lambda_derivs
@@ -164,10 +164,8 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
     intermediate raises :class:`AccuracyError`.  Within a request scope
     each argument tuple is evaluated once.
     """
-    if not (0.0 < a <= CLOSED.hi and 0.0 < a0 <= CLOSED.hi):
-        raise DomainError(f"closed form supports a, a0 in (0, {CLOSED.hi:g}]")
-    if a < CLOSED.lo or a0 < CLOSED.lo:
-        raise RangeError(f"closed form supports only a, a0 >= {CLOSED.lo:g}")
+    CLOSED.check("bigI1_closed", 1, a)
+    CLOSED.check("bigI1_closed at a0", 1, a0)
     st = airy(-a)
     ja = JPair.of(st)
     j0, Hp0, Hm0, ln_a0 = _closed_anchor(a0)
@@ -251,7 +249,7 @@ def bigI_smalla(n: int, a: float) -> TransformResult:
     at a are built once per process (:func:`_smalla_data`); the sum once
     per request scope, and per call outside one.
     """
-    if not SMALLA.k_lo <= n <= SMALLA.k_hi:
+    if not (isinstance(n, int) and SMALLA.k_lo <= n <= SMALLA.k_hi):
         raise DomainError(f"bigI_smalla supports n in [{SMALLA.k_lo}, {SMALLA.k_hi}]")
     if not a > 0.0:
         raise DomainError("bigI_smalla needs a > 0")

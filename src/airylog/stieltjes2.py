@@ -216,8 +216,7 @@ class J1Solution(Frozen):
 
 def solve_J1(a: float, sol: J1Solution) -> TransformResult:
     """J_1(a) from the closed-form ODE solution, a in J1_CLOSED."""
-    if not J1_CLOSED.holds(1, a):
-        raise DomainError(f"solve_J1 supports a in [{J1_CLOSED.lo:g}, {J1_CLOSED.hi:g}]")
+    J1_CLOSED.check("solve_J1", 1, a)
     du1, du2, du3 = sol.deltas(a)
     st = airy(-a)
     val = PI * PI * (st.ai * st.ai * (sol.c1 - du1)

@@ -181,6 +181,41 @@ def test_each_stieltjes_route_prints_exactly_on_its_domain(
             assert (code, rows) == want, (a, method)
 
 
+#: (kind, n, a, the route rows that --method all prints after the oracle's)
+#: at the bounds of the Mellin route domains: a at and just past PRODUCT's
+#: hi[-1] = NEG_A_MAX and hi[2] = 13, n at and past MELLIN's k_hi, n at and
+#: below FAMILY's k_lo.  Past its domain a route prints no row: at 13.25,
+#: mellin-ai2 exited 2 from inside mellin2 where the Stieltjes kinds printed
+#: the oracle row and exited 0
+MELLIN_BOUNDARIES = (
+    ("mellin-aiaip", -1, 4.75, ["ladder"]),
+    ("mellin-aiaip", -1, math.nextafter(4.75, math.inf), []),
+    ("mellin-aiaip", 2, 13.0, ["ladder", "bform"]),
+    ("mellin-aiaip", 2, math.nextafter(13.0, math.inf), []),
+    ("mellin-ai2", 2, 13.25, []),
+    ("mellin-ai", 80, 2.0, ["recurrence", "family"]),
+    ("mellin-ai", 81, 2.0, []),
+    ("mellin-ai", 0, 2.0, ["recurrence", "family"]),
+    ("mellin-ai", -1, 2.0, ["recurrence"]),
+)
+
+
+@pytest.mark.parametrize("kind, n, a, rows", MELLIN_BOUNDARIES, ids=[
+    f"{kind} n={n} a={a!r}" for kind, n, a, _ in MELLIN_BOUNDARIES])
+def test_each_mellin_route_prints_exactly_on_its_domain(capsys, kind, n, a,
+                                                        rows):
+    def methods(method):
+        code, out = run(["transform", "--kind", kind, "--n", str(n),
+                         "--a", repr(a), "--method", method,
+                         "--format", "json"], capsys)
+        return code, [row["method"] for row in json.loads(out or "[]")]
+
+    assert methods("all") == (0, ["oracle", *rows])
+    # the closed-form route comes first; "family" and "bform" print only
+    # with --method all
+    assert methods(C) == ((0, rows[:1]) if rows else (2, []))
+
+
 def test_nonpositive_root_count_is_a_config_error(capsys):
     # these printed value 0 and exited 0
     for args in (["--route", "eq3", "--N", "-5"], ["--route", "eq8", "--N", "0"]):

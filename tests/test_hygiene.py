@@ -472,7 +472,17 @@ def test_the_analytic_layers_do_not_reach_the_oracle():
 ROUTE_PICKERS = ("cli.py", "validate.py")
 #: the bound constants that the route domains replaced
 OLD_BOUNDS = ("SMALLA_MAX", "CLOSED_MIN", "CLOSED_MAX", "SOLVE_J1_A",
-              "J_SMALLA_A_MAX", "J_CLOSED_MAX")
+              "J_SMALLA_A_MAX", "J_CLOSED_MAX", "_IRREDUCIBLE_A_MAX")
+#: the routes whose declared domain is what they accept, by module: each
+#: refuses the rest by ``Domain.check``, itself or through the one helper
+#: of its module, and compares a with no bound of its own
+CHECKED_ROUTES = {
+    "stieltjes1.py": ("bigI1_closed",),
+    "stieltjes2.py": ("solve_J1",),
+    "mellin1.py": ("_base", "mellin_closed", "mellin_family", "mellin_prime"),
+    "mellin2.py": ("irreducible_neg1", "_product_base", "calI", "calI_bform",
+                   "mellin2", "Jn_smalla"),
+}
 
 
 def _own_bounds(source: str, name: str) -> list:
@@ -510,6 +520,16 @@ def test_routes_are_picked_by_their_declared_domains():
     found = [b for module in ROUTE_PICKERS
              for b in _own_bounds((SRC / module).read_text(encoding="utf-8"),
                                   module)]
+    for module, routes in CHECKED_ROUTES.items():
+        text = (SRC / module).read_text(encoding="utf-8")
+        defs = {n.name: n for n in ast.parse(text).body
+                if isinstance(n, ast.FunctionDef)}
+        for route in routes:
+            calls = {getattr(n.func, "attr", getattr(n.func, "id", None))
+                     for n in ast.walk(defs[route]) if isinstance(n, ast.Call)}
+            assert calls & {"check", "_base", "_product_base"}, route
+            found += _own_bounds(ast.get_source_segment(text, defs[route]),
+                                 f"{module} {route}")
     assert not found, found
     names = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None)))
              for p in sorted(SRC.glob("*.py"))

@@ -423,10 +423,11 @@ def test_negative_indices_meet_err_est_and_stop_at_neg_a_max():
         for fn in (calI, mellin2, lambda n, a: mellin2(n, a, True)):
             with pytest.raises(RangeError):
                 fn(n, a)
-    # non-negative indices never use the irreducibles and keep a <= 13
+    # non-negative indices never use the irreducibles and keep a <= 13,
+    # PRODUCT's hi; past it a is out of range, as for a negative index
     for fn in (calI, mellin2, lambda n, a: mellin2(n, a, True)):
         assert math.isfinite(float(fn(2, 12.75).value))
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError):
             fn(2, 13.25)
 
 

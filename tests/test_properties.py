@@ -1,6 +1,8 @@
 """Property-based checks across modules."""
 
+import functools
 import io
+import itertools
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,12 +15,13 @@ from airylog.airy import JPair, airy, scorer_gi
 from airylog.cli import _TRANSFORMS, main
 from airylog.errors import DomainError, RangeError
 from airylog.kernel import compensated_sum, pochhammer
-from airylog.mellin1 import mellin_closed, mellin_prime
-from airylog.mellin2 import Jn_smalla, irreducible_neg1
+from airylog.mellin1 import (mellin_closed, mellin_family, mellin_prime,
+                             reduce_In, reduce_Iprime)
+from airylog.mellin2 import Jn_smalla, calI, calI_bform, irreducible_neg1, mellin2
 from airylog.oracle import oracle_mellin, oracle_stieltjes
 from airylog.results import TransformResult
-from airylog.stieltjes1 import (CLOSED, SMALLA, StieltjesContext,
-                                bigI3_from_I1, bigI_asym, bigI_smalla)
+from airylog.stieltjes1 import (CLOSED, StieltjesContext, bigI3_from_I1,
+                                bigI_asym, bigI_smalla)
 from airylog.stieltjes2 import bigJ_asym, bigJ_closed, j_term, j_term_grouped
 from airylog.zeta import zeta_closed, zeta_incomplete
 from airylog.roots import roots_upto
@@ -126,6 +129,29 @@ def test_nan_argument_raises_domain_error(name):
         NAN_ROUTES[name](math.nan)
 
 
+#: one call per route or reduction at order 1.5, which ended in a
+#: RecursionError, a KeyError or a TypeError
+NON_INTEGER_ORDERS = {
+    "mellin_closed": lambda: mellin_closed(1.5, 1.0),
+    "mellin_prime": lambda: mellin_prime(1.5, 1.0),
+    "mellin_family": lambda: mellin_family(1.5, 1.0),
+    "reduce_In": lambda: reduce_In(1.5),
+    "reduce_Iprime": lambda: reduce_Iprime(1.5),
+    "calI": lambda: calI(1.5, 1.0),
+    "calI_bform": lambda: calI_bform(1.5, 1.0),
+    "mellin2": lambda: mellin2(1.5, 1.0),
+    "mellin2 primed": lambda: mellin2(1.5, 1.0, primed=True),
+    "Jn_smalla": lambda: Jn_smalla(1.5, 1.0),
+    "bigI_smalla": lambda: bigI_smalla(1.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_ORDERS))
+def test_non_integer_order_raises_domain_error(name):
+    with pytest.raises(DomainError):
+        NON_INTEGER_ORDERS[name]()
+
+
 @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["j_term", "j_term_grouped", "bigJ_closed"])
 def test_summand_brackets_need_a_finite_positive_a(name, a):
@@ -158,32 +184,67 @@ def _eq8_closed(a):
     return TransformResult(CTX.eq8_term(a), i1.method, i1.err_est)
 
 
-#: the I_1 route switches: the interval of a around each, read from the
-#: route domains so that it follows a moved bound, and the two routes that
-#: meet there (on a 41-point grid the largest |x - y| is 0.41 to 0.51 of
-#: err_x + err_y)
+def _route_windows() -> dict:
+    """For each two routes of one ``transform`` kind whose domains overlap,
+    at each end of their common index range: a window of a, 0.5 wide,
+    inside both domains at each finite bound of their common a range, and
+    the two routes at that index."""
+    out, width = {}, 0.5
+    for kind, (_, _, routes) in _TRANSFORMS.items():
+        for (m1, d1, f1), (m2, d2, f2) in itertools.combinations(routes, 2):
+            k_lo, k_hi = max(d1.k_lo, d2.k_lo), min(d1.k_hi, d2.k_hi)
+            for k in {k_lo, k_hi} - {-math.inf, math.inf}:
+                lo, hi = max(d1.lo, d2.lo, 0.0), min(d1._hi(k), d2._hi(k))
+                windows = {lo: (lo, min(hi, lo + width)),
+                           hi: (max(lo, hi - width), hi)}
+                for bound, window in windows.items():
+                    if lo < hi and 0.0 < bound < math.inf:
+                        out[f"a={bound:g} {kind}.{k} {m1} / {m2}"] = (
+                            window, functools.partial(f1, k),
+                            functools.partial(f2, k))
+    return out
+
+
+#: the interval of a at each bound where two routes of a kind meet, read
+#: from the route table so that it follows a moved bound, and the two
+#: routes (on a 41-point grid the largest |x - y| is at most 0.51 of
+#: err_x + err_y, but for KNOWN_DISAGREEMENTS); plus the two pipeline
+#: switches at CLOSED.hi, which no table route covers
 SWITCHES = {
-    "I1 small_a / closed_form": ((SMALLA.hi - 0.5, SMALLA.hi + 0.5),
-                                 lambda a: bigI_smalla(1, a),
-                                 CTX.bigI1_closed),
-    "I1 closed_form / asymptotic": ((CLOSED.hi - 0.5, CLOSED.hi),
-                                    CTX.bigI1_closed,
-                                    lambda a: bigI_asym(1, a)),
+    **_route_windows(),
     "I3 ladder / asymptotic": ((CLOSED.hi - 0.5, CLOSED.hi), CTX.bigI3,
                                lambda a: bigI_asym(3, a)),
     "eq8 closed_form / moment series": ((CLOSED.hi - 0.5, CLOSED.hi),
                                         _eq8_closed,
                                         lambda a: CTX._route("eq8", a)),
 }
+#: windows whose routes are known to disagree, with what was measured
+KNOWN_DISAGREEMENTS = {
+    "a=4 stieltjes-ai2.1 closed_form / small_a": (
+        "solve_J1 and Jn_smalla(1, a) differ by more than their summed "
+        "err_est from a = 3.38 to 3.94, at worst 1.85 times it at a = 3.76 "
+        "(0.005 grid), inside J_SMALLA.hi[1] = 4"),
+}
 
 
-@pytest.mark.parametrize("switch", sorted(SWITCHES))
+@pytest.mark.parametrize("switch", sorted(set(SWITCHES)
+                                           - set(KNOWN_DISAGREEMENTS)))
 @given(st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_routes_agree_within_their_errors_across_a_switch(switch, t):
     (lo, hi), left, right = SWITCHES[switch]
     a = lo + t * (hi - lo)
     assert _agree(left(a), right(a)), a
+
+
+@pytest.mark.parametrize("switch", [
+    pytest.param(s, marks=pytest.mark.xfail(strict=True, reason=reason))
+    for s, reason in sorted(KNOWN_DISAGREEMENTS.items())])
+def test_routes_agree_within_their_errors_in_a_known_window(switch):
+    # a fixed 41-point grid, not a search, as for the I3 ladder below
+    (lo, hi), left, right = SWITCHES[switch]
+    points = [lo + (hi - lo) * i / 40 for i in range(41)]
+    assert [a for a in points if not _agree(left(a), right(a))] == []
 
 
 @pytest.mark.xfail(strict=True, reason=(
