@@ -41,7 +41,7 @@ from .stieltjes2 import (
     integral2_series,
     solve_J1,
 )
-from .validate import run_validation
+from .validate import PRINTED_INTEGRAL1, PRINTED_INTEGRAL2, run_validation
 from .zeta import zeta_closed, zeta_incomplete
 
 def _fmt(v):
@@ -165,8 +165,8 @@ def cmd_integral1(args) -> int:
         v = integral1_accelerated(TruncationConfig(args.N, args.n), roots, ctx)
         rows.append(Record(f"integral1.accelerated.N{args.N}n{args.n}",
                            "zeta-accelerated", float(v),
-                           paper_value=-0.8140073597,
-                           deviation=float(v) + 0.8140073597,
+                           paper_value=PRINTED_INTEGRAL1,
+                           deviation=float(v) - PRINTED_INTEGRAL1,
                            provenance="printed value"))
     for route in ("eq3", "eq8"):
         if args.route in (route, "all"):
@@ -184,8 +184,8 @@ def cmd_integral2(args) -> int:
     s = integral2_series(args.N, roots, sol)
     rows = [
         Record(f"integral2.accelerated.N{args.N}n{args.n}", "zeta-accelerated",
-               float(v), paper_value=-0.2636317121,
-               deviation=float(v) + 0.2636317121, provenance="printed value"),
+               float(v), paper_value=PRINTED_INTEGRAL2,
+               deviation=float(v) - PRINTED_INTEGRAL2, provenance="printed value"),
         Record(f"integral2.partial.N{args.N}", "root-series", float(s),
                provenance="partial sum"),
     ]

@@ -24,9 +24,11 @@ Each of these exists once: every compensated binary64 sum goes
 through :func:`compensated_sum` (or, for the moment series, the same
 Neumaier steps written into its loop), every large-a moment series
 (sum_m (-1)^m c_m a^(-p-m), truncated at its smallest term) through
-:func:`alternating_series`, and every exact rational polynomial
-(coefficient tuples, low power first) through the ``poly_*`` helpers,
-and every small-a Stieltjes expansion (a generating-function ladder
+:func:`alternating_series`, every exact rational polynomial (the
+derivative ladders, the Mellin reductions, the eta-polynomials of the
+zeta closed forms) as a coefficient tuple, low power first, built by the
+``poly_*`` helpers and evaluated by :func:`poly_eval_dd` alone, and
+every small-a Stieltjes expansion (a generating-function ladder
 against incomplete Mellin transforms) through :func:`smalla_sum`.
 """
 

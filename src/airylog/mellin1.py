@@ -10,9 +10,12 @@ The central objects:
   data from z to z+t, and the z-derivative ladders xi^(i), lambda^(i)
   needed by the small-a machinery of :mod:`airylog.stieltjes1`;
 * the transforms I_n(a) = int_a^inf z^n Ai dz and the primed variant,
-  reduced exactly (rational Laurent coefficients) onto the irreducible
-  base set {I_0, I_-1, I_-2, Ai(a), Ai'(a)} via the third-order recurrence;
-  the explicit 3k-family formulas provide an independent second route.
+  reduced exactly onto the irreducible base set {I_0, I_-1, I_-2, Ai(a),
+  Ai'(a)} via the third-order recurrence, the Ai and Ai' coefficients
+  exact rational polynomials in a (n >= 0) or 1/a (n < 0), held and
+  evaluated as ``kernel``'s coefficient tuples; the explicit 3k-family
+  formulas build the same reduction a second way, from their Gamma ratios
+  as rational Pochhammer products.
 
 Empty-sum convention: any family sum with a negative upper limit is 0.
 """
@@ -24,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .airy import airy, scorer_gi
+from .airy import JPair, airy, scorer_gi
 from .ddreal import (
     XReal,
     dd_add,
@@ -43,8 +46,6 @@ from .errors import DomainError
 from .kernel import (
     AI0,
     AIP0,
-    GAMMA_1_3,
-    GAMMA_2_3,
     SMALLA_PAST_N,
     hyp,
     hyp_params,
@@ -129,11 +130,7 @@ def xi_lambda_derivs(a: float):
     reproduces the printed i <= 3 instances exactly.
     """
     orders = range(6 + SMALLA_PAST_N + 1)
-    st = airy(-a)
-    jm = dd_sub(dd_mul(SQRT3.pair, st.ai.pair), st.bi.pair)
-    jp = dd_add(dd_mul(SQRT3.pair, st.ai.pair), st.bi.pair)
-    jmp = dd_sub(dd_mul(SQRT3.pair, st.aip.pair), st.bip.pair)
-    jpp = dd_add(dd_mul(SQRT3.pair, st.aip.pair), st.bip.pair)
+    jm, jp, jmp, jpp = (j.pair for j in JPair.of(airy(-a)))
     ma = (-a, 0.0)
     pz = [poly_eval_dd(pq_row(m).P, ma) for m in orders]
     qz = [poly_eval_dd(pq_row(m).Q, ma) for m in orders]
@@ -233,23 +230,23 @@ def Im2_hyp(a: float, tol: float) -> XReal:
 # -- exact reduction to the base set ----------------------------------------
 
 class Reduction(NamedTuple):
-    """I_m(a) = alpha I_0 + beta I_{-1} + gamma I_{-2} + u(a) Ai + v(a) Ai'
-    with exact rational Laurent coefficients u, v (dicts power -> Fraction).
-    """
+    """I_m(a) = alpha I_0 + beta I_{-1} + gamma I_{-2} + u Ai + v Ai'
+    with exact rational coefficients: u and v are coefficient tuples (low
+    power first, () for none) in a for m >= 0 and in 1/a for m < 0."""
 
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
-    u: dict
-    v: dict
+    u: tuple
+    v: tuple
 
 
-def _laurent_scaled(d: dict, s: Fraction) -> dict:
-    return {p: c * s for p, c in d.items() if c} if s else {}
-
-
-def _laurent_addto(d: dict, p: int, c: Fraction):
-    d[p] = d.get(p, Fraction(0)) + c
+def _scaled_plus(red: Reduction, s: Fraction, du: tuple,
+                 dv: tuple) -> Reduction:
+    """s * red, plus du Ai + dv Ai'."""
+    return Reduction(s * red.alpha, s * red.beta, s * red.gamma,
+                     poly_add(poly_scale(red.u, s), du),
+                     poly_add(poly_scale(red.v, s), dv))
 
 
 @lru_cache(maxsize=None)
@@ -257,72 +254,79 @@ def reduce_In(m: int) -> Reduction:
     """Exact reduction of I_m, any integer m in MELLIN's range."""
     if not (isinstance(m, int) and MELLIN.k_lo <= m <= MELLIN.k_hi):
         raise DomainError("reduce_In supports integers -60 <= m <= 80")
-    if m == 0:
-        return Reduction(Fraction(1), Fraction(0), Fraction(0), {}, {})
-    if m == -1:
-        return Reduction(Fraction(0), Fraction(1), Fraction(0), {}, {})
-    if m == -2:
-        return Reduction(Fraction(0), Fraction(0), Fraction(1), {}, {})
+    if -2 <= m <= 0:
+        return Reduction(Fraction(m == 0), Fraction(m == -1),
+                         Fraction(m == -2), (), ())
     if m >= 1:
         # I_m = (m-1)(m-2) I_{m-3} + (m-1) a^{m-2} Ai - a^{m-1} Ai'
-        base = reduce_In(m - 3)
-        s = Fraction((m - 1) * (m - 2))
-        u = _laurent_scaled(base.u, s)
-        v = _laurent_scaled(base.v, s)
-        if m > 1:
-            _laurent_addto(u, m - 2, Fraction(m - 1))
-        _laurent_addto(v, m - 1, Fraction(-1))
-        return Reduction(s * base.alpha, s * base.beta, s * base.gamma, u, v)
-    # m <= -3: I_{n-3} = [I_n + a^{n-1} Ai' - (n-1) a^{n-2} Ai]/((n-1)(n-2))
+        du = (0,) * (m - 2) + (m - 1,) if m > 1 else ()
+        return _scaled_plus(reduce_In(m - 3), Fraction((m - 1) * (m - 2)),
+                            du, (0,) * (m - 1) + (-1,))
+    # m <= -3: I_{n-3} = [I_n + a^{n-1} Ai' - (n-1) a^{n-2} Ai]/((n-1)(n-2)),
+    # in powers of 1/a
     n = m + 3
-    base = reduce_In(n)
-    den = Fraction((n - 1) * (n - 2))
-    u = _laurent_scaled(base.u, 1 / den)
-    v = _laurent_scaled(base.v, 1 / den)
-    _laurent_addto(u, n - 2, Fraction(-(n - 1)) / den)
-    _laurent_addto(v, n - 1, Fraction(1) / den)
-    return Reduction(base.alpha / den, base.beta / den, base.gamma / den, u, v)
+    s = 1 / Fraction((n - 1) * (n - 2))
+    return _scaled_plus(reduce_In(n), s, (0,) * (2 - n) + (-(n - 1) * s,),
+                        (0,) * (1 - n) + (s,))
 
 
 @lru_cache(maxsize=None)
 def reduce_Iprime(m: int) -> Reduction:
     """Exact reduction of I'_m = int_a^inf z^m Ai' dz, by reduce_In's rows."""
-    if m == 0:
-        return Reduction(Fraction(0), Fraction(0), Fraction(0),
-                         {0: Fraction(-1)}, {})
-    if m >= 1:
-        base = reduce_In(m - 1)
-        u = _laurent_scaled(base.u, Fraction(-m))
-        v = _laurent_scaled(base.v, Fraction(-m))
-        _laurent_addto(u, m, Fraction(-1))
-        return Reduction(-m * base.alpha, -m * base.beta, -m * base.gamma, u, v)
+    if m >= 0:
+        # I'_m = -m I_{m-1} - a^m Ai
+        return _scaled_plus(reduce_In(m - 1), Fraction(-m),
+                            (0,) * m + (-1,), ())
     if m == -1:
         # I'_{-1} = I_{-2} - Ai/a
-        return Reduction(Fraction(0), Fraction(0), Fraction(1),
-                         {-1: Fraction(-1)}, {})
+        return Reduction(Fraction(0), Fraction(0), Fraction(1), (0, -1), ())
     # m <= -2:  I'_{-n} = [Ai'/a^{n-1} + I_{-n+2}]/(n-1),  n = -m
-    n = -m
-    base = reduce_In(-n + 2)
-    den = Fraction(n - 1)
-    u = _laurent_scaled(base.u, 1 / den)
-    v = _laurent_scaled(base.v, 1 / den)
-    _laurent_addto(v, -(n - 1), 1 / den)
-    return Reduction(base.alpha / den, base.beta / den, base.gamma / den, u, v)
+    s = 1 / Fraction(-m - 1)
+    return _scaled_plus(reduce_In(m + 2), s, (), (0,) * (-m - 1) + (s,))
 
 
-def eval_laurent_dd(d: dict, a_pair):
-    acc = (0.0, 0.0)
-    for p, c in d.items():
-        if not c:
-            continue
-        term = dd_powi(a_pair, p)
-        if abs(c.numerator) <= 2**53 and abs(c.denominator) <= 2**53:
-            term = dd_div_f(dd_mul_f(term, float(c.numerator)),
-                            float(c.denominator))
+@lru_cache(maxsize=None)
+def reduce_family(n: int) -> Reduction:
+    """Exact reduction of I_n, 0 <= n <= 80, by the explicit 3k-family
+    formulas (the second route; the factorial-index misprints of the
+    printed negative families are documented in the validation report):
+
+      I_3k   = (3k)!/(3^k k!) {I_0 + Ai sum_{l<k} 3^l l! a^{3l+1}/(3l+1)!
+                                   - Ai' sum_{l<k} 3^l l! a^{3l+2}/(3l+2)!},
+      I_3k+1 = 3^{2k} k! {Ai sum_{l<k} G(k+2/3)/G(l+5/3) a^{3l+2}/(3 9^l l!)
+                          - Ai' sum_{l<=k} G(k+2/3)/G(l+2/3) a^{3l}/(9^l l!)},
+      I_3k+2 = 3^{2k} k! {3 Ai sum_{l<=k} G(k+4/3)/G(l+1/3) a^{3l}/(9^l l!)
+                          - Ai' sum_{l<=k} G(k+4/3)/G(l+4/3) a^{3l+1}/(9^l l!)},
+
+    each Gamma ratio G(j+c)/G(l+c) the rational product (l+c)_{j-l}."""
+    if not (isinstance(n, int) and FAMILY.k_lo <= n <= FAMILY.k_hi):
+        raise DomainError("reduce_family supports integers 0 <= n <= 80")
+    k, mu = divmod(n, 3)
+    u, v = [0] * max(n - 1, 0), [0] * n
+    if mu == 0:
+        alpha = Fraction(math.factorial(3 * k), 3 ** k * math.factorial(k))
+        for l in range(k):
+            t = alpha * 3 ** l * math.factorial(l)
+            u[3 * l + 1] = t / math.factorial(3 * l + 1)
+            v[3 * l + 2] = -t / math.factorial(3 * l + 2)
+        return Reduction(alpha, Fraction(0), Fraction(0), tuple(u), tuple(v))
+    c = Fraction(3 - mu, 3)
+
+    def ratio(lo: int, hi: int) -> Fraction:
+        """G(hi + c) / G(lo + c) = (lo + c)_{hi - lo}."""
+        return math.prod((j + c for j in range(lo, hi)), start=Fraction(1))
+
+    for l in range(k + 1):
+        t = Fraction(3 ** (2 * k) * math.factorial(k),
+                     9 ** l * math.factorial(l))
+        if mu == 1:
+            if l < k:
+                u[3 * l + 2] = t / 3 * ratio(l + 1, k)
+            v[3 * l] = -t * ratio(l, k)
         else:
-            term = dd_mul(term, XReal.from_fraction(c).pair)
-        acc = dd_add(acc, term)
-    return acc
+            u[3 * l] = 3 * t * ratio(l, k + 1)
+            v[3 * l + 1] = -t * ratio(l + 1, k + 1)
+    return Reduction(Fraction(0), Fraction(0), Fraction(0), tuple(u), tuple(v))
 
 
 class BaseValues:
@@ -333,6 +337,7 @@ class BaseValues:
     def __init__(self, a: float, tol: float):
         self.a = float(a)
         self.a_pair = (float(a), 0.0)
+        self.inv_a = dd_div((1.0, 0.0), self.a_pair)
         st = airy(a)
         self.ai = st.ai.pair
         self.aip = st.aip.pair
@@ -352,22 +357,21 @@ class BaseValues:
     def _reduced(self, reduce, m: int):
         val = self._memo.get((reduce, m))
         if val is None:
-            val = self._memo[reduce, m] = self._evaluate(reduce(m))
+            val = self._memo[reduce, m] = self._evaluate(
+                reduce(m), self.a_pair if m >= 0 else self.inv_a)
         return val
 
-    def _evaluate(self, red: Reduction):
+    def _evaluate(self, red: Reduction, x_pair):
+        """The reduction at a, its u and v evaluated at x_pair (a or 1/a)."""
         acc = (0.0, 0.0)
         for coeff, base in ((red.alpha, self.I0), (red.beta, self.Im1),
                             (red.gamma, self.Im2)):
             if coeff:
                 acc = dd_add(acc, dd_mul(base,
                                          XReal.from_fraction(coeff).pair))
-        if red.u:
-            acc = dd_add(acc, dd_mul(self.ai,
-                                     eval_laurent_dd(red.u, self.a_pair)))
-        if red.v:
-            acc = dd_add(acc, dd_mul(self.aip,
-                                     eval_laurent_dd(red.v, self.a_pair)))
+        for poly, base in ((red.u, self.ai), (red.v, self.aip)):
+            if poly:
+                acc = dd_add(acc, dd_mul(base, poly_eval_dd(poly, x_pair)))
         return acc
 
 
@@ -379,77 +383,6 @@ def base_values(a: float, tol: float) -> BaseValues:
 
 
 # -- the public transform operations ----------------------------------------
-
-def _family_In(n: int, base: BaseValues) -> XReal:
-    """Explicit 3k/3k+1/3k+2 family formulas for I_n, n >= 0 (second
-    route; the factorial-index misprints of the printed negative families
-    are documented in the validation report)."""
-    a = base.a_pair
-    k, mu = divmod(n, 3)
-    a3 = dd_powi(a, 3)
-    if mu == 0:
-        # (3k)!/(3^k k!) {I0 + a Ai sum - a^2 Ai' sum}
-        pref = Fraction(math.factorial(3 * k), 3 ** k * math.factorial(k))
-        s1 = (0.0, 0.0)
-        s2 = (0.0, 0.0)
-        t = (1.0, 0.0)  # (3a^3)^l l! / (3l+1)!
-        t2 = (0.5, 0.0)  # (3a^3)^l l! / (3l+2)!
-        for l in range(k):
-            s1 = dd_add(s1, t)
-            s2 = dd_add(s2, t2)
-            r = float((l + 1) * 3)
-            t = dd_mul(dd_mul_f(t, r / float((3 * l + 2) * (3 * l + 3) * (3 * l + 4))), a3)
-            t2 = dd_mul(dd_mul_f(t2, r / float((3 * l + 3) * (3 * l + 4) * (3 * l + 5))), a3)
-        inner = dd_add(base.I0, dd_mul(dd_mul(a, base.ai), s1))
-        inner = dd_sub(inner, dd_mul(dd_mul(dd_powi(a, 2), base.aip), s2))
-        return XReal.from_pair(dd_mul(inner, XReal.from_fraction(pref).pair))
-    if mu == 1:
-        # 3^{2k} k! Gamma(k+2/3) {(a^2/3) Ai sum_{l<k} (a^3/9)^l/(l! G(l+5/3))
-        #                         - Ai' sum_{l<=k} (a^3/9)^l/(l! G(l+2/3))}
-        s1 = (0.0, 0.0)
-        s2 = (0.0, 0.0)
-        t1 = (1.0, 0.0)  # ratio chain for G(l+5/3): value (a^3/9)^l/(l! (5/3)_l)
-        t2 = (1.0, 0.0)  # for G(l+2/3): (a^3/9)^l/(l! (2/3)_l)
-        a39 = dd_div_f(a3, 9.0)
-        for l in range(k + 1):
-            if l < k:
-                s1 = dd_add(s1, t1)
-            s2 = dd_add(s2, t2)
-            t1 = dd_div_f(dd_mul_f(dd_mul(t1, a39), 3.0), float((l + 1) * (3 * l + 5)))
-            t2 = dd_div_f(dd_mul_f(dd_mul(t2, a39), 3.0), float((l + 1) * (3 * l + 2)))
-        # prefactor 3^{2k} k! Gamma(k+2/3); the Gamma ratios relative to
-        # the l = 0 anchors are folded into the running chains
-        g23 = GAMMA_2_3.pair
-        g53 = dd_mul_f(g23, 2.0 / 3.0)  # G(5/3) = (2/3) G(2/3)
-        gk23 = g23
-        for l in range(k):
-            gk23 = dd_mul_f(gk23, l + 2.0 / 3.0)
-        pref = 3.0 ** (2 * k) * math.factorial(k)
-        part1 = dd_mul(dd_mul_f(dd_mul(dd_powi(a, 2), base.ai), 1.0 / 3.0),
-                       dd_mul(s1, dd_div(gk23, g53)))
-        part2 = dd_mul(base.aip, dd_mul(s2, dd_div(gk23, g23)))
-        return XReal.from_pair(dd_mul_f(dd_sub(part1, part2), pref))
-    # mu == 2: 3^{2k} k! Gamma(k+4/3) {3 Ai sum/G(l+1/3) - a Ai' sum/G(l+4/3)}
-    g13 = GAMMA_1_3.pair
-    g43 = dd_mul_f(g13, 1.0 / 3.0)
-    gk43 = g43
-    for l in range(k):
-        gk43 = dd_mul_f(gk43, l + 4.0 / 3.0)
-    s1 = (0.0, 0.0)
-    s2 = (0.0, 0.0)
-    t1 = (1.0, 0.0)  # (a^3/9)^l/(l! (1/3)_l)
-    t2 = (1.0, 0.0)  # (a^3/9)^l/(l! (4/3)_l)
-    a39 = dd_div_f(a3, 9.0)
-    for l in range(k + 1):
-        s1 = dd_add(s1, t1)
-        s2 = dd_add(s2, t2)
-        t1 = dd_div_f(dd_mul_f(dd_mul(t1, a39), 3.0), float((l + 1) * (3 * l + 1)))
-        t2 = dd_div_f(dd_mul_f(dd_mul(t2, a39), 3.0), float((l + 1) * (3 * l + 4)))
-    pref = 3.0 ** (2 * k) * math.factorial(k)
-    part1 = dd_mul_f(dd_mul(base.ai, dd_mul(s1, dd_div(gk43, g13))), 3.0)
-    part2 = dd_mul(dd_mul(a, base.aip), dd_mul(s2, dd_div(gk43, g43)))
-    return XReal.from_pair(dd_mul_f(dd_sub(part1, part2), pref))
-
 
 def _base(name: str, domain: Domain, n: int, a: float) -> BaseValues:
     """The base values at a, after the route's domain check."""
@@ -477,9 +410,11 @@ def mellin_closed(n: int, a: float) -> TransformResult:
 
 def mellin_family(n: int, a: float) -> TransformResult:
     """I_n(a) on FAMILY (0 <= n <= 80, a > 0) by the explicit 3k-family
-    formulas (the second route), with err_est = 1e-13."""
-    return TransformResult(_family_In(n, _base("mellin_family", FAMILY, n, a)),
-                           "family", 1e-13)
+    formulas (the second route), with err_est = 1e-13.  Their exact
+    reduction is the recurrence's, so the value is that of
+    :func:`mellin_closed` to the last bit."""
+    val = _base("mellin_family", FAMILY, n, a)._reduced(reduce_family, n)
+    return TransformResult(XReal.from_pair(val), "family", 1e-13)
 
 
 def mellin_prime(n: int, a: float) -> TransformResult:

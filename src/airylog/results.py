@@ -118,7 +118,8 @@ class Domain(NamedTuple):
             raise DomainError(f"{name} needs an integer order in "
                               f"[{self.k_lo:g}, {self.k_hi:g}] and a > 0")
         if not self.holds(k, a):
-            raise RangeError(f"{name} of order {k} needs a in [{self.lo:g}, {self._hi(k):g}]")
+            lower = f"[{self.lo:g}" if self.lo > 0 else "(0"
+            raise RangeError(f"{name} of order {k} needs a in {lower}, {self._hi(k):g}]")
 
 
 class TruncationConfig(Frozen):

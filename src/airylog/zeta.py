@@ -19,7 +19,8 @@ from functools import lru_cache
 
 from .ddreal import XReal, dd_add, dd_powi
 from .errors import DomainError
-from .kernel import ETA, compensated_sum, poly_add, poly_mul, poly_scale
+from .kernel import (ETA, compensated_sum, poly_add, poly_eval_dd, poly_mul,
+                     poly_scale)
 from . import roots as _roots
 from .roots import RootTable
 
@@ -57,28 +58,20 @@ def _log_derivative_coeffs():
     return tuple(q)
 
 
-def zeta_eta_poly(k: int):
-    """Z_k as an exact polynomial in eta (list of Fractions, low power
-    first)."""
+def zeta_eta_poly(k: int) -> tuple:
+    """Z_k as an exact polynomial in eta (Fraction coefficient tuple, low
+    power first)."""
     if k < 2:
         raise DomainError("zeta sums converge only for k >= 2")
     if k > K_MAX:
         raise DomainError(f"zeta closed form capped at k = {K_MAX}")
-    sign = 1 if k % 2 else -1  # (-1)^(k-1)
-    return [sign * c for c in _log_derivative_coeffs()[k - 1]]
+    return poly_scale(_log_derivative_coeffs()[k - 1], 1 if k % 2 else -1)
 
 
 @lru_cache(maxsize=K_MAX)
 def zeta_closed(k: int) -> XReal:
     """Z_k = sum over root magnitudes of |a_n'|^-k, from the closed form."""
-    poly = zeta_eta_poly(k)
-    acc = XReal(0.0)
-    p = XReal(1.0)
-    for c in poly:
-        if c:
-            acc = acc + p * c
-        p = p * ETA
-    return acc
+    return XReal.from_pair(poly_eval_dd(zeta_eta_poly(k), ETA.pair))
 
 
 #: |a_n'|^-k for n = 1, 2, ... by k, over the roots of the process-wide

@@ -2,13 +2,18 @@
 there, every private module-level function or class is used somewhere in
 the package, every public definition is reached from the CLI or the
 benchmark, every defaulted parameter is set by some caller in the
-package or the benchmark, and no module imports scipy or numpy when it is
-imported (the quadrature oracle loads them on its first integral)."""
+package or the benchmark, no module imports scipy or numpy when it is
+imported (the quadrature oracle loads them on its first integral), and
+every exact polynomial row is a tuple of ints and Fractions."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import airylog
+from airylog.mellin1 import pq_row, reduce_family, reduce_In, reduce_Iprime
+from airylog.mellin2 import pqr2_row, pqr_row
+from airylog.zeta import zeta_eta_poly
 
 SRC = Path(airylog.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -535,3 +540,32 @@ def test_routes_are_picked_by_their_declared_domains():
              for p in sorted(SRC.glob("*.py"))
              for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))}
     assert not names & set(OLD_BOUNDS), names & set(OLD_BOUNDS)
+
+
+#: the functions that return exact polynomial rows, with the arguments
+#: each is checked at (its whole range)
+EXACT_ROWS = (
+    (pq_row, range(121)),
+    (pqr_row, range(61)),
+    (pqr2_row, range(81)),
+    (reduce_In, range(-60, 81)),
+    (reduce_Iprime, range(-60, 81)),
+    (reduce_family, range(81)),
+    (zeta_eta_poly, range(2, 21)),
+)
+
+
+def _exact_tuple(value) -> bool:
+    """A tuple whose items are ints, Fractions or such tuples: the one
+    form of an exact polynomial, which ``kernel.poly_eval_dd`` evaluates
+    and which hashes, so a memoised row can be shared."""
+    return isinstance(value, tuple) and all(
+        type(v) in (int, Fraction) or _exact_tuple(v) for v in value)
+
+
+def test_exact_rows_are_int_and_fraction_tuples():
+    assert _exact_tuple(((1, Fraction(1, 2)), (), Fraction(3)))
+    assert not any(map(_exact_tuple, ([1], (1.0,), (True,), ({0: 1},))))
+    wrong = [f"{fn.__name__}({arg})" for fn, args in EXACT_ROWS
+             for arg in args if not _exact_tuple(fn(arg))]
+    assert not wrong, wrong

@@ -8,8 +8,11 @@ import pytest
 
 from airylog.airy import airy
 from airylog.errors import DomainError
-from airylog.kernel import AI0, AIP0, compensated_sum
+from airylog.kernel import AI0, AIP0, compensated_sum, poly_eval_dd
 from airylog.mellin1 import (
+    FAMILY,
+    MELLIN,
+    BaseValues,
     I0_hyp,
     Im1_hyp,
     Im2_hyp,
@@ -20,7 +23,9 @@ from airylog.mellin1 import (
     mellin_family,
     mellin_prime,
     pq_row,
+    reduce_family,
     reduce_In,
+    reduce_Iprime,
     xi_lambda_derivs,
 )
 from airylog.oracle import oracle_mellin
@@ -120,12 +125,11 @@ def test_amatrix_rows_and_first_column():
 
 def _cde(n):
     """(c_n, d_n, e_n) of I_n = c_n Ai + d_n Ai' + e_n I_0 as Table 6
-    prints them (coefficient tuples, low power first), read from
-    :func:`reduce_In`."""
+    prints them (coefficient tuples, low power first, (0,) for none), read
+    from :func:`reduce_In`."""
     red = reduce_In(n)
     assert red.beta == red.gamma == 0
-    poly = lambda d: tuple(d.get(p, 0) for p in range(max(d, default=0) + 1))
-    return poly(red.u), poly(red.v), red.alpha
+    return red.u or (0,), red.v or (0,), red.alpha
 
 
 def test_cde_table6():
@@ -166,11 +170,45 @@ def test_mellin_vs_oracle_grid():
 
 
 def test_family_route_agrees():
+    # one exact reduction, one evaluation: the routes agree to the bit
     for a in (0.5, 1.0187929716, 2.0, 5.0):
         for n in range(0, 13):
-            rec = float(mellin_closed(n, a).value)
-            fam = float(mellin_family(n, a).value)
-            assert abs(rec - fam) <= 1e-12 * max(1.0, abs(rec))
+            rec = mellin_closed(n, a).value.pair
+            assert mellin_family(n, a).value.pair == rec, (n, a)
+
+
+def test_family_reduction_is_the_recurrence_reduction():
+    # the 3k-family formulas, their Gamma ratios taken as exact Pochhammer
+    # products, build the recurrence's reduction coefficient for coefficient
+    for n in range(FAMILY.k_lo, FAMILY.k_hi + 1):
+        assert reduce_family(n) == reduce_In(n), n
+
+
+#: the points the exact reduction rows are checked at: small a, the first
+#: root |a_1'|, and up to just inside the Mellin ladders' a <= 13
+ROW_POINTS = (0.05, 0.2, 0.5, 1.018792971647471, 2.0, 3.75, 4.5, 8.0, 12.75)
+
+
+def test_reduction_rows_evaluate_within_1e30_of_exact_arithmetic():
+    # every row's u and v, evaluated in double-double at the a (m >= 0) or
+    # 1/a (m < 0) that BaseValues holds, against exact rational arithmetic
+    # at the binary64 a, relative to the sum of the terms' magnitudes
+    # (measured: 3.0e-31 at worst)
+    for a in ROW_POINTS:
+        base = BaseValues(a, 1e-18)
+        for m in range(MELLIN.k_lo, MELLIN.k_hi + 1):
+            x_pair = base.a_pair if m >= 0 else base.inv_a
+            x = Fraction(a) if m >= 0 else 1 / Fraction(a)
+            for red in (reduce_In(m), reduce_Iprime(m)):
+                for poly in (red.u, red.v):
+                    exact = 0
+                    for c in reversed(poly):
+                        exact = exact * x + c
+                    size = sum(abs(float(c)) * float(x) ** p
+                               for p, c in enumerate(poly))
+                    hi, lo = poly_eval_dd(poly, x_pair)
+                    err = abs(Fraction(hi) + Fraction(lo) - exact)
+                    assert err <= 1e-30 * size, (m, a, float(err) / size)
 
 
 def test_family_route_rejects_negative_n():

@@ -26,6 +26,7 @@ from airylog.mellin2 import (
     xi2_derivs,
 )
 from airylog.oracle import oracle_mellin, oracle_stieltjes
+from airylog.results import Domain
 
 
 def test_table7_rows():
@@ -429,6 +430,21 @@ def test_negative_indices_meet_err_est_and_stop_at_neg_a_max():
         assert math.isfinite(float(fn(2, 12.75).value))
         with pytest.raises(RangeError):
             fn(2, 13.25)
+
+
+def test_range_error_reads_an_open_lower_bound_without_a_declared_lo():
+    # Domain.check refuses a <= 0 first, so a domain with no lower bound
+    # holds on (0, hi]; its message once read [-inf, hi]
+    with pytest.raises(RangeError) as err:
+        calI(2, 13.25)
+    assert str(err.value) == "calI of order 2 needs a in (0, 13]"
+    with pytest.raises(RangeError) as err:
+        calI(-1, 5.0)
+    assert str(err.value) == "calI of order -1 needs a in (0, 4.75]"
+    # a declared lower bound prints as given
+    with pytest.raises(RangeError) as err:
+        Domain(0.2, 13.0).check("route", 1, 0.1)
+    assert str(err.value) == "route of order 1 needs a in [0.2, 13]"
 
 
 #: (kind, a, 30-digit mpmath 1.3.0 quadrature of int_a^inf w(x)/x dx,

@@ -16,7 +16,7 @@ from airylog.cli import _TRANSFORMS, main
 from airylog.errors import DomainError, RangeError
 from airylog.kernel import compensated_sum, pochhammer
 from airylog.mellin1 import (mellin_closed, mellin_family, mellin_prime,
-                             reduce_In, reduce_Iprime)
+                             reduce_family, reduce_In, reduce_Iprime)
 from airylog.mellin2 import Jn_smalla, calI, calI_bform, irreducible_neg1, mellin2
 from airylog.oracle import oracle_mellin, oracle_stieltjes
 from airylog.results import TransformResult
@@ -137,6 +137,7 @@ NON_INTEGER_ORDERS = {
     "mellin_family": lambda: mellin_family(1.5, 1.0),
     "reduce_In": lambda: reduce_In(1.5),
     "reduce_Iprime": lambda: reduce_Iprime(1.5),
+    "reduce_family": lambda: reduce_family(1.5),
     "calI": lambda: calI(1.5, 1.0),
     "calI_bform": lambda: calI_bform(1.5, 1.0),
     "mellin2": lambda: mellin2(1.5, 1.0),

@@ -25,13 +25,13 @@ def test_z2_is_minus_eta():
 
 
 def test_table5_exact_polynomials():
-    assert zeta_eta_poly(2) == [Fr(0), Fr(-1)]
-    assert zeta_eta_poly(3) == [Fr(1)]
-    assert zeta_eta_poly(4) == [Fr(0), Fr(0), Fr(1, 2)]
-    assert zeta_eta_poly(5) == [Fr(0), Fr(-2, 3)]
-    assert zeta_eta_poly(6) == [Fr(1, 4), Fr(0), Fr(0), Fr(-1, 4)]
-    assert zeta_eta_poly(7) == [Fr(0), Fr(0), Fr(7, 15)]
-    assert zeta_eta_poly(8) == [Fr(0), Fr(-11, 36), Fr(0), Fr(0), Fr(1, 8)]
+    assert zeta_eta_poly(2) == (Fr(0), Fr(-1))
+    assert zeta_eta_poly(3) == (Fr(1),)
+    assert zeta_eta_poly(4) == (Fr(0), Fr(0), Fr(1, 2))
+    assert zeta_eta_poly(5) == (Fr(0), Fr(-2, 3))
+    assert zeta_eta_poly(6) == (Fr(1, 4), Fr(0), Fr(0), Fr(-1, 4))
+    assert zeta_eta_poly(7) == (Fr(0), Fr(0), Fr(7, 15))
+    assert zeta_eta_poly(8) == (Fr(0), Fr(-11, 36), Fr(0), Fr(0), Fr(1, 8))
 
 
 def test_closed_vs_direct_sums(roots):
