@@ -5,9 +5,10 @@ with |lo| <= ulp(hi)/2, giving roughly 32 significant decimal digits.  The
 error-free transforms (two_sum / two_prod via Dekker splitting) are the
 classical ones; see Dekker (1971) and the QD library of Hida, Li & Bailey.
 The hot primitives (``dd_add``, ``dd_mul``, ``dd_mul_f``, ``dd_div_f``,
-``dd_sqr``) write these transforms out in their bodies, with the same IEEE
-operations in the same order, so no intermediate tuple is built; the
-``_two_sum`` / ``_quick_two_sum`` helpers serve the cold paths only.  The
+``dd_sqr``) write these transforms out in their bodies, ``dd_div_f`` its
+remainder's ``dd_add`` too, with the same IEEE operations in the same
+order, so no intermediate tuple is built; the ``_two_sum`` /
+``_quick_two_sum`` helpers serve the cold paths only.  The
 pFq and Maclaurin sums (``kernel.hyp_pfq``, its rows split by
 ``kernel._Ratios.extend``, and ``airy._fg_series``), a request's largest dd
 cost, write these primitives out with the same operations and hoist the
@@ -18,6 +19,11 @@ Two layers are exposed:
 * module-level functions on ``(hi, lo)`` tuples -- used in inner loops
   where attribute access would dominate the cost;
 * the :class:`XReal` wrapper with operator overloading for everything else.
+  Each operator calls one primitive on the two (hi, lo) pairs.  An XReal
+  or float operand is read as its pair directly, an int, Fraction or other
+  operand through ``XReal._coerce``, and the result is built with two slot
+  stores; the pairs read are those ``_coerce`` gives, so no bit differs
+  from going through it.
 
 All operations are pure; instances are immutable.
 """
@@ -129,7 +135,8 @@ def dd_div(a, b):
 
 
 def dd_div_f(a, b: float):
-    q1 = a[0] / b
+    a0, a1 = a
+    q1 = a0 / b
     p = q1 * b
     c = SPLITTER * q1
     qhi = c - (c - q1)
@@ -138,8 +145,20 @@ def dd_div_f(a, b: float):
     bhi = c - (c - b)
     blo = b - bhi
     e = ((qhi * bhi - p) + qhi * blo + qlo * bhi) + qlo * blo
-    r0, r1 = dd_add(a, (-p, -e))
-    q2 = (r0 + r1) / b
+    # the remainder a - (p, e): dd_add(a, (-p, -e)) written out
+    p, e = -p, -e
+    s = a0 + p
+    bb = s - a0
+    f = (a0 - (s - bb)) + (p - bb)
+    t = a1 + e
+    bb = t - a1
+    g = (a1 - (t - bb)) + (e - bb)
+    f += t
+    u = s + f
+    f = f - (u - s)
+    f += g
+    s = u + f
+    q2 = (s + (f - (s - u))) / b
     s = q1 + q2
     return s, q2 - (s - q1)
 
@@ -261,13 +280,36 @@ def _exact(v):
     return v.lo if not math.isfinite(v.lo) else Fraction(v.hi) + Fraction(v.lo)
 
 
+_new = object.__new__
+
+
+def _dd_operator(op, reflected=False):
+    """The XReal operator computing ``op`` on (self, other), or on (other,
+    self) when ``reflected``: an XReal or float operand is read as its pair
+    directly, any other through :meth:`XReal._coerce`."""
+
+    def operator(self, other):
+        t = type(other)
+        b = ((other.hi, other.lo) if t is XReal else (other, 0.0)
+             if t is float else XReal._coerce(other))
+        x = _new(XReal)
+        x.hi, x.lo = op(b, (self.hi, self.lo)) if reflected else op(
+            (self.hi, self.lo), b)
+        return x
+
+    return operator
+
+
 class XReal:
     """Extended-precision real: hi + lo pair of binary64 values.
 
     ``lo`` is zero when extended precision is disabled (plain promotion of
-    a float).  Arithmetic is associative only up to the ~1e-32 relative
-    rounding of the representation; summation helpers in
-    :mod:`airylog.kernel` state their error model explicitly.
+    a float).  The operators read an XReal or float operand's parts
+    directly and take any other through :meth:`_coerce`, which gives the
+    same pair for those two, so the direct path moves no bit.  Arithmetic
+    is associative only up to the ~1e-32 relative rounding of the
+    representation; summation helpers in :mod:`airylog.kernel` state their
+    error model explicitly.
     """
 
     __slots__ = ("hi", "lo")
@@ -293,8 +335,6 @@ class XReal:
 
     @staticmethod
     def _coerce(v: Scalar):
-        if type(v) is float:  # the common operand, before the ABC checks
-            return (v, 0.0)
         if isinstance(v, XReal):
             return (v.hi, v.lo)
         if isinstance(v, Fraction):
@@ -308,30 +348,17 @@ class XReal:
         return (self.hi, self.lo)
 
     # -- arithmetic ------------------------------------------------------
-    def __add__(self, other: Scalar):
-        return XReal.from_pair(dd_add(self.pair, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Scalar):
-        return XReal.from_pair(dd_sub(self.pair, self._coerce(other)))
-
-    def __rsub__(self, other: Scalar):
-        return XReal.from_pair(dd_sub(self._coerce(other), self.pair))
-
-    def __mul__(self, other: Scalar):
-        return XReal.from_pair(dd_mul(self.pair, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar):
-        return XReal.from_pair(dd_div(self.pair, self._coerce(other)))
-
-    def __rtruediv__(self, other: Scalar):
-        return XReal.from_pair(dd_div(self._coerce(other), self.pair))
+    __add__ = __radd__ = _dd_operator(dd_add)
+    __sub__ = _dd_operator(dd_sub)
+    __rsub__ = _dd_operator(dd_sub, reflected=True)
+    __mul__ = __rmul__ = _dd_operator(dd_mul)
+    __truediv__ = _dd_operator(dd_div)
+    __rtruediv__ = _dd_operator(dd_div, reflected=True)
 
     def __neg__(self):
-        return XReal(-self.hi, -self.lo)
+        x = _new(XReal)
+        x.hi, x.lo = -self.hi, -self.lo
+        return x
 
     def __abs__(self):
         return -self if self.hi < 0 else self

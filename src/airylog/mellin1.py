@@ -272,7 +272,10 @@ def reduce_In(m: int) -> Reduction:
 
 @lru_cache(maxsize=None)
 def reduce_Iprime(m: int) -> Reduction:
-    """Exact reduction of I'_m = int_a^inf z^m Ai' dz, by reduce_In's rows."""
+    """Exact reduction of I'_m = int_a^inf z^m Ai' dz, by reduce_In's rows,
+    any integer m in MELLIN's range."""
+    if not (isinstance(m, int) and MELLIN.k_lo <= m <= MELLIN.k_hi):
+        raise DomainError("reduce_Iprime supports integers -60 <= m <= 80")
     if m >= 0:
         # I'_m = -m I_{m-1} - a^m Ai
         return _scaled_plus(reduce_In(m - 1), Fraction(-m),

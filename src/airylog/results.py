@@ -27,9 +27,13 @@ class Frozen:
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        # each slot's setter, bound once: no per-store attribute lookup
+        cls._setters = tuple(getattr(cls, n).__set__ for n in cls.__slots__)
+
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for set_slot, value in zip(self._setters, values, strict=True):
+            set_slot(self, value)
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")

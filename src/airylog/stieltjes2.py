@@ -110,11 +110,13 @@ _LNC = (AP2, AAP, A2)
 
 def _delta_u(masters_a, masters_a0, dlog: XReal):
     """(du1, du2, du3) between a0 and a from precomputed masters."""
+    diffs = [ma - m0 + lnc * dlog
+             for ma, m0, lnc in zip(masters_a, masters_a0, _LNC)]
     out = []
     for w in (_W_BI2, _W_AI2, _W_AIBI):
         acc = XReal(0.0)
-        for wm, ma, m0, lnc in zip(w, masters_a, masters_a0, _LNC):
-            acc = acc + wm * (ma - m0 + lnc * dlog)
+        for wm, d in zip(w, diffs):
+            acc = acc + wm * d
         out.append(acc)
     return tuple(out)
 

@@ -1,6 +1,7 @@
 """Double-double arithmetic: error-free transforms and elementary maps."""
 
 import math
+import operator
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from airylog.ddreal import (
     dd_ln,
     dd_mul,
     dd_mul_f,
+    dd_neg,
     dd_powi,
     dd_sqr,
     dd_sqrt,
@@ -260,6 +262,17 @@ def _ref_div_f(a, b):
     return _quick_two_sum(q1, q2)
 
 
+def _div_f_by_dd_add(a, b):
+    """dd_div_f with its remainder a - (p, e) taken by a dd_add call, the
+    composition its written-out body must match."""
+    q1 = a[0] / b
+    p, e = _two_prod(q1, b)
+    r0, r1 = dd_add(a, (-p, -e))
+    q2 = (r0 + r1) / b
+    s = q1 + q2
+    return s, q2 - (s - q1)
+
+
 def _ref_sqr(a):
     p, e = _two_prod(a[0], a[0])
     e += 2.0 * a[0] * a[1]
@@ -312,6 +325,48 @@ def test_primitives_match_textbook_compositions_bitwise(ops):
         assert _bits(mine(*args)) == _bits(ref(*args)), (mine.__name__, args)
     if f != 0.0:
         assert _bits(dd_div_f(a, f)) == _bits(_ref_div_f(a, f)), (a, f)
+        assert _bits(dd_div_f(a, f)) == _bits(_div_f_by_dd_add(a, f)), (a, f)
+
+
+def _outcome(compute):
+    """The bits of a pair or XReal that ``compute()`` returns, or the
+    ZeroDivisionError a zero divisor's hi raises."""
+    try:
+        r = compute()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return _bits((r.hi, r.lo) if isinstance(r, XReal) else r)
+
+
+_BINARY = ((operator.add, dd_add), (operator.sub, dd_sub),
+           (operator.mul, dd_mul), (operator.truediv, dd_div))
+
+
+@given(operands(), st.fractions(min_value=-1e6, max_value=1e6,
+                                max_denominator=10 ** 9),
+       st.integers(min_value=-2 ** 60, max_value=2 ** 60))
+@settings(max_examples=200)
+@example(((1.5, 0.0), (0.0, 0.0), 0.0), Fraction(1, 3), 2 ** 53 + 1)
+def test_xreal_operators_match_their_primitives_bitwise(ops, fr, n):
+    # XReal and float operands are read as pairs directly, the others
+    # through _coerce; either way each operator is its ddreal primitive on
+    # the two pairs, in the operand order the operator gives it (__radd__
+    # and __rmul__ are __add__ and __mul__, so a reflected sum or product
+    # keeps the XReal's pair first)
+    a, b, f = ops
+    x = XReal(*a)
+    for other in (XReal(*b), f, fr, n, 2 ** 53 * n):
+        pair = XReal._coerce(other)
+        for op, prim in _BINARY:
+            assert _outcome(lambda: op(x, other)) == _outcome(
+                lambda: prim(a, pair)), (op, a, other)
+            first = (a, pair) if prim in (dd_add, dd_mul) and type(
+                other) is not XReal else (pair, a)
+            assert _outcome(lambda: op(other, x)) == _outcome(
+                lambda: prim(*first)), (op, other, a)
+    assert _bits(((-x).hi, (-x).lo)) == _bits(dd_neg(a))
+    assert _bits((abs(x).hi, abs(x).lo)) == _bits(
+        dd_neg(a) if a[0] < 0 else a)
 
 
 def _ref_powi(a, n):

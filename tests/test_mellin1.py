@@ -218,6 +218,14 @@ def test_family_route_rejects_negative_n():
         mellin_family(-1, 1.0)
 
 
+@pytest.mark.parametrize("m", [81, -61, 2.0])
+def test_reduce_iprime_refuses_orders_outside_mellin(m):
+    # 81 and -61 returned rows through reduce_In(80) and reduce_In(-59),
+    # and 2.0 raised under reduce_In's name
+    with pytest.raises(DomainError, match="reduce_Iprime"):
+        reduce_Iprime(m)
+
+
 #: (I_n or I'_n, n, a) -> the transform to 32 digits: mpmath 1.3.0
 #: quadrature at 55 digits, which a 40-digit run matches to 1e-38 relative
 MELLIN_REFS = {
