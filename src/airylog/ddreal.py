@@ -11,8 +11,9 @@ order, so no intermediate tuple is built; the ``_two_sum`` /
 ``_quick_two_sum`` helpers serve the cold paths only.  The
 pFq and Maclaurin sums (``kernel.hyp_pfq``, its rows split by
 ``kernel._Ratios.extend``, and ``airy._fg_series``), a request's largest dd
-cost, write these primitives out with the same operations and hoist the
-:func:`dd_split` of a factor the loop keeps; every other loop calls them.
+cost, and :func:`dd_exp`'s Taylor loop write these primitives out with the
+same operations and hoist the :func:`dd_split` of a factor the loop keeps;
+every other loop calls them.
 
 Two layers are exposed:
 
@@ -222,16 +223,53 @@ def dd_exp(a):
     k = round((a[0] + a[1]) / _LN2[0])
     r = dd_add_f(dd_add_f(a, -k * _LN2_CW[0]), -k * _LN2_CW[1])
     r = dd_sub(r, dd_mul_f((_LN2_CW[2], 0.0), float(k)))
-    # Taylor sum of exp(r), |r| <= ~0.347
-    term = total = (1.0, 0.0)
+    # Taylor sum of exp(r), |r| <= ~0.347, with the primitives written out
+    # as in kernel.hyp_pfq and r's split hoisted
+    r0, r1 = r
+    rh, rl = dd_split(r0)
+    t0, t1 = s0, s1 = 1.0, 0.0
     for i in range(1, _EXP_COEFFS):
-        term = dd_div_f(dd_mul(term, r), float(i))
-        total = dd_add(total, term)
-        if abs(term[0]) < 1e-36 * abs(total[0]):
+        n = float(i)
+        # term <- dd_mul(term, r)
+        p = t0 * r0
+        c = SPLITTER * t0
+        hi = c - (c - t0)
+        lo = t0 - hi
+        e = ((hi * rh - p) + hi * rl + lo * rh) + lo * rl + (t0 * r1 + t1 * r0)
+        t0 = p + e
+        t1 = e - (t0 - p)
+        # term <- dd_div_f(term, n): n < 2**26 splits into itself and 0.0,
+        # and the products with that 0.0 are left out, as they add a zero
+        # to a sum that is never -0.0
+        q = t0 / n
+        p = q * n
+        c = SPLITTER * q
+        hi = c - (c - q)
+        lo = q - hi
+        e = (hi * n - p) + lo * n
+        a0, b = t0 - p, t1 - e
+        ba, bb = a0 - t0, b - t1
+        f = (t1 - (b - bb)) + (-e - bb)
+        e = (t0 - (a0 - ba)) + (-p - ba) + b
+        u = a0 + e
+        e = e - (u - a0) + f
+        a0 = u + e
+        d = (a0 + (e - (a0 - u))) / n
+        t0 = q + d
+        t1 = d - (t0 - q)
+        # total <- dd_add(total, term)
+        a0, b = s0 + t0, s1 + t1
+        ba, bb = a0 - s0, b - s1
+        e = (s0 - (a0 - ba)) + (t0 - ba) + b
+        u = a0 + e
+        e = e - (u - a0) + ((s1 - (b - bb)) + (t1 - bb))
+        s0 = u + e
+        s1 = e - (s0 - u)
+        if abs(t0) < 1e-36 * abs(s0):
             break
     if k > 996:  # dd_mul_f would overflow splitting 2**k: scale each part
-        return math.ldexp(total[0], k), math.ldexp(total[1], k)
-    return dd_mul_f(total, math.ldexp(1.0, k))  # scaling by 2**k is exact
+        return math.ldexp(s0, k), math.ldexp(s1, k)
+    return dd_mul_f((s0, s1), math.ldexp(1.0, k))  # scaling by 2**k is exact
 
 
 def dd_ln(a):

@@ -15,8 +15,10 @@ and bound once, at import (:func:`hyp_params`); :func:`hyp` sums it at a
 call's z.  One loop body applies a row as dd_mul by z, dd_mul_f by the
 numerator and dd_div_f by the denominator, then dd_add to the total, each
 written out (as no other loop here is) with the operations of ``ddreal``
-in their order: these sums hold most of a request's time.  A row beyond
-2**53 is applied by the exact dd products instead.  The alternating series
+in their order: these sums hold most of a request's time.  A factor exact
+in 26 bits splits into itself and 0.0, and the two products with that 0.0
+are left out, as in ``airy._fg_series``.  A row beyond 2**53 is applied by
+the exact dd products instead.  The alternating series
 in scope have non-monotone term magnitudes, so termination requires three
 consecutive terms below tolerance.
 
@@ -261,6 +263,11 @@ class _Ratios:
         self._b = [(f.numerator, f.denominator) for f in b]
         self.rows = []
 
+    def check(self, z) -> None:
+        """Raise DomainError for a p = q + 1 series at |z| >= 1."""
+        if self.unit_radius and abs(z) >= 1:
+            raise DomainError("p = q + 1 series diverge for |z| >= 1")
+
     def extend(self, k: int) -> None:
         """Append the rows up to row k."""
         with _EXTEND:
@@ -291,7 +298,8 @@ class HypSeries(Frozen):
     numerator parameter ends it; p > q + 1 diverges at every z != 0.
     Construction raises DomainError for a p = q + 1 series at |z| >= 1 and
     for every p > q + 1 series.  The constructor looks its ratio rows up
-    by the parameters' hash, in a per-process cache; :meth:`at` shares them.
+    by the parameters' hash, in a per-process cache; :func:`hyp` sums a
+    bound set at another z with the same rows.
     """
 
     __slots__ = ("a_params", "b_params", "z", "_ratios")
@@ -300,18 +308,8 @@ class HypSeries(Frozen):
                  z: Union[float, XReal]):
         # shared by every series of this parameter set in the process
         ratios = _ratios(a_params, b_params)
-        if ratios.unit_radius and abs(z) >= 1:
-            raise DomainError("p = q + 1 series diverge for |z| >= 1")
+        ratios.check(z)
         super().__init__(a_params, b_params, z, ratios)
-
-    def at(self, z) -> "HypSeries":
-        """This parameter set's series at z, checked as the constructor
-        checks it, but with no parameter converted or hashed."""
-        if self._ratios.unit_radius and abs(z) >= 1:
-            raise DomainError("p = q + 1 series diverge for |z| >= 1")
-        series = object.__new__(HypSeries)
-        Frozen.__init__(series, self.a_params, self.b_params, z, self._ratios)
-        return series
 
 
 def hyp_params(a: str, b: str) -> HypSeries:
@@ -331,23 +329,30 @@ def _exact_ratio(term, num: int, den: int):
         term, dd_from_fraction(Fraction(den)))
 
 
-def hyp_pfq(series: HypSeries, tol: float,
-            max_terms: int | None = None) -> XReal:
+def hyp_pfq(series: HypSeries, tol: float, max_terms: int | None = None,
+            z=None) -> XReal:
     """Sum the generalized hypergeometric series by term recursion in
-    double-double.
+    double-double: ``series``, or with ``z`` given, its parameter set's
+    series at z, checked as the constructor checks it, with no series
+    built and no parameter hashed.
 
-    Terminates once |t_k| < tol*|S| holds for three consecutive terms;
-    the returned value then carries error <= 10*tol relative (plus the
-    intrinsic cancellation floor of double-double).  Raises
-    :class:`ConvergenceError` with the partial sum when the cap
-    (``max_terms``, default 10000 terms) is hit.
+    Terminates once |t_k| < tol*|S| holds for three consecutive terms.
+    The rounding error of the sum is then about 2**-106 max_k |t_k|, which
+    cancelling terms make far larger than 2**-106 |S|: 0.38 to 1.5 times
+    that for the J_1 master series at a = 8 to 13, against mpmath at 60
+    digits.  Raises :class:`ConvergenceError` with the partial sum when
+    the cap (``max_terms``, default 10000 terms) is hit.
     """
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
-    z0, z1 = series.z.pair if isinstance(series.z, XReal) else (float(series.z), 0.0)
+    ratios = series._ratios
+    if z is None:
+        z = series.z
+    else:
+        ratios.check(z)
+    z0, z1 = (z.hi, z.lo) if isinstance(z, XReal) else (float(z), 0.0)
     if z0 == 0.0 and z1 == 0.0:
         return XReal(1.0)
     zh, zl = dd_split(z0)
-    ratios = series._ratios
     rows = ratios.rows
     t0, t1 = 1.0, 0.0  # the term
     s0, s1 = 1.0, 0.0  # the total
@@ -372,7 +377,10 @@ def hyp_pfq(series: HypSeries, tol: float,
             c = SPLITTER * t0
             hi = c - (c - t0)
             lo = t0 - hi
-            e = ((hi * nh - p) + hi * nl + lo * nh) + lo * nl + t1 * num
+            if nl:
+                e = ((hi * nh - p) + hi * nl + lo * nh) + lo * nl + t1 * num
+            else:  # num is its own high half: no products with nl = 0.0
+                e = ((hi * num - p) + lo * num) + t1 * num
             t0 = p + e
             t1 = e - (t0 - p)
             # dd_div_f(term, den): q = t0 / den, then dd_add(term, -q den) / den
@@ -381,7 +389,10 @@ def hyp_pfq(series: HypSeries, tol: float,
             c = SPLITTER * q
             hi = c - (c - q)
             lo = q - hi
-            e = ((hi * dh - p) + hi * dl + lo * dh) + lo * dl
+            if dl:
+                e = ((hi * dh - p) + hi * dl + lo * dh) + lo * dl
+            else:  # as for num
+                e = (hi * den - p) + lo * den
             a, b = t0 - p, t1 - e
             ba, bb = a - t0, b - t1
             f = (t1 - (b - bb)) + (-e - bb)
@@ -414,9 +425,11 @@ def hyp_pfq(series: HypSeries, tol: float,
 
 
 def hyp(params: HypSeries, z, tol: float) -> XReal:
-    """The series of a bound parameter set at z (:meth:`HypSeries.at`),
-    summed by :func:`hyp_pfq` to ``tol``."""
-    return hyp_pfq(params.at(z), tol=tol)
+    """The series of a bound parameter set at z, summed by :func:`hyp_pfq`
+    to ``tol`` with the set's rows: no series is built and no parameter
+    converted or hashed.  Raises DomainError for a p = q + 1 set at
+    |z| >= 1."""
+    return hyp_pfq(params, tol=tol, z=z)
 
 
 @per_request

@@ -134,10 +134,12 @@ def xi_lambda_derivs(a: float):
     ma = (-a, 0.0)
     pz = [poly_eval_dd(pq_row(m).P, ma) for m in orders]
     qz = [poly_eval_dd(pq_row(m).Q, ma) for m in orders]
-    # minus-combo and plus-combo per order m
-    minus = [dd_add(dd_mul(pz[m], jm), dd_mul(qz[m], jmp)) for m in orders]
-    plus = [dd_add(dd_mul(pz[m], jp), dd_mul(qz[m], jpp)) for m in orders]
+    # Ai(0) times the minus-combo and Ai'(0) times the plus-combo per order m
     a0p, ap0p = AI0.pair, AIP0.pair
+    minus = [dd_mul(a0p, dd_add(dd_mul(pz[m], jm), dd_mul(qz[m], jmp)))
+             for m in orders]
+    plus = [dd_mul(ap0p, dd_add(dd_mul(pz[m], jp), dd_mul(qz[m], jpp)))
+            for m in orders]
     xs, ls = [], []
     for i in orders:
         xi_acc = (0.0, 0.0)
@@ -150,13 +152,13 @@ def xi_lambda_derivs(a: float):
             m = minus[i - j]
             p = plus[i - j]
             if p0_next:
-                xi_acc = dd_add(xi_acc, dd_mul_f(dd_mul(a0p, m), b * p0_next))
+                xi_acc = dd_add(xi_acc, dd_mul_f(m, b * p0_next))
             if q0_next:
-                xi_acc = dd_sub(xi_acc, dd_mul_f(dd_mul(ap0p, p), b * q0_next))
+                xi_acc = dd_sub(xi_acc, dd_mul_f(p, b * q0_next))
             if p0:
-                lam_acc = dd_sub(lam_acc, dd_mul_f(dd_mul(a0p, m), b * p0))
+                lam_acc = dd_sub(lam_acc, dd_mul_f(m, b * p0))
             if q0:
-                lam_acc = dd_add(lam_acc, dd_mul_f(dd_mul(ap0p, p), b * q0))
+                lam_acc = dd_add(lam_acc, dd_mul_f(p, b * q0))
         xs.append(XReal.from_pair(dd_mul(PI.pair, xi_acc)))
         ls.append(XReal.from_pair(dd_mul(PI.pair, lam_acc)))
     return xs, ls

@@ -429,6 +429,21 @@ def exp_arguments(draw):
     return hi, draw(st.floats(min_value=-0.5, max_value=0.5)) * math.ulp(hi)
 
 
+@given(exp_arguments())
+@settings(max_examples=300)
+@example((0.5 * math.log(2.0) - 1e-12, 0.0))
+@example((700.0, 3e-14))
+@example((1e-20, 0.0))
+def test_exp_matches_the_primitive_taylor_loop_bitwise(a):
+    # dd_exp writes its Taylor loop out: the reduction and the loop on the
+    # primitives, scaled by 2**k as dd_exp scales, give its bits
+    k, r = _ref_reduce(a)
+    s = _ref_taylor(r)[0]
+    want = ((math.ldexp(s[0], k), math.ldexp(s[1], k)) if k > 996
+            else dd_mul_f(s, math.ldexp(1.0, k)))
+    assert _bits(dd_exp(a)) == _bits(want), a
+
+
 def test_exp_arguments_reach_every_path_of_the_taylor_loop():
     # the early break after a few terms, the full loop at |r| near ln2/2
     # and the scaling of each part past 2**996

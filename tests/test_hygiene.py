@@ -347,12 +347,16 @@ def test_value_methods_live_in_results():
     assert found == set(VALUE_METHODS_ALLOWED), found
 
 
-#: the loops outside ``ddreal`` that write its error-free transforms out,
-#: which the pFq and Maclaurin sums' share of a request's time pays for;
-#: another write-out comes with its own end-to-end gain
-WRITTEN_OUT = ("kernel.hyp_pfq", "kernel._Ratios.extend", "airy._fg_series")
-#: the ``ddreal`` primitives, the only functions there that split a float;
-#: every other one, ``dd_exp``'s Taylor loop included, calls them
+#: the loops that write the ``ddreal`` error-free transforms out, each
+#: paid for by its share of a warm ``run_validation()`` (its recorded
+#: outputs replayed in its place): the pFq sums about 36%, the Airy
+#: Maclaurin sums 8-11% and ``dd_exp``'s Taylor loop, under ``dd_ln``, 4%
+#: once written out (5% before); ``_Ratios.extend`` splits the pFq rows.
+#: Another write-out comes with its own end-to-end gain
+WRITTEN_OUT = ("kernel.hyp_pfq", "kernel._Ratios.extend", "airy._fg_series",
+               "ddreal.dd_exp")
+#: the ``ddreal`` primitives, with ``dd_exp`` the only functions there that
+#: split a float; every other one calls them
 PRIMITIVES = ("ddreal.dd_split", "ddreal.dd_mul", "ddreal.dd_mul_f",
               "ddreal.dd_div_f", "ddreal.dd_sqr")
 #: the names a written-out dd step uses

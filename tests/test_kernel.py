@@ -24,7 +24,7 @@ from airylog.kernel import (
     smalla_sum,
 )
 from airylog.ddreal import (PI, SQRT3, XReal, dd_add, dd_div, dd_div_f,
-                            dd_mul, dd_mul_f)
+                            dd_mul, dd_mul_f, dd_split)
 from airylog.mellin1 import I0_hyp, Im1_hyp, Im2_hyp
 from airylog.roots import roots_upto
 from airylog.stieltjes1 import (_H_minus, _H_plus, _ai_moments,
@@ -278,24 +278,20 @@ def test_a_divergent_series_is_refused_at_construction():
     assert float(hyp(HypSeries((-2, 1), (2,), 0.0), 3.0, tol=1e-20)) == 1.0
 
 
-def test_a_bound_set_derives_its_series_without_hashing_its_parameters():
-    # the series at z is the constructor's series, equal and of equal hash,
-    # with the bound set's parameter tuples and rows; the parameters'
-    # hashes are never asked for
-    class Unhashed(Fraction):
-        def __hash__(self):
-            raise AssertionError("hashed")
+class Unhashed(Fraction):
+    def __hash__(self):
+        raise AssertionError("hashed")
 
+
+def test_a_bound_set_derives_its_series_without_hashing_its_parameters():
+    # hyp sums the constructor's series at z with the bound set's rows;
+    # the parameters' hashes are never asked for
     params = kernel.hyp_params("1 1 7/6", "4/3 5/3 2 2")
     assert params.a_params == (1, 1, Fraction(7, 6)) and params.z == 0.0
     assert all(type(x) is Fraction for x in params.a_params + params.b_params)
     z = XReal(-2.5, 1e-17)
-    series = params.at(z)
     built = HypSeries(params.a_params, params.b_params, z)
-    assert series == built and hash(series) == hash(built)
-    assert series.a_params is params.a_params
-    assert series.b_params is params.b_params
-    assert series._ratios is params._ratios is built._ratios
+    assert params._ratios is built._ratios
     assert _hex(hyp(params, z, tol=1e-28)) == _hex(hyp_pfq(built, tol=1e-28))
     plain = HypSeries((1, 1), (2,), 0.0)
     unhashed = HypSeries((1, 1), (2,), 0.0)
@@ -305,10 +301,22 @@ def test_a_bound_set_derives_its_series_without_hashing_its_parameters():
         HypSeries(unhashed.a_params, (2,), 0.0)
 
 
-def _hyp_pfq_reference(series, tol, max_terms=None):
+def _row_shape(num: int, den: int) -> str:
+    """Which of hyp_pfq's row bodies applies num / den."""
+    if abs(num) > 2**53 or abs(den) > 2**53:
+        return "past 2**53"
+    if dd_split(float(num))[1]:
+        return "numerator past 26 bits"
+    if dd_split(float(den))[1]:
+        return "denominator past 26 bits"
+    return "both in 26 bits"
+
+
+def _hyp_pfq_reference(series, tol, max_terms=None, shapes=None):
     """hyp_pfq as one ddreal primitive per operation: each term's ratio
     integers formed anew, each applied by dd_mul_f / dd_div_f, or by
-    dd_mul / dd_div of its double-double rounding beyond 2**53."""
+    dd_mul / dd_div of its double-double rounding beyond 2**53.  The
+    :func:`_row_shape` of each ratio applied goes into ``shapes``."""
     a = [(f.numerator, f.denominator) for f in map(Fraction, series.a_params)]
     b = [(f.numerator, f.denominator) for f in map(Fraction, series.b_params)]
     num0 = math.prod(d for _, d in b)
@@ -326,6 +334,8 @@ def _hyp_pfq_reference(series, tol, max_terms=None):
         den = (k + 1) * den0
         for n, d in b:
             den *= n + k * d
+        if shapes is not None:
+            shapes.add(_row_shape(num, den))
         term = dd_mul(term, zp)
         term = dd_mul_f(term, float(num)) if abs(num) <= 2**53 else dd_mul(
             term, XReal.from_fraction(Fraction(num)).pair)
@@ -385,9 +395,9 @@ def test_every_package_parameter_set_is_covered():
     seen = set()
     real = kernel.hyp_pfq
 
-    def record(series, tol, max_terms=None):
+    def record(series, tol, max_terms=None, z=None):
         seen.add((tuple(series.a_params), tuple(series.b_params)))
-        return real(series, tol, max_terms)
+        return real(series, tol, max_terms, z=z)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "hyp_pfq", record)
@@ -406,13 +416,28 @@ def _z(draw, scale):
     return XReal(hi, lo) if lo else hi
 
 
+#: the parameter sets the bitwise test draws, with the scale of its z
+_PFQ_CASE_SETS = [(a, b, 1.0) for a, b in _PFQ_SETS] + list(_PFQ_BEYOND_2_53)
+
+
 @st.composite
 def _pfq_cases(draw):
-    a, b, scale = draw(st.sampled_from(
-        [(a, b, 1.0) for a, b in _PFQ_SETS] + list(_PFQ_BEYOND_2_53)))
+    a, b, scale = draw(st.sampled_from(_PFQ_CASE_SETS))
     return (HypSeries(a, b, _z(draw, scale)),
             draw(st.sampled_from((1e-18, 1e-20, 1e-28))),
             draw(st.one_of(st.none(), st.integers(0, 5))))
+
+
+def test_the_pfq_cases_reach_every_row_shape():
+    # hyp_pfq leaves out a factor's products with its zero low half, so
+    # the bitwise test below must apply rows of every shape: summed in
+    # full at a z the strategy draws, its sets reach all four
+    shapes = set()
+    for a, b, scale in _PFQ_CASE_SETS:
+        _hyp_pfq_reference(HypSeries(a, b, -37.5 * scale), 1e-28,
+                           shapes=shapes)
+    assert shapes == {"both in 26 bits", "denominator past 26 bits",
+                      "numerator past 26 bits", "past 2**53"}, shapes
 
 
 @given(_pfq_cases())
@@ -421,6 +446,36 @@ def test_hyp_pfq_matches_the_primitive_loop_bitwise(case):
     series, tol, max_terms = case
     assert _pfq_bits(series, tol, max_terms, hyp_pfq) == _pfq_bits(
         series, tol, max_terms, _hyp_pfq_reference)
+
+
+def _outcome_bits(compute):
+    """The bits of what ``compute()`` returns, of a ConvergenceError's
+    partial sum, or the DomainError raised."""
+    try:
+        return _hex(compute())
+    except ConvergenceError as exc:
+        return _hex(exc.partial), exc.terms
+    except DomainError:
+        return DomainError
+
+
+@given(st.sampled_from(_PFQ_CASE_SETS + [((1, 1), (2,), 1.5e-3)]),
+       st.data(), st.sampled_from((1e-18, 1e-28)))
+@settings(max_examples=200, deadline=None)
+def test_hyp_sums_a_bound_set_as_the_constructed_series_bitwise(
+        params_case, data, tol):
+    # hyp(params, z) is hyp_pfq of the series built at z, bit for bit, with
+    # no parameter of the bound set hashed; for 2F1(1, 1; 2; z), whose z
+    # is drawn up to 1.5 in size, both refuse |z| >= 1
+    a, b, scale = params_case
+    z = _z(data.draw, scale)
+    params = HypSeries(a, b, 0.0)
+    unhashed = HypSeries(a, b, 0.0)
+    object.__setattr__(unhashed, "a_params", tuple(map(Unhashed, a)))
+    object.__setattr__(unhashed, "b_params", tuple(map(Unhashed, b)))
+    want = _outcome_bits(lambda: hyp_pfq(HypSeries(a, b, z), tol))
+    assert _outcome_bits(lambda: hyp(params, z, tol)) == want
+    assert _outcome_bits(lambda: hyp(unhashed, z, tol)) == want
 
 
 def test_rows_extended_by_many_threads_are_the_rows_of_one():
