@@ -3,8 +3,9 @@ compensated summation, the truncated moment series, exact rational
 polynomials, the small-a expansion sum and the generalized
 hypergeometric series engine.
 
-Every closed form in the package funnels through :func:`hyp_pfq`.  The
-series is summed in double-double by forward term-ratio recursion
+Every closed form's pFq part is a table of terms c a^k F(z) / d that
+:func:`hyp_sum` adds up, each F through :func:`hyp` and :func:`hyp_pfq`.
+The series is summed in double-double by forward term-ratio recursion
 
     t_{k+1} = t_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1),
 
@@ -52,6 +53,7 @@ from .ddreal import (
     dd_ln,
     dd_mul,
     dd_mul_f,
+    dd_powi,
     dd_split,
     SPLITTER,
     SQRT3,
@@ -91,7 +93,7 @@ def compensated_sum(terms: Sequence) -> XReal:
 def alternating_series(coeffs: Sequence[float], a: float,
                        p: int) -> tuple[XReal, float]:
     """sum_m (-1)^m c_m a^(-p-m), stopped before the first term larger
-    than the one before it (or at the end of ``coeffs``).
+    than the one before it or not a number (or at the end of ``coeffs``).
 
     Returns ``(value, err)``: the Neumaier-compensated sum of the kept
     terms (as :func:`compensated_sum` forms it), and the larger of the
@@ -117,7 +119,7 @@ def alternating_series(coeffs: Sequence[float], a: float,
     for c in coeffs:
         term = c * apow * sign
         size = abs(term)
-        if size > best:
+        if not size <= best:  # also a NaN: an inf coefficient times 0.0
             break
         best = size
         # 4 size < ulp(v) is size < ulp(v)/4 without underflow; the first
@@ -430,6 +432,25 @@ def hyp(params: HypSeries, z, tol: float) -> XReal:
     converted or hashed.  Raises DomainError for a p = q + 1 set at
     |z| >= 1."""
     return hyp_pfq(params, tol=tol, z=z)
+
+
+def hyp_sum(terms, ap, z, tol: float, acc):
+    """``acc`` plus the pFq terms of a closed form at z, in double-double,
+    added one at a time in the order of ``terms``.
+
+    Each term (c, k, d, F) is an XReal coefficient c, a nonzero power k of
+    a (``ap``, a dd pair), a binary64 divisor d or None, and a parameter
+    set F bound by :func:`hyp_params`, summed at z to ``tol`` by
+    :func:`hyp`.  It is formed as (c a^k) F(z) for k > 0 and as
+    (c F(z)) / a^-k for k < 0, then divided by d.  Returns the dd pair.
+    """
+    for c, k, d, params in terms:
+        f = hyp(params, z, tol).pair
+        power = dd_powi(ap, abs(k))
+        t = (dd_mul(dd_mul(c.pair, power), f) if k > 0
+             else dd_div(dd_mul(c.pair, f), power))
+        acc = dd_add(acc, t if d is None else dd_div_f(t, d))
+    return acc
 
 
 @per_request

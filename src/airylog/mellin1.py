@@ -47,8 +47,8 @@ from .kernel import (
     AI0,
     AIP0,
     SMALLA_PAST_N,
-    hyp,
     hyp_params,
+    hyp_sum,
     ln_point,
     poly_add,
     poly_deriv,
@@ -59,11 +59,25 @@ from .kernel import (
 )
 from .results import Domain, TransformResult, per_request
 
-#: the 1F2 and 2F3 parameter sets of I_0, I_-1 and I_-2 (summed at a^3/9),
-#: bound once; the closed form of bigI_1 sums the same six at -a^3/9
-PFQ_I0 = (hyp_params("1/3", "2/3 4/3"), hyp_params("2/3", "4/3 5/3"))
-PFQ_IM1 = (hyp_params("1/3", "4/3 4/3"), hyp_params("1 1", "2 2 5/3"))
-PFQ_IM2 = (hyp_params("-1/3", "2/3 2/3"), hyp_params("1 1", "2 2 7/3"))
+#: the pFq terms (c, k, d, F) of I_0, I_-1 and I_-2 (:func:`I_hyp`), which
+#: ``kernel.hyp_sum`` sums at a^3/9; the closed form of bigI_1 sums the
+#: same six parameter sets at -a^3/9
+I_TERMS = {
+    0: ((-AI0, 1, None, hyp_params("1/3", "2/3 4/3")),
+        (-AIP0, 2, 2.0, hyp_params("2/3", "4/3 5/3"))),
+    -1: ((-AIP0, 1, None, hyp_params("1/3", "4/3 4/3")),
+         (-AI0, 3, 18.0, hyp_params("1 1", "2 2 5/3"))),
+    -2: ((AI0, -1, None, hyp_params("-1/3", "2/3 2/3")),
+         (-AIP0, 3, 36.0, hyp_params("1 1", "2 2 7/3"))),
+}
+_PI_SQRT3_3 = dd_div_f(dd_mul(SQRT3.pair, PI.pair), 3.0)
+#: the weight and the constant part (4 gamma + sqrt(3) pi / 3 and
+#: 4 gamma - 6 - sqrt(3) pi / 3) of the log terms of I_-1 and I_-2
+_LOG_TERMS = {
+    -1: (AI0.pair, dd_add(dd_mul_f(EULER_GAMMA.pair, 4.0), _PI_SQRT3_3)),
+    -2: (AIP0.pair, dd_sub(dd_mul_f(EULER_GAMMA.pair, 4.0),
+                           dd_add((6.0, 0.0), _PI_SQRT3_3))),
+}
 
 #: the domains of the recurrence routes and of the 3k-family formulas
 MELLIN = Domain(k_lo=-60, k_hi=80)
@@ -166,16 +180,29 @@ def xi_lambda_derivs(a: float):
 
 # -- irreducible base transforms ---------------------------------------------
 
-def I0_hyp(a: float, tol: float) -> XReal:
-    """I_0(a) = int_a^inf Ai = 1/3 - Ai(0) a 1F2(1/3;2/3,4/3;a^3/9)
-    - Ai'(0) (a^2/2) 1F2(2/3;4/3,5/3;a^3/9)."""
+def I_hyp(m: int, a: float, tol: float) -> XReal:
+    """I_m(a) = int_a^inf z^m Ai dz for m in {0, -1, -2}, a > 0: the pFq
+    terms of :data:`I_TERMS`, each F at a^3/9, summed to ``tol`` after 1/3
+    for m = 0, then less the log term for m < 0:
+
+      I_0    = 1/3 - Ai(0) a 1F2(1/3;2/3,4/3) - (Ai'(0)/2) a^2 1F2(2/3;4/3,5/3),
+      I_{-1} = -Ai'(0) a 1F2(1/3;4/3,4/3) - (Ai(0)/18) a^3 2F3(1,1;2,2,5/3)
+               - (Ai(0)/6) [6 ln a - ln 3 + 4 gamma + sqrt(3) pi / 3],
+      I_{-2} = (Ai(0)/a) 1F2(-1/3;2/3,2/3) - (Ai'(0)/36) a^3 2F3(1,1;2,2,7/3)
+               - (Ai'(0)/6) [6 ln a - ln 3 + 4 gamma - 6 - sqrt(3) pi / 3].
+    """
+    if m not in I_TERMS or not a > 0.0:
+        raise DomainError(f"I_hyp needs m in {{0, -1, -2}} and a > 0, "
+                          f"not m = {m!r}, a = {a!r}")
     ap = (float(a), 0.0)
     z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
-    h1, h2 = (hyp(params, z3, tol=tol) for params in PFQ_I0)
-    t1 = dd_mul(dd_mul(AI0.pair, ap), h1.pair)
-    t2 = dd_mul_f(dd_mul(dd_mul(AIP0.pair, dd_powi(ap, 2)), h2.pair), 0.5)
-    third = dd_div_f((1.0, 0.0), 3.0)
-    return XReal.from_pair(dd_sub(dd_sub(third, t1), t2))
+    acc = hyp_sum(I_TERMS[m], ap, z3, tol,
+                  dd_div_f((1.0, 0.0), 3.0) if m == 0 else (0.0, 0.0))
+    if m < 0:
+        weight, const = _LOG_TERMS[m]
+        log = dd_add(dd_sub(dd_mul_f(ln_point(ap[0]), 6.0), LN3.pair), const)
+        acc = dd_sub(acc, dd_div_f(dd_mul(weight, log), 6.0))
+    return XReal.from_pair(acc)
 
 
 def I0_scorer(a: float) -> XReal:
@@ -183,50 +210,6 @@ def I0_scorer(a: float) -> XReal:
     st = airy(a)
     gi, gip = scorer_gi(a)
     return PI * (st.ai * gip - st.aip * gi)
-
-
-def Im1_hyp(a: float, tol: float) -> XReal:
-    """I_{-1}(a) = int_a^inf Ai/z dz.
-
-    -Ai'(0) a 1F2(1/3;4/3,4/3;.) - (Ai(0)/18) a^3 2F3(1,1;2,2,5/3;.)
-    - (Ai(0)/6) [6 ln a - ln 3 + 4 gamma + sqrt(3) pi / 3], arg a^3/9.
-    """
-    if not a > 0.0:
-        raise DomainError("I_{-1} needs a > 0")
-    ap = (float(a), 0.0)
-    z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
-    h1, h2 = (hyp(params, z3, tol=tol) for params in PFQ_IM1)
-    const = dd_add(
-        dd_sub(dd_mul_f(ln_point(ap[0]), 6.0), LN3.pair),
-        dd_add(dd_mul_f(EULER_GAMMA.pair, 4.0),
-               dd_div_f(dd_mul(SQRT3.pair, PI.pair), 3.0)),
-    )
-    t1 = dd_mul(dd_mul(AIP0.pair, ap), h1.pair)
-    t2 = dd_div_f(dd_mul(dd_mul(AI0.pair, dd_powi(ap, 3)), h2.pair), 18.0)
-    t3 = dd_div_f(dd_mul(AI0.pair, const), 6.0)
-    return XReal.from_pair(dd_sub(dd_sub(dd_mul_f(t1, -1.0), t2), t3))
-
-
-def Im2_hyp(a: float, tol: float) -> XReal:
-    """I_{-2}(a) = int_a^inf Ai/z^2 dz.
-
-    (Ai(0)/a) 1F2(-1/3;2/3,2/3;.) - (Ai'(0)/36) a^3 2F3(1,1;2,2,7/3;.)
-    - (Ai'(0)/6) [6 ln a - ln 3 + 4 gamma - 6 - sqrt(3) pi / 3], arg a^3/9.
-    """
-    if not a > 0.0:
-        raise DomainError("I_{-2} needs a > 0")
-    ap = (float(a), 0.0)
-    z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
-    h1, h2 = (hyp(params, z3, tol=tol) for params in PFQ_IM2)
-    const = dd_add(
-        dd_sub(dd_mul_f(ln_point(ap[0]), 6.0), LN3.pair),
-        dd_sub(dd_mul_f(EULER_GAMMA.pair, 4.0),
-               dd_add((6.0, 0.0), dd_div_f(dd_mul(SQRT3.pair, PI.pair), 3.0))),
-    )
-    t1 = dd_div(dd_mul(AI0.pair, h1.pair), ap)
-    t2 = dd_div_f(dd_mul(dd_mul(AIP0.pair, dd_powi(ap, 3)), h2.pair), 36.0)
-    t3 = dd_div_f(dd_mul(AIP0.pair, const), 6.0)
-    return XReal.from_pair(dd_sub(dd_sub(t1, t2), t3))
 
 
 # -- exact reduction to the base set ----------------------------------------
@@ -337,7 +320,7 @@ def reduce_family(n: int) -> Reduction:
 class BaseValues:
     """I_0, I_{-1}, I_{-2}, Ai, Ai' at a fixed a > 0, computed once, and
     each reduced transform I_m, I'_m, computed on first use and kept per
-    instance; a <= 0 raises :class:`DomainError` (from :func:`Im1_hyp`)."""
+    instance; a <= 0 raises :class:`DomainError` (from :func:`I_hyp`)."""
 
     def __init__(self, a: float, tol: float):
         self.a = float(a)
@@ -346,9 +329,8 @@ class BaseValues:
         st = airy(a)
         self.ai = st.ai.pair
         self.aip = st.aip.pair
-        self.I0 = I0_hyp(a, tol).pair
-        self.Im1 = Im1_hyp(a, tol).pair
-        self.Im2 = Im2_hyp(a, tol).pair
+        self.I0, self.Im1, self.Im2 = (I_hyp(m, a, tol).pair
+                                       for m in (0, -1, -2))
         self._memo = {}
 
     def I(self, m: int):

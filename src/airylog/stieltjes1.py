@@ -26,34 +26,26 @@ quadrature oracle in the validation matrix.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from .airy import JPair, airy
-from .ddreal import (
-    XReal,
-    dd_add,
-    dd_div,
-    dd_div_f,
-    dd_mul,
-    dd_powi,
-    dd_sub,
-    PI,
-    SQRT3,
-)
-from .errors import AccuracyError, DomainError, StabilityError
-from .kernel import (AI0, AIP0, alternating_series, compensated_sum, hyp,
-                     ln_point, power_range_check, smalla_sum)
-from .mellin1 import PFQ_I0, PFQ_IM1, PFQ_IM2, base_values, xi_lambda_derivs
+from .ddreal import XReal, dd_div_f, dd_powi, dd_sub, PI, SQRT3
+from .errors import AccuracyError, DomainError, RangeError, StabilityError
+from .kernel import (AI0, AIP0, alternating_series, compensated_sum,
+                     hyp_params, hyp_sum, ln_point, power_range_check,
+                     smalla_sum)
+from .mellin1 import base_values, xi_lambda_derivs
 from .results import Domain, TransformResult, TruncationConfig, per_request
 from .roots import RootTable, is_root_magnitude
 from .zeta import zeta_tail
 
 #: the routes' domains; below CLOSED.lo the closed form's J_- dH_- term
 #: cancels to about 1e-32/a, past its err_est.  ``transform`` prints the
-#: moment series from a > 8, the pipelines use it only past CLOSED.hi
+#: moment series from a > 8, k >= 0; the pipelines use it past CLOSED.hi
 SMALLA = Domain(hi=4.0, k_lo=1, k_hi=6)
 CLOSED = Domain(1e-15, 13.0, k_lo=1, k_hi=1)
-ASYMPTOTIC = Domain(math.nextafter(8.0, math.inf))
+ASYMPTOTIC = Domain(math.nextafter(8.0, math.inf), k_lo=0)
 
 
 # -- moments of Ai (exact chain) ---------------------------------------------
@@ -82,9 +74,13 @@ def _bigI_asym_coeffs(k: int) -> tuple:
 def bigI_asym(k: int, a: float) -> TransformResult:
     """bigI_k(a) by the alternating moment series in 1/a, truncated at its
     smallest term (see :func:`alternating_series` for the error estimate).
-    Intended for a >= 13, where it reaches ~1e-13 relative."""
-    if not a > 0.0:
-        raise DomainError("bigI_asym needs a > 0")
+    Intended for a >= 13, where it reaches ~1e-13 relative.  For k < 0 the
+    terms grow from the first, so k < 0 raises DomainError, as does a <= 0;
+    an order beyond binary64 raises RangeError."""
+    if k < 0 or not a > 0.0:
+        raise DomainError("bigI_asym needs k >= 0 and a > 0")
+    if k > sys.float_info.max:
+        raise RangeError("bigI_asym needs an order within binary64")
     val, err = alternating_series(_bigI_asym_coeffs(k), a, k)
     return TransformResult(val, "asymptotic", err)
 
@@ -133,26 +129,24 @@ def ladder_residual(k: int, a: float, Ik, Ik1, Ik3) -> float:
 
 # -- closed-form ODE route ----------------------------------------------------
 
-def _H_plus(a: float) -> XReal:
-    ap = (float(a), 0.0)
-    z = XReal.from_pair(dd_div_f(dd_powi(ap, 3), -9.0))
-    f1, f2, f3 = (hyp(params, z, tol=1e-20)
-                  for params in (PFQ_IM1[0], PFQ_I0[1], PFQ_IM2[1]))
-    t1 = dd_mul(dd_mul(dd_mul(PI.pair, dd_powi(AIP0.pair, 2)), ap), f1.pair)
-    t2 = dd_div_f(dd_mul(dd_mul(dd_mul(PI.pair, AIP0.pair), dd_powi(ap, 2)), f2.pair), 6.0)
-    t3 = dd_div_f(dd_mul(dd_mul(SQRT3.pair, dd_powi(ap, 3)), f3.pair), 216.0)
-    return XReal.from_pair(dd_add(dd_add(t1, t2), t3))
+#: the pFq terms (c, k, d, F) of H+ and H-, the antiderivatives of the
+#: closed form, which ``kernel.hyp_sum`` sums at -a^3/9
+_H_TERMS = (
+    ((PI * AIP0 ** 2, 1, None, hyp_params("1/3", "4/3 4/3")),
+     (PI * AIP0, 2, 6.0, hyp_params("2/3", "4/3 5/3")),
+     (SQRT3, 3, 216.0, hyp_params("1 1", "2 2 7/3"))),
+    ((PI * AI0, 1, 3.0, hyp_params("1/3", "2/3 4/3")),
+     (-(PI * AI0 ** 2), -1, None, hyp_params("-1/3", "2/3 2/3")),
+     (SQRT3, 3, 108.0, hyp_params("1 1", "2 2 5/3"))),
+)
 
 
-def _H_minus(a: float) -> XReal:
+def _H(a: float) -> tuple:
+    """(H+(a), H-(a)), the terms of :data:`_H_TERMS` summed to 1e-20."""
     ap = (float(a), 0.0)
     z = XReal.from_pair(dd_div_f(dd_powi(ap, 3), -9.0))
-    f1, f2, f3 = (hyp(params, z, tol=1e-20)
-                  for params in (PFQ_IM2[0], PFQ_I0[0], PFQ_IM1[1]))
-    t1 = dd_div(dd_mul(dd_mul(PI.pair, dd_powi(AI0.pair, 2)), f1.pair), ap)
-    t2 = dd_div_f(dd_mul(dd_mul(dd_mul(PI.pair, AI0.pair), ap), f2.pair), 3.0)
-    t3 = dd_div_f(dd_mul(dd_mul(SQRT3.pair, dd_powi(ap, 3)), f3.pair), 108.0)
-    return XReal.from_pair(dd_add(dd_sub(t2, t1), t3))
+    return tuple(XReal.from_pair(hyp_sum(terms, ap, z, 1e-20, (0.0, 0.0)))
+                 for terms in _H_TERMS)
 
 
 @per_request
@@ -174,8 +168,9 @@ def bigI1_closed(a: float, a0: float, I1_at_a0, I2_at_a0) -> TransformResult:
         XReal(float(I1_at_a0)) * (ja.jminus * j0.jplus_prime - ja.jplus * j0.jminus_prime)
         - XReal(float(I2_at_a0)) * (ja.jminus * j0.jplus - ja.jplus * j0.jminus)
     )
-    dHp = _H_plus(a) - Hp0
-    dHm = _H_minus(a) - Hm0
+    Hp, Hm = _H(a)
+    dHp = Hp - Hp0
+    dHm = Hm - Hm0
     ai_ma = st.ai
     dlog = XReal.from_pair(dd_sub(ln_point(a), ln_a0))
     val = hom + ja.jplus * dHp + ja.jminus * dHm - ai_ma * dlog
@@ -196,7 +191,7 @@ def _closed_anchor(a0: float) -> tuple:
     """The closed form's data at a0: (the JPair at a0, H+(a0), H-(a0),
     ln a0 as a dd pair), computed once per process and point (the
     pipelines anchor at |a_1'| only)."""
-    return JPair.of(airy(-a0)), _H_plus(a0), _H_minus(a0), ln_point(a0)
+    return (JPair.of(airy(-a0)), *_H(a0), ln_point(a0))
 
 
 def bigI_relations(a: float, I3, I4):

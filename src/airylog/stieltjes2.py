@@ -33,20 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .airy import airy
-from .ddreal import (
-    XReal,
-    dd_add,
-    dd_mul,
-    dd_mul_f,
-    dd_powi,
-    dd_sub,
-    PI,
-    SQRT3,
-    SQRT_PI,
-)
+from .ddreal import XReal, dd_mul_f, dd_powi, dd_sub, PI, SQRT3, SQRT_PI
 from .errors import DomainError
-from .kernel import (alternating_series, compensated_sum, hyp, hyp_params,
-                     ln_point)
+from .kernel import (alternating_series, compensated_sum, hyp_params,
+                     hyp_sum, ln_point)
 from .mellin2 import A2, AAP, AP2, Jn_smalla
 from .results import Domain, Frozen, TransformResult, TruncationConfig
 from .roots import RootTable, is_root_magnitude
@@ -60,44 +50,32 @@ SUMMAND_CLOSED = Domain(hi=11.0)
 
 # -- hypergeometric antiderivative masters ------------------------------------
 
-#: G1, G2, G3 of each master (box, I, II) as (power of a, binary64 factor
-#: or None, pFq parameter set bound once): Gj = a^power F(z) factor
-_G_TERMS = (
-    ((3, -1.0 / 9.0, hyp_params("1 1 7/6", "4/3 5/3 2 2")),
-     (-1, -1.0, hyp_params("-1/3 1/6", "1/3 2/3 2/3")),
-     (-2, -0.5, hyp_params("-2/3 1/6", "1/3 1/3 2/3"))),
-    ((1, None, hyp_params("1/3 1/2", "2/3 4/3 4/3")),
-     (3, -1.0 / 12.0, hyp_params("1 1 3/2", "2 2 5/3 7/3")),
-     (-1, -1.0, hyp_params("-1/3 1/2", "2/3 2/3 4/3"))),
-    ((2, 0.5, hyp_params("2/3 5/6", "4/3 5/3 5/3")),
-     (1, None, hyp_params("1/3 5/6", "4/3 4/3 5/3")),
-     (3, -1.0 / 18.0, hyp_params("1 1 11/6", "2 2 7/3 8/3"))),
+#: the pFq terms (c, k, d, F) of the masters (box, I, II), which
+#: ``kernel.hyp_sum`` sums at -4a^3/9: each master is
+#: M_mu(a) = Ai'(0)^2 G1_mu + Ai(0)Ai'(0) G2_mu + Ai(0)^2 G3_mu, with
+#: Gj_mu = f a^k F(z) the antiderivative of (mu component of the Airy
+#: products at -z) / z^j and its binary64 factor f folded into c
+_MASTERS = (
+    ((AP2 * (-1.0 / 9.0), 3, None, hyp_params("1 1 7/6", "4/3 5/3 2 2")),
+     (-AAP, -1, None, hyp_params("-1/3 1/6", "1/3 2/3 2/3")),
+     (A2 * (-0.5), -2, None, hyp_params("-2/3 1/6", "1/3 1/3 2/3"))),
+    ((AP2, 1, None, hyp_params("1/3 1/2", "2/3 4/3 4/3")),
+     (AAP * (-1.0 / 12.0), 3, None, hyp_params("1 1 3/2", "2 2 5/3 7/3")),
+     (-A2, -1, None, hyp_params("-1/3 1/2", "2/3 2/3 4/3"))),
+    ((AP2 * 0.5, 2, None, hyp_params("2/3 5/6", "4/3 5/3 5/3")),
+     (AAP, 1, None, hyp_params("1/3 5/6", "4/3 4/3 5/3")),
+     (A2 * (-1.0 / 18.0), 3, None, hyp_params("1 1 11/6", "2 2 7/3 8/3"))),
 )
 
 
 def _masters(a: float):
-    """Log-free parts of the three master antiderivative combinations
-
-        M_mu(a) = Ai'(0)^2 G1_mu + Ai(0)Ai'(0) G2_mu + Ai(0)^2 G3_mu,
-
-    where Gj_mu is the antiderivative of (mu component of the Airy
-    products at -z) / z^j, a pFq series at z = -4a^3/9 (``_G_TERMS``).
-    Returned in the order (box, I, II); the omitted logarithms carry
-    coefficients (Ai'(0)^2, Ai(0)Ai'(0), Ai(0)^2) respectively.
-    """
+    """Log-free parts of the three masters of :data:`_MASTERS`, summed to
+    1e-20, in the order (box, I, II); the omitted logarithms carry
+    coefficients (Ai'(0)^2, Ai(0)Ai'(0), Ai(0)^2) respectively."""
     ap = (float(a), 0.0)
     z = XReal.from_pair(dd_mul_f(dd_powi(ap, 3), -4.0 / 9.0))
-    powers = {k: ap if k == 1 else dd_powi(ap, k) for k in (1, 2, 3, -1, -2)}
-    out = []
-    for terms in _G_TERMS:
-        g = []
-        for k, factor, params in terms:
-            term = dd_mul(powers[k], hyp(params, z, tol=1e-20).pair)
-            g.append(term if factor is None else dd_mul_f(term, factor))
-        g1, g2, g3 = g
-        out.append(XReal.from_pair(dd_add(dd_add(
-            dd_mul(AP2.pair, g1), dd_mul(AAP.pair, g2)), dd_mul(A2.pair, g3))))
-    return tuple(out)
+    return tuple(XReal.from_pair(hyp_sum(terms, ap, z, 1e-20, (0.0, 0.0)))
+                 for terms in _MASTERS)
 
 
 #: product weights (box, I, II) for the three Airy products at -z

@@ -148,7 +148,9 @@ def test_stieltjes_ai2_prints_small_a_only_inside_its_range(capsys):
 C, S, A = "closed_form", "small_a", "asymptotic"
 #: (kind, k, bound) of each Stieltjes route domain and the --method choices
 #: that print a row of their own name just below, at and just above it; the
-#: others exit 2 with no row (recorded before the domains were declared once)
+#: others exit 2 with no row (recorded before the domains were declared once,
+#: but for the asymptotic route's order floor k = 0: its terms grow from the
+#: first for k < 0, where it once printed 4.9e37 for 4.8e42 at k = -40)
 BOUNDARIES = (
     ("stieltjes-ai", 1, 1e-15, (S,), (C, S), (C, S)),
     ("stieltjes-ai", 1, 4.0, (C, S), (C, S), (C,)),
@@ -163,6 +165,9 @@ BOUNDARIES = (
     ("stieltjes-ai2", 3, 2.2, (S,), (S,), ()),
     ("stieltjes-ai2", 1, 4.0, (C, S), (C, S), (C,)),
     ("stieltjes-ai2", 1, 13.0, (C,), (C,), ()),
+    ("stieltjes-ai", 0, 8.0, (), (), (A,)),
+    ("stieltjes-ai", -1, 8.0, (), (), ()),
+    ("stieltjes-ai", -40, 9.0, (), (), ()),
 )
 
 

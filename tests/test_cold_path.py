@@ -240,18 +240,18 @@ def test_validation_runs_each_oracle_quadrature_once(monkeypatch):
 
 
 def test_a_warm_validation_evaluates_each_closed_form_once(monkeypatch):
-    # _closed_anchor holds H+(a0) after the first run; each off-root closed
+    # _closed_anchor holds H+-(a0) after the first run; each off-root closed
     # form is computed once per run, although bigI_1 at a = 5 is read by
     # its own record, by the k = 3 recurrence and through bigI_3
     run_validation()
     points = []
-    h_plus = stieltjes1._H_plus
+    h = stieltjes1._H
 
     def counted(a):
         points.append(a)
-        return h_plus(a)
+        return h(a)
 
-    monkeypatch.setattr(stieltjes1, "_H_plus", counted)
+    monkeypatch.setattr(stieltjes1, "_H", counted)
     run_validation()
     assert 5.0 in points
     assert len(points) == len(set(points)), Counter(points).most_common(3)

@@ -3,8 +3,9 @@ there, every private module-level function or class is used somewhere in
 the package, every public definition is reached from the CLI or the
 benchmark, every defaulted parameter is set by some caller in the
 package or the benchmark, no module imports scipy or numpy when it is
-imported (the quadrature oracle loads them on its first integral), and
-every exact polynomial row is a tuple of ints and Fractions."""
+imported (the quadrature oracle loads them on its first integral), every
+pFq sum goes through ``kernel.hyp_sum``, and every exact polynomial row is
+a tuple of ints and Fractions."""
 
 import ast
 from fractions import Fraction
@@ -157,7 +158,7 @@ def _unreached_public_definitions(sources: dict, roots: dict,
 #: stays
 UNREACHED_ALLOWED = {
     "scorer_gi": "Scorer Gi, the base of the I0_scorer reference route",
-    "I0_scorer": "second route for I_0 that tests compare I0_hyp with",
+    "I0_scorer": "second route for I_0 that tests compare I_hyp(0, a) with",
     "genfunc_xi": "generating function the xi ladder is tested against",
     "genfunc_lambda": "generating function the lambda ladder is tested "
                       "against",
@@ -396,6 +397,46 @@ def test_only_the_hot_loops_write_dd_steps_out():
     found = [u for p in sorted(SRC.glob("*.py"))
              for u in _dd_step_uses(p.read_text(encoding="utf-8"), p.stem)]
     assert sorted(found) == sorted(WRITTEN_OUT + PRIMITIVES), found
+
+
+#: the one path of a pFq sum: each function's only caller in the package
+PFQ_PATH = {"hyp": ["kernel.hyp_sum"], "hyp_pfq": ["kernel.hyp"]}
+
+
+def _callers(source: str, name: str, callees) -> dict:
+    """The functions and methods of ``source`` (qualified by the module
+    ``name``) that call each of ``callees``, by name or as an attribute;
+    a module-level call counts as the module's."""
+    out = {c: set() for c in callees}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                called = getattr(child.func, "id",
+                                 getattr(child.func, "attr", None))
+                if called in out:
+                    out[called].add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), name)
+    return {c: sorted(s) for c, s in out.items()}
+
+
+def test_every_pfq_sum_goes_through_hyp_sum():
+    sample = ("from . import kernel\nX = kernel.hyp(1)\n"
+              "def f(t):\n    return [hyp(p) for p in t]\n"
+              "class C:\n    def g(self):\n        return hyp_pfq(2)\n")
+    assert _callers(sample, "m", PFQ_PATH) == {"hyp": ["m", "m.f"],
+                                               "hyp_pfq": ["m.C.g"]}
+    found = {c: [] for c in PFQ_PATH}
+    for p in sorted(SRC.glob("*.py")):
+        for c, s in _callers(p.read_text(encoding="utf-8"), p.stem,
+                             PFQ_PATH).items():
+            found[c] += s
+    assert found == PFQ_PATH, found
 
 
 #: packages only the oracle's quadrature needs, imported inside functions

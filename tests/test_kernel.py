@@ -17,19 +17,26 @@ from airylog.kernel import (
     HypSeries,
     alternating_series,
     compensated_sum,
+    AI0,
+    AIP0,
     hyp,
+    hyp_params,
     hyp_pfq,
+    ln_point,
     pochhammer,
     SMALLA_PAST_N,
     smalla_sum,
 )
-from airylog.ddreal import (PI, SQRT3, XReal, dd_add, dd_div, dd_div_f,
-                            dd_mul, dd_mul_f, dd_split)
-from airylog.mellin1 import I0_hyp, Im1_hyp, Im2_hyp
+from airylog.ddreal import (EULER_GAMMA, LN3, PI, SQRT3, XReal, dd_add,
+                            dd_div, dd_div_f, dd_mul, dd_mul_f, dd_powi,
+                            dd_split, dd_sub)
+from airylog.mellin1 import I_TERMS, I_hyp
+from airylog.mellin2 import A2, AAP, AP2
 from airylog.roots import roots_upto
-from airylog.stieltjes1 import (_H_minus, _H_plus, _ai_moments,
-                                _bigI_asym_coeffs, bigI_asym)
-from airylog.stieltjes2 import _bigJ_asym_coeffs, _masters, bigJ_asym
+from airylog.stieltjes1 import (_H, _H_TERMS, _ai_moments, _bigI_asym_coeffs,
+                                bigI_asym)
+from airylog.stieltjes2 import (_MASTERS, _bigJ_asym_coeffs, _masters,
+                                bigJ_asym)
 
 
 #: Gamma(1/3) and Gamma(2/3) to 40 digits (mpmath 1.3.0, mp.dps = 40)
@@ -392,19 +399,135 @@ _PFQ_BEYOND_2_53 = (
 
 
 def test_every_package_parameter_set_is_covered():
-    seen = set()
-    real = kernel.hyp_pfq
-
-    def record(series, tol, max_terms=None, z=None):
-        seen.add((tuple(series.a_params), tuple(series.b_params)))
-        return real(series, tol, max_terms, z=z)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "hyp_pfq", record)
-        for fn in (I0_hyp, Im1_hyp, Im2_hyp):
-            fn(2.0, 1e-20)
-        _H_plus(2.0), _H_minus(2.0), _masters(2.0)
+    # kernel.hyp_sum is hyp's only caller (test_hygiene), so the three term
+    # tables name every parameter set the package sums
+    tables = (*I_TERMS.values(), *_H_TERMS, *_MASTERS)
+    seen = {(F.a_params, F.b_params) for terms in tables for *_, F in terms}
     assert seen == set(_PFQ_SETS), seen
+
+
+# -- the closed forms' pFq parts as dd chains written per form, the
+# compositions that kernel.hyp_sum's term tables replaced
+
+def _ref_I0(a, tol):
+    ap = (float(a), 0.0)
+    z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
+    h1 = hyp(hyp_params("1/3", "2/3 4/3"), z3, tol=tol)
+    h2 = hyp(hyp_params("2/3", "4/3 5/3"), z3, tol=tol)
+    t1 = dd_mul(dd_mul(AI0.pair, ap), h1.pair)
+    t2 = dd_mul_f(dd_mul(dd_mul(AIP0.pair, dd_powi(ap, 2)), h2.pair), 0.5)
+    third = dd_div_f((1.0, 0.0), 3.0)
+    return XReal.from_pair(dd_sub(dd_sub(third, t1), t2))
+
+
+def _ref_Im1(a, tol):
+    ap = (float(a), 0.0)
+    z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
+    h1 = hyp(hyp_params("1/3", "4/3 4/3"), z3, tol=tol)
+    h2 = hyp(hyp_params("1 1", "2 2 5/3"), z3, tol=tol)
+    const = dd_add(
+        dd_sub(dd_mul_f(ln_point(ap[0]), 6.0), LN3.pair),
+        dd_add(dd_mul_f(EULER_GAMMA.pair, 4.0),
+               dd_div_f(dd_mul(SQRT3.pair, PI.pair), 3.0)),
+    )
+    t1 = dd_mul(dd_mul(AIP0.pair, ap), h1.pair)
+    t2 = dd_div_f(dd_mul(dd_mul(AI0.pair, dd_powi(ap, 3)), h2.pair), 18.0)
+    t3 = dd_div_f(dd_mul(AI0.pair, const), 6.0)
+    return XReal.from_pair(dd_sub(dd_sub(dd_mul_f(t1, -1.0), t2), t3))
+
+
+def _ref_Im2(a, tol):
+    ap = (float(a), 0.0)
+    z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
+    h1 = hyp(hyp_params("-1/3", "2/3 2/3"), z3, tol=tol)
+    h2 = hyp(hyp_params("1 1", "2 2 7/3"), z3, tol=tol)
+    const = dd_add(
+        dd_sub(dd_mul_f(ln_point(ap[0]), 6.0), LN3.pair),
+        dd_sub(dd_mul_f(EULER_GAMMA.pair, 4.0),
+               dd_add((6.0, 0.0), dd_div_f(dd_mul(SQRT3.pair, PI.pair), 3.0))),
+    )
+    t1 = dd_div(dd_mul(AI0.pair, h1.pair), ap)
+    t2 = dd_div_f(dd_mul(dd_mul(AIP0.pair, dd_powi(ap, 3)), h2.pair), 36.0)
+    t3 = dd_div_f(dd_mul(AIP0.pair, const), 6.0)
+    return XReal.from_pair(dd_sub(dd_sub(t1, t2), t3))
+
+
+def _ref_H_plus(a):
+    ap = (float(a), 0.0)
+    z = XReal.from_pair(dd_div_f(dd_powi(ap, 3), -9.0))
+    f1, f2, f3 = (hyp(hyp_params(*p), z, tol=1e-20) for p in (
+        ("1/3", "4/3 4/3"), ("2/3", "4/3 5/3"), ("1 1", "2 2 7/3")))
+    t1 = dd_mul(dd_mul(dd_mul(PI.pair, dd_powi(AIP0.pair, 2)), ap), f1.pair)
+    t2 = dd_div_f(dd_mul(dd_mul(dd_mul(PI.pair, AIP0.pair), dd_powi(ap, 2)), f2.pair), 6.0)
+    t3 = dd_div_f(dd_mul(dd_mul(SQRT3.pair, dd_powi(ap, 3)), f3.pair), 216.0)
+    return XReal.from_pair(dd_add(dd_add(t1, t2), t3))
+
+
+def _ref_H_minus(a):
+    ap = (float(a), 0.0)
+    z = XReal.from_pair(dd_div_f(dd_powi(ap, 3), -9.0))
+    f1, f2, f3 = (hyp(hyp_params(*p), z, tol=1e-20) for p in (
+        ("-1/3", "2/3 2/3"), ("1/3", "2/3 4/3"), ("1 1", "2 2 5/3")))
+    t1 = dd_div(dd_mul(dd_mul(PI.pair, dd_powi(AI0.pair, 2)), f1.pair), ap)
+    t2 = dd_div_f(dd_mul(dd_mul(dd_mul(PI.pair, AI0.pair), ap), f2.pair), 3.0)
+    t3 = dd_div_f(dd_mul(dd_mul(SQRT3.pair, dd_powi(ap, 3)), f3.pair), 108.0)
+    return XReal.from_pair(dd_add(dd_sub(t2, t1), t3))
+
+
+#: G1, G2, G3 of each master (box, I, II) as (power of a, binary64 factor
+#: or None, parameters): Gj = (a^power F(z)) factor
+_REF_G_TERMS = (
+    ((3, -1.0 / 9.0, ("1 1 7/6", "4/3 5/3 2 2")),
+     (-1, -1.0, ("-1/3 1/6", "1/3 2/3 2/3")),
+     (-2, -0.5, ("-2/3 1/6", "1/3 1/3 2/3"))),
+    ((1, None, ("1/3 1/2", "2/3 4/3 4/3")),
+     (3, -1.0 / 12.0, ("1 1 3/2", "2 2 5/3 7/3")),
+     (-1, -1.0, ("-1/3 1/2", "2/3 2/3 4/3"))),
+    ((2, 0.5, ("2/3 5/6", "4/3 5/3 5/3")),
+     (1, None, ("1/3 5/6", "4/3 4/3 5/3")),
+     (3, -1.0 / 18.0, ("1 1 11/6", "2 2 7/3 8/3"))),
+)
+
+
+def _ref_masters(a):
+    """The masters, M = Ai'(0)^2 G1 + Ai(0)Ai'(0) G2 + Ai(0)^2 G3, and for
+    each the sum of its terms' magnitudes."""
+    ap = (float(a), 0.0)
+    z = XReal.from_pair(dd_mul_f(dd_powi(ap, 3), -4.0 / 9.0))
+    out = []
+    for terms in _REF_G_TERMS:
+        g = []
+        for k, factor, params in terms:
+            term = dd_mul(dd_powi(ap, k), hyp(hyp_params(*params), z, tol=1e-20).pair)
+            g.append(term if factor is None else dd_mul_f(term, factor))
+        parts = [dd_mul(w.pair, gj) for w, gj in zip((AP2, AAP, A2), g)]
+        out.append((XReal.from_pair(dd_add(dd_add(parts[0], parts[1]), parts[2])),
+                    sum(abs(p[0]) for p in parts)))
+    return out
+
+
+@given(st.floats(0.0, 16.0, exclude_min=True),
+       st.sampled_from((1e-18, 1e-20, 1e-28)))
+@settings(max_examples=60, deadline=None)
+def test_the_term_tables_sum_as_the_written_compositions_bitwise(a, tol):
+    for m, ref in ((0, _ref_I0), (-1, _ref_Im1), (-2, _ref_Im2)):
+        assert _hex(I_hyp(m, a, tol)) == _hex(ref(a, tol)), (m, a, tol)
+    assert [_hex(h) for h in _H(a)] == [_hex(_ref_H_plus(a)),
+                                        _hex(_ref_H_minus(a))], a
+
+
+def test_the_masters_move_only_within_the_rounding_of_their_terms():
+    # the term tables fold each binary64 factor into the coefficient and
+    # divide by a^-k for k < 0, which moves the masters in their low words
+    points = [0.2 + 0.05 * i for i in range(257)]
+    points += [float(r) for r in roots_upto(13)]
+    worst = 0.0
+    for a in points:
+        for new, (old, size) in zip(_masters(a), _ref_masters(a)):
+            moved = abs(Fraction(new.hi) + Fraction(new.lo)
+                        - Fraction(old.hi) - Fraction(old.lo))
+            worst = max(worst, float(moved) / (2.0 ** -104 * size))
+    assert worst <= 1.0, worst
 
 
 def _z(draw, scale):

@@ -130,7 +130,7 @@ def test_each_root_is_computed_once_per_request(monkeypatch, roots):
     mags = [float(roots[k]) for k in range(1, N + 1)]
     _clear_memos(monkeypatch)
     counts = {}
-    for name in ("_H_plus", "xi_lambda_derivs"):
+    for name in ("_H", "xi_lambda_derivs"):
         _count(monkeypatch, stieltjes1, name, counts)
     _count(monkeypatch, stieltjes2, "_masters", counts)
     _count(monkeypatch, mellin2, "xi2_derivs", counts)
@@ -150,7 +150,7 @@ def test_each_root_is_computed_once_per_request(monkeypatch, roots):
     closed = sum(SMALLA.hi < a <= CLOSED.hi for a in mags)
     small = sum(a <= SMALLA.hi for a in mags)  # a0 is the first root
     assert (closed, small) == (8, 2)
-    assert counts == {"_H_plus": closed + 1, "xi_lambda_derivs": small,
+    assert counts == {"_H": closed + 1, "xi_lambda_derivs": small,
                       "_masters": sum(a <= SUMMAND_CLOSED.hi for a in mags) + 1}
 
     # the three small-a seeds at a0 share one squared ladder

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from airylog.airy import JPair, airy, scorer_gi
 from airylog.cli import _TRANSFORMS, main
@@ -260,14 +260,19 @@ def test_I3_small_a_and_ladder_agree_within_their_errors():
             if not _agree(bigI_smalla(3, a), CTX.bigI3(a))] == []
 
 
-@given(st.sampled_from(sorted(_TRANSFORMS)), st.integers(-70, 130),
+@given(st.sampled_from(sorted(_TRANSFORMS)),
+       st.one_of(st.integers(-70, 130), st.integers(-10 ** 8, 10 ** 8),
+                 st.sampled_from((10 ** 400, -10 ** 400))),
        st.sampled_from((1.0, -1.0)), st.floats(-322.0, 300.0),
        st.sampled_from(("closed_form", "small_a", "asymptotic")))
+@example("stieltjes-ai", 3_000_000, 1.0, math.log10(9.0), "asymptotic")
+@example("stieltjes-ai", 10 ** 400, 1.0, 1.0, "asymptotic")
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_transform_exits_with_a_code_and_finite_values(kind, order, sign, u,
                                                        method):
     # routes once returned NaN with exit 0, or crashed with a bare
     # OverflowError or ZeroDivisionError, at the edges of the binary64 range
+    # of a and of the order
     flag = "--k" if kind.startswith("stieltjes") else "--n"
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):

@@ -147,6 +147,22 @@ def test_asym_route(roots):
             assert abs(mine - orc) <= 1e-11 * max(1.0, abs(orc))
 
 
+def test_asym_route_takes_only_orders_its_series_holds():
+    # at k = 0 the series is its first term, 1/3, exactly
+    assert bigI_asym(0, 9.0).value == XReal(1.0 / 3.0)
+    # for k < 0 the terms grow from the first one
+    for k in (-1, -40):
+        with pytest.raises(DomainError):
+            bigI_asym(k, 9.0)
+    # far past the binary64 range of its coefficients and of a^-k, the
+    # value underflows to 0.0 and never turns into NaN
+    for k in (3_000_000, 10 ** 7, 10 ** 308):
+        res = bigI_asym(k, 9.0)
+        assert (float(res.value), res.err_est) == (0.0, 0.0), k
+    with pytest.raises(RangeError):
+        bigI_asym(10 ** 400, 9.0)
+
+
 def test_derivative_ladder_fd(ctx):
     # d bigI_{k+1}/da = -(k+1) bigI_{k+2}, finite differences vs oracle
     h = 1e-4
