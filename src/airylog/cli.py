@@ -141,9 +141,14 @@ def cmd_transform(args) -> int:
     a = args.a
     results = []
     if args.method in ("all", "oracle"):
-        results.append(oracle_stieltjes(weight, idx, a, tol=args.tol)
-                       if family == "stieltjes"
-                       else oracle_mellin(weight, idx, a, tol=args.tol))
+        try:
+            results.append(oracle_stieltjes(weight, idx, a, tol=args.tol)
+                           if family == "stieltjes"
+                           else oracle_mellin(weight, idx, a, tol=args.tol))
+        except RangeError as exc:  # under "all" the analytic rows still print
+            if args.method == "oracle":
+                raise
+            print(f"oracle refused: {exc}", file=sys.stderr)
     results += [route(idx, a) for method, domain, route in routes
                 if args.method in ("all", method) and domain.holds(idx, a)]
     if not results:

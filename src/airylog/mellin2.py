@@ -199,6 +199,30 @@ J_SMALLA = Domain(hi={1: 4.0, 2: 2.15, 3: 2.2, 4: 1.8, 5: 1.65, 6: 1.85},
                   k_lo=1, k_hi=6)
 
 
+#: each kind of 1/x transform as its additive constant, class weights and
+#: class rows: row j, (chain, shift, first, factor, power), sums chain[n +
+#: shift] num(n)/den(n) a^power/(3n + j) from the top n down to first, with
+#: chains 0, 1, 2 the c, d, e of :func:`_ai2_class_chains`, (num, den) =
+#: factor(n), and a None factor or a zero power left out; class 0 adds ln a
+_CLASS_SUMS = {
+    # tau_m a^m/m: A^2 c_n, 2AAp d_n a, 2Ap2 e_n a^2 (doublings exact)
+    "i": (L_I, (A2, AAP * 2, AP2 * 2),
+          ((0, 0, 1, None, 0), (1, 0, 0, None, 1), (2, 0, 0, None, 2))),
+    # kappa_m = (m+1) tau_{m+1}/2 as a^m/m: kappa_{3n} = AAp d_n (3n+1),
+    # kappa_{3n+1} = Ap2 e_n (3n+2) a, kappa_{3n+2} = A2 c_{n+1} (3n+3)/(2a)
+    "calI": (L_CAL, (AAP, AP2, A2),
+             ((1, 0, 1, lambda n: (3 * n + 1, 1), 0),
+              (2, 0, 0, lambda n: (3 * n + 2, 1), 1),
+              (0, 1, 0, lambda n: (3 * n + 3, 2), -1))),
+    # nu_m a^m/m with nu_0 = A'^2: nu_{3n} = Ap2 e_{n-1} a^3 (6n-2)/(3n),
+    # nu_{3n+1} = A2 c_n a 3n/(3n+1), nu_{3n+2} = AAp d_n a^2 (6n+2)/(3n+2)
+    "iprime": (L_IP, (AP2, A2, AAP),
+               ((2, -1, 1, lambda n: (6 * n - 2, 3 * n), 3),
+                (0, 0, 1, lambda n: (3 * n, 3 * n + 1), 1),
+                (1, 0, 0, lambda n: (6 * n + 2, 3 * n + 2), 2))),
+}
+
+
 def irreducible_neg1(a: float, which: str) -> XReal:
     """The three irreducible 1/x transforms:
 
@@ -222,67 +246,25 @@ def irreducible_neg1(a: float, which: str) -> XReal:
     IRREDUCIBLE[which].check(f"irreducible_neg1 {which!r}", -1, a)
     nterms = _series_terms_for(a)
     ap = (float(a), 0.0)
-    a3 = dd_powi(ap, 3)
-    cs, ds, es = _ai2_class_chains(a3, nterms + 2)
-    ln_a = ln_point(ap[0])
-    a2_, aap_, ap2_ = A2.pair, AAP.pair, AP2.pair
-    if which == "i":
-        # sum tau_m a^m / m over the three classes, m >= 1
-        s0 = (0.0, 0.0)
-        for n in range(nterms, 0, -1):  # A^2 class: c_n a^{3n}/(3n)
-            s0 = dd_add(s0, dd_div_f(cs[n], float(3 * n)))
-        s1 = (0.0, 0.0)
-        for n in range(nterms, -1, -1):  # 2AAp class: d_n a^{3n+1}/(3n+1)
-            s1 = dd_add(s1, dd_div_f(dd_mul(ds[n], ap), float(3 * n + 1)))
-        s2 = (0.0, 0.0)
-        for n in range(nterms, -1, -1):  # 2Ap2 class: e_n a^{3n+2}/(3n+2)
-            s2 = dd_add(s2, dd_div_f(dd_mul(dd_mul_f(es[n], 2.0),
-                                            dd_powi(ap, 2)), float(3 * n + 2)))
-        tot = dd_add(dd_mul(a2_, dd_add(s0, ln_a)),
-                     dd_add(dd_mul_f(dd_mul(aap_, s1), 2.0), dd_mul(ap2_, s2)))
-        return XReal.from_pair(dd_sub(L_I.pair, tot))
-    if which == "calI":
-        # kappa_m = (m+1) tau_{m+1}/2, summed as a^m/m per residue class:
-        # kappa_{3n} a^{3n}   = AAp  * d_n (3n+1)        (n >= 1)
-        # kappa_{3n+1} a^{3n} = Ap2  * e_n (3n+2) * a / a^{..}
-        # kappa_{3n+2}        = A2   * c_{n+1} (3n+3)/(2a)
-        s0 = (0.0, 0.0)
-        for n in range(nterms, 0, -1):
-            s0 = dd_add(s0, dd_div_f(dd_mul_f(ds[n], float(3 * n + 1)),
-                                     float(3 * n)))
-        s1 = (0.0, 0.0)
-        for n in range(nterms, -1, -1):
-            s1 = dd_add(s1, dd_div_f(dd_mul(dd_mul_f(es[n], float(3 * n + 2)), ap),
-                                     float(3 * n + 1)))
-        s2 = (0.0, 0.0)
-        inv_a = dd_powi(ap, -1)
-        for n in range(nterms, -1, -1):
-            s2 = dd_add(s2, dd_div_f(dd_mul(dd_mul_f(cs[n + 1], 0.5 * (3 * n + 3)),
-                                            inv_a), float(3 * n + 2)))
-        tot = dd_add(dd_mul(aap_, dd_add(s0, ln_a)),
-                     dd_add(dd_mul(ap2_, s1), dd_mul(a2_, s2)))
-        return XReal.from_pair(dd_sub(L_CAL.pair, tot))
-    if which == "iprime":
-        # nu_m a^m/m with nu_0 = A'^2:
-        # nu_{3n}   = 2 A'^2 12^{n-1}(5/6)_{n-1}(3n-1)/(3n)!   (n >= 1)
-        # nu_{3n+1} = A^2 12^n (1/6)_n 3n/(3n+1)!              (n >= 1)
-        # nu_{3n+2} = 2 AA' 12^n (1/2)_n (3n+1)/(3n+2)!
-        s0 = (0.0, 0.0)
-        for n in range(nterms, 0, -1):
-            # nu_{3n} a^{3n} = Ap2 * e_{n-1} a^3 (6n-2)/(3n)
-            coef = dd_mul_f(es[n - 1], (6.0 * n - 2.0) / float(3 * n))
-            s0 = dd_add(s0, dd_div_f(dd_mul(coef, a3), float(3 * n)))
-        s1 = (0.0, 0.0)
-        for n in range(nterms, 0, -1):
-            coef = dd_mul_f(cs[n], float(3 * n) / float(3 * n + 1))
-            s1 = dd_add(s1, dd_div_f(dd_mul(coef, ap), float(3 * n + 1)))
-        s2 = (0.0, 0.0)
-        for n in range(nterms, -1, -1):
-            coef = dd_mul_f(ds[n], (6.0 * n + 2.0) / float(3 * n + 2))
-            s2 = dd_add(s2, dd_div_f(dd_mul(coef, dd_powi(ap, 2)), float(3 * n + 2)))
-        tot = dd_add(dd_mul(ap2_, dd_add(s0, ln_a)),
-                     dd_add(dd_mul(a2_, s1), dd_mul(aap_, s2)))
-        return XReal.from_pair(dd_sub(L_IP.pair, tot))
+    chains = _ai2_class_chains(dd_powi(ap, 3), nterms + 2)
+    const, weights, rows = _CLASS_SUMS[which]
+    sums = []
+    for j, (chain, shift, first, factor, power) in enumerate(rows):
+        apow = dd_powi(ap, power)
+        s = (0.0, 0.0)
+        for n in range(nterms, first - 1, -1):
+            t = chains[chain][n + shift]
+            if factor:
+                num, den = factor(n)
+                t = dd_mul_f(t, num / den)
+            if power:
+                t = dd_mul(t, apow)
+            s = dd_add(s, dd_div_f(t, float(3 * n + j)))
+        sums.append(s)
+    (w0, w1, w2), (s0, s1, s2) = weights, sums
+    tot = dd_add(dd_mul(w0.pair, dd_add(s0, ln_point(ap[0]))),
+                 dd_add(dd_mul(w1.pair, s1), dd_mul(w2.pair, s2)))
+    return XReal.from_pair(dd_sub(const.pair, tot))
 
 
 # -- base values and reductions ----------------------------------------------
@@ -373,60 +355,52 @@ def _ai2_base(a: float) -> Ai2Base:
 
 # -- public operations ---------------------------------------------------------
 
+#: per residue class mu: the amplitude t_0 = G(c)/G(c + 1), the Gamma shift
+#: c of t_l = G(l + c)(12a^3)^l/((3l)! G(c + 1)), and rows (first, power,
+#: factor) for B0, B1, B2, each summing t_l a^power num(l)/den(l) over
+#: l = first .. k, with factors and powers left out as in _CLASS_SUMS
+_BSUM_ROWS = (
+    # B0 = -sum_{l>=0} (3l-1) G(l-1/6)(12a^3)^l/(3l)!,
+    # B1 = -(1/a) sum_{l>=1} G(l-1/6)(12a^3)^l/(3l-1)!,
+    # B2 = (1/a^2) sum_{l>=1} G(l-1/6)(12a^3)^l/(3l-2)!
+    (-6.0, -1.0 / 6.0, ((0, 0, lambda l: (1 - 3 * l, 1)),
+                        (1, -1, lambda l: (-3 * l, 1)),
+                        (1, -2, lambda l: (3 * l * (3 * l - 1), 1)))),
+    # B0 = -a sum_{l>=1} 3l G(l+1/6)(12a^3)^l/(3l+1)!,
+    # B1 = -sum_{l>=0} G(l+1/6)(12a^3)^l/(3l)!,
+    # B2 = (1/a) sum_{l>=1} G(l+1/6)(12a^3)^l/(3l-1)!
+    (6.0, 1.0 / 6.0, ((1, 1, lambda l: (-3 * l, 3 * l + 1)),
+                      (0, 0, lambda l: (-1, 1)),
+                      (1, -1, lambda l: (3 * l, 1)))),
+    # B0 = -a^2 sum (3l+1) G(l+1/2)(12a^3)^l/(3l+2)!,
+    # B1 = -a sum G(l+1/2)(12a^3)^l/(3l+1)!, B2 = sum G(l+1/2)(12a^3)^l/(3l)!
+    (2.0, 0.5, ((0, 2, lambda l: (-1, 3 * l + 2)),
+                (0, 1, lambda l: (-1, 3 * l + 1)),
+                (0, 0, None))),
+)
+
+
 def _bsums(k: int, mu: int, base: Ai2Base):
     """The three B coefficient sums for the closed-form positive route,
     normalised so the overall prefactor is (3k+mu)!/(12^{k+1} G(k+mu/3+5/6))
-    with Gamma ratios relative to the l = 0 anchor."""
+    with Gamma ratios relative to the l = 0 anchor (:data:`_BSUM_ROWS`)."""
+    t0, c, rows = _BSUM_ROWS[mu]
     a3_12 = dd_mul_f(dd_powi(base.ap, 3), 12.0)
-    inv_a = dd_powi(base.ap, -1)
-    s0 = (0.0, 0.0)
-    s1 = (0.0, 0.0)
-    s2 = (0.0, 0.0)
-    if mu == 0:
-        # B0 = -sum_{l=0..k} (3l-1) G(l-1/6)(12a^3)^l/(3l)!
-        # B1 = -(1/a) sum_{l=1..k} G(l-1/6)(12a^3)^l/(3l-1)!
-        # B2 = (1/a^2) sum_{l=1..k} G(l-1/6)(12a^3)^l/(3l-2)!
-        # carry t_l = G(l-1/6)(12a^3)^l/(3l)! / G(5/6):
-        t = (-6.0, 0.0)  # l=0: G(-1/6)/G(5/6) = -6
-        for l in range(k + 1):
-            s0 = dd_add(s0, dd_mul_f(t, -(3.0 * l - 1.0)))
-            if l >= 1:
-                s1 = dd_add(s1, dd_mul_f(dd_mul(t, inv_a), -(3.0 * l)))
-                s2 = dd_add(s2, dd_mul_f(dd_mul(t, dd_powi(base.ap, -2)),
-                                         (3.0 * l) * (3.0 * l - 1.0)))
-            t = dd_mul_f(dd_mul(t, a3_12),
-                         (l - 1.0 / 6.0)
-                         / float((3 * l + 1) * (3 * l + 2) * (3 * l + 3)))
-        return s0, s1, s2
-    if mu == 1:
-        # amplitudes G(l+1/6)/G(7/6), chains over (3l+1)!-type factorials
-        t = (6.0, 0.0)  # G(1/6)/G(7/6) = 6
-        for l in range(k + 1):
-            # B0: -a sum_{l>=1} 3l G(l+1/6)(12a^3)^l/(3l+1)!
-            # B1: -sum_{l>=0} G(l+1/6)(12a^3)^l/(3l)!
-            # B2: (1/a) sum_{l>=1} G(l+1/6)(12a^3)^l/(3l-1)!
-            s1 = dd_add(s1, dd_mul_f(t, -1.0))
-            if l >= 1:
-                s0 = dd_add(s0, dd_mul_f(dd_mul(t, base.ap),
-                                         -3.0 * l / float(3 * l + 1)))
-                s2 = dd_add(s2, dd_mul_f(dd_mul(t, inv_a), 3.0 * l))
-            t = dd_mul_f(dd_mul(t, a3_12),
-                         (l + 1.0 / 6.0)
-                         / float((3 * l + 1) * (3 * l + 2) * (3 * l + 3)))
-        return s0, s1, s2
-    # mu == 2: amplitudes G(l+1/2)/G(3/2), factorials (3l+2)!-type
-    t = (2.0, 0.0)  # G(1/2)/G(3/2) = 2
+    # a power only for a row that adds a term: a^-2 overflows at tiny a
+    apows = [dd_powi(base.ap, p) if f <= k else None for f, p, _ in rows]
+    sums = [(0.0, 0.0)] * 3
+    t = (t0, 0.0)
     for l in range(k + 1):
-        # B0: -a^2 sum (3l+1) G(l+1/2)(12a^3)^l/(3l+2)!
-        # B1: -a sum G(l+1/2)(12a^3)^l/(3l+1)!
-        # B2: sum G(l+1/2)(12a^3)^l/(3l)!
-        s0 = dd_add(s0, dd_mul_f(dd_mul(t, dd_powi(base.ap, 2)),
-                                 -(3.0 * l + 1.0) / float((3 * l + 1) * (3 * l + 2))))
-        s1 = dd_add(s1, dd_mul_f(dd_mul(t, base.ap), -1.0 / float(3 * l + 1)))
-        s2 = dd_add(s2, t)
+        for i, (first, power, factor) in enumerate(rows):
+            if l >= first:
+                term = dd_mul(t, apows[i]) if power else t
+                if factor:
+                    num, den = factor(l)
+                    term = dd_mul_f(term, num / den)
+                sums[i] = dd_add(sums[i], term)
         t = dd_mul_f(dd_mul(t, a3_12),
-                     (l + 0.5) / float((3 * l + 1) * (3 * l + 2) * (3 * l + 3)))
-    return s0, s1, s2
+                     (l + c) / float((3 * l + 1) * (3 * l + 2) * (3 * l + 3)))
+    return tuple(sums)
 
 
 def _product_base(name: str, domain: Domain, n: int, a: float) -> Ai2Base:

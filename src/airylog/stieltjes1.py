@@ -38,7 +38,7 @@ from .kernel import (AI0, AIP0, alternating_series, compensated_sum,
 from .mellin1 import base_values, xi_lambda_derivs
 from .results import Domain, TransformResult, TruncationConfig, per_request
 from .roots import RootTable, is_root_magnitude
-from .zeta import zeta_tail
+from .zeta import check_zeta_order, zeta_tail
 
 #: the routes' domains; below CLOSED.lo the closed form's J_- dH_- term
 #: cancels to about 1e-32/a, past its err_est.  ``transform`` prints the
@@ -368,6 +368,7 @@ def integral1_accelerated(cfg: TruncationConfig, roots: RootTable,
         + (1/(3 Ai'(0))) sum_{k<=n} (-1)^k (k+2)!/(3^{k/3} Gamma(k/3+1))
                                     {Z_{k+4} - Z_{k+4}(N)}.
     """
+    check_zeta_order(4 + cfg.n)  # before any coefficient can overflow
     head = integral1_series("eq3", cfg.N, roots, ctx)
     coeffs = [(-1) ** k * math.factorial(k + 2)
               / (3.0 ** (k / 3.0) * math.gamma(k / 3.0 + 1.0))

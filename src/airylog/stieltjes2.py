@@ -40,7 +40,7 @@ from .kernel import (alternating_series, compensated_sum, hyp_params,
 from .mellin2 import A2, AAP, AP2, Jn_smalla
 from .results import Domain, Frozen, TransformResult, TruncationConfig
 from .roots import RootTable, is_root_magnitude
-from .zeta import zeta_tail
+from .zeta import check_zeta_order, zeta_tail
 
 #: the domains of :func:`solve_J1`, which ``transform`` prints, and of the
 #: summand's closed form, which the pipelines use up to its hi
@@ -352,6 +352,7 @@ def integral2_accelerated(cfg: TruncationConfig, roots: RootTable,
           sum_{k<=n} (-1)^k (k+4)(k+1)!/(12^{k/3} Gamma(k/3+13/6))
                      {Z_{k+2} - Z_{k+2}(N)}.
     """
+    check_zeta_order(2 + cfg.n)  # before any coefficient can overflow
     head = integral2_series(cfg.N, roots, sol)
     coeffs = [(-1) ** k * (k + 4) * math.factorial(k + 1)
               / (12.0 ** (k / 3.0) * math.gamma(k / 3.0 + 13.0 / 6.0))

@@ -58,13 +58,18 @@ def _log_derivative_coeffs():
     return tuple(q)
 
 
+def check_zeta_order(k: int) -> None:
+    """Raise DomainError for a k past K_MAX, the cap of the closed form."""
+    if k > K_MAX:
+        raise DomainError(f"zeta closed form capped at k = {K_MAX}")
+
+
 def zeta_eta_poly(k: int) -> tuple:
     """Z_k as an exact polynomial in eta (Fraction coefficient tuple, low
     power first)."""
     if k < 2:
         raise DomainError("zeta sums converge only for k >= 2")
-    if k > K_MAX:
-        raise DomainError(f"zeta closed form capped at k = {K_MAX}")
+    check_zeta_order(k)
     return poly_scale(_log_derivative_coeffs()[k - 1], 1 if k % 2 else -1)
 
 

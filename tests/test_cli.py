@@ -131,6 +131,25 @@ def test_a_below_a_routes_range_is_a_config_error(capsys):
     assert (code, capsys.readouterr().out) == (2, "")
 
 
+def test_a_refused_oracle_leaves_the_rows_that_hold(capsys):
+    # the oracle's overflow at k = 3e6 ended the command with exit 2 and no
+    # row, while the asymptotic route prints the correctly rounded 0.0
+    args = ["transform", "--kind", "stieltjes-ai", "--k", "3000000"]
+    code = main(args + ["--a", "9", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert [(r["method"], r["value"]) for r in json.loads(out)] == [
+        ("asymptotic", 0.0)]
+    assert err == ("oracle refused: the integrand leaves the binary64 "
+                   "range (OverflowError)\n")
+    # alone, or with no row that holds, the refusal still exits 2
+    for more in (["--a", "9", "--method", "oracle"], ["--a", "5"]):
+        code = main(args + more)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), more
+        assert "binary64 range" in err, more
+
+
 def test_stieltjes_ai2_prints_small_a_only_inside_its_range(capsys):
     # past J_SMALLA.hi[6] = 1.85 the small-a row printed 9.77418234053e-06
     # with err_est 9.8e-20 beside the oracle's 9.77418233685e-06

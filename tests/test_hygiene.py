@@ -4,8 +4,9 @@ the package, every public definition is reached from the CLI or the
 benchmark, every defaulted parameter is set by some caller in the
 package or the benchmark, no module imports scipy or numpy when it is
 imported (the quadrature oracle loads them on its first integral), every
-pFq sum goes through ``kernel.hyp_sum``, and every exact polynomial row is
-a tuple of ints and Fractions."""
+pFq sum goes through ``kernel.hyp_sum``, each table-driven series engine
+sums in one loop, and every exact polynomial row is a tuple of ints and
+Fractions."""
 
 import ast
 from fractions import Fraction
@@ -437,6 +438,43 @@ def test_every_pfq_sum_goes_through_hyp_sum():
                              PFQ_PATH).items():
             found[c] += s
     assert found == PFQ_PATH, found
+
+
+#: the series engines that sum over a table declared beside them, so that
+#: one ``dd_add`` in a loop body adds every term
+TABLE_LOOPS = {"mellin2": ("irreducible_neg1", "_bsums")}
+
+
+def _loop_dd_adds(source: str, name: str) -> int:
+    """The ``dd_add`` calls, by name or as an attribute, in the loop bodies
+    (of ``for``, ``while`` and comprehensions, nested ones once) of the
+    top-level function ``name`` of ``source``."""
+    fn = next(n for n in ast.parse(source).body
+              if isinstance(n, ast.FunctionDef) and n.name == name)
+    bodies = []
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.For, ast.While)):
+            bodies += node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            bodies.append(node.elt)
+        elif isinstance(node, ast.DictComp):
+            bodies += [node.key, node.value]
+    return len({id(c) for body in bodies for c in ast.walk(body)
+                if isinstance(c, ast.Call) and getattr(
+                    c.func, "id", getattr(c.func, "attr", None)) == "dd_add"})
+
+
+def test_each_table_engine_adds_in_one_loop():
+    sample = ("def f(t):\n    s = dd_add(0, 0)\n    for r in t:\n"
+              "        for n in r:\n            s = dd_add(s, n)\n"
+              "    return dd_add(s, [dd_add(x, 1) for x in t])\n"
+              "def g(t):\n    while t:\n        t = ddreal.dd_add(t, 1)\n")
+    assert _loop_dd_adds(sample, "f") == 2
+    assert _loop_dd_adds(sample, "g") == 1
+    found = {(m, n): _loop_dd_adds((SRC / f"{m}.py").read_text(
+                 encoding="utf-8"), n)
+             for m, names in TABLE_LOOPS.items() for n in names}
+    assert found == dict.fromkeys(found, 1), found
 
 
 #: packages only the oracle's quadrature needs, imported inside functions

@@ -4,17 +4,32 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from airylog.airy import airy
+from airylog.ddreal import (
+    XReal,
+    dd_add,
+    dd_div_f,
+    dd_mul,
+    dd_mul_f,
+    dd_powi,
+    dd_sub,
+)
 from airylog.errors import DomainError, RangeError
-from airylog.kernel import AI0, AIP0
+from airylog.kernel import AI0, AIP0, ln_point, poly_add
 from airylog.mellin1 import pq_row
 from airylog.mellin2 import (
     A2,
     AAP,
     AP2,
+    IRREDUCIBLE,
     J_SMALLA,
+    L_CAL,
+    L_I,
+    L_IP,
     NEG_A_MAX,
+    Ai2Base,
     Jn_smalla,
     calI,
     calI_bform,
@@ -24,6 +39,11 @@ from airylog.mellin2 import (
     pqr2_row,
     pqr_row,
     xi2_derivs,
+    _ai2_class_chains,
+    _bsums,
+    _BSUM_ROWS,
+    _CLASS_SUMS,
+    _series_terms_for,
 )
 from airylog.oracle import oracle_mellin, oracle_stieltjes
 from airylog.results import Domain
@@ -479,66 +499,29 @@ def test_irreducible_neg1_stops_at_each_kinds_limit():
 
 def test_bform_equals_pqr_exactly_in_rational_arithmetic():
     """The Gamma-ratio closed forms of the three-term ladder reduce to
-    rational Laurent coefficients (the Gamma anchors cancel); for k <= 5
-    they must equal the p/q/r ladder polynomials exactly."""
-    from fractions import Fraction as Fr
-
-    def bform_coeffs(n):
-        # returns ({power: coeff} for Ai^2, Ai'^2, AiAi') built with exact
-        # Fractions; chains carry t_l = G(l+shift)(12a^3)^l/(3l)!/G(anchor)
+    rational coefficients (the Gamma anchors cancel): each row of
+    _BSUM_ROWS, summed in Fractions with its amplitude and shift as the
+    exact thirds they round, times the prefactor, is row n of the p/q/r
+    ladder exactly."""
+    for n in range(41):
         k, mu = divmod(n, 3)
-        p, q, r = {}, {}, {}
-
-        def put(d, power, val):
-            d[power] = d.get(power, Fr(0)) + val
-
-        if mu == 0:
-            pref = Fr(math.factorial(3 * k), 12 ** (k + 1))
-            # G(k+5/6)/G(5/6) = prod(5/6 + j); t chain anchored at G(-1/6)/G(5/6) = -6
-            ratio = Fr(1)
-            for j in range(k):
-                ratio *= Fr(5, 6) + j
-            t = Fr(-6)
-            for l in range(k + 1):
-                c = pref * t / ratio
-                put(p, 3 * l, -(3 * l - 1) * c)
-                if l >= 1:
-                    put(q, 3 * l - 1, -(3 * l) * c)
-                    put(r, 3 * l - 2, (3 * l) * (3 * l - 1) * c)
-                t *= (Fr(l) - Fr(1, 6)) * 12 * Fr(1, (3 * l + 1) * (3 * l + 2) * (3 * l + 3))
-        elif mu == 1:
-            pref = Fr(math.factorial(3 * k + 1), 12 ** (k + 1))
-            ratio = Fr(1)
-            for j in range(k):
-                ratio *= Fr(7, 6) + j
-            t = Fr(6)  # G(1/6)/G(7/6)
-            for l in range(k + 1):
-                c = pref * t / ratio
-                put(q, 3 * l, -c)
-                if l >= 1:
-                    put(p, 3 * l + 1, -Fr(3 * l, 3 * l + 1) * c)
-                    put(r, 3 * l - 1, (3 * l) * c)
-                t *= (Fr(l) + Fr(1, 6)) * 12 * Fr(1, (3 * l + 1) * (3 * l + 2) * (3 * l + 3))
-        else:
-            pref = Fr(math.factorial(3 * k + 2), 12 ** (k + 1))
-            ratio = Fr(1)
-            for j in range(k):
-                ratio *= Fr(3, 2) + j
-            t = Fr(2)  # G(1/2)/G(3/2)
-            for l in range(k + 1):
-                c = pref * t / ratio
-                put(p, 3 * l + 2, -Fr(3 * l + 1, (3 * l + 1) * (3 * l + 2)) * c)
-                put(q, 3 * l + 1, -Fr(1, 3 * l + 1) * c)
-                put(r, 3 * l, c)
-                t *= (Fr(l) + Fr(1, 2)) * 12 * Fr(1, (3 * l + 1) * (3 * l + 2) * (3 * l + 3))
-        return p, q, r
-
-    for n in range(0, 17):
-        bp, bq, br = bform_coeffs(n)
-        row = pqr_row(n)
-        for d, poly in ((bp, row.p), (bq, row.q), (br, row.r)):
-            ref = {i: c for i, c in enumerate(poly) if c}
-            assert {k_: v for k_, v in d.items() if v} == ref, n
+        t0, c, rows = _BSUM_ROWS[mu]
+        exact_c = Fr(2 * mu - 1, 6)
+        assert c == float(exact_c) and t0 == 1 / exact_c
+        pref = Fr(math.factorial(3 * k + mu), 12 ** (k + 1)) / math.prod(
+            exact_c + 1 + i for i in range(k))
+        polys, t = [(), (), ()], 1 / exact_c
+        for l in range(k + 1):
+            for i, (first, power, factor) in enumerate(rows):
+                if l >= first:
+                    num, den = factor(l) if factor else (1, 1)
+                    polys[i] = poly_add(polys[i], (0,) * (3 * l + power)
+                                        + (pref * t * Fr(num, den),))
+            t *= 12 * (l + exact_c) / ((3 * l + 1) * (3 * l + 2) * (3 * l + 3))
+        want = pqr_row(n)
+        for got, poly in zip(polys, want):
+            assert ({i: v for i, v in enumerate(got) if v}
+                    == {i: v for i, v in enumerate(poly) if v}), n
 
 
 def test_vallee_relations_with_oracle_values():
@@ -582,3 +565,203 @@ def test_beta_form_anchored_solutions():
         ref5 = (10 * calm2 + 3 * ai2 / a ** 2 + 2 * aip2 / a ** 3
                 + 6 * cross / a ** 4) / 24
         assert abs(float(calI(-5, a).value) - ref5) <= 1e-13
+
+
+# -- the declared class and B-sum tables ---------------------------------------
+
+def _loops_irreducible_neg1(a, which):
+    """irreducible_neg1 as nine hand-written loops, one per kind and class:
+    the form the table replaced, kept as the bit-for-bit reference."""
+    nterms = _series_terms_for(a)
+    ap = (float(a), 0.0)
+    a3 = dd_powi(ap, 3)
+    cs, ds, es = _ai2_class_chains(a3, nterms + 2)
+    ln_a = ln_point(ap[0])
+    a2_, aap_, ap2_ = A2.pair, AAP.pair, AP2.pair
+    if which == "i":
+        s0 = (0.0, 0.0)
+        for n in range(nterms, 0, -1):
+            s0 = dd_add(s0, dd_div_f(cs[n], float(3 * n)))
+        s1 = (0.0, 0.0)
+        for n in range(nterms, -1, -1):
+            s1 = dd_add(s1, dd_div_f(dd_mul(ds[n], ap), float(3 * n + 1)))
+        s2 = (0.0, 0.0)
+        for n in range(nterms, -1, -1):
+            s2 = dd_add(s2, dd_div_f(dd_mul(dd_mul_f(es[n], 2.0),
+                                            dd_powi(ap, 2)), float(3 * n + 2)))
+        tot = dd_add(dd_mul(a2_, dd_add(s0, ln_a)),
+                     dd_add(dd_mul_f(dd_mul(aap_, s1), 2.0), dd_mul(ap2_, s2)))
+        return XReal.from_pair(dd_sub(L_I.pair, tot))
+    if which == "calI":
+        s0 = (0.0, 0.0)
+        for n in range(nterms, 0, -1):
+            s0 = dd_add(s0, dd_div_f(dd_mul_f(ds[n], float(3 * n + 1)),
+                                     float(3 * n)))
+        s1 = (0.0, 0.0)
+        for n in range(nterms, -1, -1):
+            s1 = dd_add(s1, dd_div_f(dd_mul(dd_mul_f(es[n], float(3 * n + 2)), ap),
+                                     float(3 * n + 1)))
+        s2 = (0.0, 0.0)
+        inv_a = dd_powi(ap, -1)
+        for n in range(nterms, -1, -1):
+            s2 = dd_add(s2, dd_div_f(dd_mul(dd_mul_f(cs[n + 1], 0.5 * (3 * n + 3)),
+                                            inv_a), float(3 * n + 2)))
+        tot = dd_add(dd_mul(aap_, dd_add(s0, ln_a)),
+                     dd_add(dd_mul(ap2_, s1), dd_mul(a2_, s2)))
+        return XReal.from_pair(dd_sub(L_CAL.pair, tot))
+    s0 = (0.0, 0.0)
+    for n in range(nterms, 0, -1):
+        coef = dd_mul_f(es[n - 1], (6.0 * n - 2.0) / float(3 * n))
+        s0 = dd_add(s0, dd_div_f(dd_mul(coef, a3), float(3 * n)))
+    s1 = (0.0, 0.0)
+    for n in range(nterms, 0, -1):
+        coef = dd_mul_f(cs[n], float(3 * n) / float(3 * n + 1))
+        s1 = dd_add(s1, dd_div_f(dd_mul(coef, ap), float(3 * n + 1)))
+    s2 = (0.0, 0.0)
+    for n in range(nterms, -1, -1):
+        coef = dd_mul_f(ds[n], (6.0 * n + 2.0) / float(3 * n + 2))
+        s2 = dd_add(s2, dd_div_f(dd_mul(coef, dd_powi(ap, 2)), float(3 * n + 2)))
+    tot = dd_add(dd_mul(ap2_, dd_add(s0, ln_a)),
+                 dd_add(dd_mul(a2_, s1), dd_mul(aap_, s2)))
+    return XReal.from_pair(dd_sub(L_IP.pair, tot))
+
+
+def _branches_bsums(k, mu, base):
+    """_bsums as three hand-written residue branches: the form the table
+    replaced, kept as the bit-for-bit reference."""
+    a3_12 = dd_mul_f(dd_powi(base.ap, 3), 12.0)
+    inv_a = dd_powi(base.ap, -1)
+    s0 = s1 = s2 = (0.0, 0.0)
+    if mu == 0:
+        t = (-6.0, 0.0)
+        for l in range(k + 1):
+            s0 = dd_add(s0, dd_mul_f(t, -(3.0 * l - 1.0)))
+            if l >= 1:
+                s1 = dd_add(s1, dd_mul_f(dd_mul(t, inv_a), -(3.0 * l)))
+                s2 = dd_add(s2, dd_mul_f(dd_mul(t, dd_powi(base.ap, -2)),
+                                         (3.0 * l) * (3.0 * l - 1.0)))
+            t = dd_mul_f(dd_mul(t, a3_12),
+                         (l - 1.0 / 6.0)
+                         / float((3 * l + 1) * (3 * l + 2) * (3 * l + 3)))
+        return s0, s1, s2
+    if mu == 1:
+        t = (6.0, 0.0)
+        for l in range(k + 1):
+            s1 = dd_add(s1, dd_mul_f(t, -1.0))
+            if l >= 1:
+                s0 = dd_add(s0, dd_mul_f(dd_mul(t, base.ap),
+                                         -3.0 * l / float(3 * l + 1)))
+                s2 = dd_add(s2, dd_mul_f(dd_mul(t, inv_a), 3.0 * l))
+            t = dd_mul_f(dd_mul(t, a3_12),
+                         (l + 1.0 / 6.0)
+                         / float((3 * l + 1) * (3 * l + 2) * (3 * l + 3)))
+        return s0, s1, s2
+    t = (2.0, 0.0)
+    for l in range(k + 1):
+        s0 = dd_add(s0, dd_mul_f(dd_mul(t, dd_powi(base.ap, 2)),
+                                 -(3.0 * l + 1.0) / float((3 * l + 1) * (3 * l + 2))))
+        s1 = dd_add(s1, dd_mul_f(dd_mul(t, base.ap), -1.0 / float(3 * l + 1)))
+        s2 = dd_add(s2, t)
+        t = dd_mul_f(dd_mul(t, a3_12),
+                     (l + 0.5) / float((3 * l + 1) * (3 * l + 2) * (3 * l + 3)))
+    return s0, s1, s2
+
+
+def _bits(pairs):
+    """Every bit of each component, the sign of zero included."""
+    return [(x.hex(), math.copysign(1.0, x)) for x in pairs]
+
+
+def _outcome(fn, *args):
+    # the bits of each dd pair returned, or the type of the exception raised
+    try:
+        out = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    pairs = [out.pair] if isinstance(out, XReal) else out
+    return [_bits(p) for p in pairs]
+
+
+@given(st.sampled_from(sorted(IRREDUCIBLE)),
+       st.floats(0.0, 8.0, exclude_min=True))
+@example("iprime", 1.0187929716474710)  # a0, the first root magnitude
+@example("iprime", NEG_A_MAX)
+@example("i", 8.0)
+@example("calI", 5e-324)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_irreducible_table_keeps_the_loops_bits(which, a):
+    assume(a <= IRREDUCIBLE[which].hi)
+    assert (_outcome(irreducible_neg1, a, which)
+            == _outcome(_loops_irreducible_neg1, a, which)), (which, a)
+
+
+@given(st.integers(0, 40), st.floats(0.0, 13.0, exclude_min=True))
+@example(2, 3.75)
+@example(3, 1e-200)  # a^-2 overflows: both raise
+@example(0, 1e-200)  # k = 0 forms no a^-2
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_bsum_table_keeps_the_branches_bits(n, a):
+    k, mu = divmod(n, 3)
+    base = Ai2Base(a)
+    assert (_outcome(_bsums, k, mu, base)
+            == _outcome(_branches_bsums, k, mu, base)), (n, a)
+
+
+#: the class chains c, d, e of _ai2_class_chains with a^3 = 1, exactly:
+#: their first terms and their ratios
+_CHAIN_FIRST = (Fr(1), Fr(1), Fr(1, 2))
+_CHAIN_RATIO = tuple(
+    lambda n, j=j: Fr(12 * n + 4 * j + 2,
+                      (3 * n + j + 1) * (3 * n + j + 2) * (3 * n + j + 3))
+    for j in range(3))
+
+
+def _chain(c, n):
+    return _CHAIN_FIRST[c] * math.prod(_CHAIN_RATIO[c](i) for i in range(n))
+
+
+def _taylor_ai2(m):
+    """[x^m] Ai(x)^2 as its (A^2, A'^2, AA') coefficients, from pqr2_row."""
+    if m < 0:
+        return (0, 0, 0)
+    row = pqr2_row(m)
+    return tuple(Fr(poly[0], math.factorial(m)) for poly in row)
+
+
+#: [x^m] of each kind's product: Ai^2; Ai Ai' = (Ai^2)'/2;
+#: Ai'^2 = (Ai^2)''/2 - x Ai^2
+_TAYLOR = {
+    "i": _taylor_ai2,
+    "calI": lambda m: tuple(Fr(m + 1, 2) * t for t in _taylor_ai2(m + 1)),
+    "iprime": lambda m: tuple(Fr((m + 2) * (m + 1), 2) * t - u for t, u in
+                              zip(_taylor_ai2(m + 2), _taylor_ai2(m - 1))),
+}
+
+
+def test_class_chains_are_the_exact_chains():
+    chains = _ai2_class_chains((1.0, 0.0), 25)
+    for c, chain in enumerate(chains):
+        for n, (hi, lo) in enumerate(chain):
+            exact = _chain(c, n)
+            assert abs(Fr(hi) + Fr(lo) - exact) <= exact * Fr(1, 10 ** 29)
+
+
+def test_class_rows_are_the_taylor_coefficients_exactly():
+    # row j of each kind, in Fractions, is [x^m] of its product for
+    # m = 3n + j <= 60: weight times chain times num/den at a^m, zero
+    # below the row's first n except the m = 0 term, which the ln a takes
+    basis = (A2, AP2, AAP)  # the order of pqr2_row's P, Q, R
+    for which, (_, weights, rows) in _CLASS_SUMS.items():
+        for j, (chain, shift, first, factor, power) in enumerate(rows):
+            b, mult = next((b, mult) for b in range(3) for mult in (1, 2)
+                           if weights[j] == basis[b] * mult)
+            for m in range(j, 61, 3):
+                n = (m - j) // 3
+                got = [0, 0, 0]
+                if n >= first:
+                    assert 3 * (n + shift) + power == m
+                    num, den = factor(n) if factor else (1, 1)
+                    got[b] = mult * _chain(chain, n + shift) * Fr(num, den)
+                elif m == 0:
+                    got[b] = mult
+                assert tuple(got) == _TAYLOR[which](m), (which, j, m)
