@@ -20,24 +20,20 @@ from .errors import (
 from .kernel import (
     AI0,
     AIP0,
-    BI0,
-    BIP0,
     ETA,
     HypSeries,
     compensated_sum,
-    hyp,
     hyp_pfq,
     pochhammer,
     smalla_sum,
 )
-from .airy import AiryState, JPair, airy, scorer_gi
+from .airy import AiryState, JPair, airy
 from .roots import RootTable, refine_root, root_seed, roots_upto
 from .zeta import zeta_closed, zeta_eta_poly, zeta_incomplete, zeta_tail
 from .oracle import (
     integrate_halfline,
     oracle_integral1,
     oracle_integral2,
-    oracle_j_summand,
     oracle_mellin,
     oracle_stieltjes,
 )
@@ -45,8 +41,6 @@ from .results import TransformResult, TruncationConfig
 from .mellin1 import (
     PQPoly,
     amatrix_row,
-    genfunc_lambda,
-    genfunc_xi,
     mellin_closed,
     mellin_family,
     mellin_prime,
@@ -59,7 +53,6 @@ from .mellin2 import (
     PQRPoly2,
     calI,
     calI_bform,
-    genfunc2,
     irreducible_neg1,
     mellin2,
     pqr2_row,

@@ -1,5 +1,5 @@
-"""Airy functions Ai, Bi, their derivatives, the Scorer function Gi, and
-the sqrt(3)*Ai(-a) +/- Bi(-a) combinations used throughout the package.
+"""Airy functions Ai, Bi, their derivatives, and the sqrt(3)*Ai(-a) +/-
+Bi(-a) combinations used throughout the package.
 
 Evaluation is by the Maclaurin pair
 
@@ -34,13 +34,12 @@ from .ddreal import (
     dd_split,
     dd_sqrt,
     dd_sub,
-    PI,
     SQRT3,
     SPLITTER,
     SQRT_PI,
 )
 from .errors import RangeError
-from .kernel import AI0, AIP0, BI0, BIP0
+from .kernel import AI0, AIP0
 from .results import per_request
 
 #: switch from Maclaurin series to asymptotic expansion on the positive
@@ -67,9 +66,6 @@ class AiryState(NamedTuple):
     aip: XReal
     bi: XReal
     bip: XReal
-
-    def wronskian(self) -> XReal:
-        return self.ai * self.bip - self.aip * self.bi
 
 
 class JPair(NamedTuple):
@@ -250,48 +246,4 @@ def airy(x: float) -> AiryState:
     bi = dd_mul(SQRT3.pair, dd_sub(dd_mul(a0, f), dd_mul(ap0, g)))
     bip = dd_mul(SQRT3.pair, dd_sub(dd_mul(a0, fp), dd_mul(ap0, gp)))
     return AiryState(*map(XReal.from_pair, (ai, aip, bi, bip)))
-
-
-#: Gi(0) = Bi(0)/3 and Gi'(0) = Bi'(0)/3
-GI0 = BI0 / 3
-GIP0 = BIP0 / 3
-
-
-def scorer_gi(x: float):
-    """Scorer Gi and Gi' on [0, 20] by the Maclaurin series of the
-    inhomogeneous equation y'' = x y - 1/pi.
-
-    Double-double summation holds ~1e-13 relative accuracy to x ~ 16;
-    beyond that the growing-series cancellation erodes it (documented,
-    unused by the pipelines, which stay below 13).
-    """
-    x = float(x)
-    if not 0.0 <= x <= 20.0:
-        raise RangeError(f"scorer_gi argument {x} outside [0, 20]")
-    xp = (x, 0.0)
-    x3 = dd_mul(dd_mul(xp, xp), xp)
-    inv_pi = dd_div((1.0, 0.0), PI.pair)
-    # residue classes mod 3 of the coefficient ladder c_{k+3} = c_k/((k+3)(k+2))
-    t0 = GI0.pair                      # k = 0 chain
-    t1 = dd_mul(GIP0.pair, xp)         # k = 1 chain (times x^k)
-    t2 = dd_mul_f(dd_mul(dd_mul(xp, xp), dd_neg(inv_pi)), 0.5)  # k = 2 chain
-    gi = dd_add(dd_add(t0, t1), t2)
-    gp_acc = dd_add(t1, dd_mul_f(t2, 2.0))  # sum of k * t_k -> Gi' = acc/x
-    peak = max(abs(gi[0]), 1.0)
-    k = 0
-    while k < 3 * _SERIES_CAP:
-        t0 = dd_div_f(dd_mul(t0, x3), float((k + 3) * (k + 2)))
-        t1 = dd_div_f(dd_mul(t1, x3), float((k + 4) * (k + 3)))
-        t2 = dd_div_f(dd_mul(t2, x3), float((k + 5) * (k + 4)))
-        gi = dd_add(gi, dd_add(dd_add(t0, t1), t2))
-        gp_acc = dd_add(gp_acc, dd_mul_f(t0, float(k + 3)))
-        gp_acc = dd_add(gp_acc, dd_mul_f(t1, float(k + 4)))
-        gp_acc = dd_add(gp_acc, dd_mul_f(t2, float(k + 5)))
-        m = max(abs(t0[0]), abs(t1[0]), abs(t2[0]))
-        peak = max(peak, m)
-        if m < 1e-38 * peak:
-            break
-        k += 3
-    gip = dd_div(gp_acc, xp) if x != 0.0 else GIP0.pair
-    return XReal.from_pair(gi), XReal.from_pair(gip)
 

@@ -4,7 +4,8 @@ polynomials, the small-a expansion sum and the generalized
 hypergeometric series engine.
 
 Every closed form's pFq part is a table of terms c a^k F(z) / d that
-:func:`hyp_sum` adds up, each F through :func:`hyp` and :func:`hyp_pfq`.
+:func:`hyp_sum` adds up, each F summed by :func:`hyp_pfq`, which nothing
+else in the package calls.
 The series is summed in double-double by forward term-ratio recursion
 
     t_{k+1} = t_k * prod(a_i + k) / prod(b_j + k) * z / (k + 1),
@@ -12,14 +13,14 @@ The series is summed in double-double by forward term-ratio recursion
 with the parameters exact rationals, so each ratio is an integer numerator
 over an integer denominator, kept as rows of binary64 values and their
 Dekker splits.  Each of the package's parameter sets is converted, checked
-and bound once, at import (:func:`hyp_params`); :func:`hyp` sums it at a
-call's z.  One loop body applies a row as dd_mul by z, dd_mul_f by the
-numerator and dd_div_f by the denominator, then dd_add to the total, each
-written out (as no other loop here is) with the operations of ``ddreal``
-in their order: these sums hold most of a request's time.  A factor exact
-in 26 bits splits into itself and 0.0, and the two products with that 0.0
-are left out, as in ``airy._fg_series``.  A row beyond 2**53 is applied by
-the exact dd products instead.  The alternating series
+and bound once, at import (:func:`hyp_params`); :func:`hyp_pfq` sums it
+at a call's z.  One loop body applies a row as dd_mul by z, dd_mul_f by
+the numerator and dd_div_f by the denominator, then dd_add to the total,
+each written out (as no other loop here is) with the operations of
+``ddreal`` in their order: these sums hold most of a request's time.  A
+factor exact in 26 bits splits into itself and 0.0, and the two products
+with that 0.0 are left out, as in ``airy._fg_series``.  A row beyond 2**53
+is applied by the exact dd products instead.  The alternating series
 in scope have non-monotone term magnitudes, so termination requires three
 consecutive terms below tolerance.
 
@@ -56,7 +57,6 @@ from .ddreal import (
     dd_powi,
     dd_split,
     SPLITTER,
-    SQRT3,
 )
 from .errors import ConvergenceError, DomainError, RangeError
 from .results import Frozen, per_request
@@ -300,8 +300,8 @@ class HypSeries(Frozen):
     numerator parameter ends it; p > q + 1 diverges at every z != 0.
     Construction raises DomainError for a p = q + 1 series at |z| >= 1 and
     for every p > q + 1 series.  The constructor looks its ratio rows up
-    by the parameters' hash, in a per-process cache; :func:`hyp` sums a
-    bound set at another z with the same rows.
+    by the parameters' hash, in a per-process cache; :func:`hyp_pfq` sums
+    a bound set at another z with the same rows.
     """
 
     __slots__ = ("a_params", "b_params", "z", "_ratios")
@@ -316,7 +316,8 @@ class HypSeries(Frozen):
 
 def hyp_params(a: str, b: str) -> HypSeries:
     """A parameter set bound once, from its parameters written as rationals
-    ("1 1 7/6", "4/3 5/3 2 2"): a series at z = 0 that :func:`hyp` sums."""
+    ("1 1 7/6", "4/3 5/3 2 2"): a series at z = 0 that :func:`hyp_pfq`
+    sums at a call's z."""
     return HypSeries(tuple(map(Fraction, a.split())),
                      tuple(map(Fraction, b.split())), 0.0)
 
@@ -426,14 +427,6 @@ def hyp_pfq(series: HypSeries, tol: float, max_terms: int | None = None,
     )
 
 
-def hyp(params: HypSeries, z, tol: float) -> XReal:
-    """The series of a bound parameter set at z, summed by :func:`hyp_pfq`
-    to ``tol`` with the set's rows: no series is built and no parameter
-    converted or hashed.  Raises DomainError for a p = q + 1 set at
-    |z| >= 1."""
-    return hyp_pfq(params, tol=tol, z=z)
-
-
 def hyp_sum(terms, ap, z, tol: float, acc):
     """``acc`` plus the pFq terms of a closed form at z, in double-double,
     added one at a time in the order of ``terms``.
@@ -441,11 +434,11 @@ def hyp_sum(terms, ap, z, tol: float, acc):
     Each term (c, k, d, F) is an XReal coefficient c, a nonzero power k of
     a (``ap``, a dd pair), a binary64 divisor d or None, and a parameter
     set F bound by :func:`hyp_params`, summed at z to ``tol`` by
-    :func:`hyp`.  It is formed as (c a^k) F(z) for k > 0 and as
+    :func:`hyp_pfq`.  It is formed as (c a^k) F(z) for k > 0 and as
     (c F(z)) / a^-k for k < 0, then divided by d.  Returns the dd pair.
     """
     for c, k, d, params in terms:
-        f = hyp(params, z, tol).pair
+        f = hyp_pfq(params, tol=tol, z=z).pair
         power = dd_powi(ap, abs(k))
         t = (dd_mul(dd_mul(c.pair, power), f) if k > 0
              else dd_div(dd_mul(c.pair, f), power))
@@ -473,9 +466,5 @@ _CBRT3 = XReal.from_pair(dd_exp(dd_div_f(dd_ln((3.0, 0.0)), 3.0)))  # 3**(1/3)
 AI0 = 1 / (_CBRT3 * _CBRT3 * GAMMA_2_3)
 #: Ai'(0) = -3**(-1/3) / Gamma(1/3)
 AIP0 = -1 / (_CBRT3 * GAMMA_1_3)
-#: Bi(0) = sqrt(3) Ai(0)
-BI0 = SQRT3 * AI0
-#: Bi'(0) = -sqrt(3) Ai'(0)
-BIP0 = -SQRT3 * AIP0
 #: eta = Ai(0)/Ai'(0)  (negative)
 ETA = AI0 / AIP0

@@ -1,13 +1,15 @@
 """Incomplete Mellin transforms of Ai and Ai' with their polynomial
-ladders and generating functions.
+ladders and the z-derivatives of their generating functions.
 
 The central objects:
 
 * the derivative polynomials P_k, Q_k with  d^k Ai/dz^k = P_k Ai + Q_k Ai',
   generated by P_{k+1} = P_k' + z Q_k, Q_{k+1} = Q_k' + P_k (exact integer
   coefficients; the three-term recurrences serve as cross-checks);
-* their generating functions xi(t,z), lambda(t,z), which translate Airy
-  data from z to z+t, and the z-derivative ladders xi^(i), lambda^(i)
+* their generating functions xi(t,z) = pi[Bi'(z)Ai(z+t) - Ai'(z)Bi(z+t)]
+  = sum_k P_k(z) t^k/k! and lambda(t,z) = pi[Ai(z)Bi(z+t) -
+  Bi(z)Ai(z+t)] = sum_k Q_k(z) t^k/k!, which translate Airy data from z
+  to z+t, held only as the z-derivative ladders xi^(i), lambda^(i)
   needed by the small-a machinery of :mod:`airylog.stieltjes1`;
 * the transforms I_n(a) = int_a^inf z^n Ai dz and the primed variant,
   reduced exactly onto the irreducible base set {I_0, I_-1, I_-2, Ai(a),
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .airy import JPair, airy, scorer_gi
+from .airy import JPair, airy
 from .ddreal import (
     XReal,
     dd_add,
@@ -119,21 +121,7 @@ def amatrix_row(k: int) -> tuple:
     return poly_add(poly_shift(inner), poly_scale(row.Q, 3))
 
 
-# -- generating functions ----------------------------------------------------
-
-def genfunc_xi(t: float, z: float) -> XReal:
-    """xi(t,z) = pi[Bi'(z)Ai(z+t) - Ai'(z)Bi(z+t)]; xi(0,z) = 1."""
-    s0 = airy(z)
-    s1 = airy(z + t)
-    return PI * (s0.bip * s1.ai - s0.aip * s1.bi)
-
-
-def genfunc_lambda(t: float, z: float) -> XReal:
-    """lambda(t,z) = pi[Ai(z)Bi(z+t) - Bi(z)Ai(z+t)]; lambda(0,z) = 0."""
-    s0 = airy(z)
-    s1 = airy(z + t)
-    return PI * (s0.ai * s1.bi - s0.bi * s1.ai)
-
+# -- generating-function derivatives -----------------------------------------
 
 def xi_lambda_derivs(a: float):
     """z-derivatives xi^(i)(-a, 0), lambda^(i)(-a, 0) for i = 0 ..
@@ -203,13 +191,6 @@ def I_hyp(m: int, a: float, tol: float) -> XReal:
         log = dd_add(dd_sub(dd_mul_f(ln_point(ap[0]), 6.0), LN3.pair), const)
         acc = dd_sub(acc, dd_div_f(dd_mul(weight, log), 6.0))
     return XReal.from_pair(acc)
-
-
-def I0_scorer(a: float) -> XReal:
-    """Second route: I_0(a) = pi[Ai(a)Gi'(a) - Ai'(a)Gi(a)]."""
-    st = airy(a)
-    gi, gip = scorer_gi(a)
-    return PI * (st.ai * gip - st.aip * gi)
 
 
 # -- exact reduction to the base set ----------------------------------------

@@ -56,7 +56,7 @@ from .kernel import (
     power_range_check,
     smalla_sum,
 )
-from .mellin1 import genfunc_lambda, genfunc_xi, xi_lambda_derivs
+from .mellin1 import xi_lambda_derivs
 from .results import Domain, TransformResult, per_request
 
 # squared constants (dd)
@@ -127,13 +127,6 @@ def pqr2_row(j: int) -> PQRPoly2:
         poly_add(poly_deriv(Q), R),
         poly_add(poly_deriv(R),
                  poly_add(poly_scale(P, 2), poly_shift(poly_scale(Q, 2)))))
-
-
-def genfunc2(t: float, x: float):
-    """(Xi, Lambda, rho)(t, x) = (xi^2, lambda^2, 2 xi lambda)."""
-    xi = genfunc_xi(t, x)
-    lam = genfunc_lambda(t, x)
-    return xi * xi, lam * lam, 2 * xi * lam
 
 
 def xi2_derivs(a: float):
@@ -427,9 +420,14 @@ def calI(n: int, a: float) -> TransformResult:
 def calI_bform(n: int, a: float) -> TransformResult:
     """calI_n(a) on BFORM (0 <= n <= 40, 0 < a <= 13) by the second route:
     the closed-form solution of the three-term recurrence (Gamma-ratio
-    coefficient sums), with the err_est of :func:`calI`."""
+    coefficient sums), with the err_est of :func:`calI`.  Its sums form
+    a^-2 for n = 0 (mod 3) and a^-1 for n = 1 (mod 3), n >= 3, so it raises
+    RangeError below a = 2^-480 and 2^-960 there."""
     base = _product_base("calI_bform", BFORM, n, a)
     k, mu = divmod(n, 3)
+    # the lowest power of a among the rows that add a term at this k
+    power_range_check("calI_bform", n, a, max(
+        -power for first, power, _ in _BSUM_ROWS[mu][2] if first <= k))
     s0, s1, s2 = _bsums(k, mu, base)
     # G(k + mu/3 + 5/6) / G(mu/3 + 5/6)
     ratio = float(pochhammer(Fraction(2 * mu + 5, 6), k))

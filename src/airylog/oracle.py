@@ -211,19 +211,3 @@ def oracle_mellin(kind: str, n: int, a: float,
     pts = tuple(p - a for p in (1.0, 5.0, 12.0) if p > a)
     return integrate_halfline(f, split=split - a, tol=tol, breakpoints=pts)
 
-
-def oracle_j_summand(a: float) -> TransformResult:
-    """The per-root summand of the second pipeline by direct quadrature:
-
-        (1/a) * int_0^inf x/(x+a) [2 Ai Ai' + x Ai'^2 - x^2 Ai^2] dx.
-    """
-    if not a > 0.0:
-        raise DomainError("oracle_j_summand needs a > 0")
-    nodes, fill = _nodes()
-
-    def f(x: float) -> float:
-        ai, aip = (nodes.get(x) or fill(x))[:2]
-        return (x / (x + a)) * (2.0 * ai * aip + x * aip * aip
-                                - x * x * ai * ai) / a
-
-    return integrate_halfline(f, split=25.0, breakpoints=(1.0, 5.0, 12.0))

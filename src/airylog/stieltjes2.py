@@ -113,19 +113,6 @@ def constants_c(a0: float, J1, J2, J3):
     return c1, c2, c3
 
 
-def constants_c_at_root(a0: float, J1, J2, J3):
-    """The constants of :func:`constants_c` in their at-root forms, valid
-    when a0 is a zero of Ai' (where Ai(-a0)Bi'(-a0) = 1/pi); both must
-    agree there."""
-    st = airy(-a0)
-    ai, bi, bip = st.ai, st.bi, st.bip
-    j13 = a0 * J1 + J3
-    c1 = j13 * bi * bi + (J1 * bip - J2 * bi) * bip
-    c2 = j13 * ai * ai
-    c3 = -2 * j13 * ai * bi + J2 / PI
-    return c1, c2, c3
-
-
 #: the solutions :meth:`J1Solution.build` has returned at a root magnitude,
 #: by (a0, seed source); the first one stored wins a race
 _SOLUTIONS: dict = {}
@@ -227,19 +214,6 @@ def _j_brackets(a: float):
     return b1, b2, b3
 
 
-def d_coefficients(a: float):
-    """The bracket combinations multiplying the master differences in the
-    regrouped summand (mechanical analogues of the printed d_i):
-
-        j = sum B_i c_i - d1 dM_box - d2 dM_II + d3 dM_I - (B1/pi^2) dln.
-    """
-    b1, b2, b3 = _j_brackets(a)
-    k_box = -A2 * (3 * b1 + b2 - 2 * SQRT3 * b3)
-    k_i = -2 * AAP * (3 * b1 - b2)
-    k_ii = -AP2 * (3 * b1 + b2 + 2 * SQRT3 * b3)
-    return -k_box, -k_ii, k_i
-
-
 def j_term(a: float, sol: J1Solution) -> XReal:
     """The bracket combination j(a) = 2a^2 J_1 - J_2 + a J_3 (that exact
     identity is oracle-tested), for finite a > 0 (it takes ln a)."""
@@ -248,21 +222,6 @@ def j_term(a: float, sol: J1Solution) -> XReal:
     du1, du2, du3 = sol.deltas(a)
     b1, b2, b3 = _j_brackets(a)
     return b1 * (sol.c1 - du1) + b2 * (sol.c2 - du2) + b3 * (sol.c3 + 2 * du3)
-
-
-def j_term_grouped(a: float, sol: J1Solution) -> XReal:
-    """j(a) through the d_i / master-difference regrouping instead of the
-    brackets of :func:`j_term`; both must agree."""
-    if not 0.0 < a < math.inf:
-        raise DomainError("j_term_grouped needs 0 < a < inf")
-    b1, b2, b3 = _j_brackets(a)
-    d1, d2, d3 = d_coefficients(a)
-    ma = _masters(a)
-    dlog = XReal.from_pair(dd_sub(ln_point(float(a)), sol.ln_a0))
-    dm = [x - y for x, y in zip(ma, sol.masters_a0)]
-    return (b1 * sol.c1 + b2 * sol.c2 + b3 * sol.c3
-            - d1 * dm[0] - d2 * dm[2] + d3 * dm[1]
-            - (b1 / (PI * PI)) * dlog)
 
 
 def bigJ_closed(a: float, sol: J1Solution) -> XReal:

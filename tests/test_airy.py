@@ -1,8 +1,10 @@
-"""Airy evaluator: constants, identities, Scorer consistency, asymptotics.
+"""Airy evaluator: constants, identities, the I_0 route, asymptotics.
 
 scipy.special.airy serves as an independent reference implementation here;
 everything else in the package is certified against quadrature built on
-scipy, so this module closes the loop on the evaluator itself.
+scipy, so this module closes the loop on the evaluator itself.  The
+references written out as decimal strings are mpmath 1.3.0 values, good to
+the 30 digits shown.
 """
 
 import math
@@ -12,11 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import airy as scipy_airy
 
-from airylog.airy import _SERIES_CAP, JPair, _fg_series, airy, scorer_gi
+from airylog.airy import _SERIES_CAP, JPair, _fg_series, airy
 from airylog.ddreal import dd_add, dd_div, dd_div_f, dd_mul, dd_mul_f
 from airylog.errors import RangeError
-from airylog.kernel import BI0
-from airylog.mellin1 import I0_scorer, I_hyp
+from airylog.mellin1 import I_hyp
 
 
 def test_values_at_zero():
@@ -46,7 +47,8 @@ def test_wronskian_invariant():
     rng = random.Random(7)
     for _ in range(200):
         x = rng.uniform(-15.0, 15.0)
-        w = float(airy(x).wronskian())
+        st = airy(x)
+        w = float(st.ai * st.bip - st.aip * st.bi)
         assert abs(w - 1.0 / math.pi) <= 1e-12 / math.pi
 
 
@@ -124,38 +126,41 @@ def test_range_errors():
         airy(-17.0)
     with pytest.raises(RangeError):
         airy(31.0)
-    with pytest.raises(RangeError):
-        scorer_gi(-1.0)
 
 
-def test_scorer_consistency_at_zero():
-    # pi[Ai Gi' - Ai' Gi](0) = I_0(0) = 1/3
-    val = float(I0_scorer(0.0))
-    assert abs(val - 1.0 / 3.0) < 1e-14
+#: (a, I_0(a) = int_a^inf Ai dx), from mpmath 1.3.0 at mp.dps = 60 as
+#: 1/3 - airyai(a, derivative=-1), which mp.quad over [a, inf] confirms
+I0_REFS = (
+    (0.5, "0.187380028421476155004438067053"),
+    (1.0, "0.0970159914162235537314369994937"),
+    (4.0, "0.000440687947211206363153856761182"),
+    (8.0, "1.60908497591327065539397740637e-8"),
+    (10.0, "3.41643173905400943040964991442e-11"),
+    (13.0, "1.08753208798684568765783867118e-15"),
+)
 
 
 def test_scorer_vs_hypergeometric_route():
-    for a in (0.5, 1.0, 4.0, 8.0):
-        s = float(I0_scorer(a))
+    # I_hyp(0, a) against 30-digit values of I_0 = pi[Ai Gi' - Ai' Gi]
+    # (Scorer): 2.1e-17 relative or better up to a = 8
+    for a, ref in I0_REFS[:4]:
         h = float(I_hyp(0, a, 1e-30))
-        assert abs(s - h) <= 1e-10 * abs(h), a
-    # deep range: both routes sit on tiny values; agreement is absolute
-    for a in (10.0, 13.0):
-        s = float(I0_scorer(a))
+        assert abs(h - float(ref)) <= 1e-10 * float(ref), a
+    # deep range: the route sits on tiny values, and cancels to 1.1e-22
+    # (a = 10) and 2.3e-18 (a = 13) off; agreement is absolute
+    for a, ref in I0_REFS[4:]:
         h = float(I_hyp(0, a, 1e-30))
-        assert abs(s - h) <= 1e-17, a
+        assert abs(h - float(ref)) <= 1e-17, a
 
 
-def test_scorer_route_monotone_decay():
-    vals = [float(I0_scorer(a)) for a in (1.0, 3.0, 6.0, 10.0, 14.0, 18.0, 20.0)]
-    assert all(v > 0 for v in vals[:-1])
-    assert all(b < a for a, b in zip(vals, vals[1:]))
+#: Bi(0) = 3^(-1/6) / Gamma(2/3), from mpmath 1.3.0 airybi(0)
+BI0_REF = "0.614926627446000735150922369094"
 
 
 def test_jpair_identities():
     jp0 = JPair.of(airy(-0.0))
     assert abs(float(jp0.jminus)) < 1e-16  # sqrt(3) Ai(0) = Bi(0)
-    assert abs(float(jp0.jplus) - 2 * float(BI0)) < 1e-15
+    assert abs(float(jp0.jplus) - 2 * float(BI0_REF)) < 1e-15
     jp = JPair.of(airy(-2.0))
     st = airy(-2.0)
     prod = float(jp.jminus * jp.jplus)

@@ -131,6 +131,18 @@ def test_a_below_a_routes_range_is_a_config_error(capsys):
     assert (code, capsys.readouterr().out) == (2, "")
 
 
+def test_bform_below_its_power_floor_is_a_config_error(capsys):
+    # the bform row printed nan with exit 0 at 1e-156, and the command ended
+    # in a ZeroDivisionError traceback at 1e-200
+    for a in ("1e-156", "1e-200"):
+        code = main(["transform", "--kind", "mellin-aiaip", "--n", "3",
+                     "--a", a, "--method", "all"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), a
+        assert err.startswith("configuration error: calI_bform"), err
+        assert "Traceback" not in err
+
+
 def test_a_refused_oracle_leaves_the_rows_that_hold(capsys):
     # the oracle's overflow at k = 3e6 ended the command with exit 2 and no
     # row, while the asymptotic route prints the correctly rounded 0.0

@@ -1,12 +1,12 @@
 """Source hygiene: every name a program or test module imports is used
 there, every private module-level function or class is used somewhere in
 the package, every public definition is reached from the CLI or the
-benchmark, every defaulted parameter is set by some caller in the
-package or the benchmark, no module imports scipy or numpy when it is
-imported (the quadrature oracle loads them on its first integral), every
-pFq sum goes through ``kernel.hyp_sum``, each table-driven series engine
-sums in one loop, and every exact polynomial row is a tuple of ints and
-Fractions."""
+benchmark (none only from tests), every defaulted parameter is set by
+some caller in the package or the benchmark, no module imports scipy or
+numpy when it is imported (the quadrature oracle loads them on its first
+integral), every pFq sum goes through ``kernel.hyp_sum``, the only caller
+of ``kernel.hyp_pfq``, each table-driven series engine sums in one loop,
+and every exact polynomial row is a tuple of ints and Fractions."""
 
 import ast
 from fractions import Fraction
@@ -156,22 +156,8 @@ def _unreached_public_definitions(sources: dict, roots: dict,
 
 
 #: public definitions that no CLI path or benchmark reaches, and why each
-#: stays
-UNREACHED_ALLOWED = {
-    "scorer_gi": "Scorer Gi, the base of the I0_scorer reference route",
-    "I0_scorer": "second route for I_0 that tests compare I_hyp(0, a) with",
-    "genfunc_xi": "generating function the xi ladder is tested against",
-    "genfunc_lambda": "generating function the lambda ladder is tested "
-                      "against",
-    "genfunc2": "squared generating functions the xi2 ladder is tested "
-                "against",
-    "oracle_j_summand": "quadrature reference for the per-root J summand",
-    "AiryState.wronskian": "Wronskian identity that tests check airy with",
-    "j_term_grouped": "second route for the summand bracket j(a), through "
-                      "the d_i regrouping, that tests compare j_term with",
-    "constants_c_at_root": "at-root forms of the J_1 constants that tests "
-                           "compare constants_c with",
-}
+#: stays: none, so every definition serves a command or the benchmark
+UNREACHED_ALLOWED = {}
 
 
 def test_every_public_definition_is_reached():
@@ -401,7 +387,7 @@ def test_only_the_hot_loops_write_dd_steps_out():
 
 
 #: the one path of a pFq sum: each function's only caller in the package
-PFQ_PATH = {"hyp": ["kernel.hyp_sum"], "hyp_pfq": ["kernel.hyp"]}
+PFQ_PATH = {"hyp_pfq": ["kernel.hyp_sum"]}
 
 
 def _callers(source: str, name: str, callees) -> dict:
@@ -427,11 +413,12 @@ def _callers(source: str, name: str, callees) -> dict:
 
 
 def test_every_pfq_sum_goes_through_hyp_sum():
-    sample = ("from . import kernel\nX = kernel.hyp(1)\n"
-              "def f(t):\n    return [hyp(p) for p in t]\n"
-              "class C:\n    def g(self):\n        return hyp_pfq(2)\n")
-    assert _callers(sample, "m", PFQ_PATH) == {"hyp": ["m", "m.f"],
-                                               "hyp_pfq": ["m.C.g"]}
+    sample = ("from . import kernel\nX = kernel.hyp_pfq(1)\n"
+              "def f(t):\n    return [hyp_pfq(p) for p in t]\n"
+              "class C:\n    def g(self):\n        return hyp_pfq(2)\n"
+              "def h():\n    return hyp(3)\n")
+    assert _callers(sample, "m", PFQ_PATH) == {
+        "hyp_pfq": ["m", "m.C.g", "m.f"]}
     found = {c: [] for c in PFQ_PATH}
     for p in sorted(SRC.glob("*.py")):
         for c, s in _callers(p.read_text(encoding="utf-8"), p.stem,

@@ -19,7 +19,6 @@ from airylog.kernel import (
     compensated_sum,
     AI0,
     AIP0,
-    hyp,
     hyp_params,
     hyp_pfq,
     ln_point,
@@ -215,7 +214,7 @@ def test_alternating_series_matches_reference_at_every_seed_only_root(name):
 
 def test_hyp_z_zero():
     params = HypSeries((Fraction(1, 3),), (Fraction(2, 3), Fraction(4, 3)), 0.0)
-    assert float(hyp(params, 0.0, tol=1e-16)) == 1.0
+    assert float(hyp_pfq(params, tol=1e-16, z=0.0)) == 1.0
 
 
 def _rational_pfq_partial(a_params, b_params, z: Fraction, terms: int) -> Fraction:
@@ -239,7 +238,7 @@ def test_hyp_vs_exact_rational_oracle():
     b = (Fraction(2, 3), Fraction(4, 3))
     z = Fraction(-1, 9)  # -z^3/9 at z = 1
     oracle = _rational_pfq_partial(a, b, z, 60)
-    mine = hyp(HypSeries(a, b, 0.0), XReal.from_fraction(z), tol=1e-25)
+    mine = hyp_pfq(HypSeries(a, b, 0.0), tol=1e-25, z=XReal.from_fraction(z))
     assert abs(float(mine) - float(oracle)) < 1e-15
 
 
@@ -247,8 +246,8 @@ def test_hyp_error_estimate_scales_with_tol():
     a = (Fraction(1, 3),)
     b = (Fraction(2, 3), Fraction(4, 3))
     params = HypSeries(a, b, 0.0)
-    tight = float(hyp(params, -100.0, tol=1e-22))
-    loose = float(hyp(params, -100.0, tol=1e-10))
+    tight = float(hyp_pfq(params, tol=1e-22, z=-100.0))
+    loose = float(hyp_pfq(params, tol=1e-10, z=-100.0))
     assert abs(tight - loose) <= 10 * 1e-10 * abs(tight) + 1e-18
 
 
@@ -277,12 +276,13 @@ def test_a_divergent_series_is_refused_at_construction():
         with pytest.raises(DomainError):
             HypSeries((1, 1), (2,), z)
         with pytest.raises(DomainError):
-            hyp(params, z, tol=1e-20)
-    value = hyp(params, 0.5, tol=1e-20)
+            hyp_pfq(params, tol=1e-20, z=z)
+    value = hyp_pfq(params, tol=1e-20, z=0.5)
     assert abs(float(value) - 2.0 * math.log(2.0)) <= 4e-16
     # a non-positive integer numerator parameter ends the series:
     # 2F1(-2, 1; 2; 3) = 1 - 3 + 3
-    assert float(hyp(HypSeries((-2, 1), (2,), 0.0), 3.0, tol=1e-20)) == 1.0
+    assert float(hyp_pfq(HypSeries((-2, 1), (2,), 0.0), tol=1e-20,
+                         z=3.0)) == 1.0
 
 
 class Unhashed(Fraction):
@@ -291,7 +291,7 @@ class Unhashed(Fraction):
 
 
 def test_a_bound_set_derives_its_series_without_hashing_its_parameters():
-    # hyp sums the constructor's series at z with the bound set's rows;
+    # hyp_pfq sums the constructor's series at z with the bound set's rows;
     # the parameters' hashes are never asked for
     params = kernel.hyp_params("1 1 7/6", "4/3 5/3 2 2")
     assert params.a_params == (1, 1, Fraction(7, 6)) and params.z == 0.0
@@ -299,11 +299,13 @@ def test_a_bound_set_derives_its_series_without_hashing_its_parameters():
     z = XReal(-2.5, 1e-17)
     built = HypSeries(params.a_params, params.b_params, z)
     assert params._ratios is built._ratios
-    assert _hex(hyp(params, z, tol=1e-28)) == _hex(hyp_pfq(built, tol=1e-28))
+    assert (_hex(hyp_pfq(params, tol=1e-28, z=z))
+            == _hex(hyp_pfq(built, tol=1e-28)))
     plain = HypSeries((1, 1), (2,), 0.0)
     unhashed = HypSeries((1, 1), (2,), 0.0)
     object.__setattr__(unhashed, "a_params", (Unhashed(1), Unhashed(1)))
-    assert _hex(hyp(unhashed, 0.5, tol=1e-20)) == _hex(hyp(plain, 0.5, tol=1e-20))
+    assert (_hex(hyp_pfq(unhashed, tol=1e-20, z=0.5))
+            == _hex(hyp_pfq(plain, tol=1e-20, z=0.5)))
     with pytest.raises(AssertionError, match="hashed"):
         HypSeries(unhashed.a_params, (2,), 0.0)
 
@@ -399,8 +401,8 @@ _PFQ_BEYOND_2_53 = (
 
 
 def test_every_package_parameter_set_is_covered():
-    # kernel.hyp_sum is hyp's only caller (test_hygiene), so the three term
-    # tables name every parameter set the package sums
+    # kernel.hyp_sum is hyp_pfq's only caller (test_hygiene), so the three
+    # term tables name every parameter set the package sums
     tables = (*I_TERMS.values(), *_H_TERMS, *_MASTERS)
     seen = {(F.a_params, F.b_params) for terms in tables for *_, F in terms}
     assert seen == set(_PFQ_SETS), seen
@@ -412,8 +414,8 @@ def test_every_package_parameter_set_is_covered():
 def _ref_I0(a, tol):
     ap = (float(a), 0.0)
     z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
-    h1 = hyp(hyp_params("1/3", "2/3 4/3"), z3, tol=tol)
-    h2 = hyp(hyp_params("2/3", "4/3 5/3"), z3, tol=tol)
+    h1 = hyp_pfq(hyp_params("1/3", "2/3 4/3"), tol=tol, z=z3)
+    h2 = hyp_pfq(hyp_params("2/3", "4/3 5/3"), tol=tol, z=z3)
     t1 = dd_mul(dd_mul(AI0.pair, ap), h1.pair)
     t2 = dd_mul_f(dd_mul(dd_mul(AIP0.pair, dd_powi(ap, 2)), h2.pair), 0.5)
     third = dd_div_f((1.0, 0.0), 3.0)
@@ -423,8 +425,8 @@ def _ref_I0(a, tol):
 def _ref_Im1(a, tol):
     ap = (float(a), 0.0)
     z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
-    h1 = hyp(hyp_params("1/3", "4/3 4/3"), z3, tol=tol)
-    h2 = hyp(hyp_params("1 1", "2 2 5/3"), z3, tol=tol)
+    h1 = hyp_pfq(hyp_params("1/3", "4/3 4/3"), tol=tol, z=z3)
+    h2 = hyp_pfq(hyp_params("1 1", "2 2 5/3"), tol=tol, z=z3)
     const = dd_add(
         dd_sub(dd_mul_f(ln_point(ap[0]), 6.0), LN3.pair),
         dd_add(dd_mul_f(EULER_GAMMA.pair, 4.0),
@@ -439,8 +441,8 @@ def _ref_Im1(a, tol):
 def _ref_Im2(a, tol):
     ap = (float(a), 0.0)
     z3 = XReal.from_pair(dd_div_f(dd_powi(ap, 3), 9.0))
-    h1 = hyp(hyp_params("-1/3", "2/3 2/3"), z3, tol=tol)
-    h2 = hyp(hyp_params("1 1", "2 2 7/3"), z3, tol=tol)
+    h1 = hyp_pfq(hyp_params("-1/3", "2/3 2/3"), tol=tol, z=z3)
+    h2 = hyp_pfq(hyp_params("1 1", "2 2 7/3"), tol=tol, z=z3)
     const = dd_add(
         dd_sub(dd_mul_f(ln_point(ap[0]), 6.0), LN3.pair),
         dd_sub(dd_mul_f(EULER_GAMMA.pair, 4.0),
@@ -455,7 +457,7 @@ def _ref_Im2(a, tol):
 def _ref_H_plus(a):
     ap = (float(a), 0.0)
     z = XReal.from_pair(dd_div_f(dd_powi(ap, 3), -9.0))
-    f1, f2, f3 = (hyp(hyp_params(*p), z, tol=1e-20) for p in (
+    f1, f2, f3 = (hyp_pfq(hyp_params(*p), tol=1e-20, z=z) for p in (
         ("1/3", "4/3 4/3"), ("2/3", "4/3 5/3"), ("1 1", "2 2 7/3")))
     t1 = dd_mul(dd_mul(dd_mul(PI.pair, dd_powi(AIP0.pair, 2)), ap), f1.pair)
     t2 = dd_div_f(dd_mul(dd_mul(dd_mul(PI.pair, AIP0.pair), dd_powi(ap, 2)), f2.pair), 6.0)
@@ -466,7 +468,7 @@ def _ref_H_plus(a):
 def _ref_H_minus(a):
     ap = (float(a), 0.0)
     z = XReal.from_pair(dd_div_f(dd_powi(ap, 3), -9.0))
-    f1, f2, f3 = (hyp(hyp_params(*p), z, tol=1e-20) for p in (
+    f1, f2, f3 = (hyp_pfq(hyp_params(*p), tol=1e-20, z=z) for p in (
         ("-1/3", "2/3 2/3"), ("1/3", "2/3 4/3"), ("1 1", "2 2 5/3")))
     t1 = dd_div(dd_mul(dd_mul(PI.pair, dd_powi(AI0.pair, 2)), f1.pair), ap)
     t2 = dd_div_f(dd_mul(dd_mul(dd_mul(PI.pair, AI0.pair), ap), f2.pair), 3.0)
@@ -498,7 +500,8 @@ def _ref_masters(a):
     for terms in _REF_G_TERMS:
         g = []
         for k, factor, params in terms:
-            term = dd_mul(dd_powi(ap, k), hyp(hyp_params(*params), z, tol=1e-20).pair)
+            f = hyp_pfq(hyp_params(*params), tol=1e-20, z=z)
+            term = dd_mul(dd_powi(ap, k), f.pair)
             g.append(term if factor is None else dd_mul_f(term, factor))
         parts = [dd_mul(w.pair, gj) for w, gj in zip((AP2, AAP, A2), g)]
         out.append((XReal.from_pair(dd_add(dd_add(parts[0], parts[1]), parts[2])),
@@ -587,9 +590,9 @@ def _outcome_bits(compute):
 @settings(max_examples=200, deadline=None)
 def test_hyp_sums_a_bound_set_as_the_constructed_series_bitwise(
         params_case, data, tol):
-    # hyp(params, z) is hyp_pfq of the series built at z, bit for bit, with
-    # no parameter of the bound set hashed; for 2F1(1, 1; 2; z), whose z
-    # is drawn up to 1.5 in size, both refuse |z| >= 1
+    # hyp_pfq(params, z=z) is hyp_pfq of the series built at z, bit for
+    # bit, with no parameter of the bound set hashed; for 2F1(1, 1; 2; z),
+    # whose z is drawn up to 1.5 in size, both refuse |z| >= 1
     a, b, scale = params_case
     z = _z(data.draw, scale)
     params = HypSeries(a, b, 0.0)
@@ -597,8 +600,8 @@ def test_hyp_sums_a_bound_set_as_the_constructed_series_bitwise(
     object.__setattr__(unhashed, "a_params", tuple(map(Unhashed, a)))
     object.__setattr__(unhashed, "b_params", tuple(map(Unhashed, b)))
     want = _outcome_bits(lambda: hyp_pfq(HypSeries(a, b, z), tol))
-    assert _outcome_bits(lambda: hyp(params, z, tol)) == want
-    assert _outcome_bits(lambda: hyp(unhashed, z, tol)) == want
+    assert _outcome_bits(lambda: hyp_pfq(params, tol, z=z)) == want
+    assert _outcome_bits(lambda: hyp_pfq(unhashed, tol, z=z)) == want
 
 
 def test_rows_extended_by_many_threads_are_the_rows_of_one():

@@ -33,7 +33,6 @@ from airylog.mellin2 import (
     Jn_smalla,
     calI,
     calI_bform,
-    genfunc2,
     irreducible_neg1,
     mellin2,
     pqr2_row,
@@ -144,16 +143,25 @@ def _pv(c, x):
     return out
 
 
+#: the squared generating functions (Xi, Lambda, rho) = (xi^2, lambda^2,
+#: 2 xi lambda) at (t, x) = (-0.5, 1), with xi(t, x) = pi[Bi'(x)Ai(x+t) -
+#: Ai'(x)Bi(x+t)] and lambda(t, x) = pi[Ai(x)Bi(x+t) - Bi(x)Ai(x+t)], from
+#: mpmath 1.3.0 airyai and airybi at mp.dps = 60
+GENFUNC2_REFS = ("1.22285184813091912977298002109",
+                 "0.266020092569093950548150580506",
+                 "-1.14070708218731547267789847537")
+
+
 def test_genfunc2_trivials_and_partial_sums():
-    xi2, lam2, rho = genfunc2(0.0, 1.0)
-    assert abs(float(xi2) - 1.0) < 1e-14
-    assert abs(float(lam2)) < 1e-14
-    assert abs(float(rho)) < 1e-14
+    # at t = 0 only row 0 adds: Ai(x)^2 itself
+    assert pqr2_row(0) == ((1,), (0,), (0,))
+    # the t-Taylor sums of the P, Q and R ladders are Xi, Lambda and rho,
+    # 5.0e-16, 4.7e-16 and 1.5e-15 off the references
     t, x = -0.5, 1.0
-    lam_sum = sum(t ** j / math.factorial(j) * _pv(pqr2_row(j).Q, x)
-                  for j in range(21))
-    _, lam_closed, _ = genfunc2(t, x)
-    assert abs(lam_sum - float(lam_closed)) < 1e-9
+    for poly, ref in zip(("P", "Q", "R"), GENFUNC2_REFS):
+        total = sum(t ** j / math.factorial(j)
+                    * _pv(getattr(pqr2_row(j), poly), x) for j in range(21))
+        assert abs(total - float(ref)) < 1e-9, poly
 
 
 def test_xi2_derivs_match_printed_low_orders():
@@ -450,6 +458,34 @@ def test_negative_indices_meet_err_est_and_stop_at_neg_a_max():
         assert math.isfinite(float(fn(2, 12.75).value))
         with pytest.raises(RangeError):
             fn(2, 13.25)
+
+
+#: calI_bform at a = 1e-156, (hi, lo) of its value as ``float.hex``, for
+#: the orders whose sums form no a^-2: the range check leaves their bits
+BFORM_TINY_A = {
+    0: ("-0x1.0223d6a91559ep-4", "0x1.2590ccc513356p-58"),
+    1: ("-0x1.126177c13325dp-5", "0x1.5216587bb329ep-60"),
+    2: ("-0x1.f5d4f1a7bd022p-6", "-0x1.e070998b6a585p-60"),
+    4: ("-0x1.d65df1dd7c40dp-5", "0x1.1f01bc41c56c6p-60"),
+    5: ("-0x1.a231740bc82c8p-4", "-0x1.023a7f8a3d99cp-59"),
+}
+
+
+def test_bform_refuses_a_where_its_sums_leave_the_dd_range():
+    # the B sums form a^-2 for n = 0 (mod 3) and a^-1 for n = 1 (mod 3),
+    # n >= 3: unchecked, n = 3 returned nan at a = 1e-156 and raised a bare
+    # ZeroDivisionError at 1e-200
+    for n in (3, 6):
+        for a in (1e-156, 1e-200):
+            with pytest.raises(RangeError, match="a >= 3.2e-145"):
+                calI_bform(n, a)
+        assert math.isfinite(float(calI_bform(n, 2.0 ** -480).value))
+    with pytest.raises(RangeError, match="a >= 1.03e-289"):
+        calI_bform(4, 1e-300)
+    assert math.isfinite(float(calI_bform(4, 2.0 ** -960).value))
+    for n, bits in BFORM_TINY_A.items():
+        value = calI_bform(n, 1e-156).value
+        assert (value.hi.hex(), value.lo.hex()) == bits, n
 
 
 def test_range_error_reads_an_open_lower_bound_without_a_declared_lo():

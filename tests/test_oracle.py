@@ -11,7 +11,6 @@ from airylog.oracle import (
     integrate_halfline,
     oracle_integral1,
     oracle_integral2,
-    oracle_j_summand,
     oracle_mellin,
     oracle_stieltjes,
 )
@@ -97,12 +96,6 @@ def test_halving_tol_within_err_est():
         assert abs(loose.value - tight.value) <= 2 * max(loose.err_est, 1e-15)
 
 
-def test_j_summand_value():
-    # independent reference for the per-root summand at the second root
-    v = oracle_j_summand(3.2481975822)
-    assert abs(v.value + 0.00433921909165) < 1e-10
-
-
 def test_argument_validation():
     from airylog.errors import DomainError
 
@@ -160,9 +153,9 @@ def test_an_oracle_range_failure_is_a_configuration_error(args, capsys):
     assert out == "" and err.startswith("configuration error:")
 
 
-#: (value, err_est, subdivisions) of four oracle calls as ``float.hex``:
+#: (value, err_est, subdivisions) of three oracle calls as ``float.hex``:
 #: a Mellin transform through its x <= 0 branch (a = 0, n = 0), one with a
-#: negative power, a squared-weight Stieltjes transform and the J summand.
+#: negative power and a squared-weight Stieltjes transform.
 #: The integrand arithmetic is the same binary64 operations in the same
 #: order however the nodes are read, so these bits must not move.
 _PINNED = {
@@ -172,15 +165,12 @@ _PINNED = {
         ("0x1.0b706ab89cfa1p-4", "0x1.56e70fe12e79ep-45", 5),
     ("stieltjes", "AiP2", 2, 1.0):
         ("0x1.e0934c9d65c08p-6", "0x1.3fc7072eb805ap-49", 6),
-    ("j_summand", 2.0):
-        ("-0x1.4ff96ec923dffp-7", "0x1.2947bfb4779d2p-43", 6),
 }
 
 
 @pytest.mark.parametrize("call", sorted(_PINNED, key=repr))
 def test_oracle_values_keep_their_bits(call):
-    fn = {"mellin": oracle_mellin, "stieltjes": oracle_stieltjes,
-          "j_summand": oracle_j_summand}[call[0]]
+    fn = {"mellin": oracle_mellin, "stieltjes": oracle_stieltjes}[call[0]]
     res = fn(*call[1:])
     assert (res.value.hi.hex(), res.err_est.hex(), res.subdivisions) \
         == _PINNED[call]
